@@ -57,6 +57,11 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
+# Machine epsilon, the spacing of doubles at 1.0 (twice the unit round-off).
+_EPS = 2.220446049250313e-16
+# Relative slack that the running totals of integrate_finite's stopping test
+# allow for their own rounding; see the comment there.
+_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,8 @@ class QuadratureConfig:
     max_tail_panels: int = 60
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
+            raise ValueError("tolerances must be finite")
         if self.abs_tol < 0.0 or self.rel_tol < 0.0:
             raise ValueError("tolerances must be non-negative")
         if self.abs_tol == 0.0 and self.rel_tol == 0.0:
@@ -82,8 +89,8 @@ class QuadratureConfig:
             raise ValueError("max_subdivisions must be >= 1")
         if self.max_tail_panels < 1:
             raise ValueError("max_tail_panels must be >= 1")
-        if not self.tail_cut_growth > 1.0:
-            raise ValueError("tail_cut_growth must be > 1")
+        if not 1.0 < self.tail_cut_growth < math.inf:
+            raise ValueError("tail_cut_growth must be finite and > 1")
 
     def scaled(self, factor: float) -> "QuadratureConfig":
         """Copy with both tolerances multiplied by ``factor``."""
@@ -110,18 +117,6 @@ class EvaluationResult:
     converged: bool
 
 
-class _EvalCounter:
-    __slots__ = ("f", "count")
-
-    def __init__(self, f: Callable[[float], float]):
-        self.f = f
-        self.count = 0
-
-    def __call__(self, x: float) -> float:
-        self.count += 1
-        return self.f(x)
-
-
 def _kahan_sum(values) -> float:
     total = 0.0
     comp = 0.0
@@ -133,17 +128,18 @@ def _kahan_sum(values) -> float:
     return total
 
 
-def _gk15(f: _EvalCounter, a: float, b: float):
-    """One Gauss-Kronrod panel.  Returns (kronrod, error, ok).
+def _gk15(f: Callable[[float], float], a: float, b: float):
+    """One Gauss-Kronrod panel.  Returns (kronrod, error, evaluations).
 
-    ``ok`` is False when the integrand produced a non-finite value at one of
-    the nodes, in which case the caller retries on bisected subpanels.
+    When the integrand produces a non-finite value the panel stops at once -
+    after 1 call at the centre, or 3 + 2j at node pair j - and returns
+    (None, None, evaluations); the caller retries on bisected subpanels.
     """
     center = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     fc = f(center)
     if not math.isfinite(fc):
-        return 0.0, 0.0, False
+        return None, None, 1
     resk = _WGK[7] * fc
     resg = _WG[3] * fc
     resabs = abs(resk)
@@ -152,7 +148,7 @@ def _gk15(f: _EvalCounter, a: float, b: float):
         f1 = f(center - dx)
         f2 = f(center + dx)
         if not (math.isfinite(f1) and math.isfinite(f2)):
-            return 0.0, 0.0, False
+            return None, None, 3 + 2 * j
         pair = f1 + f2
         resk += _WGK[j] * pair
         resabs += _WGK[j] * (abs(f1) + abs(f2))
@@ -161,16 +157,17 @@ def _gk15(f: _EvalCounter, a: float, b: float):
     value = resk * hlgth
     # Plain Kronrod-Gauss discrepancy, floored at the round-off level of the
     # panel so trivially-exact integrands keep an honest estimate.
-    err = max(abs(resk - resg), 50.0 * 2.220446049250313e-16 * resabs) * abs(hlgth)
-    return value, err, True
+    err = max(abs(resk - resg), 50.0 * _EPS * resabs) * abs(hlgth)
+    return value, err, 15
 
 
-def _panel_with_retries(f: _EvalCounter, a: float, b: float, retries: int):
+def _panel_with_retries(f: Callable[[float], float], a: float, b: float, retries: int):
     """Evaluate a panel, bisecting up to ``retries`` times around non-finite
-    integrand values.  Returns a list of (a, b, value, err) subpanels."""
-    value, err, ok = _gk15(f, a, b)
-    if ok:
-        return [(a, b, value, err)]
+    integrand values.  Returns ([(a, b, value, err), ...], evaluations),
+    counting the calls of aborted panels too."""
+    value, err, evals = _gk15(f, a, b)
+    if value is not None:
+        return [(a, b, value, err)], evals
     if retries <= 0:
         raise EvaluationError(
             f"integrand returned a non-finite value inside [{a!r}, {b!r}] "
@@ -182,9 +179,9 @@ def _panel_with_retries(f: _EvalCounter, a: float, b: float, retries: int):
             f"integrand is non-finite on an interval too narrow to bisect "
             f"at [{a!r}, {b!r}]"
         )
-    return _panel_with_retries(f, a, mid, retries - 1) + _panel_with_retries(
-        f, mid, b, retries - 1
-    )
+    left, left_evals = _panel_with_retries(f, a, mid, retries - 1)
+    right, right_evals = _panel_with_retries(f, mid, b, retries - 1)
+    return left + right, evals + left_evals + right_evals
 
 
 def integrate_finite(
@@ -198,43 +195,80 @@ def integrate_finite(
     Panels with the largest error estimate are bisected first; the returned
     error estimate is the summed Kronrod-Gauss discrepancy over accepted
     panels.  On exhaustion of the subdivision budget the best value so far
-    is returned with converged=False.
+    is returned with converged=False.  ``evaluations`` counts every call of
+    f, including those of panels abandoned on a non-finite value.
+
+    The loop stops once the Kahan sum of the panel errors, in heap order, is
+    at most max(abs_tol, rel_tol * |Kahan sum of the panel values|).  Running
+    totals of both, with a bound on their rounding, rule that out in O(1)
+    while the loop is clearly short of it; only when they cannot decide is
+    the exact O(n) test run over the n panels.  So a bisection costs
+    O(log n), for the heap, and the loop stops at the same split as if it
+    re-summed the heap before every bisection.
     """
     cfg = cfg or QuadratureConfig()
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(
+            f"integrate_finite: endpoints must be finite, got [{a!r}, {b!r}]"
+        )
     if not a <= b:
         raise DomainError(f"integrate_finite: need a <= b, got [{a!r}, {b!r}]")
     if a == b:
         return EvaluationResult(0.0, 0.0, 0, True)
-    counter = _EvalCounter(f)
 
     heap = []
     tick = 0
-    for pa, pb, val, err in _panel_with_retries(counter, a, b, 2):
-        heapq.heappush(heap, (-err, tick, pa, pb, val, err))
-        tick += 1
-
     splits = 0
+    evaluations = 0
     min_width = abs(b - a) * 1e-15
+    # Running totals of the heap's values and errors.  Between two exact
+    # tests fewer than _MARGIN / eps (~4.5e9) updates are made - the heap
+    # would not fit in memory otherwise - so each total drifts from the
+    # exact heap sum by less than _MARGIN / 2 times the matching *_abs, which
+    # bounds the magnitudes summed.  The exact test's Kahan sums land within
+    # about eps * *_abs of the exact sum too.  val_abs sums |value| over every
+    # panel ever pushed.  err_abs restarts at each exact test: panel errors
+    # shrink by orders of magnitude, and a bound carried over from the
+    # first, large errors would send every later split to the exact test.
+    val_sum = val_abs = 0.0
+    err_sum = err_abs = 0.0
+    new_intervals = ((a, b),)
     while True:
-        total = _kahan_sum(item[4] for item in heap)
-        total_err = _kahan_sum(item[5] for item in heap)
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-            converged = True
-            break
+        for sa, sb in new_intervals:
+            panels, evals = _panel_with_retries(f, sa, sb, 2)
+            evaluations += evals
+            for qa, qb, qval, qerr in panels:
+                heapq.heappush(heap, (-qerr, tick, qa, qb, qval, qerr))
+                tick += 1
+                val_sum += qval
+                val_abs += abs(qval)
+                err_sum += qerr
+                err_abs += qerr
+        # If even the smallest error total and the largest value total the
+        # exact test could see fail it, it would fail: bisect.  NaN or
+        # infinite totals make the comparison false.
+        err_lo = err_sum - _MARGIN * err_abs
+        val_hi = abs(val_sum) + _MARGIN * val_abs
+        if not err_lo > max(cfg.abs_tol, cfg.rel_tol * val_hi):
+            total = _kahan_sum(item[4] for item in heap)
+            total_err = _kahan_sum(item[5] for item in heap)
+            if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+                converged = True
+                break
+            val_sum, err_sum, err_abs = total, total_err, total_err
         if splits >= cfg.max_subdivisions:
             converged = False
             break
-        neg_err, _, pa, pb, val, err = heapq.heappop(heap)
+        _, _, pa, pb, val, err = heap[0]
         mid = 0.5 * (pa + pb)
         if not (pa < mid < pb) or (pb - pa) < min_width:
             # Cannot refine further in double precision.
-            heapq.heappush(heap, (neg_err, tick, pa, pb, val, err))
             converged = False
             break
-        for sa, sb in ((pa, mid), (mid, pb)):
-            for qa, qb, qval, qerr in _panel_with_retries(counter, sa, sb, 2):
-                heapq.heappush(heap, (-qerr, tick, qa, qb, qval, qerr))
-                tick += 1
+        heapq.heappop(heap)
+        val_sum -= val
+        err_sum -= err
+        new_intervals = ((pa, mid), (mid, pb))
         splits += 1
 
     # Canonical accumulation order: left to right.
@@ -242,7 +276,7 @@ def integrate_finite(
     value = _kahan_sum(p[2] for p in panels)
     error = _kahan_sum(p[3] for p in panels)
     converged = converged and error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    return EvaluationResult(value, error, counter.count, converged)
+    return EvaluationResult(value, error, evaluations, converged)
 
 
 def _tail_panels(

@@ -85,6 +85,14 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "--s" in proc.stderr
 
+    def test_non_finite_tolerance_is_input_error(self):
+        proc = run_cli(
+            "verify", "rmt", "--catalog", "exp", "--s", "3", "--abs-tol", "nan", "--json"
+        )
+        assert proc.returncode == 2
+        assert "finite" in proc.stderr
+        assert proc.stdout == ""
+
     def test_unknown_catalog_is_input_error(self):
         proc = run_cli("verify", "rmt", "--catalog", "nope", "--s", "1")
         assert proc.returncode == 2

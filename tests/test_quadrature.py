@@ -7,13 +7,14 @@ import pytest
 
 from rmtkit.errors import DomainError, EvaluationError, SingularityError
 from rmtkit.quadrature import (
+    _XGK,
     QuadratureConfig,
     integrate_finite,
     integrate_mellin,
     integrate_semi_infinite,
 )
 
-from oracles import graded_mesh_trapezoid, trapezoid
+from oracles import graded_mesh_trapezoid, reference_integrate_finite, trapezoid
 
 SQRT_PI = 1.7724538509055159
 
@@ -32,6 +33,11 @@ class TestConfig:
             {"max_subdivisions": 0},
             {"max_tail_panels": 0},
             {"tail_cut_growth": 1.0},
+            {"abs_tol": math.nan},
+            {"abs_tol": math.inf},
+            {"rel_tol": math.nan},
+            {"rel_tol": math.inf},
+            {"tail_cut_growth": math.inf},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -65,6 +71,11 @@ class TestFinite:
     def test_reversed_interval_rejected(self):
         with pytest.raises(DomainError):
             integrate_finite(math.sin, 1.0, 0.0)
+
+    @pytest.mark.parametrize("a, b", [(-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_non_finite_endpoint_rejected(self, a, b):
+        with pytest.raises(DomainError):
+            integrate_finite(lambda x: 1.0, a, b)
 
     def test_non_finite_integrand_raises_after_retries(self):
         with pytest.raises(EvaluationError):
@@ -104,6 +115,74 @@ class TestFinite:
         r1 = integrate_finite(f, 0.0, 10.0)
         r2 = integrate_finite(f, 0.0, 10.0)
         assert r1 == r2
+
+
+def _inf_at(node: float, f):
+    return lambda x: math.inf if x == node else f(x)
+
+
+def _reference_grid():
+    """Seeded integrands: (label, f, a, b)."""
+    rng = random.Random(20190201)
+    cases = []
+    for i in range(3):
+        c, w, length = rng.uniform(0.1, 2.0), rng.uniform(0.0, 5.0), rng.uniform(1.0, 20.0)
+        cases.append((f"smooth{i}", lambda x, c=c, w=w: math.exp(-c * x) * math.cos(w * x), 0.0, length))
+    for i in range(3):
+        w, length = rng.uniform(20.0, 80.0), rng.uniform(1.0, 3.0)
+        cases.append((f"oscillatory{i}", lambda x, w=w: math.sin(w * x * x), 0.0, length))
+    cases.append(("sqrt_abs_sin", lambda x: math.sqrt(abs(math.sin(50.0 * x))), 0.0, 10.0))
+    cases.append(("inf_at_centre", _inf_at(0.5, lambda x: x * x), 0.0, 1.0))
+    # Non-finite at the left node of pair 2 of the first panel: 7 calls.
+    cases.append(("inf_at_pair2", _inf_at(0.5 - 0.5 * _XGK[2], math.cos), 0.0, 1.0))
+    # ... and of the last pair: 15 calls, as many as a whole panel makes.
+    cases.append(("inf_at_pair6", _inf_at(0.5 - 0.5 * _XGK[6], math.cos), 0.0, 1.0))
+    return cases
+
+
+_REFERENCE_CONFIGS = {
+    "default": QuadratureConfig(),
+    "tight": QuadratureConfig(abs_tol=1e-14, rel_tol=1e-13),
+    "five_splits": QuadratureConfig(max_subdivisions=5),
+}
+
+
+class TestMatchesReferenceLoop:
+    """The running-total stopping test stops at the same split as the
+    re-sum-every-split loop in ``oracles``, with the same evaluation count."""
+
+    @pytest.mark.parametrize("cfg_name", sorted(_REFERENCE_CONFIGS))
+    @pytest.mark.parametrize("case", _reference_grid(), ids=lambda c: c[0])
+    def test_bit_identical(self, case, cfg_name):
+        _, f, a, b = case
+        cfg = _REFERENCE_CONFIGS[cfg_name]
+        assert integrate_finite(f, a, b, cfg) == reference_integrate_finite(f, a, b, cfg)
+
+    # abs_tol equals, to the last bit, the heap's error total at one split,
+    # where a plain running total of the errors differs from it in the last
+    # bits: there a test on running totals alone stops a split early (sqrt)
+    # or late (kink).
+    @pytest.mark.parametrize(
+        "f, abs_tol",
+        [
+            (math.sqrt, 5.049495430109488e-14),
+            (lambda x: abs(x - 1.0 / 3.0), 6.19263576937754e-05),
+        ],
+        ids=["sqrt", "kink"],
+    )
+    def test_tolerance_on_a_rounding_boundary(self, f, abs_tol):
+        cfg = QuadratureConfig(abs_tol=abs_tol, rel_tol=0.0)
+        assert integrate_finite(f, 0.0, 1.0, cfg) == reference_integrate_finite(f, 0.0, 1.0, cfg)
+
+    def test_pinned_counts(self):
+        hard = integrate_finite(lambda x: math.sqrt(abs(math.sin(50.0 * x))), 0.0, 10.0)
+        assert hard.evaluations == 60_015 and hard.value == 7.624673010216476
+        assert not hard.converged
+        assert integrate_finite(_inf_at(0.5, lambda x: x * x), 0.0, 1.0).evaluations == 31
+        assert integrate_finite(_inf_at(0.5 - 0.5 * _XGK[2], math.cos), 0.0, 1.0).evaluations == 7 + 30
+        pair6 = integrate_finite(_inf_at(0.5 - 0.5 * _XGK[6], math.cos), 0.0, 1.0)
+        assert pair6.evaluations == 15 + 30
+        assert pair6.converged and abs(pair6.value - math.sin(1.0)) < 1e-12
 
 
 class TestSemiInfinite:
