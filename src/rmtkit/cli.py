@@ -17,18 +17,17 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 from . import transforms
 from .corpus import builtin_cases, run_corpus, scale_tolerances
-from .errors import ExprSyntaxError, RmtError
+from .errors import DerivativeUnavailable, ExprSyntaxError, RmtError
 from .expr import evaluate, parse
 from .quadrature import QuadratureConfig
 from .sequences import PLAIN, SeriesPair, catalog_get, catalog_ids
 from .transforms import IdentityReport, nth_derivative_fd
 
 __all__ = ["main"]
-
-_IDENTITIES = ("frullani", "lemma2", "rmt", "hardy")
 
 # OutputRecord keys, in the documented emission order.
 _RECORD_KEYS = (
@@ -196,10 +195,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     identity = args.identity
     args.params = _parse_params(args.param)
     cfg = _quad_config(args)
-    tol = args.tol
+    tol = None if args.tol is None else transforms.positive_tolerance(args.tol, "--tol")
 
     if identity == "hardy" and args.s is not None:
-        if abs(args.s - round(args.s)) < 1e-12 or not 0.0 < args.s < 1.0:
+        if not 0.0 < args.s < 1.0 or abs(args.s - round(args.s)) < 1e-12:
             raise _InputError("--s: s must be non-integer in (0,1)")
 
     pair = _build_pair(args, identity)
@@ -211,38 +210,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         inputs["closed_form"] = args.closed_form
     inputs.update({k: _fmt(v) for k, v in args.params.items()})
 
-    if identity == "frullani":
-        if args.alpha is None or args.beta is None:
-            raise _InputError("frullani requires --alpha and --beta")
-        if args.alpha <= 0 or args.beta <= 0:
-            raise _InputError("--alpha/--beta must be positive")
-        inputs["alpha"] = _fmt(args.alpha)
-        inputs["beta"] = _fmt(args.beta)
-        report = transforms.frullani(
-            pair.closed_form,
-            pair.f_at_zero,
-            pair.f_at_infinity,
-            args.alpha,
-            args.beta,
-            cfg,
-            tolerance=tol,
-        )
-    elif identity == "lemma2":
-        if args.n is None:
-            raise _InputError("lemma2 requires --n")
-        if args.n > pair.derivative_max:
-            raise _InputError(
-                f"--n: derivative order {args.n} unavailable for this pair"
-                + ("" if args.catalog else " (use --fd-derivatives)")
-            )
-        inputs["n"] = str(args.n)
-        report = transforms.lemma2(pair, args.n, cfg, tolerance=tol)
-    else:
-        if args.s is None:
-            raise _InputError(f"{identity} requires --s")
-        inputs["s"] = _fmt(args.s)
-        op = transforms.rmt if identity == "rmt" else transforms.hardy
-        report = op(pair, args.s, cfg, tolerance=tol)
+    kind = transforms.IDENTITIES[identity]
+    values = {name: getattr(args, name) for name in kind.inputs}
+    if None in values.values():
+        flags = " and ".join(f"--{name}" for name in kind.inputs)
+        raise _InputError(f"{identity} requires {flags}")
+    inputs.update({name: _fmt(value) for name, value in values.items()})
+    try:
+        report = kind.run(pair, cfg, tol, **values)
+    except DerivativeUnavailable as exc:
+        hint = "" if args.catalog or args.fd_derivatives else " (use --fd-derivatives)"
+        raise _InputError(f"{exc}{hint}") from None
 
     if args.json:
         _emit_json(_record("verify", inputs, report))
@@ -257,17 +235,20 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     cases = builtin_cases()
     if args.filter:
         cases = [c for c in cases if args.filter in c.name]
+        if not cases:
+            raise _InputError(f"--filter: no case name contains {args.filter!r}")
     if args.tol_scale is not None:
-        if args.tol_scale <= 0:
-            raise _InputError("--tol-scale must be positive")
-        cases = scale_tolerances(cases, args.tol_scale)
+        try:
+            cases = scale_tolerances(cases, args.tol_scale)
+        except ValueError:
+            raise _InputError("--tol-scale must be positive") from None
     results = run_corpus(cases, cfg)
     passed = sum(1 for _, rep in results if rep.passed)
     if args.json:
         for case, rep in results:
             inputs = {"case": case.name, "kind": case.kind, "catalog": case.catalog_id}
             inputs.update({k: _fmt(v) for k, v in case.params.items()})
-            if case.kind != "frullani":
+            if case.order_input is not None:
                 inputs["order"] = _fmt(case.order)
             _emit_json(_record("corpus", inputs, rep))
     else:
@@ -291,32 +272,25 @@ def _cmd_residue(args: argparse.Namespace) -> int:
         raise _InputError(
             f"--catalog: {args.catalog!r} has phi(0) = 0 and no pole expansion here"
         )
-    rows = []
-    for eps in (args.eps, args.eps / 10.0):
-        left, right = transforms.residue_check(pair, args.m, eps)
-        rows.append((eps, left, right, abs(left - right)))
-    converging = rows[1][3] <= rows[0][3] or rows[1][3] < 1e-12
+    residue = transforms.IDENTITIES["residue"].run
+    # The verdict is convergence as the probe width shrinks, not a tolerance.
+    rows = [
+        (eps, residue(pair, None, math.inf, m=args.m, eps=eps))
+        for eps in (args.eps, args.eps / 10.0)
+    ]
+    wide, narrow = (report.abs_discrepancy for _, report in rows)
+    converging = narrow <= wide or narrow < 1e-12
     if args.json:
-        for eps, left, right, diff in rows:
-            base = {"catalog": args.catalog, "m": str(args.m), "eps": _fmt(eps)}
-            base.update({k: _fmt(v) for k, v in params.items()})
-            record = {
-                "command": "residue",
-                "inputs": base,
-                "lhs_value": _json_float(left),
-                "lhs_error": _json_float(diff),
-                "rhs_value": _json_float(right),
-                "discrepancy": _json_float(diff),
-                "passed": converging,
-                "evaluations": 2,
-                "warnings": [],
-            }
-            _emit_json(record)
+        for eps, report in rows:
+            inputs = {"catalog": args.catalog, "m": str(args.m), "eps": _fmt(eps)}
+            inputs.update({k: _fmt(v) for k, v in params.items()})
+            _emit_json(_record("residue", inputs, replace(report, passed=converging)))
     else:
         print("eps           left                    right                   abs_diff")
-        for eps, left, right, diff in rows:
+        for eps, report in rows:
             print(
-                f"{_fmt(eps):<12}  {_fmt(left):<22}  {_fmt(right):<22}  {diff:.6e}"
+                f"{_fmt(eps):<12}  {_fmt(report.lhs.value):<22}  "
+                f"{_fmt(report.rhs):<22}  {report.abs_discrepancy:.6e}"
             )
         print(f"converging: {'yes' if converging else 'no'}")
     return 0 if converging else 1
@@ -337,7 +311,10 @@ def _build_argparser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON lines")
 
     verify = sub.add_parser("verify", help="check a single identity")
-    verify.add_argument("identity", choices=_IDENTITIES)
+    # residue has a subcommand of its own.
+    verify.add_argument(
+        "identity", choices=[kind for kind in transforms.IDENTITIES if kind != "residue"]
+    )
     verify.add_argument("--catalog", help=f"pair id ({', '.join(catalog_ids())})")
     verify.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
     verify.add_argument("--phi", help="coefficient expression in k")
@@ -379,10 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RmtError as exc:
+    except (_InputError, RmtError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

@@ -21,12 +21,15 @@ from .transforms import IdentityReport
 
 __all__ = ["IdentityCase", "builtin_cases", "run_corpus", "scale_tolerances"]
 
-_KINDS = ("frullani", "lemma2", "rmt", "hardy", "residue")
-
 _SQRT_PI = specfun.gamma(0.5)
 
 # Two-sided probe width for the residue cases.
 _RESIDUE_EPS = 1e-4
+
+# The identity inputs a case's ``order`` fills; every other input comes from
+# ``params``.  A catalog parameter may share an input's name (laguerre_weight's
+# ``n``), so these are never taken from ``params``.
+_ORDER_INPUTS = ("n", "s", "m")
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,9 @@ class IdentityCase:
     """One named identity check.
 
     ``order`` is the derivative order n, the exponent s, or the pole index
-    m depending on ``kind``; scale parameters live in ``params``.
+    m depending on ``kind``; the kind's other inputs (alpha, beta, eps) and
+    the catalog parameters live in ``params``.  Both sides of the report are
+    multiplied by ``scale`` before they are compared.
     The laguerre cases carry an absolute tolerance (their exact value is
     zero); all others are effectively relative since a report passes when
     either discrepancy is within tolerance.
@@ -48,10 +53,17 @@ class IdentityCase:
     exact_value: float = 0.0
     tolerance: float = 1e-8
     description: str = ""
+    scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in transforms.IDENTITIES:
             raise ValueError(f"unknown case kind {self.kind!r}")
+
+    @property
+    def order_input(self) -> str | None:
+        """The input of the case's kind that ``order`` fills, if any."""
+        inputs = transforms.IDENTITIES[self.kind].inputs
+        return next((name for name in inputs if name in _ORDER_INPUTS), None)
 
 
 def builtin_cases() -> list[IdentityCase]:
@@ -96,6 +108,7 @@ def builtin_cases() -> list[IdentityCase]:
             exact_value=_SQRT_PI / 2.0,
             tolerance=1e-10,
             description="Gaussian integral: e^(-x^2) integrates to sqrt(pi)/2",
+            scale=_SQRT_PI / 2.0,
         ),
     ]
     for n in (2, 3, 4):
@@ -112,6 +125,8 @@ def builtin_cases() -> list[IdentityCase]:
                     f"sqrt(pi)/2 Gamma({n}); recovered from the erf "
                     "derivative by unwinding its Rodrigues factor"
                 ),
+                # Divides out the erf derivative's factor (-1)^(n-1) 2/sqrt(pi).
+                scale=(-1.0) ** (n - 1) * _SQRT_PI / 2.0,
             )
         )
     for n in (2, 3, 4):
@@ -182,13 +197,6 @@ def builtin_cases() -> list[IdentityCase]:
     return cases
 
 
-# The erf derivative carries the Rodrigues factor (-1)^(n-1) (2/sqrt(pi));
-# dividing it out turns the raw lemma2 left side into the Hermite integral.
-def _hermite_unwind(n: int) -> float:
-    sign = 1.0 if (n - 1) % 2 == 0 else -1.0
-    return sign * _SQRT_PI / 2.0
-
-
 def _failed_report(identity: str, exact: float, tol: float, reason: str) -> IdentityReport:
     return IdentityReport(
         identity=identity,
@@ -204,49 +212,17 @@ def _failed_report(identity: str, exact: float, tol: float, reason: str) -> Iden
 
 def _run_case(case: IdentityCase, cfg: QuadratureConfig | None) -> IdentityReport:
     params = dict(case.params)
-    if case.kind == "frullani":
-        alpha = params.pop("alpha")
-        beta = params.pop("beta")
-        pair = catalog_get(case.catalog_id, **params)
-        return transforms.frullani(
-            pair.closed_form,
-            pair.f_at_zero,
-            pair.f_at_infinity,
-            alpha,
-            beta,
-            cfg,
-            tolerance=case.tolerance,
-        )
-    if case.kind == "lemma2":
-        pair = catalog_get(case.catalog_id, **params)
-        n = int(case.order)
-        report = transforms.lemma2(pair, n, cfg, tolerance=case.tolerance)
-        if case.catalog_id == "erf":
-            # Rescale the raw report to the Hermite integral it encodes.
-            factor = _hermite_unwind(n)
-            lhs = dataclasses.replace(
-                report.lhs,
-                value=factor * report.lhs.value,
-                error_estimate=abs(factor) * report.lhs.error_estimate,
-            )
-            return transforms._report(
-                report.identity, lhs, factor * report.rhs, case.tolerance,
-                report.warnings,
-            )
-        return report
-    if case.kind == "rmt":
-        pair = catalog_get(case.catalog_id, **params)
-        return transforms.rmt(pair, case.order, cfg, tolerance=case.tolerance)
-    if case.kind == "hardy":
-        pair = catalog_get(case.catalog_id, **params)
-        return transforms.hardy(pair, case.order, cfg, tolerance=case.tolerance)
-    if case.kind == "residue":
-        eps = params.pop("eps", _RESIDUE_EPS)
-        pair = catalog_get(case.catalog_id, **params)
-        left, right = transforms.residue_check(pair, int(case.order), eps)
-        lhs = EvaluationResult(left, abs(left - right), 2, True)
-        return transforms._report("residue", lhs, right, case.tolerance)
-    raise ValueError(f"unknown case kind {case.kind!r}")
+    inputs = {}
+    for name in transforms.IDENTITIES[case.kind].inputs:
+        if name in _ORDER_INPUTS:
+            inputs[name] = case.order
+        elif name == "eps":
+            inputs[name] = params.pop("eps", _RESIDUE_EPS)
+        else:
+            inputs[name] = params.pop(name)
+    pair = catalog_get(case.catalog_id, **params)
+    report = transforms.IDENTITIES[case.kind].run(pair, cfg, case.tolerance, **inputs)
+    return transforms.scale_report(report, case.scale)
 
 
 def run_corpus(
@@ -260,9 +236,7 @@ def run_corpus(
     for case in cases:
         try:
             report = _run_case(case, cfg)
-        except RmtError as exc:
-            report = _failed_report(case.kind, case.exact_value, case.tolerance, str(exc))
-        except (OverflowError, ValueError) as exc:
+        except (RmtError, OverflowError, ValueError) as exc:
             report = _failed_report(case.kind, case.exact_value, case.tolerance, str(exc))
         # The recorded exact value must agree with the closed-form side the
         # transform computed; a mismatch means the case itself is wrong.

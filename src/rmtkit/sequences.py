@@ -30,6 +30,7 @@ from .errors import (
     RadiusError,
     UnknownEntry,
 )
+from .specfun import TWO_OVER_SQRT_PI
 
 __all__ = [
     "SeriesPair",
@@ -232,9 +233,6 @@ def _build_power(**params) -> SeriesPair:
     )
 
 
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-
-
 def _erf_phi(k: float) -> float:
     if abs(k - round(k)) > 1e-9:
         raise DomainError("catalog 'erf': coefficients defined at integers only")
@@ -247,7 +245,7 @@ def _erf_phi(k: float) -> float:
     factor = 1.0
     for i in range(j + 1, 2 * j + 1):
         factor *= i
-    return _TWO_OVER_SQRT_PI * (-1.0) ** (j + 1) * factor
+    return TWO_OVER_SQRT_PI * (-1.0) ** (j + 1) * factor
 
 
 def _erf_phi_hp(k: int):
@@ -271,7 +269,7 @@ def _build_erf(**params) -> SeriesPair:
         sign = -1.0 if order % 2 == 0 else 1.0
         return (
             sign
-            * _TWO_OVER_SQRT_PI
+            * TWO_OVER_SQRT_PI
             * specfun.hermite(order - 1, x)
             * math.exp(-x * x)
         )

@@ -24,6 +24,7 @@ __all__ = [
     "laguerre",
     "POLE_EXCLUSION_RADIUS",
     "MAX_POLY_DEGREE",
+    "TWO_OVER_SQRT_PI",
 ]
 
 # Refuse evaluation this close to a pole instead of returning garbage.
@@ -33,7 +34,7 @@ POLE_EXCLUSION_RADIUS = 1e-12
 MAX_POLY_DEGREE = 60
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 # Lanczos coefficients, g = 607/128, 15 terms (Godfrey's set).  The compact
 # g=7 / 9-term set drifts to ~1.5e-13 relative error by |x| ~ 170; this set
@@ -156,7 +157,7 @@ def _erf_series(x: float) -> float:
             break
         if k > 200:  # unreachable for |x| < 3
             break
-    return _TWO_OVER_SQRT_PI * x * math.exp(-x * x) * total
+    return TWO_OVER_SQRT_PI * x * math.exp(-x * x) * total
 
 
 def _erfc_cf(x: float) -> float:

@@ -14,13 +14,16 @@ Identity summary (f has limits f(0), f(inf); F(x) = sum phi(k)(-x)^k/k!):
 
 plus the pole machinery: the partial-fraction sum over 1/(s+k) and the
 residue limit (s+m) Gamma(s) phi(-s) -> (-1)^m phi(m)/m!.
+
+IDENTITIES maps each kind to the inputs it takes and a runner; the CLI and
+the corpus both dispatch through it, so a new identity is one entry there.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from . import specfun
@@ -42,8 +45,12 @@ from .sequences import PLAIN, SeriesPair
 __all__ = [
     "IdentityReport",
     "FdDerivative",
+    "Identity",
+    "IDENTITIES",
     "DEFAULT_IDENTITY_TOL",
     "default_tolerance",
+    "positive_tolerance",
+    "scale_report",
     "frullani",
     "lemma2",
     "rmt",
@@ -61,18 +68,27 @@ DEFAULT_IDENTITY_TOL = 1e-8
 # the 0/0 form only needs continuity of f, not differentiability.
 _FRULLANI_FREEZE = 1e-8
 
+# The warning every report on a non-converged left side carries, once.
+_NOT_CONVERGED = "quadrature did not converge; best-effort value used"
+
+
+def positive_tolerance(value: float, source: str) -> float:
+    """``value`` if it is a number > 0, else DomainError naming ``source``:
+    the rule for tolerances users supply (library calls may pass 0)."""
+    if not value > 0.0:
+        raise DomainError(f"{source} must be positive")
+    return value
+
 
 def default_tolerance() -> float:
     env = os.environ.get("RMT_DEFAULT_TOL")
-    if env is not None:
-        try:
-            value = float(env)
-        except ValueError:
-            raise DomainError(f"RMT_DEFAULT_TOL is not a number: {env!r}") from None
-        if not value > 0.0:
-            raise DomainError("RMT_DEFAULT_TOL must be positive")
-        return value
-    return DEFAULT_IDENTITY_TOL
+    if env is None:
+        return DEFAULT_IDENTITY_TOL
+    try:
+        value = float(env)
+    except ValueError:
+        raise DomainError(f"RMT_DEFAULT_TOL is not a number: {env!r}") from None
+    return positive_tolerance(value, "RMT_DEFAULT_TOL")
 
 
 @dataclass(frozen=True)
@@ -104,17 +120,12 @@ def _report(
     lhs: EvaluationResult,
     rhs: float,
     tolerance: float | None,
-    warnings: tuple[str, ...] = (),
 ) -> IdentityReport:
     tol = default_tolerance() if tolerance is None else tolerance
     if rhs == 0.0:
         rhs = 0.0  # normalise -0.0 for stable reporting
     abs_disc = abs(lhs.value - rhs)
     rel_disc = abs_disc / abs(rhs) if rhs != 0.0 else math.inf
-    if not lhs.converged:
-        warnings = warnings + (
-            "quadrature did not converge; best-effort value used",
-        )
     return IdentityReport(
         identity=identity,
         lhs=lhs,
@@ -123,8 +134,20 @@ def _report(
         rel_discrepancy=rel_disc,
         passed=(abs_disc <= tol) or (rel_disc <= tol),
         tolerance_used=tol,
-        warnings=warnings,
+        warnings=() if lhs.converged else (_NOT_CONVERGED,),
     )
+
+
+def scale_report(report: IdentityReport, factor: float) -> IdentityReport:
+    """``report`` with both sides multiplied by ``factor`` and the verdict
+    re-taken at its tolerance: recasts an identity as the integral it
+    encodes (the erf corpus cases divide out a Rodrigues factor this way)."""
+    lhs = replace(
+        report.lhs,
+        value=factor * report.lhs.value,
+        error_estimate=abs(factor) * report.lhs.error_estimate,
+    )
+    return _report(report.identity, lhs, factor * report.rhs, report.tolerance_used)
 
 
 def frullani(
@@ -276,6 +299,33 @@ def residue_check(pair: SeriesPair, m: int, eps: float) -> tuple[float, float]:
             f"residue_check: phi contributes its own singularity near m={m}"
         )
     return left, right
+
+
+class Identity(NamedTuple):
+    """One identity kind: the inputs it takes besides the pair, and
+    ``run(pair, cfg, tolerance, **inputs)`` returning its report."""
+
+    inputs: tuple[str, ...]
+    run: Callable[..., IdentityReport]
+
+
+def _residue(pair, cfg, tolerance, m, eps) -> IdentityReport:
+    left, right = residue_check(pair, int(m), eps)
+    lhs = EvaluationResult(left, abs(left - right), 2, True)
+    return _report("residue", lhs, right, tolerance)
+
+
+# Every identity kind, in presentation order.  Runners look the identity
+# functions up in this module when they run, so replacing one here (a test
+# double, a tracing wrapper) reaches every caller of the table.
+IDENTITIES = {
+    "frullani": Identity(("alpha", "beta"), lambda p, cfg, tol, alpha, beta: frullani(
+        p.closed_form, p.f_at_zero, p.f_at_infinity, alpha, beta, cfg, tol)),
+    "lemma2": Identity(("n",), lambda p, cfg, tol, n: lemma2(p, int(n), cfg, tol)),
+    "rmt": Identity(("s",), lambda p, cfg, tol, s: rmt(p, s, cfg, tol)),
+    "hardy": Identity(("s",), lambda p, cfg, tol, s: hardy(p, s, cfg, tol)),
+    "residue": Identity(("m", "eps"), _residue),
+}
 
 
 # Central-difference coefficients: f^(n)(x) ~ h^-n sum_i (-1)^i C(n,i)

@@ -164,3 +164,117 @@ class TestEnvironmentOverride:
         assert run_cli(*argv).returncode == 0
         strict = run_cli(*argv, env={"RMT_DEFAULT_TOL": "1e-30"})
         assert strict.returncode == 1
+
+
+def run_in_process(capsys, *argv: str):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    from rmtkit import cli
+
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestInputErrors:
+    def test_hardy_nan_exponent_is_input_error(self, capsys):
+        code, out, err = run_in_process(
+            capsys, "verify", "hardy", "--catalog", "geometric", "--s", "nan"
+        )
+        assert code == 2
+        assert "non-integer in (0,1)" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_non_positive_identity_tolerance_is_input_error(self, capsys, tol):
+        code, out, err = run_in_process(
+            capsys, "verify", "rmt", "--catalog", "exp", "--s", "3", "--tol", tol
+        )
+        assert code == 2
+        assert err == "error: --tol must be positive\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("scale", ["nan", "0", "-1"])
+    def test_non_positive_tol_scale_is_input_error(self, capsys, scale):
+        code, out, err = run_in_process(
+            capsys, "corpus", "--filter", "euler", "--tol-scale", scale
+        )
+        assert code == 2
+        assert "--tol-scale" in err and "positive" in err
+        assert out == ""
+
+    def test_filter_matching_nothing_is_input_error(self, capsys):
+        code, out, err = run_in_process(capsys, "corpus", "--filter", "no_such_case")
+        assert code == 2
+        assert "no_such_case" in err
+        assert out == ""
+
+    def test_non_positive_frullani_scale_is_input_error(self, capsys):
+        code, out, err = run_in_process(
+            capsys, "verify", "frullani", "--catalog", "exp", "--alpha", "-1", "--beta", "1"
+        )
+        assert code == 2
+        assert "alpha and beta must be positive" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "identity, flags",
+        [("frullani", "--alpha and --beta"), ("lemma2", "--n"), ("rmt", "--s"), ("hardy", "--s")],
+    )
+    def test_missing_identity_input_names_its_flags(self, capsys, identity, flags):
+        code, _, err = run_in_process(capsys, "verify", identity, "--catalog", "geometric")
+        assert code == 2
+        assert err == f"error: {identity} requires {flags}\n"
+
+    def test_expression_pair_without_derivatives_suggests_fd(self, capsys):
+        code, out, err = run_in_process(
+            capsys, "verify", "lemma2", "--phi", "1", "--closed-form", "exp(-x)", "--n", "1"
+        )
+        assert code == 2
+        assert "derivative order 1" in err and "(use --fd-derivatives)" in err
+        assert out == ""
+
+
+class TestWarnings:
+    def test_rescaled_report_carries_non_convergence_warning_once(self, capsys):
+        code, out, _ = run_in_process(
+            capsys, "corpus", "--filter", "hermite_2", "--max-tail-panels", "1", "--json"
+        )
+        assert code == 1
+        (record,) = [json.loads(line) for line in out.splitlines()]
+        assert record["warnings"] == ["quadrature did not converge; best-effort value used"]
+
+
+class TestIdentityTable:
+    def test_verify_choices_are_the_table_kinds_without_residue(self):
+        from rmtkit import cli, transforms
+
+        parser = cli._build_argparser()
+        (subparsers,) = [a for a in parser._actions if a.dest == "command"]
+        (identity,) = [
+            a for a in subparsers.choices["verify"]._actions if a.dest == "identity"
+        ]
+        assert list(identity.choices) == [k for k in transforms.IDENTITIES if k != "residue"]
+
+    def test_replaced_identity_function_reaches_cli_and_corpus(self, monkeypatch, capsys):
+        """Runners look the identity functions up when they run, so a
+        function replaced on the transforms module is the one every caller
+        of the table reaches."""
+        from rmtkit import cli, corpus, transforms
+
+        calls = []
+        original = transforms.rmt
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(transforms, "rmt", spy)
+        code, _, _ = run_in_process(
+            capsys, "verify", "rmt", "--catalog", "exp", "--param", "a=2", "--s", "3"
+        )
+        assert code == 0
+        assert calls == [3.0]
+        cases = [c for c in corpus.builtin_cases() if c.name == "euler_half"]
+        ((_, report),) = corpus.run_corpus(cases)
+        assert report.passed
+        assert calls == [3.0, 0.5]

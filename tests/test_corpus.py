@@ -6,8 +6,8 @@ import math
 import pytest
 
 from rmtkit import specfun
-from rmtkit.corpus import builtin_cases, run_corpus, scale_tolerances
-from rmtkit.quadrature import integrate_semi_infinite
+from rmtkit.corpus import IdentityCase, builtin_cases, run_corpus, scale_tolerances
+from rmtkit.quadrature import QuadratureConfig, integrate_semi_infinite
 from rmtkit.sequences import catalog_get
 from rmtkit.transforms import lemma2
 
@@ -141,3 +141,37 @@ class TestHermiteBookkeeping:
             (SQRT_PI / 2.0) * specfun.gamma(float(n)), rel=1e-13
         )
         assert report.lhs.value > 0.0
+
+
+class TestIdentityTableDispatch:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown case kind"):
+            IdentityCase(name="x", kind="bogus", catalog_id="exp")
+
+    def test_order_input_per_kind(self):
+        inputs = {c.kind: c.order_input for c in builtin_cases()}
+        assert inputs == {
+            "rmt": "s", "hardy": "s", "lemma2": "n", "residue": "m", "frullani": None
+        }
+
+    def test_catalog_param_sharing_an_input_name_stays_a_catalog_param(self):
+        # laguerre_weight's catalog parameter n shares lemma2's input name.
+        (case,) = [c for c in builtin_cases() if c.name == "laguerre_zero_3"]
+        ((_, report),) = run_corpus([dataclasses.replace(case, order=2.0)])
+        assert report.lhs.evaluations > 0
+        assert report.rhs == 0.0
+
+    def test_residue_case_without_eps_uses_default_width(self):
+        (case,) = [c for c in builtin_cases() if c.name == "residue_m1"]
+        params = {k: v for k, v in case.params.items() if k != "eps"}
+        ((_, with_eps),) = run_corpus([case])
+        ((_, without),) = run_corpus([dataclasses.replace(case, params=params)])
+        assert without == with_eps
+
+    def test_rescaled_non_converged_report_warns_once(self):
+        cases = [c for c in builtin_cases() if c.catalog_id == "erf"]
+        for case, report in run_corpus(cases, QuadratureConfig(max_tail_panels=1)):
+            assert not report.lhs.converged, case.name
+            assert report.warnings == (
+                "quadrature did not converge; best-effort value used",
+            ), case.name

@@ -12,15 +12,19 @@ from rmtkit.errors import (
     PoleError,
     PresentationError,
 )
+from rmtkit.quadrature import QuadratureConfig
 from rmtkit.sequences import catalog_get, shift_sequence
 from rmtkit.transforms import (
+    IDENTITIES,
     frullani,
     hardy,
     lemma2,
     nth_derivative_fd,
     partial_fraction_sum,
+    positive_tolerance,
     residue_check,
     rmt,
+    scale_report,
 )
 
 from oracles import frullani_log_simpson, hardy_quarter_integral, harmonic_half_integral
@@ -314,3 +318,76 @@ class TestIdentityReport:
         monkeypatch.setenv("RMT_DEFAULT_TOL", "0.1")
         rep = rmt(catalog_get("exp", a=2.0), 3.0)
         assert rep.passed
+
+    @pytest.mark.parametrize("env", ["nan", "0", "-1"])
+    def test_default_tolerance_env_must_be_positive(self, monkeypatch, env):
+        monkeypatch.setenv("RMT_DEFAULT_TOL", env)
+        with pytest.raises(DomainError, match="RMT_DEFAULT_TOL must be positive"):
+            rmt(catalog_get("exp", a=2.0), 3.0)
+
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, -math.inf])
+    def test_positive_tolerance_rejects(self, value):
+        with pytest.raises(DomainError, match="--tol must be positive"):
+            positive_tolerance(value, "--tol")
+
+    def test_positive_tolerance_returns_value(self):
+        assert positive_tolerance(1e-30, "--tol") == 1e-30
+
+
+class TestScaleReport:
+    def test_scales_both_sides_and_retakes_verdict(self):
+        raw = lemma2(catalog_get("erf"), 2)
+        scaled = scale_report(raw, -0.5)
+        assert scaled.lhs.value == -0.5 * raw.lhs.value
+        assert scaled.lhs.error_estimate == 0.5 * raw.lhs.error_estimate
+        assert scaled.lhs.evaluations == raw.lhs.evaluations
+        assert scaled.rhs == -0.5 * raw.rhs
+        assert scaled.abs_discrepancy == abs(scaled.lhs.value - scaled.rhs)
+        assert scaled.tolerance_used == raw.tolerance_used
+        assert scaled.identity == raw.identity
+
+    def test_unit_factor_is_identity(self):
+        raw = rmt(catalog_get("exp", a=2.0), 3.0, tolerance=1e-9)
+        assert scale_report(raw, 1.0) == raw
+
+    def test_non_convergence_warning_not_repeated(self):
+        raw = lemma2(catalog_get("erf"), 2, QuadratureConfig(max_tail_panels=1))
+        assert not raw.lhs.converged
+        assert scale_report(raw, 2.0).warnings == raw.warnings
+        assert len(raw.warnings) == 1
+
+
+class TestIdentityTable:
+    def test_kinds(self):
+        assert list(IDENTITIES) == ["frullani", "lemma2", "rmt", "hardy", "residue"]
+        assert {k: v.inputs for k, v in IDENTITIES.items()} == {
+            "frullani": ("alpha", "beta"),
+            "lemma2": ("n",),
+            "rmt": ("s",),
+            "hardy": ("s",),
+            "residue": ("m", "eps"),
+        }
+
+    def test_runners_match_direct_calls(self):
+        exp = catalog_get("exp")
+        geometric = catalog_get("geometric")
+        erf = catalog_get("erf")
+        run = {k: v.run for k, v in IDENTITIES.items()}
+        assert run["frullani"](exp, None, 1e-9, alpha=2.0, beta=1.0) == frullani(
+            exp.closed_form, 1.0, 0.0, 2.0, 1.0, tolerance=1e-9
+        )
+        assert run["lemma2"](erf, None, 1e-9, n=2.0) == lemma2(erf, 2, tolerance=1e-9)
+        assert run["rmt"](exp, None, 1e-9, s=0.5) == rmt(exp, 0.5, tolerance=1e-9)
+        assert run["hardy"](geometric, None, 1e-9, s=0.5) == hardy(
+            geometric, 0.5, tolerance=1e-9
+        )
+
+    def test_residue_runner_reports_the_probe(self):
+        exp = catalog_get("exp")
+        report = IDENTITIES["residue"].run(exp, None, 1e-3, m=1.0, eps=1e-4)
+        left, right = residue_check(exp, 1, 1e-4)
+        assert report.identity == "residue"
+        assert (report.lhs.value, report.rhs) == (left, right)
+        assert report.lhs.error_estimate == abs(left - right)
+        assert report.lhs.evaluations == 2
+        assert report.passed
