@@ -24,7 +24,7 @@ from .corpus import builtin_cases, run_corpus, scale_tolerances
 from .errors import DerivativeUnavailable, ExprSyntaxError, RmtError
 from .expr import evaluate, parse
 from .quadrature import QuadratureConfig
-from .sequences import PLAIN, SeriesPair, catalog_get, catalog_ids
+from .sequences import SeriesPair, catalog_get, catalog_ids
 from .transforms import IdentityReport, nth_derivative_fd
 
 __all__ = ["main"]
@@ -173,9 +173,7 @@ def _expression_pair(args: argparse.Namespace, identity: str) -> SeriesPair:
         f_at_zero=f0,
         f_at_infinity=finf,
         convergence_radius=math.inf,
-        param_bindings=bindings,
         nonstandard=(phi(0.0) == 0.0),
-        presentation=PLAIN if identity == "hardy" else "factorial",
         phi_plain=phi if identity == "hardy" else None,
         label="expression pair",
     )
@@ -238,10 +236,8 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         if not cases:
             raise _InputError(f"--filter: no case name contains {args.filter!r}")
     if args.tol_scale is not None:
-        try:
-            cases = scale_tolerances(cases, args.tol_scale)
-        except ValueError:
-            raise _InputError("--tol-scale must be positive") from None
+        scale = transforms.positive_tolerance(args.tol_scale, "--tol-scale")
+        cases = scale_tolerances(cases, scale)
     results = run_corpus(cases, cfg)
     passed = sum(1 for _, rep in results if rep.passed)
     if args.json:
@@ -262,10 +258,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_residue(args: argparse.Namespace) -> int:
-    if args.m < 0:
-        raise _InputError("--m must be a non-negative integer")
-    if not 0 < args.eps <= 1e-2:
-        raise _InputError("--eps must lie in (0, 1e-2]")
     params = _parse_params(args.param)
     pair = catalog_get(args.catalog, **params)
     if pair.nonstandard:

@@ -255,6 +255,5 @@ def run_corpus(
 
 def scale_tolerances(cases: list[IdentityCase], factor: float) -> list[IdentityCase]:
     """Copies of ``cases`` with every tolerance multiplied by ``factor``."""
-    if not factor > 0.0:
-        raise ValueError("tolerance scale must be positive")
+    transforms.positive_tolerance(factor, "tolerance scale")
     return [dataclasses.replace(c, tolerance=c.tolerance * factor) for c in cases]

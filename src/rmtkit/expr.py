@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from . import specfun
 from .errors import (
@@ -87,18 +87,6 @@ class Call:
 
 ExprNode = Union[Constant, Variable, UnaryNeg, BinaryOp, Call]
 
-# name -> arity
-BUILTIN_FUNCTIONS: dict[str, int] = {
-    "exp": 1,
-    "ln": 1,
-    "sin": 1,
-    "cos": 1,
-    "sqrt": 1,
-    "gamma": 1,
-    "fact": 1,
-    "erf": 1,
-    "pow": 2,
-}
 
 _TOKEN_RE = re.compile(
     r"""
@@ -285,30 +273,32 @@ def _apply_power(base: float, exponent: float) -> float:
     return math.pow(base, exponent)
 
 
-def _call(fn: str, args: list[float]) -> float:
-    if fn == "exp":
-        return math.exp(args[0])
-    if fn == "ln":
-        if args[0] <= 0.0:
-            raise DomainError(f"ln of non-positive value {args[0]!r}")
-        return math.log(args[0])
-    if fn == "sin":
-        return math.sin(args[0])
-    if fn == "cos":
-        return math.cos(args[0])
-    if fn == "sqrt":
-        if args[0] < 0.0:
-            raise DomainError(f"sqrt of negative value {args[0]!r}")
-        return math.sqrt(args[0])
-    if fn == "gamma":
-        return specfun.gamma(args[0])
-    if fn == "fact":
-        return specfun.gamma(args[0] + 1.0)
-    if fn == "erf":
-        return specfun.erf(args[0])
-    if fn == "pow":
-        return _apply_power(args[0], args[1])
-    raise UnknownFunction(f"unknown function {fn!r}", 0, ())
+def _ln(x: float) -> float:
+    if x <= 0.0:
+        raise DomainError(f"ln of non-positive value {x!r}")
+    return math.log(x)
+
+
+def _sqrt(x: float) -> float:
+    if x < 0.0:
+        raise DomainError(f"sqrt of negative value {x!r}")
+    return math.sqrt(x)
+
+
+# name -> (arity, function).  The specfun functions are looked up when
+# called, so a function replaced on specfun is the one expressions reach.
+_BUILTINS: dict[str, tuple[int, Callable[..., float]]] = {
+    "exp": (1, math.exp),
+    "ln": (1, _ln),
+    "sin": (1, math.sin),
+    "cos": (1, math.cos),
+    "sqrt": (1, _sqrt),
+    "gamma": (1, lambda x: specfun.gamma(x)),
+    "fact": (1, lambda x: specfun.gamma(x + 1.0)),
+    "erf": (1, lambda x: specfun.erf(x)),
+    "pow": (2, _apply_power),
+}
+BUILTIN_FUNCTIONS: dict[str, int] = {name: arity for name, (arity, _) in _BUILTINS.items()}
 
 
 def evaluate(node: ExprNode, env: Mapping[str, float]) -> float:
@@ -339,7 +329,10 @@ def evaluate(node: ExprNode, env: Mapping[str, float]) -> float:
             return _apply_power(left, right)
         raise DomainError(f"unknown operator {node.op!r}")
     if isinstance(node, Call):
-        return _call(node.fn, [evaluate(a, env) for a in node.args])
+        builtin = _BUILTINS.get(node.fn)
+        if builtin is None:
+            raise UnknownFunction(f"unknown function {node.fn!r}", 0, ())
+        return builtin[1](*[evaluate(a, env) for a in node.args])
     raise DomainError(f"unknown node type {type(node).__name__}")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .errors import DomainError, EvaluationError, SingularityError
@@ -62,20 +62,20 @@ _EPS = 2.220446049250313e-16
 # Relative slack that the running totals of integrate_finite's stopping test
 # allow for their own rounding; see the comment there.
 _MARGIN = 1e-6
+# Each semi-infinite tail panel is this many times as long as the last.
+_TAIL_CUT_GROWTH = 2.0
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Tolerances and budgets shared by all integrators.
 
-    At least one of abs_tol / rel_tol must be positive; tail_cut_growth is
-    the panel-doubling factor for semi-infinite tails.
+    At least one of abs_tol / rel_tol must be positive.
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    tail_cut_growth: float = 2.0
     max_tail_panels: int = 60
 
     def __post_init__(self) -> None:
@@ -89,18 +89,10 @@ class QuadratureConfig:
             raise ValueError("max_subdivisions must be >= 1")
         if self.max_tail_panels < 1:
             raise ValueError("max_tail_panels must be >= 1")
-        if not 1.0 < self.tail_cut_growth < math.inf:
-            raise ValueError("tail_cut_growth must be finite and > 1")
 
     def scaled(self, factor: float) -> "QuadratureConfig":
         """Copy with both tolerances multiplied by ``factor``."""
-        return QuadratureConfig(
-            abs_tol=self.abs_tol * factor,
-            rel_tol=self.rel_tol * factor,
-            max_subdivisions=self.max_subdivisions,
-            tail_cut_growth=self.tail_cut_growth,
-            max_tail_panels=self.max_tail_panels,
-        )
+        return replace(self, abs_tol=self.abs_tol * factor, rel_tol=self.rel_tol * factor)
 
 
 @dataclass(frozen=True)
@@ -296,7 +288,7 @@ def _tail_panels(
     lo = start
     tail_ok = False
     for _ in range(cfg.max_tail_panels):
-        hi = lo * cfg.tail_cut_growth
+        hi = lo * _TAIL_CUT_GROWTH
         res = integrate_finite(f, lo, hi, panel_cfg)
         values.append(res.value)
         errs.append(res.error_estimate)

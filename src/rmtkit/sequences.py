@@ -2,23 +2,26 @@
 
 A SeriesPair bundles a coefficient function phi(k) with the closed form of
 F(x) = sum_k phi(k) (-x)^k / k!, analytic derivatives of F, and the limits
-of F at 0 and infinity.  The catalog provides the built-in pairs; new pairs
-can be constructed directly (the CLI does so from parsed expressions).
+of F at 0 and infinity.  A pair that also sets phi_plain presents F as the
+plain series sum_k phi_plain(k) (-x)^k, which is what hardy needs.  The
+catalog maps each built-in id to its builder; new pairs can be constructed
+directly (the CLI does so from parsed expressions).
 
 Series evaluation accumulates in extended precision (mpmath) because the
 alternating sums are badly conditioned near the convergence radius: for
 F = (1+x)^-m at x = 0.9 the condition number of the sum exceeds 1e6, which
 no double-precision summation order can overcome.  Catalog entries supply
 a high-precision coefficient hook so the terms themselves stay exact.
+mpmath is imported on the first call that needs it, so the identity checks,
+which never evaluate a series, run without it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
-
-import mpmath
 
 from . import specfun
 from .errors import (
@@ -34,7 +37,6 @@ from .specfun import TWO_OVER_SQRT_PI
 
 __all__ = [
     "SeriesPair",
-    "CatalogEntry",
     "SeriesValue",
     "eval_series",
     "shift_sequence",
@@ -43,13 +45,16 @@ __all__ = [
     "CATALOG",
 ]
 
-# Isolated mpmath context so series evaluation never mutates global state.
-_MP = mpmath.mp.clone()
-_MP.dps = 40
 
-# Series presentation conventions.
-FACTORIAL = "factorial"  # F(x) = sum phi(k) (-x)^k / k!
-PLAIN = "plain"  # F(x) = sum phi_plain(k) (-x)^k, phi(k) = k! * phi_plain(k)
+@functools.cache
+def _mp():
+    """The 40-digit mpmath context of series work, isolated so that series
+    evaluation never mutates mpmath's global state."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    return mp
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,9 @@ class SeriesPair:
     integers for series work and -s for master-theorem right-hand sides.
     closed_form is valid on all of x >= 0, beyond the series' radius.
     derivative(order, x) is the analytic order-th derivative of closed_form,
-    supported up to derivative_max.
+    supported up to derivative_max.  phi_plain, when set, gives the plain
+    coefficients: F(x) = sum phi_plain(k) (-x)^k, so phi(k) = k! phi_plain(k).
+    phi_highprec(k), when set, is phi(k) as an mpmath number.
     """
 
     phi: Callable[[float], float]
@@ -70,19 +77,10 @@ class SeriesPair:
     f_at_zero: float
     f_at_infinity: float
     convergence_radius: float
-    param_bindings: dict = field(default_factory=dict)
     nonstandard: bool = False
-    presentation: str = FACTORIAL
     phi_plain: Callable[[float], float] | None = None
-    phi_highprec: Callable[[int], "mpmath.mpf"] | None = None
-    label: str = ""
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    id: str
-    builder: Callable[..., SeriesPair]
-    description: str
+    phi_highprec: Callable[[int], object] | None = None
+    label: str = "pair"
 
 
 class SeriesValue(NamedTuple):
@@ -107,14 +105,15 @@ def eval_series(pair: SeriesPair, x: float, max_terms: int) -> SeriesValue:
             f"eval_series: x={x!r} is outside the convergence radius "
             f"{pair.convergence_radius!r}"
         )
-    phi_hp = pair.phi_highprec or (lambda k: _MP.mpf(pair.phi(float(k))))
+    mp = _mp()
+    phi_hp = pair.phi_highprec or (lambda k: mp.mpf(pair.phi(float(k))))
     if x == 0.0:
         # Only the k = 0 term survives.
         return SeriesValue(float(phi_hp(0)), 0.0)
-    cutoff = _MP.mpf("1e-16")
-    neg_x = -_MP.mpf(x)
-    weight = _MP.mpf(1)  # (-x)^k / k!
-    total = _MP.mpf(0)
+    cutoff = mp.mpf("1e-16")
+    neg_x = -mp.mpf(x)
+    weight = mp.mpf(1)  # (-x)^k / k!
+    total = mp.mpf(0)
     term = phi_hp(0) * weight
     for k in range(max_terms + 1):
         weight = weight * neg_x / (k + 1)
@@ -149,7 +148,7 @@ def shift_sequence(pair: SeriesPair, n: int) -> SeriesPair:
     base_deriv = pair.derivative
     base_hp = pair.phi_highprec
     f0 = sign * base_deriv(n, 0.0)
-    new = SeriesPair(
+    return SeriesPair(
         phi=lambda k: base_phi(n + k),
         closed_form=lambda x: sign * base_deriv(n, x),
         derivative=lambda order, x: sign * base_deriv(n + order, x),
@@ -157,14 +156,10 @@ def shift_sequence(pair: SeriesPair, n: int) -> SeriesPair:
         f_at_zero=f0,
         f_at_infinity=0.0,
         convergence_radius=pair.convergence_radius,
-        param_bindings={**pair.param_bindings, "shift": n},
         nonstandard=(f0 == 0.0),
-        presentation=FACTORIAL,
-        phi_plain=None,
         phi_highprec=(lambda k: base_hp(n + k)) if base_hp else None,
-        label=f"{pair.label or 'pair'} shifted by {n}",
+        label=f"{pair.label} shifted by {n}",
     )
-    return new
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +181,7 @@ def _require_params(
 
 
 def _build_exp(**params) -> SeriesPair:
+    """Exponential decay e^(-ax); coefficients a^k."""
     _require_params("exp", params, (), optional=("a",))
     a = float(params.get("a", 1.0))
     if not a > 0.0:
@@ -198,13 +194,13 @@ def _build_exp(**params) -> SeriesPair:
         f_at_zero=1.0,
         f_at_infinity=0.0,
         convergence_radius=math.inf,
-        param_bindings={"a": a},
-        phi_highprec=lambda k: _MP.mpf(a) ** k,
+        phi_highprec=lambda k: _mp().mpf(a) ** k,
         label=f"exp(a={a:g})",
     )
 
 
 def _build_power(**params) -> SeriesPair:
+    """Algebraic decay (1+x)^(-m); rising-factorial coefficients."""
     _require_params("power", params, ("m",))
     m = float(params["m"])
     if not m > 0.0:
@@ -218,7 +214,10 @@ def _build_power(**params) -> SeriesPair:
         factor = specfun.gamma(m + order) / specfun.gamma(m)
         return (-1.0) ** order * factor * (1.0 + x) ** (-(m + order))
 
-    gamma_m = _MP.gamma(_MP.mpf(m))
+    def phi_hp(k: int):
+        mp = _mp()
+        return mp.gamma(mp.mpf(m) + k) / mp.gamma(m)
+
     return SeriesPair(
         phi=phi,
         closed_form=lambda x: (1.0 + x) ** (-m),
@@ -227,8 +226,7 @@ def _build_power(**params) -> SeriesPair:
         f_at_zero=1.0,
         f_at_infinity=0.0,
         convergence_radius=1.0,
-        param_bindings={"m": m},
-        phi_highprec=lambda k: _MP.gamma(_MP.mpf(m) + k) / gamma_m,
+        phi_highprec=phi_hp,
         label=f"power(m={m:g})",
     )
 
@@ -249,18 +247,21 @@ def _erf_phi(k: float) -> float:
 
 
 def _erf_phi_hp(k: int):
+    mp = _mp()
     if k < 0 or k % 2 == 0:
-        return _MP.mpf(0)
+        return mp.mpf(0)
     j = (k - 1) // 2
     return (
-        (2 / _MP.sqrt(_MP.pi))
-        * _MP.mpf(-1) ** (j + 1)
-        * _MP.factorial(2 * j)
-        / _MP.factorial(j)
+        (2 / mp.sqrt(mp.pi))
+        * mp.mpf(-1) ** (j + 1)
+        * mp.factorial(2 * j)
+        / mp.factorial(j)
     )
 
 
 def _build_erf(**params) -> SeriesPair:
+    """The error function; it enters through the derivative identities
+    (its leading coefficient vanishes)."""
     _require_params("erf", params, ())
 
     def derivative(order: int, x: float) -> float:
@@ -289,6 +290,7 @@ def _build_erf(**params) -> SeriesPair:
 
 
 def _build_laguerre_weight(**params) -> SeriesPair:
+    """x^n e^(-x); its n-th derivative is n! L_n(x) e^(-x)."""
     _require_params("laguerre_weight", params, ("n",))
     n_f = float(params["n"])
     n = int(round(n_f))
@@ -311,9 +313,10 @@ def _build_laguerre_weight(**params) -> SeriesPair:
         return (-1.0) ** n * factor
 
     def phi_hp(k: int):
+        mp = _mp()
         if k < n:
-            return _MP.mpf(0)
-        return _MP.mpf(-1) ** n * _MP.factorial(k) / _MP.factorial(k - n)
+            return mp.mpf(0)
+        return mp.mpf(-1) ** n * mp.factorial(k) / mp.factorial(k - n)
 
     def derivative(order: int, x: float) -> float:
         # Leibniz rule on x^n * e^-x.
@@ -334,7 +337,6 @@ def _build_laguerre_weight(**params) -> SeriesPair:
         f_at_zero=0.0,
         f_at_infinity=0.0,
         convergence_radius=math.inf,
-        param_bindings={"n": float(n)},
         nonstandard=True,
         phi_highprec=phi_hp,
         label=f"laguerre_weight(n={n})",
@@ -342,6 +344,7 @@ def _build_laguerre_weight(**params) -> SeriesPair:
 
 
 def _build_geometric(**params) -> SeriesPair:
+    """1/(1+x) as the plain series sum (-x)^k."""
     _require_params("geometric", params, ())
 
     def phi(k: float) -> float:
@@ -362,9 +365,8 @@ def _build_geometric(**params) -> SeriesPair:
         f_at_zero=1.0,
         f_at_infinity=0.0,
         convergence_radius=1.0,
-        presentation=PLAIN,
         phi_plain=lambda k: 1.0,
-        phi_highprec=lambda k: _MP.factorial(k),
+        phi_highprec=lambda k: _mp().factorial(k),
         label="geometric",
     )
 
@@ -406,6 +408,7 @@ def _harmonic_derivative(order: int, x: float) -> float:
 
 
 def _build_harmonic_shifted(**params) -> SeriesPair:
+    """(1 - e^(-x))/x with coefficients 1/(k+1)."""
     _require_params("harmonic_shifted", params, ())
     return SeriesPair(
         phi=_harmonic_phi,
@@ -415,46 +418,19 @@ def _build_harmonic_shifted(**params) -> SeriesPair:
         f_at_zero=1.0,
         f_at_infinity=0.0,
         convergence_radius=math.inf,
-        phi_highprec=lambda k: 1 / _MP.mpf(k + 1),
+        phi_highprec=lambda k: 1 / _mp().mpf(k + 1),
         label="harmonic_shifted",
     )
 
 
-CATALOG: dict[str, CatalogEntry] = {
-    entry.id: entry
-    for entry in (
-        CatalogEntry(
-            "exp",
-            _build_exp,
-            "exponential decay e^(-ax); coefficients a^k",
-        ),
-        CatalogEntry(
-            "power",
-            _build_power,
-            "algebraic decay (1+x)^(-m); rising-factorial coefficients",
-        ),
-        CatalogEntry(
-            "erf",
-            _build_erf,
-            "error function; enters through the derivative identities "
-            "(leading coefficient vanishes)",
-        ),
-        CatalogEntry(
-            "laguerre_weight",
-            _build_laguerre_weight,
-            "x^n e^(-x); its n-th derivative is n! L_n(x) e^(-x)",
-        ),
-        CatalogEntry(
-            "geometric",
-            _build_geometric,
-            "1/(1+x) as the plain series sum (-x)^k",
-        ),
-        CatalogEntry(
-            "harmonic_shifted",
-            _build_harmonic_shifted,
-            "(1 - e^(-x))/x with coefficients 1/(k+1)",
-        ),
-    )
+# Catalog id -> builder; each builder's docstring describes its pair.
+CATALOG: dict[str, Callable[..., SeriesPair]] = {
+    "exp": _build_exp,
+    "power": _build_power,
+    "erf": _build_erf,
+    "laguerre_weight": _build_laguerre_weight,
+    "geometric": _build_geometric,
+    "harmonic_shifted": _build_harmonic_shifted,
 }
 
 
@@ -465,12 +441,12 @@ def catalog_ids() -> list[str]:
 def catalog_get(id: str, **params: float) -> SeriesPair:
     """Construct a catalog pair by id with its named parameters."""
     try:
-        entry = CATALOG[id]
+        builder = CATALOG[id]
     except KeyError:
         raise UnknownEntry(
             f"unknown catalog id {id!r}; known: {', '.join(catalog_ids())}"
         ) from None
-    pair = entry.builder(**params)
+    pair = builder(**params)
     # Construction invariants.
     assert abs(pair.closed_form(0.0) - pair.f_at_zero) <= 1e-12 * max(
         1.0, abs(pair.f_at_zero)

@@ -40,7 +40,7 @@ from .quadrature import (
     integrate_mellin,
     integrate_semi_infinite,
 )
-from .sequences import PLAIN, SeriesPair
+from .sequences import SeriesPair
 
 __all__ = [
     "IdentityReport",
@@ -73,10 +73,13 @@ _NOT_CONVERGED = "quadrature did not converge; best-effort value used"
 
 
 def positive_tolerance(value: float, source: str) -> float:
-    """``value`` if it is a number > 0, else DomainError naming ``source``:
-    the rule for tolerances users supply (library calls may pass 0)."""
+    """``value`` if it is a finite number > 0, else DomainError naming
+    ``source``: the rule for tolerances users supply (library calls may
+    pass 0)."""
     if not value > 0.0:
         raise DomainError(f"{source} must be positive")
+    if value == math.inf:
+        raise DomainError(f"{source} must be finite")
     return value
 
 
@@ -161,8 +164,8 @@ def frullani(
 ) -> IdentityReport:
     """Check integral of (f(alpha x) - f(beta x))/x against
     (f(inf) - f(0)) * ln(alpha/beta)."""
-    if not (alpha > 0.0 and beta > 0.0):
-        raise DomainError("frullani: alpha and beta must be positive")
+    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+        raise DomainError("frullani: alpha and beta must be positive and finite")
 
     def integrand(x: float) -> float:
         if x < _FRULLANI_FREEZE:
@@ -189,7 +192,7 @@ def lemma2(
         raise DomainError("lemma2: n must be a positive integer")
     if n > pair.derivative_max:
         raise DerivativeUnavailable(
-            f"{pair.label or 'pair'}: derivative order {n} exceeds "
+            f"{pair.label}: derivative order {n} exceeds "
             f"derivative_max={pair.derivative_max}"
         )
 
@@ -212,7 +215,7 @@ def rmt(
     Gamma(s) phi(-s).  Integer and non-integer s share the same path."""
     if pair.nonstandard:
         raise NonstandardPair(
-            f"{pair.label or 'pair'}: phi(0) = 0, not admissible here; "
+            f"{pair.label}: phi(0) = 0, not admissible here; "
             "use lemma2 instead"
         )
     if not s > 0.0:
@@ -233,11 +236,8 @@ def hardy(
 ) -> IdentityReport:
     """Check the Mellin integral of a plain series sum phi(k)(-x)^k against
     pi/sin(pi s) * phi(-s), for 0 < s < 1."""
-    if pair.presentation != PLAIN or pair.phi_plain is None:
-        raise PresentationError(
-            f"{pair.label or 'pair'}: hardy requires the plain-series "
-            "presentation"
-        )
+    if pair.phi_plain is None:
+        raise PresentationError(f"{pair.label}: hardy requires the plain-series presentation")
     factor = specfun.reflection_factor(s)  # PoleError at integer s
     if not 0.0 < s < 1.0:
         raise DomainError(

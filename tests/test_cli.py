@@ -202,6 +202,29 @@ class TestInputErrors:
         assert "--tol-scale" in err and "positive" in err
         assert out == ""
 
+    def test_infinite_identity_tolerance_is_input_error(self, capsys):
+        code, out, err = run_in_process(
+            capsys, "verify", "rmt", "--catalog", "exp", "--s", "3", "--tol", "inf"
+        )
+        assert code == 2
+        assert err == "error: --tol must be finite\n"
+        assert out == ""
+
+    def test_infinite_default_tolerance_env_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("RMT_DEFAULT_TOL", "inf")
+        code, out, err = run_in_process(capsys, "verify", "rmt", "--catalog", "exp", "--s", "3")
+        assert code == 2
+        assert err == "error: RMT_DEFAULT_TOL must be finite\n"
+        assert out == ""
+
+    def test_infinite_tol_scale_is_input_error(self, capsys):
+        code, out, err = run_in_process(
+            capsys, "corpus", "--filter", "euler", "--tol-scale", "inf"
+        )
+        assert code == 2
+        assert err == "error: --tol-scale must be finite\n"
+        assert out == ""
+
     def test_filter_matching_nothing_is_input_error(self, capsys):
         code, out, err = run_in_process(capsys, "corpus", "--filter", "no_such_case")
         assert code == 2
@@ -214,6 +237,30 @@ class TestInputErrors:
         )
         assert code == 2
         assert "alpha and beta must be positive" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("alpha, beta", [("inf", "1"), ("1", "inf")])
+    def test_infinite_frullani_scale_is_input_error(self, capsys, alpha, beta):
+        code, out, err = run_in_process(
+            capsys, "verify", "frullani", "--catalog", "exp", "--alpha", alpha, "--beta", beta
+        )
+        assert code == 2
+        assert err == "error: frullani: alpha and beta must be positive and finite\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--m", "-1"), "residue_check: m must be a non-negative integer"),
+            (("--m", "0", "--eps", "0"), "residue_check: eps must lie in (0, 1e-2]"),
+            (("--m", "0", "--eps", "0.5"), "residue_check: eps must lie in (0, 1e-2]"),
+            (("--m", "0", "--eps", "nan"), "residue_check: eps must lie in (0, 1e-2]"),
+        ],
+    )
+    def test_residue_out_of_range_is_the_library_error(self, capsys, flags, message):
+        code, out, err = run_in_process(capsys, "residue", "--catalog", "exp", *flags)
+        assert code == 2
+        assert err == f"error: {message}\n"
         assert out == ""
 
     @pytest.mark.parametrize(

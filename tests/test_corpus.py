@@ -7,6 +7,7 @@ import pytest
 
 from rmtkit import specfun
 from rmtkit.corpus import IdentityCase, builtin_cases, run_corpus, scale_tolerances
+from rmtkit.errors import DomainError
 from rmtkit.quadrature import QuadratureConfig, integrate_semi_infinite
 from rmtkit.sequences import catalog_get
 from rmtkit.transforms import lemma2
@@ -101,6 +102,11 @@ class TestRunCorpus:
         first = run_corpus(cases)
         second = run_corpus(cases)
         assert all(r1 == r2 for (_, r1), (_, r2) in zip(first, second))
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_scale_must_be_finite_and_positive(self, factor):
+        with pytest.raises(DomainError):
+            scale_tolerances(builtin_cases(), factor)
 
     def test_tolerance_monotonicity(self):
         cases = builtin_cases()

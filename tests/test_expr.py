@@ -14,7 +14,9 @@ from rmtkit.errors import (
     UnboundVariable,
     UnknownFunction,
 )
+from rmtkit import specfun
 from rmtkit.expr import (
+    BUILTIN_FUNCTIONS,
     BinaryOp,
     Call,
     Constant,
@@ -108,6 +110,21 @@ class TestEvaluate:
         assert evaluate(parse("sin(x)^2 + cos(x)^2"), env) == pytest.approx(1.0)
         assert evaluate(parse("erf(x)"), env) == pytest.approx(0.2763263901682369)
         assert evaluate(parse("pow(x, 2)"), env) == 0.0625
+
+    def test_builtin_arities(self):
+        assert BUILTIN_FUNCTIONS == {
+            "exp": 1, "ln": 1, "sin": 1, "cos": 1, "sqrt": 1,
+            "gamma": 1, "fact": 1, "erf": 1, "pow": 2,
+        }
+
+    def test_hand_built_call_to_unknown_function(self):
+        with pytest.raises(UnknownFunction):
+            evaluate(Call("zeta", (Constant(2.0),)), {})
+
+    def test_builtins_read_specfun_when_called(self, monkeypatch):
+        monkeypatch.setattr(specfun, "gamma", lambda x: -x)
+        monkeypatch.setattr(specfun, "erf", lambda x: 7.0)
+        assert evaluate(parse("gamma(2) + fact(3) + erf(0)"), {}) == -2.0 - 4.0 + 7.0
 
     def test_unbound_variable(self):
         with pytest.raises(UnboundVariable):

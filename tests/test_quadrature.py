@@ -32,12 +32,10 @@ class TestConfig:
             {"abs_tol": 0.0, "rel_tol": 0.0},
             {"max_subdivisions": 0},
             {"max_tail_panels": 0},
-            {"tail_cut_growth": 1.0},
             {"abs_tol": math.nan},
             {"abs_tol": math.inf},
             {"rel_tol": math.nan},
             {"rel_tol": math.inf},
-            {"tail_cut_growth": math.inf},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

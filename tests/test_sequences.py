@@ -1,7 +1,11 @@
 """Series pairs: catalog construction, series evaluation, index shifts."""
 
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -57,7 +61,7 @@ class TestCatalog:
 
     def test_geometric_is_plain_presentation(self):
         pair = catalog_get("geometric")
-        assert pair.presentation == "plain"
+        assert pair.phi_plain is not None
         assert pair.phi_plain(17.0) == 1.0
         assert pair.phi(4.0) == pytest.approx(24.0, rel=1e-13)
 
@@ -99,6 +103,24 @@ class TestCatalog:
 
 
 class TestEvalSeries:
+    def test_mpmath_loaded_only_by_eval_series(self):
+        """Importing the package and its CLI leaves mpmath unloaded; the
+        first series evaluation loads it."""
+        code = (
+            "import sys\n"
+            "import rmtkit, rmtkit.cli\n"
+            "print('mpmath' in sys.modules)\n"
+            "rmtkit.eval_series(rmtkit.catalog_get('power', m=2.0), 0.5, 200)\n"
+            "print('mpmath' in sys.modules)\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.split() == ["False", "True"]
+
     def test_single_term_at_zero(self):
         pair = catalog_get("exp", a=1.0)
         assert eval_series(pair, 0.0, 10) == (1.0, 0.0)

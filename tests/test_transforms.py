@@ -71,6 +71,11 @@ class TestFrullani:
         with pytest.raises(DomainError):
             frullani(math.exp, 1.0, 0.0, -1.0, 2.0)
 
+    @pytest.mark.parametrize("alpha, beta", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+    def test_scales_must_be_finite(self, alpha, beta):
+        with pytest.raises(DomainError, match="positive and finite"):
+            frullani(lambda x: math.exp(-x), 1.0, 0.0, alpha, beta)
+
 
 class TestLemma2:
     def test_exponential_order_three(self):
@@ -329,6 +334,15 @@ class TestIdentityReport:
     def test_positive_tolerance_rejects(self, value):
         with pytest.raises(DomainError, match="--tol must be positive"):
             positive_tolerance(value, "--tol")
+
+    def test_positive_tolerance_rejects_infinity(self):
+        with pytest.raises(DomainError, match="--tol must be finite"):
+            positive_tolerance(math.inf, "--tol")
+
+    def test_default_tolerance_env_must_be_finite(self, monkeypatch):
+        monkeypatch.setenv("RMT_DEFAULT_TOL", "inf")
+        with pytest.raises(DomainError, match="RMT_DEFAULT_TOL must be finite"):
+            rmt(catalog_get("exp", a=2.0), 3.0)
 
     def test_positive_tolerance_returns_value(self):
         assert positive_tolerance(1e-30, "--tol") == 1e-30
