@@ -149,11 +149,12 @@ def _expression_pair(args: argparse.Namespace, identity: str) -> SeriesPair:
         return evaluate(closed_node, {**bindings, "x": x})
 
     if args.fd_derivatives:
+        step = transforms.positive_tolerance(args.fd_step, "--fd-step")
 
         def derivative(order: int, x: float) -> float:
             if order == 0:
                 return closed(x)
-            return nth_derivative_fd(closed, x, order, args.fd_step).value
+            return nth_derivative_fd(closed, x, order, step).value
 
         derivative_max = 6
     else:
@@ -163,6 +164,9 @@ def _expression_pair(args: argparse.Namespace, identity: str) -> SeriesPair:
 
         derivative_max = 0
 
+    for flag, value in (("--f0", args.f0), ("--finf", args.finf)):
+        if value is not None and not math.isfinite(value):
+            raise _InputError(f"{flag} must be finite")
     f0 = args.f0 if args.f0 is not None else phi(0.0)
     finf = args.finf if args.finf is not None else 0.0
     return SeriesPair(

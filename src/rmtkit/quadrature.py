@@ -2,10 +2,12 @@
 
 The base rule is the 15-point Gauss-Kronrod pair; the embedded 7-point Gauss
 result provides a per-panel error estimate, and panels are bisected worst
-first.  Semi-infinite integrals take the head [0, 1] with the adaptive rule
-and then geometric tail panels [g^j, g^(j+1)] until two consecutive panels
-are negligible.  Mellin integrals x^(s-1) F(x) remove the endpoint
-singularity for 0 < s < 1 with the substitution u = x^s.
+first.  Semi-infinite integrals split at x = 1 and sum geometric panels
+toward each end, [2^j, 2^(j+1)] toward infinity and [2^-(j+1), 2^-j] toward
+0, extrapolating the partial sums with Wynn's epsilon algorithm (the scheme
+of QUADPACK's QAGI and QAGS), so algebraic tails and x^(s-1) endpoint
+singularities converge in a few dozen panels.  A Mellin integral is the
+semi-infinite integral of x^(s-1) F(x).
 
 Integrators hold no global state; results are deterministic for a fixed
 configuration because panels are accumulated in a canonical order.
@@ -62,8 +64,6 @@ _EPS = 2.220446049250313e-16
 # Relative slack that the running totals of integrate_finite's stopping test
 # allow for their own rounding; see the comment there.
 _MARGIN = 1e-6
-# Each semi-infinite tail panel is this many times as long as the last.
-_TAIL_CUT_GROWTH = 2.0
 
 
 @dataclass(frozen=True)
@@ -271,65 +271,82 @@ def integrate_finite(
     return EvaluationResult(value, error, evaluations, converged)
 
 
-def _tail_panels(
+def _geometric_panels(
     f: Callable[[float], float],
-    start: float,
+    ratio: float,
     cfg: QuadratureConfig,
-):
-    """Geometric panels [start*g^j, start*g^(j+1)] until two consecutive
-    panel magnitudes fall below abs_tol/10.  Returns (values, errs, evals,
-    tail_converged)."""
+) -> EvaluationResult:
+    """Integral of f from 1 toward infinity (ratio 2) or toward 0 (ratio
+    1/2), summed over the panels between successive powers of ratio.
+
+    Panels are integrated at a quarter of the tolerances.  Each adds one
+    ascending diagonal to Wynn's epsilon table over the Kahan-summed partial
+    sums.  The end stops at the even-column entry that moved least over the
+    last three diagonals, that movement plus 10 eps |sum| being its
+    remainder estimate, once the movement is within a quarter of the
+    tolerance and the last three panel magnitudes do not increase: growing
+    or level panels diverge, whatever finite antilimit the table offers.
+    Otherwise, after max_tail_panels panels, the plain sum is returned with
+    |last panel| as its remainder and converged=False.
+    """
     panel_cfg = cfg.scaled(0.25)
-    threshold = cfg.abs_tol / 10.0
-    values = []
-    errs = []
-    evals = 0
-    small_streak = 0
-    lo = start
-    tail_ok = False
+    values, errs, diagonals = [], [], []  # diagonals: the last three
+    evaluations = 0
+    edge = 1.0
     for _ in range(cfg.max_tail_panels):
-        hi = lo * _TAIL_CUT_GROWTH
-        res = integrate_finite(f, lo, hi, panel_cfg)
+        res = integrate_finite(f, min(edge, edge * ratio), max(edge, edge * ratio), panel_cfg)
+        edge *= ratio
+        evaluations += res.evaluations
         values.append(res.value)
         errs.append(res.error_estimate)
-        evals += res.evaluations
-        small_streak = small_streak + 1 if abs(res.value) < threshold else 0
-        lo = hi
-        if small_streak >= 2:
-            tail_ok = True
-            break
-    if values:
-        # Allowance for the truncated remainder beyond the last panel.
-        errs.append(abs(values[-1]))
-    return values, errs, evals, tail_ok
-
-
-def _assemble(head: EvaluationResult, tail, cfg: QuadratureConfig) -> EvaluationResult:
-    values, errs, evals, tail_ok = tail
-    value = _kahan_sum([head.value] + values)
-    error = _kahan_sum([head.error_estimate] + errs)
-    converged = (
-        head.converged
-        and tail_ok
-        and error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    )
-    return EvaluationResult(value, error, head.evaluations + evals, converged)
+        total = _kahan_sum(values)
+        # eps_(k+1)^(n-k-1) = eps_(k-1)^(n-k) + 1 / (eps_k^(n-k) - eps_k^(n-k-1)),
+        # with eps_(-1) = 0.
+        previous = diagonals[-1] if diagonals else []
+        diagonal = [total]
+        for k, old in enumerate(previous):
+            difference = diagonal[k] - old
+            if difference == 0.0:
+                break
+            entry = (previous[k - 1] if k else 0.0) + 1.0 / difference
+            if not math.isfinite(entry):
+                break
+            diagonal.append(entry)
+        diagonals = diagonals[-2:] + [diagonal]
+        if len(diagonals) < 3 or not abs(values[-3]) >= abs(values[-2]) >= abs(values[-1]):
+            continue
+        first, second, last = diagonals
+        columns = range(0, min(map(len, diagonals)), 2)
+        change, k = min(
+            (abs(last[k] - second[k]) + abs(second[k] - first[k]), k) for k in columns
+        )
+        change += 10.0 * _EPS * abs(total)
+        if change <= max(cfg.abs_tol, cfg.rel_tol * abs(last[k])) / 4.0:
+            return EvaluationResult(last[k], change + _kahan_sum(errs), evaluations, True)
+    errs.append(abs(values[-1]))
+    return EvaluationResult(total, _kahan_sum(errs), evaluations, False)
 
 
 def integrate_semi_infinite(
     f: Callable[[float], float],
     cfg: QuadratureConfig | None = None,
 ) -> EvaluationResult:
-    """Integrate f over [0, infinity).
+    """Integrate f over [0, infinity): geometric panels from 1 toward 0 and
+    toward infinity, each end extrapolated.
 
-    The caller is responsible for decay: when the tail panel budget runs
-    out with a non-negligible last panel the result carries converged=False
-    (the best-effort value is still returned).
+    f is never called at 0, so an integrable endpoint singularity is
+    allowed.  A divergent end, or one that exhausts its max_tail_panels
+    budget, makes the result converged=False (the best-effort value is
+    still returned).
     """
     cfg = cfg or QuadratureConfig()
-    head = integrate_finite(f, 0.0, 1.0, cfg.scaled(0.5))
-    tail = _tail_panels(f, 1.0, cfg)
-    return _assemble(head, tail, cfg)
+    head = _geometric_panels(f, 0.5, cfg)
+    tail = _geometric_panels(f, 2.0, cfg)
+    value = head.value + tail.value
+    error = head.error_estimate + tail.error_estimate
+    converged = head.converged and tail.converged
+    converged = converged and error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    return EvaluationResult(value, error, head.evaluations + tail.evaluations, converged)
 
 
 def integrate_mellin(
@@ -339,40 +356,19 @@ def integrate_mellin(
 ) -> EvaluationResult:
     """Integrate x^(s-1) * F(x) over [0, infinity) for s > 0.
 
-    For 0 < s < 1 the head [0, 1] is computed after the substitution
-    u = x^s, i.e. (1/s) * integral of F(u^(1/s)) du, which removes the
-    integrable endpoint singularity; for s >= 1 the head is integrated
-    directly.  The tail uses the geometric panel scheme on x^(s-1) F(x).
+    A non-finite F on (0, 1] raises SingularityError.
     """
-    cfg = cfg or QuadratureConfig()
     if not s > 0.0:
         raise DomainError(f"integrate_mellin: requires s > 0, got {s!r}")
 
-    def checked_F(x: float) -> float:
+    def integrand(x: float) -> float:
         v = F(x)
-        if not math.isfinite(v):
+        if v == 0.0:  # F underflows far out, where x^(s-1) may overflow
+            return 0.0
+        if x <= 1.0 and not math.isfinite(v):
             raise SingularityError(
                 f"integrand function is non-finite at x={x!r} in the head interval"
             )
-        return v
-
-    if s < 1.0:
-        inv_s = 1.0 / s
-
-        def head_f(u: float) -> float:
-            return inv_s * checked_F(u**inv_s)
-
-    else:
-
-        def head_f(x: float) -> float:
-            return x ** (s - 1.0) * checked_F(x)
-
-    def tail_f(x: float) -> float:
-        v = F(x)
-        if v == 0.0:
-            return 0.0
         return x ** (s - 1.0) * v
 
-    head = integrate_finite(head_f, 0.0, 1.0, cfg.scaled(0.5))
-    tail = _tail_panels(tail_f, 1.0, cfg)
-    return _assemble(head, tail, cfg)
+    return integrate_semi_infinite(integrand, cfg)

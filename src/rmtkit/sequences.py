@@ -184,8 +184,8 @@ def _build_exp(**params) -> SeriesPair:
     """Exponential decay e^(-ax); coefficients a^k."""
     _require_params("exp", params, (), optional=("a",))
     a = float(params.get("a", 1.0))
-    if not a > 0.0:
-        raise ParamDomainError(f"catalog 'exp': requires a > 0, got {a!r}")
+    if not 0.0 < a < math.inf:
+        raise ParamDomainError(f"catalog 'exp': requires 0 < a < inf, got {a!r}")
     return SeriesPair(
         phi=lambda k: a**k,
         closed_form=lambda x: math.exp(-a * x),
@@ -203,8 +203,8 @@ def _build_power(**params) -> SeriesPair:
     """Algebraic decay (1+x)^(-m); rising-factorial coefficients."""
     _require_params("power", params, ("m",))
     m = float(params["m"])
-    if not m > 0.0:
-        raise ParamDomainError(f"catalog 'power': requires m > 0, got {m!r}")
+    if not 0.0 < m < math.inf:
+        raise ParamDomainError(f"catalog 'power': requires 0 < m < inf, got {m!r}")
 
     def phi(k: float) -> float:
         # Gamma(m+k)/Gamma(m), the natural interpolant of the rising factorial.

@@ -64,10 +64,6 @@ __all__ = [
 # closed-form rounding.  Overridable per call and via RMT_DEFAULT_TOL.
 DEFAULT_IDENTITY_TOL = 1e-8
 
-# Below this point the frullani integrand is frozen at its value there;
-# the 0/0 form only needs continuity of f, not differentiability.
-_FRULLANI_FREEZE = 1e-8
-
 # The warning every report on a non-converged left side carries, once.
 _NOT_CONVERGED = "quadrature did not converge; best-effort value used"
 
@@ -75,12 +71,17 @@ _NOT_CONVERGED = "quadrature did not converge; best-effort value used"
 def positive_tolerance(value: float, source: str) -> float:
     """``value`` if it is a finite number > 0, else DomainError naming
     ``source``: the rule for tolerances users supply (library calls may
-    pass 0)."""
+    pass 0) and for finite-difference steps."""
     if not value > 0.0:
         raise DomainError(f"{source} must be positive")
     if value == math.inf:
         raise DomainError(f"{source} must be finite")
     return value
+
+
+def _sign(k: int) -> float:
+    """(-1)^k for an integer k, exactly."""
+    return -1.0 if k % 2 else 1.0
 
 
 def default_tolerance() -> float:
@@ -168,8 +169,6 @@ def frullani(
         raise DomainError("frullani: alpha and beta must be positive and finite")
 
     def integrand(x: float) -> float:
-        if x < _FRULLANI_FREEZE:
-            x = _FRULLANI_FREEZE
         return (f(alpha * x) - f(beta * x)) / x
 
     lhs = integrate_semi_infinite(integrand, cfg)
@@ -200,8 +199,7 @@ def lemma2(
         return x ** (n - 1) * pair.derivative(n, x)
 
     lhs = integrate_semi_infinite(integrand, cfg)
-    sign = 1.0 if (n - 1) % 2 == 0 else -1.0
-    rhs = sign * (pair.f_at_infinity - pair.f_at_zero) * specfun.gamma(float(n))
+    rhs = _sign(n - 1) * (pair.f_at_infinity - pair.f_at_zero) * specfun.gamma(float(n))
     return _report("lemma2", lhs, rhs, tolerance)
 
 
@@ -268,7 +266,7 @@ def partial_fraction_sum(pair: SeriesPair, s: float, terms: int) -> float:
     for k in range(terms + 1):
         if k > 0:
             factorial *= k
-        term = pair.phi(float(k)) * (-1.0) ** k / (factorial * (s + k))
+        term = pair.phi(float(k)) * _sign(k) / (factorial * (s + k))
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -292,8 +290,7 @@ def residue_check(pair: SeriesPair, m: int, eps: float) -> tuple[float, float]:
         return (s + m) * specfun.gamma(s) * pair.phi(-s)
 
     left = 0.5 * (g(-m + eps) + g(-m - eps))
-    sign = 1.0 if m % 2 == 0 else -1.0
-    right = sign * pair.phi(float(m)) / specfun.gamma(m + 1.0)
+    right = _sign(m) * pair.phi(float(m)) / specfun.gamma(m + 1.0)
     if not (math.isfinite(left) and math.isfinite(right)):
         raise PoleError(
             f"residue_check: phi contributes its own singularity near m={m}"
@@ -335,7 +332,7 @@ def _central_difference(
 ) -> float:
     total = 0.0
     for i in range(n + 1):
-        weight = math.comb(n, i) * (-1.0) ** i
+        weight = math.comb(n, i) * _sign(i)
         total += weight * f(x + (n / 2.0 - i) * h)
     return total / h**n
 
@@ -355,8 +352,7 @@ def nth_derivative_fd(
     """
     if not 1 <= n <= 6:
         raise DomainError(f"nth_derivative_fd: n must be in 1..6, got {n}")
-    if not h > 0.0:
-        raise DomainError("nth_derivative_fd: h must be positive")
+    positive_tolerance(h, "nth_derivative_fd: h")
     coarse = _central_difference(f, x, n, h)
     fine = _central_difference(f, x, n, h / 2.0)
     # Both levels carry O(h^2) leading error; eliminate it.

@@ -272,6 +272,36 @@ class TestInputErrors:
         assert code == 2
         assert err == f"error: {identity} requires {flags}\n"
 
+    @pytest.mark.parametrize(
+        "catalog, param", [("exp", "a=inf"), ("power", "m=inf")]
+    )
+    def test_infinite_catalog_parameter_is_input_error(self, capsys, catalog, param):
+        code, out, err = run_in_process(
+            capsys, "verify", "rmt", "--catalog", catalog, "--param", param, "--s", "1"
+        )
+        assert code == 2
+        assert err.startswith(f"error: catalog '{catalog}': requires 0 <")
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--f0", "--finf"])
+    def test_non_finite_limit_is_input_error(self, capsys, flag):
+        code, out, err = run_in_process(
+            capsys, "verify", "frullani", "--phi", "1", "--closed-form", "exp(-x)",
+            "--alpha", "2", "--beta", "1", flag, "inf",
+        )
+        assert code == 2
+        assert err == f"error: {flag} must be finite\n"
+        assert out == ""
+
+    def test_infinite_fd_step_is_input_error(self, capsys):
+        code, out, err = run_in_process(
+            capsys, "verify", "lemma2", "--phi", "1", "--closed-form", "exp(-x)",
+            "--n", "1", "--fd-derivatives", "--fd-step", "inf",
+        )
+        assert code == 2
+        assert err == "error: --fd-step must be finite\n"
+        assert out == ""
+
     def test_expression_pair_without_derivatives_suggests_fd(self, capsys):
         code, out, err = run_in_process(
             capsys, "verify", "lemma2", "--phi", "1", "--closed-form", "exp(-x)", "--n", "1"

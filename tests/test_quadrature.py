@@ -8,6 +8,7 @@ import pytest
 from rmtkit.errors import DomainError, EvaluationError, SingularityError
 from rmtkit.quadrature import (
     _XGK,
+    _geometric_panels,
     QuadratureConfig,
     integrate_finite,
     integrate_mellin,
@@ -197,10 +198,24 @@ class TestSemiInfinite:
         res = integrate_semi_infinite(lambda x: x * (1.0 + x) ** -5)
         assert res.value == pytest.approx(1.0 / 12.0, abs=1e-11)
 
-    def test_slow_tail_flags_non_convergence(self):
+    def test_slow_algebraic_tail_is_extrapolated(self):
+        # Tail panels of x^-1.1 shrink by 2^-0.1 each: plain summation
+        # would need hundreds of them.
         res = integrate_semi_infinite(lambda x: (1.0 + x) ** -1.1)
+        assert res.converged
+        assert abs(res.value - 10.0) <= res.error_estimate
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda x: x**-0.5, lambda x: 1.0 / (1.0 + x)],
+        ids=["growing_tail_panels", "level_tail_panels"],
+    )
+    def test_divergent_tail_is_not_converged(self, f):
+        assert not integrate_semi_infinite(f).converged
+
+    def test_panel_budget_below_three_is_not_converged(self):
+        res = integrate_semi_infinite(lambda x: math.exp(-x), QuadratureConfig(max_tail_panels=2))
         assert not res.converged
-        assert res.value > 0.0
 
     def test_converged_implies_estimate_within_tolerance(self):
         cfg = QuadratureConfig()
@@ -236,10 +251,11 @@ class TestMellin:
         assert res.converged
 
     def test_hardy_pi(self):
-        # The x^(-3/2) tail is truncated at the panel budget, which costs
-        # ~1.9e-9 absolute; relative accuracy is still below 1e-9.
+        # The x^(-3/2) tail and the x^(-1/2) head both converge
+        # algebraically; extrapolation reaches the tolerance at each end.
         res = integrate_mellin(lambda x: 1.0 / (1.0 + x), 0.5)
         assert res.value == pytest.approx(math.pi, rel=1e-9)
+        assert res.converged
 
     def test_gamma_half(self):
         res = integrate_mellin(lambda x: math.exp(-x), 0.5)
@@ -258,18 +274,14 @@ class TestMellin:
             )
 
     @pytest.mark.parametrize("s", [0.3, 0.7])
-    def test_head_substitution_against_graded_mesh(self, s):
-        """The substituted head integral of x^(s-1) e^-x over [0,1] matches
-        a brute-force graded-mesh trapezoid evaluation."""
-        # Full Mellin value minus the adaptive tail over [1, inf) isolates
-        # the head; compare directly on the head integrand instead.
-        inv_s = 1.0 / s
-        head = integrate_finite(
-            lambda u: inv_s * math.exp(-(u**inv_s)), 0.0, 1.0
-        )
-        oracle = graded_mesh_trapezoid(
-            lambda x: x ** (s - 1.0) * math.exp(-x), q=2.0 / s + 6.0
-        )
+    def test_head_panels_against_graded_mesh(self, s):
+        """The head integral of x^(s-1) e^-x over [0, 1], summed over the
+        panels [2^-(j+1), 2^-j] and extrapolated, matches a brute-force
+        graded-mesh trapezoid evaluation."""
+        f = lambda x: x ** (s - 1.0) * math.exp(-x)
+        head = _geometric_panels(f, 0.5, QuadratureConfig())
+        oracle = graded_mesh_trapezoid(f, q=2.0 / s + 6.0)
+        assert head.converged
         assert abs(head.value - oracle) <= 1e-9
 
 

@@ -78,6 +78,8 @@ class TestCatalog:
             ("laguerre_weight", {"n": 2.5}),
             ("power", {}),
             ("erf", {"a": 1.0}),
+            ("exp", {"a": math.inf}),
+            ("power", {"m": math.inf}),
         ],
     )
     def test_param_domain(self, id_, params):

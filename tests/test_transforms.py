@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from rmtkit import specfun
@@ -295,6 +296,51 @@ class TestNthDerivativeFd:
             nth_derivative_fd(math.sin, 0.0, 7, 0.1)
         with pytest.raises(DomainError):
             nth_derivative_fd(math.sin, 0.0, 2, 0.0)
+        with pytest.raises(DomainError, match="nth_derivative_fd: h must be finite"):
+            nth_derivative_fd(math.sin, 0.0, 2, math.inf)
+
+
+def _assert_honest(report, exact):
+    assert report.lhs.converged
+    assert abs(report.lhs.value - exact) <= report.lhs.error_estimate
+
+
+class TestAlgebraicEnds:
+    """Identities whose integrands decay algebraically at infinity or are
+    singular at 0, at default tolerance: the left side converges and its
+    error estimate covers the true error.  Exact values are closed forms
+    evaluated here with mpmath, never with specfun."""
+
+    @pytest.mark.parametrize("s", [0.5, 0.7, 0.9, 0.95])
+    def test_hardy_geometric(self, s):
+        exact = float(mpmath.pi / mpmath.sin(mpmath.pi * s))
+        _assert_honest(hardy(catalog_get("geometric"), s), exact)
+
+    def test_rmt_harmonic_shifted(self):
+        # Gamma(s) phi(-s) with phi(k) = 1/(k+1).
+        exact = float(mpmath.gamma(0.9) / (1 - mpmath.mpf(0.9)))
+        _assert_honest(rmt(catalog_get("harmonic_shifted"), 0.9), exact)
+
+    def test_rmt_power(self):
+        # integral x^(s-1) (1+x)^-m = B(s, m-s).
+        exact = float(mpmath.beta(2.7, 3 - mpmath.mpf(2.7)))
+        _assert_honest(rmt(catalog_get("power", m=3.0), 2.7), exact)
+
+    def test_frullani_square_root_cusp(self):
+        # (f(2x) - f(x))/x ~ x^(-1/2) at 0 for f = exp(-sqrt(x)).
+        rep = frullani(lambda x: math.exp(-math.sqrt(x)), 1.0, 0.0, 2.0, 1.0)
+        _assert_honest(rep, -math.log(2.0))
+
+    @pytest.mark.parametrize(
+        "id_, params",
+        [("geometric", {}), ("power", {"m": 1.0}), ("harmonic_shifted", {})],
+    )
+    def test_rmt_outside_the_strip_is_refused(self, id_, params):
+        # x^(1/2) F(x) ~ x^(-1/2) at infinity: the integral diverges, and
+        # the finite antilimit of the extrapolation must not be reported.
+        rep = rmt(catalog_get(id_, **params), 1.5)
+        assert not rep.passed
+        assert not rep.lhs.converged
 
 
 class TestIdentityReport:
