@@ -25,7 +25,7 @@ from .errors import DerivativeUnavailable, ExprSyntaxError, RmtError
 from .expr import evaluate, parse
 from .quadrature import QuadratureConfig
 from .sequences import SeriesPair, catalog_get, catalog_ids
-from .transforms import IdentityReport, nth_derivative_fd
+from .transforms import FD_MAX_ORDER, IdentityReport, nth_derivative_fd
 
 __all__ = ["main"]
 
@@ -151,16 +151,16 @@ def _expression_pair(args: argparse.Namespace, identity: str) -> SeriesPair:
     if args.fd_derivatives:
         step = transforms.positive_tolerance(args.fd_step, "--fd-step")
 
-        def derivative(order: int, x: float) -> float:
-            if order == 0:
+        def derivative(k: int, x: float) -> float:
+            if k == 0:
                 return closed(x)
-            return nth_derivative_fd(closed, x, order, step).value
+            return nth_derivative_fd(closed, x, k, step).value
 
-        derivative_max = 6
+        derivative_max = FD_MAX_ORDER
     else:
 
-        def derivative(order: int, x: float) -> float:
-            return closed(x) if order == 0 else math.nan
+        def derivative(k: int, x: float) -> float:
+            return closed(x) if k == 0 else math.nan
 
         derivative_max = 0
 
@@ -198,10 +198,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     args.params = _parse_params(args.param)
     cfg = _quad_config(args)
     tol = None if args.tol is None else transforms.positive_tolerance(args.tol, "--tol")
-
-    if identity == "hardy" and args.s is not None:
-        if not 0.0 < args.s < 1.0 or abs(args.s - round(args.s)) < 1e-12:
-            raise _InputError("--s: s must be non-integer in (0,1)")
 
     pair = _build_pair(args, identity)
     inputs: dict = {"identity": identity}
@@ -247,9 +243,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     if args.json:
         for case, rep in results:
             inputs = {"case": case.name, "kind": case.kind, "catalog": case.catalog_id}
-            inputs.update({k: _fmt(v) for k, v in case.params.items()})
-            if case.order_input is not None:
-                inputs["order"] = _fmt(case.order)
+            inputs.update({k: _fmt(v) for k, v in (case.params | case.inputs).items()})
             _emit_json(_record("corpus", inputs, rep))
     else:
         name_w = max([len(c.name) for c, _ in results], default=8) + 2
@@ -300,10 +294,10 @@ def _build_argparser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_quad_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--abs-tol", type=float, default=1e-12)
-        p.add_argument("--rel-tol", type=float, default=1e-10)
-        p.add_argument("--max-subdivisions", type=int, default=2000)
-        p.add_argument("--max-tail-panels", type=int, default=60)
+        p.add_argument("--abs-tol", type=float, default=QuadratureConfig.abs_tol)
+        p.add_argument("--rel-tol", type=float, default=QuadratureConfig.rel_tol)
+        p.add_argument("--max-subdivisions", type=int, default=QuadratureConfig.max_subdivisions)
+        p.add_argument("--max-tail-panels", type=int, default=QuadratureConfig.max_tail_panels)
         p.add_argument("--json", action="store_true", help="emit JSON lines")
 
     verify = sub.add_parser("verify", help="check a single identity")
@@ -324,7 +318,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--fd-derivatives",
         action="store_true",
-        help="give expression pairs finite-difference derivatives (orders 1..6)",
+        help=f"finite-difference derivatives for expression pairs (orders 1..{FD_MAX_ORDER})",
     )
     verify.add_argument("--fd-step", type=float, default=0.05)
     verify.add_argument("--tol", type=float, default=None, help="identity tolerance")
@@ -341,7 +335,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     residue.add_argument("--catalog", required=True)
     residue.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
     residue.add_argument("--m", type=int, required=True, help="pole index")
-    residue.add_argument("--eps", type=float, default=1e-4)
+    residue.add_argument("--eps", type=float, default=transforms.RESIDUE_EPS)
     residue.add_argument("--json", action="store_true")
     residue.set_defaults(func=_cmd_residue)
     return top

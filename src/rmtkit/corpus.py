@@ -23,22 +23,15 @@ __all__ = ["IdentityCase", "builtin_cases", "run_corpus", "scale_tolerances"]
 
 _SQRT_PI = specfun.gamma(0.5)
 
-# Two-sided probe width for the residue cases.
-_RESIDUE_EPS = 1e-4
-
-# The identity inputs a case's ``order`` fills; every other input comes from
-# ``params``.  A catalog parameter may share an input's name (laguerre_weight's
-# ``n``), so these are never taken from ``params``.
-_ORDER_INPUTS = ("n", "s", "m")
-
 
 @dataclass(frozen=True)
 class IdentityCase:
     """One named identity check.
 
-    ``order`` is the derivative order n, the exponent s, or the pole index
-    m depending on ``kind``; the kind's other inputs (alpha, beta, eps) and
-    the catalog parameters live in ``params``.  Both sides of the report are
+    ``inputs`` holds the kind's inputs under the names of
+    ``transforms.IDENTITIES[kind].inputs`` (s, n, alpha, ...); ``params``
+    holds the catalog parameters only, so a parameter may share an input's
+    name (laguerre_weight's ``n``).  Both sides of the report are
     multiplied by ``scale`` before they are compared.
     The laguerre cases carry an absolute tolerance (their exact value is
     zero); all others are effectively relative since a report passes when
@@ -49,21 +42,18 @@ class IdentityCase:
     kind: str
     catalog_id: str
     params: dict = field(default_factory=dict)
-    order: float = 0.0
+    inputs: dict = field(default_factory=dict)
     exact_value: float = 0.0
-    tolerance: float = 1e-8
+    tolerance: float = transforms.DEFAULT_IDENTITY_TOL
     description: str = ""
     scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in transforms.IDENTITIES:
             raise ValueError(f"unknown case kind {self.kind!r}")
-
-    @property
-    def order_input(self) -> str | None:
-        """The input of the case's kind that ``order`` fills, if any."""
-        inputs = transforms.IDENTITIES[self.kind].inputs
-        return next((name for name in inputs if name in _ORDER_INPUTS), None)
+        expected = transforms.IDENTITIES[self.kind].inputs
+        if set(self.inputs) != set(expected):
+            raise ValueError(f"{self.name}: {self.kind} takes inputs {expected}")
 
 
 def builtin_cases() -> list[IdentityCase]:
@@ -74,7 +64,7 @@ def builtin_cases() -> list[IdentityCase]:
             kind="rmt",
             catalog_id="exp",
             params={"a": 2.0},
-            order=3.0,
+            inputs={"s": 3.0},
             exact_value=specfun.gamma(3.0) / 8.0,
             tolerance=1e-9,
             description="Euler integral: x^2 e^(-2x) integrates to Gamma(3)/2^3",
@@ -84,7 +74,7 @@ def builtin_cases() -> list[IdentityCase]:
             kind="rmt",
             catalog_id="exp",
             params={"a": 1.0},
-            order=0.5,
+            inputs={"s": 0.5},
             exact_value=_SQRT_PI,
             tolerance=1e-9,
             description="Euler integral at half order: Gamma(1/2) = sqrt(pi)",
@@ -94,7 +84,7 @@ def builtin_cases() -> list[IdentityCase]:
             kind="rmt",
             catalog_id="power",
             params={"m": 5.0},
-            order=2.0,
+            inputs={"s": 2.0},
             exact_value=specfun.gamma(2.0) * specfun.gamma(3.0) / specfun.gamma(5.0),
             tolerance=1e-9,
             description="beta function B(2,3) via x/(1+x)^5; the catalog "
@@ -104,7 +94,7 @@ def builtin_cases() -> list[IdentityCase]:
             name="gaussian",
             kind="lemma2",
             catalog_id="erf",
-            order=1.0,
+            inputs={"n": 1},
             exact_value=_SQRT_PI / 2.0,
             tolerance=1e-10,
             description="Gaussian integral: e^(-x^2) integrates to sqrt(pi)/2",
@@ -117,7 +107,7 @@ def builtin_cases() -> list[IdentityCase]:
                 name=f"hermite_{n}",
                 kind="lemma2",
                 catalog_id="erf",
-                order=float(n),
+                inputs={"n": n},
                 exact_value=(_SQRT_PI / 2.0) * specfun.gamma(float(n)),
                 tolerance=1e-8,
                 description=(
@@ -136,7 +126,7 @@ def builtin_cases() -> list[IdentityCase]:
                 kind="lemma2",
                 catalog_id="laguerre_weight",
                 params={"n": float(n)},
-                order=float(n),
+                inputs={"n": n},
                 exact_value=0.0,
                 tolerance=1e-9,
                 description=(
@@ -151,7 +141,7 @@ def builtin_cases() -> list[IdentityCase]:
                 name="hardy_half",
                 kind="hardy",
                 catalog_id="geometric",
-                order=0.5,
+                inputs={"s": 0.5},
                 exact_value=math.pi,
                 tolerance=1e-8,
                 description="x^(-1/2)/(1+x) integrates to pi/sin(pi/2) = pi",
@@ -160,7 +150,8 @@ def builtin_cases() -> list[IdentityCase]:
                 name="frullani_exp",
                 kind="frullani",
                 catalog_id="exp",
-                params={"a": 1.0, "alpha": 2.0, "beta": 1.0},
+                params={"a": 1.0},
+                inputs={"alpha": 2.0, "beta": 1.0},
                 exact_value=-math.log(2.0),
                 tolerance=1e-9,
                 description="Frullani integral of e^(-x) at scales 2 and 1",
@@ -168,15 +159,14 @@ def builtin_cases() -> list[IdentityCase]:
         ]
     )
     for m in (0, 1, 2):
-        sign = 1.0 if m % 2 == 0 else -1.0
         cases.append(
             IdentityCase(
                 name=f"residue_m{m}",
                 kind="residue",
                 catalog_id="exp",
-                params={"a": 1.0, "eps": _RESIDUE_EPS},
-                order=float(m),
-                exact_value=sign / specfun.gamma(m + 1.0),
+                params={"a": 1.0},
+                inputs={"m": m, "eps": transforms.RESIDUE_EPS},
+                exact_value=(-1.0) ** m / specfun.gamma(m + 1.0),
                 tolerance=1e-3,
                 description=f"residue of Gamma at -{m} is (-1)^{m}/{m}!",
             )
@@ -186,14 +176,13 @@ def builtin_cases() -> list[IdentityCase]:
             name="harmonic_half",
             kind="rmt",
             catalog_id="harmonic_shifted",
-            order=0.5,
+            inputs={"s": 0.5},
             exact_value=2.0 * _SQRT_PI,
             tolerance=1e-7,
             description="x^(-3/2)(1 - e^(-x)) integrates to 2 sqrt(pi)",
         )
     )
-    names = [c.name for c in cases]
-    assert len(names) == len(set(names)), "case names must be unique"
+    assert len({c.name for c in cases}) == len(cases), "case names must be unique"
     return cases
 
 
@@ -211,17 +200,8 @@ def _failed_report(identity: str, exact: float, tol: float, reason: str) -> Iden
 
 
 def _run_case(case: IdentityCase, cfg: QuadratureConfig | None) -> IdentityReport:
-    params = dict(case.params)
-    inputs = {}
-    for name in transforms.IDENTITIES[case.kind].inputs:
-        if name in _ORDER_INPUTS:
-            inputs[name] = case.order
-        elif name == "eps":
-            inputs[name] = params.pop("eps", _RESIDUE_EPS)
-        else:
-            inputs[name] = params.pop(name)
-    pair = catalog_get(case.catalog_id, **params)
-    report = transforms.IDENTITIES[case.kind].run(pair, cfg, case.tolerance, **inputs)
+    pair = catalog_get(case.catalog_id, **case.params)
+    report = transforms.IDENTITIES[case.kind].run(pair, cfg, case.tolerance, **case.inputs)
     return transforms.scale_report(report, case.scale)
 
 

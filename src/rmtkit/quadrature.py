@@ -369,6 +369,10 @@ def integrate_mellin(
             raise SingularityError(
                 f"integrand function is non-finite at x={x!r} in the head interval"
             )
-        return x ** (s - 1.0) * v
+        try:
+            return x ** (s - 1.0) * v
+        except OverflowError:  # x^(s-1) alone leaves the double range
+            half = x ** ((s - 1.0) / 2.0)
+            return half * v * half
 
     return integrate_semi_infinite(integrand, cfg)

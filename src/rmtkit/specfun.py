@@ -92,11 +92,12 @@ def gamma(x: float) -> float:
     Uses the Lanczos approximation for x >= 0.5 and the reflection formula
     Gamma(x) = pi / (sin(pi x) Gamma(1-x)) below that.
 
-    Raises PoleError within 1e-12 of a non-positive integer and
-    OverflowError when |Gamma(x)| exceeds the double range.
+    Raises PoleError within 1e-12 of a non-positive integer,
+    OverflowError when |Gamma(x)| exceeds the double range and DomainError
+    at NaN and -inf.
     """
-    if math.isnan(x):
-        raise DomainError("gamma: argument is NaN")
+    if math.isnan(x) or x == -math.inf:
+        raise DomainError(f"gamma: undefined at {x!r}")
     if _near_nonpositive_integer(x):
         raise PoleError(f"gamma: pole at non-positive integer near x={x!r}")
     if x > _GAMMA_OVERFLOW_X:
@@ -133,10 +134,11 @@ def log_gamma(x: float) -> float:
 def reflection_factor(s: float) -> float:
     """pi / sin(pi*s), the reflection product Gamma(s)*Gamma(1-s).
 
-    Raises PoleError within 1e-12 of any integer, where the sine vanishes.
+    Raises PoleError within 1e-12 of any integer, where the sine vanishes,
+    and DomainError at NaN and +/-inf.
     """
-    if math.isnan(s):
-        raise DomainError("reflection_factor: argument is NaN")
+    if not math.isfinite(s):
+        raise DomainError(f"reflection_factor: undefined at {s!r}")
     if abs(s - round(s)) <= POLE_EXCLUSION_RADIUS:
         raise PoleError(f"reflection_factor: sin(pi*s) vanishes near s={s!r}")
     return math.pi / _sinpi(s)

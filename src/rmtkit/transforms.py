@@ -22,7 +22,6 @@ the corpus both dispatch through it, so a new identity is one entry there.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -48,7 +47,8 @@ __all__ = [
     "Identity",
     "IDENTITIES",
     "DEFAULT_IDENTITY_TOL",
-    "default_tolerance",
+    "RESIDUE_EPS",
+    "FD_MAX_ORDER",
     "positive_tolerance",
     "scale_report",
     "frullani",
@@ -61,8 +61,13 @@ __all__ = [
 ]
 
 # An order of magnitude looser than the quadrature tolerance, absorbing
-# closed-form rounding.  Overridable per call and via RMT_DEFAULT_TOL.
+# closed-form rounding.  Overridable per call.
 DEFAULT_IDENTITY_TOL = 1e-8
+
+# The residue check's default two-sided probe width, and the highest
+# derivative order nth_derivative_fd computes.
+RESIDUE_EPS = 1e-4
+FD_MAX_ORDER = 6
 
 # The warning every report on a non-converged left side carries, once.
 _NOT_CONVERGED = "quadrature did not converge; best-effort value used"
@@ -82,17 +87,6 @@ def positive_tolerance(value: float, source: str) -> float:
 def _sign(k: int) -> float:
     """(-1)^k for an integer k, exactly."""
     return -1.0 if k % 2 else 1.0
-
-
-def default_tolerance() -> float:
-    env = os.environ.get("RMT_DEFAULT_TOL")
-    if env is None:
-        return DEFAULT_IDENTITY_TOL
-    try:
-        value = float(env)
-    except ValueError:
-        raise DomainError(f"RMT_DEFAULT_TOL is not a number: {env!r}") from None
-    return positive_tolerance(value, "RMT_DEFAULT_TOL")
 
 
 @dataclass(frozen=True)
@@ -125,7 +119,7 @@ def _report(
     rhs: float,
     tolerance: float | None,
 ) -> IdentityReport:
-    tol = default_tolerance() if tolerance is None else tolerance
+    tol = DEFAULT_IDENTITY_TOL if tolerance is None else tolerance
     if rhs == 0.0:
         rhs = 0.0  # normalise -0.0 for stable reporting
     abs_disc = abs(lhs.value - rhs)
@@ -350,8 +344,8 @@ def nth_derivative_fd(
     two levels.  Accuracy degrades with n roughly like machine-eps^(2/(n+2)),
     documented rather than guaranteed.
     """
-    if not 1 <= n <= 6:
-        raise DomainError(f"nth_derivative_fd: n must be in 1..6, got {n}")
+    if not 1 <= n <= FD_MAX_ORDER:
+        raise DomainError(f"nth_derivative_fd: n must be in 1..{FD_MAX_ORDER}, got {n}")
     positive_tolerance(h, "nth_derivative_fd: h")
     coarse = _central_difference(f, x, n, h)
     fine = _central_difference(f, x, n, h / 2.0)

@@ -1,7 +1,6 @@
 """CLI contract: exit codes, golden output, JSON round-trips."""
 
 import json
-import os
 import pathlib
 import subprocess
 import sys
@@ -36,16 +35,9 @@ RECORD_KEYS = [
 ]
 
 
-def run_cli(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
-    full_env = dict(os.environ)
-    full_env.pop("RMT_DEFAULT_TOL", None)
-    if env:
-        full_env.update(env)
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "rmtkit", *argv],
-        capture_output=True,
-        text=True,
-        env=full_env,
+        [sys.executable, "-m", "rmtkit", *argv], capture_output=True, text=True
     )
 
 
@@ -77,7 +69,7 @@ class TestExitCodes:
     def test_hardy_integer_exponent_is_input_error(self):
         proc = run_cli("verify", "hardy", "--catalog", "geometric", "--s", "1")
         assert proc.returncode == 2
-        assert "non-integer in (0,1)" in proc.stderr
+        assert proc.stderr == "error: reflection_factor: sin(pi*s) vanishes near s=1.0\n"
         assert proc.stdout == ""
 
     def test_missing_exponent_is_input_error(self):
@@ -158,14 +150,6 @@ class TestJsonContract:
         assert all(r["passed"] is True for r in records)
 
 
-class TestEnvironmentOverride:
-    def test_default_tolerance_env(self):
-        argv = ("verify", "frullani", "--catalog", "exp", "--alpha", "2", "--beta", "1")
-        assert run_cli(*argv).returncode == 0
-        strict = run_cli(*argv, env={"RMT_DEFAULT_TOL": "1e-30"})
-        assert strict.returncode == 1
-
-
 def run_in_process(capsys, *argv: str):
     """(exit code, stdout, stderr) of one in-process CLI call."""
     from rmtkit import cli
@@ -181,8 +165,18 @@ class TestInputErrors:
             capsys, "verify", "hardy", "--catalog", "geometric", "--s", "nan"
         )
         assert code == 2
-        assert "non-integer in (0,1)" in err
+        assert err == "error: reflection_factor: undefined at nan\n"
         assert out == ""
+
+    @pytest.mark.parametrize("s,message", [
+        ("inf", "reflection_factor: undefined at inf"),
+        ("1.5", "hardy: s must lie in (0, 1) for the integral to converge, got 1.5"),
+    ])
+    def test_hardy_exponent_error_is_the_library_message(self, capsys, s, message):
+        code, out, err = run_in_process(
+            capsys, "verify", "hardy", "--catalog", "geometric", "--s", s
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
     def test_non_positive_identity_tolerance_is_input_error(self, capsys, tol):
@@ -208,13 +202,6 @@ class TestInputErrors:
         )
         assert code == 2
         assert err == "error: --tol must be finite\n"
-        assert out == ""
-
-    def test_infinite_default_tolerance_env_is_input_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("RMT_DEFAULT_TOL", "inf")
-        code, out, err = run_in_process(capsys, "verify", "rmt", "--catalog", "exp", "--s", "3")
-        assert code == 2
-        assert err == "error: RMT_DEFAULT_TOL must be finite\n"
         assert out == ""
 
     def test_infinite_tol_scale_is_input_error(self, capsys):

@@ -10,7 +10,7 @@ from rmtkit.corpus import IdentityCase, builtin_cases, run_corpus, scale_toleran
 from rmtkit.errors import DomainError
 from rmtkit.quadrature import QuadratureConfig, integrate_semi_infinite
 from rmtkit.sequences import catalog_get
-from rmtkit.transforms import lemma2
+from rmtkit.transforms import IDENTITIES, lemma2
 
 SQRT_PI = 1.7724538509055159
 
@@ -57,10 +57,7 @@ class TestBuiltinCases:
 
     def test_catalog_ids_resolvable(self):
         for c in builtin_cases():
-            params = {
-                k: v for k, v in c.params.items() if k not in ("alpha", "beta", "eps")
-            }
-            catalog_get(c.catalog_id, **params)
+            catalog_get(c.catalog_id, **c.params)
 
 
 class TestRunCorpus:
@@ -154,25 +151,28 @@ class TestIdentityTableDispatch:
         with pytest.raises(ValueError, match="unknown case kind"):
             IdentityCase(name="x", kind="bogus", catalog_id="exp")
 
-    def test_order_input_per_kind(self):
-        inputs = {c.kind: c.order_input for c in builtin_cases()}
-        assert inputs == {
-            "rmt": "s", "hardy": "s", "lemma2": "n", "residue": "m", "frullani": None
-        }
+    def test_case_inputs_named_as_the_table(self):
+        inputs = {c.kind: tuple(c.inputs) for c in builtin_cases()}
+        assert inputs == {kind: IDENTITIES[kind].inputs for kind in IDENTITIES}
 
     def test_catalog_param_sharing_an_input_name_stays_a_catalog_param(self):
         # laguerre_weight's catalog parameter n shares lemma2's input name.
         (case,) = [c for c in builtin_cases() if c.name == "laguerre_zero_3"]
-        ((_, report),) = run_corpus([dataclasses.replace(case, order=2.0)])
-        assert report.lhs.evaluations > 0
-        assert report.rhs == 0.0
+        assert case.params == {"n": 3.0}
+        ((_, report),) = run_corpus([dataclasses.replace(case, inputs={"n": 2})])
+        pair = catalog_get("laguerre_weight", n=3.0)
+        assert report == lemma2(pair, 2, tolerance=case.tolerance)
+        assert report.lhs.evaluations != lemma2(pair, 3).lhs.evaluations
 
-    def test_residue_case_without_eps_uses_default_width(self):
+    @pytest.mark.parametrize("inputs", [
+        {"m": 1},
+        {"m": 1, "eps": 1e-4, "s": 0.5},
+        {"m": 1, "width": 1e-4},
+    ], ids=["missing", "extra", "misnamed"])
+    def test_case_inputs_must_match_table(self, inputs):
         (case,) = [c for c in builtin_cases() if c.name == "residue_m1"]
-        params = {k: v for k, v in case.params.items() if k != "eps"}
-        ((_, with_eps),) = run_corpus([case])
-        ((_, without),) = run_corpus([dataclasses.replace(case, params=params)])
-        assert without == with_eps
+        with pytest.raises(ValueError, match="residue takes inputs"):
+            dataclasses.replace(case, inputs=inputs)
 
     def test_rescaled_non_converged_report_warns_once(self):
         cases = [c for c in builtin_cases() if c.catalog_id == "erf"]

@@ -37,6 +37,10 @@ class TestGamma:
         with pytest.raises(OverflowError):
             specfun.gamma(172.0)
 
+    def test_minus_infinity_is_domain_error(self):
+        with pytest.raises(DomainError, match="gamma"):
+            specfun.gamma(-math.inf)
+
     def test_recurrence_consistency(self):
         """Gamma(x+1) = x Gamma(x) to 1e-12 relative on 1000 seeded draws."""
         rng = random.Random(20240817)
@@ -88,6 +92,11 @@ class TestReflectionFactor:
     @pytest.mark.parametrize("s", [1.0, 0.0, -3.0, 2.0 + 1e-13])
     def test_integer_pole(self, s):
         with pytest.raises(PoleError):
+            specfun.reflection_factor(s)
+
+    @pytest.mark.parametrize("s", [math.inf, -math.inf])
+    def test_infinite_argument_is_domain_error(self, s):
+        with pytest.raises(DomainError, match="reflection_factor"):
             specfun.reflection_factor(s)
 
 

@@ -16,6 +16,7 @@ from rmtkit.errors import (
 from rmtkit.quadrature import QuadratureConfig
 from rmtkit.sequences import catalog_get, shift_sequence
 from rmtkit.transforms import (
+    DEFAULT_IDENTITY_TOL,
     IDENTITIES,
     frullani,
     hardy,
@@ -151,6 +152,14 @@ class TestRmt:
         with pytest.raises(DomainError):
             rmt(catalog_get("exp", a=1.0), -0.5)
 
+    @pytest.mark.parametrize("s", [150.0, 171.5])
+    def test_exponent_whose_power_alone_overflows(self, s):
+        # x^(s-1) overflows near x = 512 although x^(s-1) e^-x stays finite.
+        rep = rmt(catalog_get("exp", a=1.0), s)
+        assert rep.lhs.converged
+        assert rep.passed
+        assert rep.rhs == pytest.approx(specfun.gamma(s), rel=1e-14)
+
     @pytest.mark.parametrize("id_,params,orders", [
         ("exp", {"a": 1.0}, (1, 2, 3, 4)),
         ("power", {"m": 8.0}, (1, 2, 3, 4)),
@@ -190,6 +199,11 @@ class TestHardy:
     def test_exponent_outside_strip(self):
         with pytest.raises(DomainError):
             hardy(catalog_get("geometric"), 1.5)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_exponent_is_domain_error(self, s):
+        with pytest.raises(DomainError, match="reflection_factor"):
+            hardy(catalog_get("geometric"), s)
 
     def test_requires_plain_presentation(self):
         with pytest.raises(PresentationError):
@@ -361,20 +375,9 @@ class TestIdentityReport:
         assert rep.rhs == 0.0
         assert math.isinf(rep.rel_discrepancy)
 
-    def test_default_tolerance_env_override(self, monkeypatch):
-        monkeypatch.setenv("RMT_DEFAULT_TOL", "1e-30")
-        rep = rmt(catalog_get("exp", a=2.0), 3.0)
-        assert rep.tolerance_used == 1e-30
-        assert not rep.passed
-        monkeypatch.setenv("RMT_DEFAULT_TOL", "0.1")
-        rep = rmt(catalog_get("exp", a=2.0), 3.0)
-        assert rep.passed
-
-    @pytest.mark.parametrize("env", ["nan", "0", "-1"])
-    def test_default_tolerance_env_must_be_positive(self, monkeypatch, env):
-        monkeypatch.setenv("RMT_DEFAULT_TOL", env)
-        with pytest.raises(DomainError, match="RMT_DEFAULT_TOL must be positive"):
-            rmt(catalog_get("exp", a=2.0), 3.0)
+    def test_tolerance_none_uses_default_identity_tol(self):
+        assert rmt(catalog_get("exp", a=2.0), 3.0).tolerance_used == DEFAULT_IDENTITY_TOL
+        assert rmt(catalog_get("exp", a=2.0), 3.0, tolerance=1e-30).tolerance_used == 1e-30
 
     @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, -math.inf])
     def test_positive_tolerance_rejects(self, value):
@@ -384,11 +387,6 @@ class TestIdentityReport:
     def test_positive_tolerance_rejects_infinity(self):
         with pytest.raises(DomainError, match="--tol must be finite"):
             positive_tolerance(math.inf, "--tol")
-
-    def test_default_tolerance_env_must_be_finite(self, monkeypatch):
-        monkeypatch.setenv("RMT_DEFAULT_TOL", "inf")
-        with pytest.raises(DomainError, match="RMT_DEFAULT_TOL must be finite"):
-            rmt(catalog_get("exp", a=2.0), 3.0)
 
     def test_positive_tolerance_returns_value(self):
         assert positive_tolerance(1e-30, "--tol") == 1e-30
