@@ -59,10 +59,20 @@ def _json_float(value: float):
     return float(f"{value:.15g}")
 
 
-def _record(command: str, inputs: dict, report: IdentityReport) -> dict:
+def _record(
+    command: str, head: dict, params: dict, values: dict, report: IdentityReport
+) -> dict:
+    """One output record.  Its inputs are ``head`` (what names the case or
+    pair), then the catalog parameters or expression bindings as
+    ``param.<name>`` after the ``--param`` flag they come from, then the
+    identity inputs under their IDENTITIES names, so that a parameter and
+    an input of one name (laguerre_weight's n, lemma2's n) both appear."""
+    inputs = dict(head)
+    inputs.update((f"param.{name}", _fmt(v)) for name, v in params.items())
+    inputs.update((name, _fmt(v)) for name, v in values.items())
     return {
         "command": command,
-        "inputs": {k: str(v) for k, v in inputs.items()},
+        "inputs": inputs,
         "lhs_value": _json_float(report.lhs.value),
         "lhs_error": _json_float(report.lhs.error_estimate),
         "rhs_value": _json_float(report.rhs),
@@ -132,7 +142,7 @@ def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
         raise _InputError(str(exc)) from None
 
 
-def _expression_pair(args: argparse.Namespace, identity: str) -> SeriesPair:
+def _expression_pair(args: argparse.Namespace) -> SeriesPair:
     if not args.closed_form:
         raise _InputError("--phi requires --closed-form as well")
     try:
@@ -141,6 +151,8 @@ def _expression_pair(args: argparse.Namespace, identity: str) -> SeriesPair:
     except ExprSyntaxError as exc:
         raise _InputError(f"--phi/--closed-form: {exc}") from None
     bindings = dict(args.params)
+    if "k" in bindings or "x" in bindings:
+        raise _InputError("--param: k and x are the free variables of --phi and --closed-form")
 
     def phi(k: float) -> float:
         return evaluate(phi_node, {**bindings, "k": k})
@@ -148,46 +160,36 @@ def _expression_pair(args: argparse.Namespace, identity: str) -> SeriesPair:
     def closed(x: float) -> float:
         return evaluate(closed_node, {**bindings, "x": x})
 
+    step = args.fd_step
     if args.fd_derivatives:
-        step = transforms.positive_tolerance(args.fd_step, "--fd-step")
+        transforms.positive_tolerance(step, "--fd-step")
 
-        def derivative(k: int, x: float) -> float:
-            if k == 0:
-                return closed(x)
-            return nth_derivative_fd(closed, x, k, step).value
-
-        derivative_max = FD_MAX_ORDER
-    else:
-
-        def derivative(k: int, x: float) -> float:
-            return closed(x) if k == 0 else math.nan
-
-        derivative_max = 0
+    def derivative(order: int, x: float) -> float:
+        if order == 0:
+            return closed(x)
+        return nth_derivative_fd(closed, x, order, step).value
 
     for flag, value in (("--f0", args.f0), ("--finf", args.finf)):
         if value is not None and not math.isfinite(value):
             raise _InputError(f"{flag} must be finite")
-    f0 = args.f0 if args.f0 is not None else phi(0.0)
-    finf = args.finf if args.finf is not None else 0.0
     return SeriesPair(
         phi=phi,
         closed_form=closed,
         derivative=derivative,
-        derivative_max=derivative_max,
-        f_at_zero=f0,
-        f_at_infinity=finf,
+        derivative_max=FD_MAX_ORDER if args.fd_derivatives else 0,
+        f_at_zero=args.f0 if args.f0 is not None else phi(0.0),
+        f_at_infinity=args.finf if args.finf is not None else 0.0,
         convergence_radius=math.inf,
-        nonstandard=(phi(0.0) == 0.0),
-        phi_plain=phi if identity == "hardy" else None,
+        phi_plain=phi,
         label="expression pair",
     )
 
 
-def _build_pair(args: argparse.Namespace, identity: str) -> SeriesPair:
+def _build_pair(args: argparse.Namespace) -> SeriesPair:
     if args.phi:
         if args.catalog:
             raise _InputError("--catalog and --phi are mutually exclusive")
-        return _expression_pair(args, identity)
+        return _expression_pair(args)
     if not args.catalog:
         raise _InputError("select a pair with --catalog or --phi/--closed-form")
     return catalog_get(args.catalog, **args.params)
@@ -199,21 +201,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _quad_config(args)
     tol = None if args.tol is None else transforms.positive_tolerance(args.tol, "--tol")
 
-    pair = _build_pair(args, identity)
-    inputs: dict = {"identity": identity}
+    pair = _build_pair(args)
+    head: dict = {"identity": identity}
     if args.catalog:
-        inputs["catalog"] = args.catalog
+        head["catalog"] = args.catalog
     else:
-        inputs["phi"] = args.phi
-        inputs["closed_form"] = args.closed_form
-    inputs.update({k: _fmt(v) for k, v in args.params.items()})
+        head["phi"] = args.phi
+        head["closed_form"] = args.closed_form
 
     kind = transforms.IDENTITIES[identity]
     values = {name: getattr(args, name) for name in kind.inputs}
     if None in values.values():
         flags = " and ".join(f"--{name}" for name in kind.inputs)
         raise _InputError(f"{identity} requires {flags}")
-    inputs.update({name: _fmt(value) for name, value in values.items()})
     try:
         report = kind.run(pair, cfg, tol, **values)
     except DerivativeUnavailable as exc:
@@ -221,7 +221,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise _InputError(f"{exc}{hint}") from None
 
     if args.json:
-        _emit_json(_record("verify", inputs, report))
+        _emit_json(_record("verify", head, args.params, values, report))
     else:
         print(_table_header())
         print(_table_row(report.identity, report))
@@ -242,9 +242,8 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     passed = sum(1 for _, rep in results if rep.passed)
     if args.json:
         for case, rep in results:
-            inputs = {"case": case.name, "kind": case.kind, "catalog": case.catalog_id}
-            inputs.update({k: _fmt(v) for k, v in (case.params | case.inputs).items()})
-            _emit_json(_record("corpus", inputs, rep))
+            head = {"case": case.name, "kind": case.kind, "catalog": case.catalog_id}
+            _emit_json(_record("corpus", head, case.params, case.inputs, rep))
     else:
         name_w = max([len(c.name) for c, _ in results], default=8) + 2
         header = "name".ljust(name_w) + "  " + _table_header()
@@ -258,10 +257,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 def _cmd_residue(args: argparse.Namespace) -> int:
     params = _parse_params(args.param)
     pair = catalog_get(args.catalog, **params)
-    if pair.nonstandard:
-        raise _InputError(
-            f"--catalog: {args.catalog!r} has phi(0) = 0 and no pole expansion here"
-        )
     residue = transforms.IDENTITIES["residue"].run
     # The verdict is convergence as the probe width shrinks, not a tolerance.
     rows = [
@@ -272,9 +267,9 @@ def _cmd_residue(args: argparse.Namespace) -> int:
     converging = narrow <= wide or narrow < 1e-12
     if args.json:
         for eps, report in rows:
-            inputs = {"catalog": args.catalog, "m": str(args.m), "eps": _fmt(eps)}
-            inputs.update({k: _fmt(v) for k, v in params.items()})
-            _emit_json(_record("residue", inputs, replace(report, passed=converging)))
+            values = {"m": args.m, "eps": eps}
+            report = replace(report, passed=converging)
+            _emit_json(_record("residue", {"catalog": args.catalog}, params, values, report))
     else:
         print("eps           left                    right                   abs_diff")
         for eps, report in rows:
@@ -309,7 +304,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     verify.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
     verify.add_argument("--phi", help="coefficient expression in k")
     verify.add_argument("--closed-form", help="closed-form expression in x")
-    verify.add_argument("--s", type=float, help="exponent for rmt/hardy")
+    verify.add_argument("--s", type=float, help="Mellin exponent")
     verify.add_argument("--n", type=int, help="derivative order for lemma2")
     verify.add_argument("--alpha", type=float, help="frullani scale")
     verify.add_argument("--beta", type=float, help="frullani scale")

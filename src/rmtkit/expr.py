@@ -266,7 +266,7 @@ def parse(source: str) -> ExprNode:
 def _apply_power(base: float, exponent: float) -> float:
     if base == 0.0 and exponent < 0.0:
         raise DivisionByZero("0 raised to a negative power")
-    if base < 0.0 and exponent != math.floor(exponent):
+    if base < 0.0 and not float(exponent).is_integer():
         raise DomainError(
             f"negative base {base!r} with non-integer exponent {exponent!r}"
         )
@@ -332,7 +332,11 @@ def evaluate(node: ExprNode, env: Mapping[str, float]) -> float:
         builtin = _BUILTINS.get(node.fn)
         if builtin is None:
             raise UnknownFunction(f"unknown function {node.fn!r}", 0, ())
-        return builtin[1](*[evaluate(a, env) for a in node.args])
+        args = [evaluate(a, env) for a in node.args]
+        try:
+            return builtin[1](*args)
+        except ValueError:  # math.sin and math.cos at +/-inf
+            raise DomainError(f"{node.fn} undefined at {', '.join(map(repr, args))}") from None
     raise DomainError(f"unknown node type {type(node).__name__}")
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from . import specfun
@@ -77,10 +77,14 @@ class SeriesPair:
     f_at_zero: float
     f_at_infinity: float
     convergence_radius: float
-    nonstandard: bool = False
     phi_plain: Callable[[float], float] | None = None
     phi_highprec: Callable[[int], object] | None = None
     label: str = "pair"
+
+    @property
+    def nonstandard(self) -> bool:
+        """phi(0) = 0: the leading coefficient vanishes, so F(0) = 0."""
+        return self.phi(0.0) == 0.0
 
 
 class SeriesValue(NamedTuple):
@@ -147,16 +151,14 @@ def shift_sequence(pair: SeriesPair, n: int) -> SeriesPair:
     base_phi = pair.phi
     base_deriv = pair.derivative
     base_hp = pair.phi_highprec
-    f0 = sign * base_deriv(n, 0.0)
     return SeriesPair(
         phi=lambda k: base_phi(n + k),
         closed_form=lambda x: sign * base_deriv(n, x),
         derivative=lambda order, x: sign * base_deriv(n + order, x),
         derivative_max=pair.derivative_max - n,
-        f_at_zero=f0,
+        f_at_zero=sign * base_deriv(n, 0.0),
         f_at_infinity=0.0,
         convergence_radius=pair.convergence_radius,
-        nonstandard=(f0 == 0.0),
         phi_highprec=(lambda k: base_hp(n + k)) if base_hp else None,
         label=f"{pair.label} shifted by {n}",
     )
@@ -210,9 +212,13 @@ def _build_power(**params) -> SeriesPair:
         # Gamma(m+k)/Gamma(m), the natural interpolant of the rising factorial.
         return specfun.gamma(m + k) / specfun.gamma(m)
 
+    # The integrands call derivative at one order many times over; each
+    # order's factor is computed on first use, so a pair whose Gamma(m)
+    # overflows still builds.
+    rising = functools.cache(phi)
+
     def derivative(order: int, x: float) -> float:
-        factor = specfun.gamma(m + order) / specfun.gamma(m)
-        return (-1.0) ** order * factor * (1.0 + x) ** (-(m + order))
+        return (-1.0) ** order * rising(order) * (1.0 + x) ** (-(m + order))
 
     def phi_hp(k: int):
         mp = _mp()
@@ -283,7 +289,6 @@ def _build_erf(**params) -> SeriesPair:
         f_at_zero=0.0,
         f_at_infinity=1.0,
         convergence_radius=math.inf,
-        nonstandard=True,
         phi_highprec=_erf_phi_hp,
         label="erf",
     )
@@ -337,36 +342,20 @@ def _build_laguerre_weight(**params) -> SeriesPair:
         f_at_zero=0.0,
         f_at_infinity=0.0,
         convergence_radius=math.inf,
-        nonstandard=True,
         phi_highprec=phi_hp,
         label=f"laguerre_weight(n={n})",
     )
 
 
 def _build_geometric(**params) -> SeriesPair:
-    """1/(1+x) as the plain series sum (-x)^k."""
+    """1/(1+x) as the plain series sum (-x)^k: the power pair at m = 1,
+    phi(k) = k!, with plain coefficients 1."""
     _require_params("geometric", params, ())
-
-    def phi(k: float) -> float:
-        # k! stored so the factorial-normalised series covers the plain
-        # series sum (-x)^k; the plain coefficients are identically 1.
-        return specfun.gamma(k + 1.0)
-
-    def derivative(order: int, x: float) -> float:
-        return (-1.0) ** order * specfun.gamma(order + 1.0) * (1.0 + x) ** (
-            -(order + 1)
-        )
-
-    return SeriesPair(
-        phi=phi,
+    return replace(
+        _build_power(m=1.0),
+        # 1/y, not y^-1: the two differ in the last bit for some x.
         closed_form=lambda x: 1.0 / (1.0 + x),
-        derivative=derivative,
-        derivative_max=100,
-        f_at_zero=1.0,
-        f_at_infinity=0.0,
-        convergence_radius=1.0,
         phi_plain=lambda k: 1.0,
-        phi_highprec=lambda k: _mp().factorial(k),
         label="geometric",
     )
 

@@ -94,9 +94,9 @@ def gamma(x: float) -> float:
 
     Raises PoleError within 1e-12 of a non-positive integer,
     OverflowError when |Gamma(x)| exceeds the double range and DomainError
-    at NaN and -inf.
+    at NaN and +/-inf.
     """
-    if math.isnan(x) or x == -math.inf:
+    if not math.isfinite(x):
         raise DomainError(f"gamma: undefined at {x!r}")
     if _near_nonpositive_integer(x):
         raise PoleError(f"gamma: pole at non-positive integer near x={x!r}")
@@ -187,7 +187,7 @@ def _erfc_cf(x: float) -> float:
 
 
 def erf(x: float) -> float:
-    """Error function, odd, monotone, with range (-1, 1).
+    """Error function, odd and monotone, with erf(+/-inf) = +/-1.
 
     Power series below |x| = 3, complementary continued fraction above.
     """
@@ -196,8 +196,10 @@ def erf(x: float) -> float:
     ax = abs(x)
     if ax < 3.0:
         value = _erf_series(ax)
-    else:
+    elif ax < math.inf:
         value = 1.0 - _erfc_cf(ax)
+    else:
+        value = 1.0
     return -value if x < 0.0 else (value if x > 0.0 else 0.0)
 
 

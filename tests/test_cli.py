@@ -97,7 +97,7 @@ class TestExitCodes:
     def test_residue_nonstandard_pair_is_input_error(self):
         proc = run_cli("residue", "--catalog", "erf", "--m", "0")
         assert proc.returncode == 2
-        assert "phi(0)" in proc.stderr
+        assert proc.stderr == "error: catalog 'erf': coefficients defined at integers only\n"
 
     def test_corpus_all_pass(self):
         assert run_cli("corpus").returncode == 0
@@ -289,6 +289,23 @@ class TestInputErrors:
         assert err == "error: --fd-step must be finite\n"
         assert out == ""
 
+    def test_infinite_argument_of_cos_is_input_error(self, capsys):
+        code, out, err = run_in_process(
+            capsys, "verify", "rmt", "--phi", "1", "--closed-form",
+            "cos(x*1e308*10)*exp(-x)", "--s", "1",
+        )
+        assert (code, out, err) == (2, "", "error: cos undefined at inf\n")
+
+    @pytest.mark.parametrize("name", ["k", "x"])
+    def test_param_naming_a_free_variable_is_input_error(self, capsys, name):
+        code, out, err = run_in_process(
+            capsys, "verify", "rmt", "--phi", "k^0", "--closed-form", "exp(-k*x)",
+            "--param", f"{name}=2", "--s", "1",
+        )
+        assert code == 2
+        assert err.startswith("error: --param: ")
+        assert out == ""
+
     def test_expression_pair_without_derivatives_suggests_fd(self, capsys):
         code, out, err = run_in_process(
             capsys, "verify", "lemma2", "--phi", "1", "--closed-form", "exp(-x)", "--n", "1"
@@ -296,6 +313,60 @@ class TestInputErrors:
         assert code == 2
         assert "derivative order 1" in err and "(use --fd-derivatives)" in err
         assert out == ""
+
+
+class TestRecordInputs:
+    def _inputs(self, capsys, *argv):
+        code, out, _ = run_in_process(capsys, *argv, "--json")
+        assert code == 0
+        return [json.loads(line)["inputs"] for line in out.splitlines()]
+
+    def test_catalog_parameter_and_identity_input_of_one_name(self, capsys):
+        (inputs,) = self._inputs(
+            capsys, "verify", "lemma2", "--catalog", "laguerre_weight", "--param", "n=3",
+            "--n", "2",
+        )
+        assert inputs == {
+            "identity": "lemma2", "catalog": "laguerre_weight", "param.n": "3", "n": "2",
+        }
+
+    def test_expression_bindings_are_params(self, capsys):
+        (inputs,) = self._inputs(
+            capsys, "verify", "rmt", "--phi", "a^k", "--closed-form", "exp(-a*x)",
+            "--param", "a=2", "--s", "3",
+        )
+        assert list(inputs) == ["identity", "phi", "closed_form", "param.a", "s"]
+
+    def test_corpus_and_residue_records(self, capsys):
+        records = self._inputs(capsys, "corpus", "--filter", "laguerre_zero")
+        assert records and all(
+            list(r)[:3] == ["case", "kind", "catalog"] and "param.n" in r and "n" in r
+            for r in records
+        )
+        wide, _ = self._inputs(capsys, "residue", "--catalog", "exp", "--param", "a=2", "--m", "1")
+        assert wide == {"catalog": "exp", "param.a": "2", "m": "1", "eps": "0.0001"}
+
+
+class TestExpressionPairs:
+    def test_phi_undefined_at_zero_with_f0_runs_frullani_and_hardy(self, capsys):
+        code, _, _ = run_in_process(
+            capsys, "verify", "frullani", "--phi", "1/k", "--closed-form", "exp(-x)",
+            "--f0", "1", "--alpha", "2", "--beta", "1",
+        )
+        assert code == 0
+        code, _, _ = run_in_process(
+            capsys, "verify", "hardy", "--phi", "k/k", "--closed-form",
+            "1/(1+x)", "--f0", "1", "--s", "0.5",
+        )
+        assert code == 0
+
+    def test_phi_undefined_at_zero_is_an_error_for_rmt(self, capsys):
+        code, out, err = run_in_process(
+            capsys, "verify", "rmt", "--phi", "1/k", "--closed-form", "exp(-x)",
+            "--f0", "1", "--s", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: division by zero")
 
 
 class TestWarnings:

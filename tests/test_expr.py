@@ -11,6 +11,7 @@ from rmtkit.errors import (
     DivisionByZero,
     DomainError,
     ExprSyntaxError,
+    RmtError,
     UnboundVariable,
     UnknownFunction,
 )
@@ -116,6 +117,20 @@ class TestEvaluate:
             "exp": 1, "ln": 1, "sin": 1, "cos": 1, "sqrt": 1,
             "gamma": 1, "fact": 1, "erf": 1, "pow": 2,
         }
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_FUNCTIONS))
+    @pytest.mark.parametrize("inf", [math.inf, -math.inf])
+    def test_builtins_at_infinity_return_or_raise_library_errors(self, name, inf):
+        others = (inf, -inf, 2.0, -2.0, 0.5, 0.0)
+        arglists = [(inf,)] if BUILTIN_FUNCTIONS[name] == 1 else [
+            args for other in others for args in ((inf, other), (other, inf))
+        ]
+        for args in arglists:
+            try:
+                value = evaluate(Call(name, tuple(map(Constant, args))), {})
+            except RmtError:
+                continue
+            assert not math.isnan(value), (name, args)
 
     def test_hand_built_call_to_unknown_function(self):
         with pytest.raises(UnknownFunction):

@@ -109,6 +109,17 @@ class TestFinite:
                 )
                 assert abs(left.value + right.value - whole.value) <= budget + 1e-15
 
+    def test_width_floor_stops_bisection(self):
+        # Each split halves the panel at 0, so after 50 splits it is
+        # narrower than 1e-15 of the interval and bisection stops there,
+        # far inside the default budget of 2000 splits.
+        res = integrate_finite(lambda x: x ** -0.5, 0.0, 1.0)
+        assert res.evaluations == 15 + 50 * 30
+        assert not res.converged
+        assert abs(res.value - 2.0) <= res.error_estimate
+        assert res.value == pytest.approx(2.0, abs=1.5e-9)
+        assert res.error_estimate == pytest.approx(2.1e-9, rel=0.01)
+
     def test_determinism(self):
         f = lambda x: math.exp(-x) * math.cos(3.0 * x)
         r1 = integrate_finite(f, 0.0, 10.0)

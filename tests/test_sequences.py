@@ -1,5 +1,6 @@
 """Series pairs: catalog construction, series evaluation, index shifts."""
 
+import dataclasses
 import math
 import os
 import pathlib
@@ -16,6 +17,7 @@ from rmtkit.errors import (
     RadiusError,
     UnknownEntry,
 )
+from rmtkit import sequences
 from rmtkit.sequences import catalog_get, catalog_ids, eval_series, shift_sequence
 from rmtkit.transforms import nth_derivative_fd
 
@@ -64,6 +66,47 @@ class TestCatalog:
         assert pair.phi_plain is not None
         assert pair.phi_plain(17.0) == 1.0
         assert pair.phi(4.0) == pytest.approx(24.0, rel=1e-13)
+
+    def test_geometric_is_power_at_one_bit_for_bit(self):
+        from mpmath import nstr
+
+        geometric = catalog_get("geometric")
+        power = catalog_get("power", m=1.0)
+        rng = random.Random(11)
+        for _ in range(200):
+            k = rng.uniform(-0.99, 30.0)
+            assert geometric.phi(k) == power.phi(k)
+        for k in range(40):
+            assert geometric.phi(float(k)) == power.phi(float(k))
+            hp = (geometric.phi_highprec(k), power.phi_highprec(k))
+            assert nstr(hp[0], 45) == nstr(hp[1], 45)
+        for _ in range(200):
+            order, x = rng.randint(0, 100), rng.uniform(0.0, 50.0)
+            assert geometric.derivative(order, x) == power.derivative(order, x)
+        assert power.phi_plain is None and geometric.phi_plain(2.5) == 1.0
+
+    def test_highprec_geometric_is_factorial(self):
+        # The 40-digit rising factorial at m = 1 is k! at the same precision,
+        # to all 45 digits shown.
+        from mpmath import nstr
+
+        mp = sequences._mp()
+        pair = catalog_get("geometric")
+        for k in range(101):
+            assert nstr(pair.phi_highprec(k), 45) == nstr(mp.factorial(k), 45)
+
+    def test_power_pair_with_overflowing_gamma_builds(self):
+        # Gamma(200) overflows a double; the coefficients are only needed
+        # once an operation asks for them.
+        pair = catalog_get("power", m=200.0)
+        assert pair.closed_form(1.0) == 2.0 ** -200.0
+
+    def test_nonstandard_is_read_off_phi_at_zero(self):
+        pair = catalog_get("exp")
+        assert not pair.nonstandard
+        zeroed = dataclasses.replace(pair, phi=lambda k: 0.0 if k == 0.0 else 1.0)
+        assert zeroed.nonstandard
+        assert "nonstandard" not in {f.name for f in dataclasses.fields(pair)}
 
     def test_unknown_entry(self):
         with pytest.raises(UnknownEntry):

@@ -41,6 +41,10 @@ class TestGamma:
         with pytest.raises(DomainError, match="gamma"):
             specfun.gamma(-math.inf)
 
+    def test_plus_infinity_is_domain_error(self):
+        with pytest.raises(DomainError, match="gamma"):
+            specfun.gamma(math.inf)
+
     def test_recurrence_consistency(self):
         """Gamma(x+1) = x Gamma(x) to 1e-12 relative on 1000 seeded draws."""
         rng = random.Random(20240817)
@@ -108,6 +112,10 @@ class TestErf:
         # erf(x) = 1 to within 1e-16 once x >= 40 (erfc underflows).
         assert abs(specfun.erf(40.0) - 1.0) <= 1e-16
         assert abs(specfun.erf(1e6) - 1.0) <= 1e-16
+
+    def test_infinity(self):
+        assert specfun.erf(math.inf) == 1.0
+        assert specfun.erf(-math.inf) == -1.0
 
     def test_value_at_one_against_series_oracle(self):
         assert specfun.erf(1.0) == pytest.approx(erf_maclaurin(1.0, 30), abs=1e-14)
