@@ -104,14 +104,14 @@ def _table_header() -> str:
 
 def _table_row(identity: str, report: IdentityReport) -> str:
     cells = (
-        identity.ljust(22),
-        _fmt(report.lhs.value).ljust(22),
-        f"{report.lhs.error_estimate:.2e}".ljust(12),
-        _fmt(report.rhs).ljust(22),
-        f"{report.abs_discrepancy:.2e}".ljust(12),
-        ("pass" if report.passed else "FAIL").ljust(6),
+        identity,
+        _fmt(report.lhs.value),
+        f"{report.lhs.error_estimate:.2e}",
+        _fmt(report.rhs),
+        f"{report.abs_discrepancy:.2e}",
+        "pass" if report.passed else "FAIL",
     )
-    row = "  ".join(cells)
+    row = "  ".join(cell.ljust(width) for cell, (_, width) in zip(cells, _TABLE_COLUMNS))
     if report.warnings:
         row += "  [" + "; ".join(report.warnings) + "]"
     return row

@@ -51,9 +51,11 @@ __all__ = [
 ]
 
 MAX_SOURCE_BYTES = 64 * 1024
-# Each counted level costs several interpreter stack frames; 120 keeps the
-# parser well inside CPython's default recursion limit while allowing any
-# realistic expression.
+# Parentheses, calls, unary minus and every binary operator count toward
+# the limit, so it bounds the tree depth that evaluate and to_source
+# recurse through.  Each counted level costs several interpreter stack
+# frames; 120 keeps the parser well inside CPython's default recursion limit
+# while allowing any realistic expression.
 _MAX_DEPTH = 120
 
 
@@ -147,30 +149,35 @@ class _Parser:
     def _leave(self):
         self.depth -= 1
 
+    def _chain(self, ops: str, operand: Callable[[], ExprNode]) -> ExprNode:
+        """A left-associative chain of ``operand`` joined by ``ops``.
+
+        Each operator deepens the tree one level, so each counts toward the
+        depth limit until the chain ends.
+        """
+        depth = self.depth
+        try:
+            node = operand()
+            while True:
+                kind, text, offset = self.peek()
+                if kind != "op" or text not in ops:
+                    return node
+                self._enter(offset)
+                self.advance()
+                node = BinaryOp(text, node, operand())
+        finally:
+            self.depth = depth
+
     def parse_expr(self) -> ExprNode:
         kind, text, offset = self.peek()
         self._enter(offset)
         try:
-            node = self.parse_term()
-            while True:
-                kind, text, _ = self.peek()
-                if kind == "op" and text in "+-":
-                    self.advance()
-                    node = BinaryOp(text, node, self.parse_term())
-                else:
-                    return node
+            return self._chain("+-", self.parse_term)
         finally:
             self._leave()
 
     def parse_term(self) -> ExprNode:
-        node = self.parse_factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinaryOp(text, node, self.parse_factor())
-            else:
-                return node
+        return self._chain("*/", self.parse_factor)
 
     def parse_factor(self) -> ExprNode:
         kind, text, offset = self.peek()
@@ -185,12 +192,16 @@ class _Parser:
 
     def parse_power(self) -> ExprNode:
         base = self.parse_primary()
-        kind, text, _ = self.peek()
+        kind, text, offset = self.peek()
         if kind == "op" and text == "^":
-            self.advance()
-            # Right-associative; the exponent may not start with a bare
-            # unary minus (parenthesise it instead).
-            return BinaryOp("^", base, self.parse_power())
+            self._enter(offset)
+            try:
+                self.advance()
+                # Right-associative; the exponent may not start with a bare
+                # unary minus (parenthesise it instead).
+                return BinaryOp("^", base, self.parse_power())
+            finally:
+                self._leave()
         return base
 
     def parse_primary(self) -> ExprNode:

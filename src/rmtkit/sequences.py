@@ -246,10 +246,7 @@ def _erf_phi(k: float) -> float:
     j = (k - 1) // 2
     # erf(x) = (2/sqrt(pi)) sum_j (-1)^j x^(2j+1) / (j! (2j+1)); rewriting in
     # the factorial-normalised convention gives the (2j)!/j! growth below.
-    factor = 1.0
-    for i in range(j + 1, 2 * j + 1):
-        factor *= i
-    return TWO_OVER_SQRT_PI * (-1.0) ** (j + 1) * factor
+    return TWO_OVER_SQRT_PI * (-1.0) ** (j + 1) * math.perm(2 * j, j)
 
 
 def _erf_phi_hp(k: int):
@@ -312,10 +309,7 @@ def _build_laguerre_weight(**params) -> SeriesPair:
         k = int(round(k))
         if k < n:
             return 0.0
-        factor = 1.0  # k!/(k-n)!
-        for i in range(k - n + 1, k + 1):
-            factor *= i
-        return (-1.0) ** n * factor
+        return (-1.0) ** n * math.perm(k, n)  # k!/(k-n)!
 
     def phi_hp(k: int):
         mp = _mp()
@@ -327,11 +321,8 @@ def _build_laguerre_weight(**params) -> SeriesPair:
         # Leibniz rule on x^n * e^-x.
         total = 0.0
         for i in range(min(order, n) + 1):
-            binom = math.comb(order, i)
-            falling = 1.0
-            for j in range(n - i + 1, n + 1):
-                falling *= j
-            total += binom * falling * x ** (n - i) * (-1.0) ** (order - i)
+            falling = math.perm(n, i)  # n!/(n-i)!
+            total += math.comb(order, i) * falling * x ** (n - i) * (-1.0) ** (order - i)
         return total * math.exp(-x)
 
     return SeriesPair(

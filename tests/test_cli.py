@@ -296,6 +296,24 @@ class TestInputErrors:
         )
         assert (code, out, err) == (2, "", "error: cos undefined at inf\n")
 
+    @pytest.mark.parametrize("chain", ["1^" * 2000 + "1", "x+" * 30000 + "x"])
+    def test_long_operator_chain_is_input_error(self, capsys, chain):
+        code, out, err = run_in_process(
+            capsys, "verify", "rmt", "--phi", "1", "--closed-form",
+            f"exp(-x)*({chain})", "--s", "1",
+        )
+        assert code == 2
+        assert "too deeply nested" in err
+        assert out == ""
+
+    def test_gamma_far_left_of_the_poles_is_finite(self, capsys):
+        # Gamma(-171.5) ~ 1.9e-310 is a value, not an overflow.
+        code, out, err = run_in_process(
+            capsys, "verify", "rmt", "--phi", "1", "--closed-form",
+            "exp(-x)*(1+gamma(-171.5))", "--s", "1",
+        )
+        assert (code, err) == (0, "")
+
     @pytest.mark.parametrize("name", ["k", "x"])
     def test_param_naming_a_free_variable_is_input_error(self, capsys, name):
         code, out, err = run_in_process(

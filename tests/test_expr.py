@@ -90,6 +90,22 @@ class TestGrammar:
         with pytest.raises(ExprSyntaxError):
             parse("(" * 3000 + "1" + ")" * 3000)
 
+    @pytest.mark.parametrize("op", ["^", "+", "-", "*", "/"])
+    def test_long_operator_chain_is_graceful(self, op):
+        # Each operator deepens the tree; a chain under the byte cap must
+        # stop at the depth limit, not in evaluate or to_source.
+        with pytest.raises(ExprSyntaxError, match="too deeply nested"):
+            parse(f"x{op}" * 30000 + "x")
+
+    @pytest.mark.parametrize("op,value", [("^", 1.0), ("+", 120.0), ("*", 1.0)])
+    def test_chain_just_under_the_depth_limit(self, op, value):
+        tree = parse(f"x{op}" * 119 + "x")
+        assert evaluate(tree, {"x": 1.0}) == value
+        printed = to_source(tree)
+        assert to_source(parse(printed)) == printed
+        with pytest.raises(ExprSyntaxError, match="too deeply nested"):
+            parse(f"x{op}" * 120 + "x")
+
 
 class TestEvaluate:
     def test_power_binding(self):

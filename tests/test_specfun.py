@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from rmtkit import specfun
@@ -12,6 +13,12 @@ from rmtkit.transforms import nth_derivative_fd
 from oracles import erf_maclaurin, hermite_by_expansion, laguerre_by_expansion
 
 SQRT_PI = 1.7724538509055159
+
+
+def ulps_off(value: float, exact) -> float:
+    """|value - exact| in units of the last place of exact rounded to double;
+    exact is an mpmath number."""
+    return float(abs(mpmath.mpf(value) - exact)) / math.ulp(float(exact))
 
 
 class TestGamma:
@@ -81,6 +88,40 @@ class TestGamma:
         with pytest.raises(DomainError):
             specfun.log_gamma(-1.0)
 
+    @pytest.mark.parametrize("n", range(1, 24))
+    def test_positive_integer_is_exact_factorial(self, n):
+        assert specfun.gamma(float(n)) == math.factorial(n - 1)
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 170.0), (-30.0, 0.0)])
+    def test_within_8_ulp_of_40_digit_reference(self, lo, hi):
+        rng = random.Random(20261018)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for _ in range(1000):
+                x = rng.uniform(lo, hi)
+                if x == 0.0 or (x < 0.0 and abs(x - round(x)) < 1e-6):
+                    continue
+                worst = max(worst, ulps_off(specfun.gamma(x), mpmath.gamma(x)))
+        assert worst <= 8.0
+
+    def test_tiny_value_far_left_is_finite(self):
+        # |Gamma(-171.5)| ~ 1.9e-310, a subnormal: the result underflows
+        # gracefully instead of overflowing an intermediate.
+        value = specfun.gamma(-171.5)
+        with mpmath.workdps(40):
+            exact = mpmath.gamma(mpmath.mpf(-171.5))
+        assert math.isfinite(value)
+        assert abs(value - float(exact)) <= 1e-12 * abs(float(exact))
+
+    def test_overflow_message(self):
+        with pytest.raises(OverflowError, match=r"gamma: Gamma\(171\.7\) exceeds double range"):
+            specfun.gamma(171.7)
+
+    def test_log_gamma_overflow(self):
+        # ln Gamma(1e306) ~ 7e308 exceeds the double range: an error, not inf.
+        with pytest.raises(OverflowError):
+            specfun.log_gamma(1e306)
+
 
 class TestReflectionFactor:
     def test_half(self):
@@ -145,6 +186,18 @@ class TestErf:
     def test_odd_bit_for_bit(self):
         for x in [0.0, 1e-12, 0.3, 1.0, 2.999, 3.0, 3.001, 7.5, 40.0]:
             assert specfun.erf(-x) == -specfun.erf(x)
+
+    def test_negative_zero_keeps_its_sign(self):
+        assert math.copysign(1.0, specfun.erf(-0.0)) == -1.0
+
+    def test_within_2_ulp_of_40_digit_reference(self):
+        rng = random.Random(20261018)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for _ in range(2000):
+                x = rng.uniform(-6.0, 6.0)
+                worst = max(worst, ulps_off(specfun.erf(x), mpmath.erf(x)))
+        assert worst <= 2.0
 
     def test_monotone_and_bounded(self):
         prev = -1.0
