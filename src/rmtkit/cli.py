@@ -14,6 +14,7 @@ is reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -22,7 +23,8 @@ from dataclasses import replace
 from . import transforms
 from .corpus import builtin_cases, run_corpus, scale_tolerances
 from .errors import DerivativeUnavailable, ExprSyntaxError, RmtError
-from .expr import evaluate, parse
+# bench/tracer.py patches cli.evaluate by name, so cli keeps importing it.
+from .expr import compile_expr, evaluate, parse  # noqa: F401
 from .quadrature import QuadratureConfig
 from .sequences import SeriesPair, catalog_get, catalog_ids
 from .transforms import FD_MAX_ORDER, IdentityReport, nth_derivative_fd
@@ -153,13 +155,8 @@ def _expression_pair(args: argparse.Namespace) -> SeriesPair:
     bindings = dict(args.params)
     if "k" in bindings or "x" in bindings:
         raise _InputError("--param: k and x are the free variables of --phi and --closed-form")
-
-    def phi(k: float) -> float:
-        return evaluate(phi_node, {**bindings, "k": k})
-
-    def closed(x: float) -> float:
-        return evaluate(closed_node, {**bindings, "x": x})
-
+    phi = compile_expr(phi_node, bindings, "k")
+    closed = compile_expr(closed_node, bindings, "x")
     step = args.fd_step
     if args.fd_derivatives:
         transforms.positive_tolerance(step, "--fd-step")
@@ -169,7 +166,9 @@ def _expression_pair(args: argparse.Namespace) -> SeriesPair:
             return closed(x)
         return nth_derivative_fd(closed, x, order, step).value
 
-    for flag, value in (("--f0", args.f0), ("--finf", args.finf)):
+    flags = [("--f0", args.f0), ("--finf", args.finf)]
+    flags += [(f"--param {name}", value) for name, value in bindings.items()]
+    for flag, value in flags:
         if value is not None and not math.isfinite(value):
             raise _InputError(f"{flag} must be finite")
     return SeriesPair(
@@ -281,6 +280,9 @@ def _cmd_residue(args: argparse.Namespace) -> int:
     return 0 if converging else 1
 
 
+# Built on the first main call and reused: parse_args leaves the parser as
+# it was (an append action copies its default list before appending).
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="rmtkit",

@@ -13,11 +13,15 @@ Grammar (precedence climbing, lowest first)::
 '^' is right-associative and binds tighter than unary minus, so ``-k^2``
 is ``-(k^2)``; an exponent may not start with a bare unary minus
 (``2^-3`` is a syntax error, write ``2^(-3)``).  Numbers are decimal with
-optional fraction and exponent.  Whitespace is insignificant.
+optional fraction and exponent; one beyond double range is a syntax error,
+so every parsed tree prints back through ``to_source``.  Whitespace is
+insignificant.
 
 ``fact(x)`` is defined as gamma(x+1) so it accepts real arguments.
 There are no user-defined functions or conditionals; evaluation is strict,
-bottom-up, in double precision.
+bottom-up, in double precision.  ``compile_expr`` turns a tree into nested
+closures once and reads every bound name then, so a later evaluation walks
+no tree; ``evaluate`` compiles and calls once.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ __all__ = [
     "Call",
     "parse",
     "evaluate",
+    "compile_expr",
     "to_source",
     "BUILTIN_FUNCTIONS",
     "MAX_SOURCE_BYTES",
@@ -52,10 +57,10 @@ __all__ = [
 
 MAX_SOURCE_BYTES = 64 * 1024
 # Parentheses, calls, unary minus and every binary operator count toward
-# the limit, so it bounds the tree depth that evaluate and to_source
-# recurse through.  Each counted level costs several interpreter stack
-# frames; 120 keeps the parser well inside CPython's default recursion limit
-# while allowing any realistic expression.
+# the limit, so it bounds the tree depth that compile_expr, the closures it
+# builds and to_source recurse through.  Each counted level costs several
+# interpreter stack frames; 120 keeps the parser well inside CPython's
+# default recursion limit while allowing any realistic expression.
 _MAX_DEPTH = 120
 
 
@@ -207,7 +212,10 @@ class _Parser:
     def parse_primary(self) -> ExprNode:
         kind, text, offset = self.advance()
         if kind == "number":
-            return Constant(float(text))
+            value = float(text)
+            if math.isinf(value):
+                raise ExprSyntaxError(f"number {text!r} exceeds double range", offset, ())
+            return Constant(value)
         if kind == "ident":
             pk, pt, _ = self.peek()
             if pk == "op" and pt == "(":
@@ -312,43 +320,110 @@ _BUILTINS: dict[str, tuple[int, Callable[..., float]]] = {
 BUILTIN_FUNCTIONS: dict[str, int] = {name: arity for name, (arity, _) in _BUILTINS.items()}
 
 
+def compile_expr(
+    node: ExprNode, bindings: Mapping[str, float], variable: str | None
+) -> Callable[[float], float]:
+    """Compile a tree once into a one-argument function of ``variable``.
+
+    Every other name is read from ``bindings`` once, here, as a float;
+    with ``variable`` None every name is, and the argument goes unused.
+    Evaluation is strict, bottom-up, in double precision, and an error is
+    raised only when evaluation reaches it, so ``1/0 + q`` with ``q``
+    unbound raises DivisionByZero as a left-to-right walk would.
+    """
+    if isinstance(node, Constant):
+        value = node.value
+        return lambda x: value
+    if isinstance(node, Variable):
+        name = node.name
+        if name == variable:
+            return float
+        try:
+            value = float(bindings[name])
+        except KeyError:
+            return _raises(UnboundVariable, f"variable {name!r} is not bound")
+        return lambda x: value
+    if isinstance(node, UnaryNeg):
+        child = compile_expr(node.child, bindings, variable)
+        return lambda x: -child(x)
+    if isinstance(node, BinaryOp):
+        return _compile_binary(
+            node.op,
+            compile_expr(node.left, bindings, variable),
+            compile_expr(node.right, bindings, variable),
+        )
+    if isinstance(node, Call):
+        return _compile_call(node, bindings, variable)
+    return _raises(DomainError, f"unknown node type {type(node).__name__}")
+
+
+def _raises(error: type[Exception], *args) -> Callable[[float], float]:
+    def fail(x: float) -> float:
+        raise error(*args)
+
+    return fail
+
+
+def _compile_binary(op: str, left, right) -> Callable[[float], float]:
+    if op == "+":
+        return lambda x: left(x) + right(x)
+    if op == "-":
+        return lambda x: left(x) - right(x)
+    if op == "*":
+        return lambda x: left(x) * right(x)
+    if op == "/":
+
+        def divide(x: float) -> float:
+            numerator = left(x)
+            denominator = right(x)
+            if denominator == 0.0:
+                raise DivisionByZero(f"division by zero: {numerator!r} / 0")
+            return numerator / denominator
+
+        return divide
+    if op == "^":
+        return lambda x: _apply_power(left(x), right(x))
+
+    def unknown(x: float) -> float:
+        left(x)
+        right(x)
+        raise DomainError(f"unknown operator {op!r}")
+
+    return unknown
+
+
+def _compile_call(node: Call, bindings, variable) -> Callable[[float], float]:
+    name = node.fn
+    builtin = _BUILTINS.get(name)
+    if builtin is None:
+        return _raises(UnknownFunction, f"unknown function {name!r}", 0, ())
+    fn = builtin[1]
+    args = [compile_expr(a, bindings, variable) for a in node.args]
+    if len(args) == 1:  # the common case skips building a list of values
+        (arg,) = args
+
+        def call_one(x: float) -> float:
+            value = arg(x)
+            try:
+                return fn(value)
+            except ValueError:  # math.sin and math.cos at +/-inf
+                raise DomainError(f"{name} undefined at {value!r}") from None
+
+        return call_one
+
+    def call(x: float) -> float:
+        values = [a(x) for a in args]
+        try:
+            return fn(*values)
+        except ValueError:  # math.sin and math.cos at +/-inf
+            raise DomainError(f"{name} undefined at {', '.join(map(repr, values))}") from None
+
+    return call
+
+
 def evaluate(node: ExprNode, env: Mapping[str, float]) -> float:
     """Strict bottom-up evaluation in double precision."""
-    if isinstance(node, Constant):
-        return node.value
-    if isinstance(node, Variable):
-        try:
-            return float(env[node.name])
-        except KeyError:
-            raise UnboundVariable(f"variable {node.name!r} is not bound") from None
-    if isinstance(node, UnaryNeg):
-        return -evaluate(node.child, env)
-    if isinstance(node, BinaryOp):
-        left = evaluate(node.left, env)
-        right = evaluate(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if right == 0.0:
-                raise DivisionByZero(f"division by zero: {left!r} / 0")
-            return left / right
-        if node.op == "^":
-            return _apply_power(left, right)
-        raise DomainError(f"unknown operator {node.op!r}")
-    if isinstance(node, Call):
-        builtin = _BUILTINS.get(node.fn)
-        if builtin is None:
-            raise UnknownFunction(f"unknown function {node.fn!r}", 0, ())
-        args = [evaluate(a, env) for a in node.args]
-        try:
-            return builtin[1](*args)
-        except ValueError:  # math.sin and math.cos at +/-inf
-            raise DomainError(f"{node.fn} undefined at {', '.join(map(repr, args))}") from None
-    raise DomainError(f"unknown node type {type(node).__name__}")
+    return compile_expr(node, env, None)(0.0)
 
 
 # Printing: precedence levels for minimal parenthesisation.

@@ -3,8 +3,10 @@
 Nothing here touches the package's adaptive Gauss-Kronrod integrator: the
 routines are composite Simpson / trapezoid rules on explicit meshes plus
 analytic tail handling, so agreement with the library is meaningful.  The
-one exception is ``reference_integrate_finite``, a plain restatement of the
-integrator's bisection loop that pins the optimised loop bit for bit.
+exceptions are ``reference_integrate_finite``, a plain restatement of the
+integrator's bisection loop that pins the optimised loop bit for bit, and
+``reference_evaluate``, the expression tree walk that pins the compiled
+closures bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ import math
 
 import numpy as np
 
-from rmtkit.errors import DomainError, EvaluationError
+from rmtkit.errors import (
+    DivisionByZero,
+    DomainError,
+    EvaluationError,
+    UnboundVariable,
+    UnknownFunction,
+)
+from rmtkit.expr import _BUILTINS, BinaryOp, Call, Constant, UnaryNeg, Variable, _apply_power
 from rmtkit.quadrature import (
     _WG,
     _WGK,
@@ -220,3 +229,43 @@ def reference_integrate_finite(f, a: float, b: float, cfg=None) -> EvaluationRes
     error = _kahan_sum(p[3] for p in panels)
     converged = converged and error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
     return EvaluationResult(value, error, counter.count, converged)
+
+
+def reference_evaluate(node, env) -> float:
+    """The expression evaluator as first written: a walk over the tree on
+    every call, reading each name from ``env`` when it is reached."""
+    if isinstance(node, Constant):
+        return node.value
+    if isinstance(node, Variable):
+        try:
+            return float(env[node.name])
+        except KeyError:
+            raise UnboundVariable(f"variable {node.name!r} is not bound") from None
+    if isinstance(node, UnaryNeg):
+        return -reference_evaluate(node.child, env)
+    if isinstance(node, BinaryOp):
+        left = reference_evaluate(node.left, env)
+        right = reference_evaluate(node.right, env)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if node.op == "/":
+            if right == 0.0:
+                raise DivisionByZero(f"division by zero: {left!r} / 0")
+            return left / right
+        if node.op == "^":
+            return _apply_power(left, right)
+        raise DomainError(f"unknown operator {node.op!r}")
+    if isinstance(node, Call):
+        builtin = _BUILTINS.get(node.fn)
+        if builtin is None:
+            raise UnknownFunction(f"unknown function {node.fn!r}", 0, ())
+        args = [reference_evaluate(a, env) for a in node.args]
+        try:
+            return builtin[1](*args)
+        except ValueError:  # math.sin and math.cos at +/-inf
+            raise DomainError(f"{node.fn} undefined at {', '.join(map(repr, args))}") from None
+    raise DomainError(f"unknown node type {type(node).__name__}")

@@ -324,6 +324,23 @@ class TestInputErrors:
         assert err.startswith("error: --param: ")
         assert out == ""
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_expression_param_is_input_error(self, capsys, value):
+        code, out, err = run_in_process(
+            capsys, "verify", "rmt", "--phi", "a^k", "--closed-form", "exp(-a*x)",
+            "--param", f"a={value}", "--s", "2",
+        )
+        assert (code, out, err) == (2, "", "error: --param a must be finite\n")
+
+    def test_overflowing_number_literal_is_input_error(self, capsys):
+        code, out, err = run_in_process(
+            capsys, "verify", "rmt", "--phi", "1", "--closed-form", "exp(-x)+exp(-1e999)",
+            "--s", "1",
+        )
+        assert code == 2
+        assert err.startswith("error: --phi/--closed-form: number '1e999' exceeds double range")
+        assert out == ""
+
     def test_expression_pair_without_derivatives_suggests_fd(self, capsys):
         code, out, err = run_in_process(
             capsys, "verify", "lemma2", "--phi", "1", "--closed-form", "exp(-x)", "--n", "1"
@@ -431,3 +448,30 @@ class TestIdentityTable:
         ((_, report),) = corpus.run_corpus(cases)
         assert report.passed
         assert calls == [3.0, 0.5]
+
+
+class TestParserReuse:
+    CALLS = [
+        ("verify", "rmt", "--phi", "a^k", "--closed-form", "exp(-a*x)", "--param", "a=2",
+         "--s", "2", "--json"),
+        ("verify", "rmt", "--phi", "a^k", "--closed-form", "exp(-a*x)", "--s", "2", "--json"),
+        ("corpus", "--filter", "euler"),
+        ("residue", "--catalog", "exp", "--m", "0"),
+    ]
+
+    def test_calls_in_sequence_match_calls_alone(self, capsys):
+        """The parser is built once per process; no flag of one call may
+        carry over into the next."""
+        from rmtkit import cli
+
+        alone = []
+        for argv in self.CALLS:
+            cli._build_argparser.cache_clear()
+            alone.append(run_in_process(capsys, *argv))
+        cli._build_argparser.cache_clear()
+        in_sequence = [run_in_process(capsys, *argv) for argv in self.CALLS]
+        assert in_sequence == alone
+        assert cli._build_argparser.cache_info().misses == 1
+        assert [code for code, _, _ in alone] == [0, 2, 0, 0]
+        assert alone[1][2] == "error: variable 'a' is not bound\n"
+        assert not any(out.startswith("{") for _, out, _ in alone[2:])

@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from rmtkit.errors import (
     UnknownFunction,
 )
 from rmtkit import specfun
+from oracles import reference_evaluate
 from rmtkit.expr import (
     BUILTIN_FUNCTIONS,
     BinaryOp,
@@ -23,6 +25,7 @@ from rmtkit.expr import (
     Constant,
     UnaryNeg,
     Variable,
+    compile_expr,
     evaluate,
     parse,
     to_source,
@@ -308,3 +311,106 @@ class TestRobustness:
                 parse(source)
             except ExprSyntaxError:
                 pass
+
+
+class TestNumberLiterals:
+    @pytest.mark.parametrize("source,offset", [("1e999", 0), ("exp(-x)+exp(-5e794)", 13)])
+    def test_overflowing_literal_is_a_syntax_error(self, source, offset):
+        with pytest.raises(ExprSyntaxError, match="exceeds double range") as exc_info:
+            parse(source)
+        assert exc_info.value.offset == offset
+
+    @pytest.mark.parametrize("source,value", [
+        ("1.7976931348623157e308", 1.7976931348623157e308),
+        ("2.5e-320", 2.5e-320),
+        ("1e-999", 0.0),
+    ])
+    def test_literals_at_the_ends_of_double_range_round_trip(self, source, value):
+        assert parse(source) == Constant(value)
+        printed = to_source(parse(source))
+        assert parse(printed) == Constant(value)
+        assert to_source(parse(printed)) == printed
+
+
+def _outcome(thunk):
+    """What thunk() gives, comparable bit for bit: the value's type and
+    bytes, or the exception's type and message."""
+    try:
+        value = thunk()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), struct.pack("<d", value)
+
+
+class TestCompiled:
+    POINTS = (0.0, -1.5, 0.7, 3.0, 1e300)
+    # x is the free variable; every other fuzzed name is unbound.
+    BINDINGS = {"k": 2.0, "m": 0.5, "s": -1.5, "a": 3.0}
+    MALFORMED = [
+        BinaryOp("%", Constant(1.0), Constant(2.0)),
+        BinaryOp("%", Variable("q"), Constant(2.0)),
+        BinaryOp("+", BinaryOp("/", Constant(1.0), Constant(0.0)), Variable("q")),
+        BinaryOp("+", Variable("q"), BinaryOp("/", Constant(1.0), Constant(0.0))),
+        Call("zeta", (Variable("q"),)),
+        Call("exp", (Constant(1.0), Constant(2.0))),
+        Call("pow", (Variable("x"),)),
+        Call("gamma", ()),
+        Call("cos", (BinaryOp("*", Variable("x"), Constant(1e10)),)),
+        UnaryNeg(Constant("a")),
+        Constant(3),
+        "x",
+        BinaryOp("*", Constant(2.0), None),
+    ]
+
+    @staticmethod
+    def _fuzz_trees():
+        """Every tree that parses from test_seeded_fuzz_100k's generator,
+        with four more call fragments."""
+        rng = random.Random(0xC0FFEE)
+        fragments = [
+            "k", "x", "m", "s", "1", "2.5", "1e3", "+", "-", "*", "/", "^",
+            "(", ")", ",", " ", "gamma", "exp(", "fact(", "pow(", "q_1", ".",
+            "sqrt(", "ln(", "cos(", "erf(",
+        ]
+        charset = "abkxms0123456789+-*/^(), .eE_#@!\\\"'"
+        trees = []
+        for i in range(100_000):
+            if i % 3 == 0:
+                source = "".join(rng.choice(fragments) for _ in range(rng.randrange(0, 14)))
+            else:
+                source = "".join(rng.choice(charset) for _ in range(rng.randrange(0, 30)))
+            try:
+                trees.append(parse(source))
+            except ExprSyntaxError:
+                pass
+        return trees
+
+    def _assert_matches_reference(self, tree):
+        compiled = compile_expr(tree, self.BINDINGS, "x")
+        for x in self.POINTS:
+            env = {**self.BINDINGS, "x": x}
+            expected = _outcome(lambda: reference_evaluate(tree, env))
+            assert _outcome(lambda: compiled(x)) == expected, (tree, x)
+            assert _outcome(lambda: evaluate(tree, env)) == expected, (tree, x)
+
+    def test_fuzzed_trees_match_the_tree_walk_and_print_to_a_fixed_point(self):
+        trees = self._fuzz_trees()
+        assert len(trees) > 4000
+        for tree in trees:
+            self._assert_matches_reference(tree)
+            printed = to_source(tree)
+            assert to_source(parse(printed)) == printed
+
+    @pytest.mark.parametrize("source", ROUND_TRIP_CORPUS)
+    def test_corpus_matches_the_tree_walk(self, source):
+        self._assert_matches_reference(parse(source))
+
+    @pytest.mark.parametrize("tree", MALFORMED, ids=repr)
+    def test_malformed_trees_fail_as_the_tree_walk_does(self, tree):
+        self._assert_matches_reference(tree)
+
+    def test_bindings_are_read_once(self):
+        bindings = {"a": 2.0}
+        f = compile_expr(parse("a*x"), bindings, "x")
+        bindings["a"] = 5.0
+        assert f(3.0) == 6.0
