@@ -399,17 +399,6 @@ def _compile_call(node: Call, bindings, variable) -> Callable[[float], float]:
         return _raises(UnknownFunction, f"unknown function {name!r}", 0, ())
     fn = builtin[1]
     args = [compile_expr(a, bindings, variable) for a in node.args]
-    if len(args) == 1:  # the common case skips building a list of values
-        (arg,) = args
-
-        def call_one(x: float) -> float:
-            value = arg(x)
-            try:
-                return fn(value)
-            except ValueError:  # math.sin and math.cos at +/-inf
-                raise DomainError(f"{name} undefined at {value!r}") from None
-
-        return call_one
 
     def call(x: float) -> float:
         values = [a(x) for a in args]
