@@ -57,10 +57,12 @@ __all__ = [
 
 MAX_SOURCE_BYTES = 64 * 1024
 # Parentheses, calls, unary minus and every binary operator count toward
-# the limit, so it bounds the tree depth that compile_expr, the closures it
-# builds and to_source recurse through.  Each counted level costs several
-# interpreter stack frames; 120 keeps the parser well inside CPython's
-# default recursion limit while allowing any realistic expression.
+# the limit: each _Parser method takes the depth it parses at, and passes
+# one more to what it parses below such a construct.  So the limit bounds
+# the tree depth that compile_expr, the closures it builds and to_source
+# recurse through.  Each counted level costs several interpreter stack
+# frames; 120 keeps the parser well inside CPython's default recursion
+# limit while allowing any realistic expression.
 _MAX_DEPTH = 120
 
 
@@ -127,10 +129,16 @@ def _tokenize(source: str):
 
 
 class _Parser:
+    """Recursive descent over the token list.
+
+    Each grammar method takes the depth it parses at as an argument.  A
+    construct that deepens the tree passes ``_deeper(depth, offset)``, one
+    more, to what it parses below, so no depth is kept or restored here.
+    """
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
-        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -146,70 +154,54 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", offset, (op,))
         return self.advance()
 
-    def _enter(self, offset: int):
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
+    @staticmethod
+    def _deeper(depth: int, offset: int) -> int:
+        """``depth + 1``, or the nesting error at ``offset`` past the limit."""
+        if depth >= _MAX_DEPTH:
             raise ExprSyntaxError("expression too deeply nested", offset, ())
+        return depth + 1
 
-    def _leave(self):
-        self.depth -= 1
-
-    def _chain(self, ops: str, operand: Callable[[], ExprNode]) -> ExprNode:
+    def _chain(self, ops: str, operand: Callable[[int], ExprNode], depth: int) -> ExprNode:
         """A left-associative chain of ``operand`` joined by ``ops``.
 
         Each operator deepens the tree one level, so each counts toward the
         depth limit until the chain ends.
         """
-        depth = self.depth
-        try:
-            node = operand()
-            while True:
-                kind, text, offset = self.peek()
-                if kind != "op" or text not in ops:
-                    return node
-                self._enter(offset)
-                self.advance()
-                node = BinaryOp(text, node, operand())
-        finally:
-            self.depth = depth
+        node = operand(depth)
+        while True:
+            kind, text, offset = self.peek()
+            if kind != "op" or text not in ops:
+                return node
+            depth = self._deeper(depth, offset)
+            self.advance()
+            node = BinaryOp(text, node, operand(depth))
 
-    def parse_expr(self) -> ExprNode:
-        kind, text, offset = self.peek()
-        self._enter(offset)
-        try:
-            return self._chain("+-", self.parse_term)
-        finally:
-            self._leave()
+    def parse_expr(self, depth: int) -> ExprNode:
+        return self._chain("+-", self.parse_term, self._deeper(depth, self.peek()[2]))
 
-    def parse_term(self) -> ExprNode:
-        return self._chain("*/", self.parse_factor)
+    def parse_term(self, depth: int) -> ExprNode:
+        return self._chain("*/", self.parse_factor, depth)
 
-    def parse_factor(self) -> ExprNode:
+    def parse_factor(self, depth: int) -> ExprNode:
         kind, text, offset = self.peek()
         if kind == "op" and text == "-":
-            self._enter(offset)
-            try:
-                self.advance()
-                return UnaryNeg(self.parse_factor())
-            finally:
-                self._leave()
-        return self.parse_power()
+            depth = self._deeper(depth, offset)
+            self.advance()
+            return UnaryNeg(self.parse_factor(depth))
+        return self.parse_power(depth)
 
-    def parse_power(self) -> ExprNode:
-        base = self.parse_primary()
+    def parse_power(self, depth: int) -> ExprNode:
+        base = self.parse_primary(depth)
         kind, text, offset = self.peek()
         if kind == "op" and text == "^":
-            self._enter(offset)
-            try:
-                self.advance()
-                # Right-associative; the exponent may not start with a bare
-                # unary minus (parenthesise it instead).
-                return BinaryOp("^", base, self.parse_power())
-            finally:
-                self._leave()
+            depth = self._deeper(depth, offset)
+            self.advance()
+            # Right-associative; the exponent may not start with a bare
+            # unary minus (parenthesise it instead).
+            return BinaryOp("^", base, self.parse_power(depth))
         return base
 
-    def parse_primary(self) -> ExprNode:
+    def parse_primary(self, depth: int) -> ExprNode:
         kind, text, offset = self.advance()
         if kind == "number":
             value = float(text)
@@ -219,14 +211,10 @@ class _Parser:
         if kind == "ident":
             pk, pt, _ = self.peek()
             if pk == "op" and pt == "(":
-                return self.parse_call(text, offset)
+                return self.parse_call(text, offset, depth)
             return Variable(text)
         if kind == "op" and text == "(":
-            self._enter(offset)
-            try:
-                node = self.parse_expr()
-            finally:
-                self._leave()
+            node = self.parse_expr(self._deeper(depth, offset))
             self.expect_op(")")
             return node
         raise ExprSyntaxError(
@@ -235,7 +223,7 @@ class _Parser:
             ("number", "identifier", "'('"),
         )
 
-    def parse_call(self, name: str, offset: int) -> ExprNode:
+    def parse_call(self, name: str, offset: int, depth: int) -> ExprNode:
         if name not in BUILTIN_FUNCTIONS:
             raise UnknownFunction(
                 f"unknown function {name!r}",
@@ -243,18 +231,15 @@ class _Parser:
                 tuple(sorted(BUILTIN_FUNCTIONS)),
             )
         self.expect_op("(")
-        self._enter(offset)
-        try:
-            args = [self.parse_expr()]
-            while True:
-                kind, text, _ = self.peek()
-                if kind == "op" and text == ",":
-                    self.advance()
-                    args.append(self.parse_expr())
-                else:
-                    break
-        finally:
-            self._leave()
+        depth = self._deeper(depth, offset)
+        args = [self.parse_expr(depth)]
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text == ",":
+                self.advance()
+                args.append(self.parse_expr(depth))
+            else:
+                break
         self.expect_op(")")
         arity = BUILTIN_FUNCTIONS[name]
         if len(args) != arity:
@@ -275,7 +260,7 @@ def parse(source: str) -> ExprNode:
     if len(source.encode("utf-8", errors="replace")) > MAX_SOURCE_BYTES:
         raise ExprSyntaxError("input exceeds 64 KiB", MAX_SOURCE_BYTES, ())
     parser = _Parser(_tokenize(source))
-    node = parser.parse_expr()
+    node = parser.parse_expr(0)
     kind, text, offset = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {text!r}", offset, ("end of input",))
@@ -465,11 +450,7 @@ def to_source(node: ExprNode) -> str:
         if lp < prec:
             left = f"({left})"
         # Left-associative: a right operand at the same level needs parens.
-        if rp < prec or (rp == prec and node.op in "-/"):
+        if rp <= prec:
             right = f"({right})"
-        elif rp == prec and node.op in "+*":
-            # keep a+(b+c) distinguishable only when it was built that way
-            if isinstance(node.right, BinaryOp) and _PREC[node.right.op] == prec:
-                right = f"({right})"
         return f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
     raise DomainError(f"unknown node type {type(node).__name__}")

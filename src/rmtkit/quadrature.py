@@ -85,10 +85,12 @@ class QuadratureConfig:
             raise ValueError("tolerances must be non-negative")
         if self.abs_tol == 0.0 and self.rel_tol == 0.0:
             raise ValueError("at least one of abs_tol, rel_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if self.max_tail_panels < 1:
-            raise ValueError("max_tail_panels must be >= 1")
+        for name in ("max_subdivisions", "max_tail_panels"):
+            budget = getattr(self, name)
+            if not isinstance(budget, int):
+                raise ValueError(f"{name} must be an integer")
+            if budget < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     def scaled(self, factor: float) -> "QuadratureConfig":
         """Copy with both tolerances multiplied by ``factor``."""

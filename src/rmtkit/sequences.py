@@ -140,14 +140,15 @@ def shift_sequence(pair: SeriesPair, n: int) -> SeriesPair:
     closed form, so the series identity
     f^(n)(x) = (-1)^n sum_k phi(n+k) (-x)^k / k! carries over directly.
     """
-    if n < 1:
+    if not (n >= 1 and float(n).is_integer()):
         raise DomainError("shift_sequence: n must be a positive integer")
+    n = int(n)
     if n > pair.derivative_max:
         raise DerivativeUnavailable(
             f"shift_sequence: order {n} exceeds derivative_max="
             f"{pair.derivative_max}"
         )
-    sign = -1.0 if n % 2 else 1.0
+    sign = (-1.0) ** n
     base_phi = pair.phi
     base_deriv = pair.derivative
     base_hp = pair.phi_highprec

@@ -84,11 +84,6 @@ def positive_tolerance(value: float, source: str) -> float:
     return value
 
 
-def _sign(k: int) -> float:
-    """(-1)^k for an integer k, exactly."""
-    return -1.0 if k % 2 else 1.0
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     """Outcome of checking one identity.
@@ -181,8 +176,9 @@ def lemma2(
     """Check integral of x^(n-1) f^(n)(x) against
     (-1)^(n-1) (f(inf) - f(0)) Gamma(n), using the pair's analytic
     derivative."""
-    if n < 1:
+    if not (n >= 1 and float(n).is_integer()):
         raise DomainError("lemma2: n must be a positive integer")
+    n = int(n)
     if n > pair.derivative_max:
         raise DerivativeUnavailable(
             f"{pair.label}: derivative order {n} exceeds "
@@ -193,7 +189,7 @@ def lemma2(
         return x ** (n - 1) * pair.derivative(n, x)
 
     lhs = integrate_semi_infinite(integrand, cfg)
-    rhs = _sign(n - 1) * (pair.f_at_infinity - pair.f_at_zero) * specfun.gamma(float(n))
+    rhs = (-1.0) ** (n - 1) * (pair.f_at_infinity - pair.f_at_zero) * specfun.gamma(float(n))
     return _report("lemma2", lhs, rhs, tolerance)
 
 
@@ -260,7 +256,7 @@ def partial_fraction_sum(pair: SeriesPair, s: float, terms: int) -> float:
     for k in range(terms + 1):
         if k > 0:
             factorial *= k
-        term = pair.phi(float(k)) * _sign(k) / (factorial * (s + k))
+        term = pair.phi(float(k)) * (-1.0) ** k / (factorial * (s + k))
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -275,8 +271,9 @@ def residue_check(pair: SeriesPair, m: int, eps: float) -> tuple[float, float]:
     the linear part of the regular factor and converges at O(eps^2);
     right is the residue (-1)^m phi(m)/m!.
     """
-    if m < 0:
+    if not (m >= 0 and float(m).is_integer()):
         raise DomainError("residue_check: m must be a non-negative integer")
+    m = int(m)
     if not 0.0 < eps <= 1e-2:
         raise DomainError("residue_check: eps must lie in (0, 1e-2]")
 
@@ -284,7 +281,7 @@ def residue_check(pair: SeriesPair, m: int, eps: float) -> tuple[float, float]:
         return (s + m) * specfun.gamma(s) * pair.phi(-s)
 
     left = 0.5 * (g(-m + eps) + g(-m - eps))
-    right = _sign(m) * pair.phi(float(m)) / specfun.gamma(m + 1.0)
+    right = (-1.0) ** m * pair.phi(float(m)) / specfun.gamma(m + 1.0)
     if not (math.isfinite(left) and math.isfinite(right)):
         raise PoleError(
             f"residue_check: phi contributes its own singularity near m={m}"
@@ -301,7 +298,7 @@ class Identity(NamedTuple):
 
 
 def _residue(pair, cfg, tolerance, m, eps) -> IdentityReport:
-    left, right = residue_check(pair, int(m), eps)
+    left, right = residue_check(pair, m, eps)
     lhs = EvaluationResult(left, abs(left - right), 2, True)
     return _report("residue", lhs, right, tolerance)
 
@@ -312,7 +309,7 @@ def _residue(pair, cfg, tolerance, m, eps) -> IdentityReport:
 IDENTITIES = {
     "frullani": Identity(("alpha", "beta"), lambda p, cfg, tol, alpha, beta: frullani(
         p.closed_form, p.f_at_zero, p.f_at_infinity, alpha, beta, cfg, tol)),
-    "lemma2": Identity(("n",), lambda p, cfg, tol, n: lemma2(p, int(n), cfg, tol)),
+    "lemma2": Identity(("n",), lambda p, cfg, tol, n: lemma2(p, n, cfg, tol)),
     "rmt": Identity(("s",), lambda p, cfg, tol, s: rmt(p, s, cfg, tol)),
     "hardy": Identity(("s",), lambda p, cfg, tol, s: hardy(p, s, cfg, tol)),
     "residue": Identity(("m", "eps"), _residue),
@@ -326,7 +323,7 @@ def _central_difference(
 ) -> float:
     total = 0.0
     for i in range(n + 1):
-        weight = math.comb(n, i) * _sign(i)
+        weight = math.comb(n, i) * (-1.0) ** i
         total += weight * f(x + (n / 2.0 - i) * h)
     return total / h**n
 

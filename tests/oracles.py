@@ -3,16 +3,20 @@
 Nothing here touches the package's adaptive Gauss-Kronrod integrator: the
 routines are composite Simpson / trapezoid rules on explicit meshes plus
 analytic tail handling, so agreement with the library is meaningful.  The
-exceptions are ``reference_integrate_finite``, a plain restatement of the
-integrator's bisection loop that pins the optimised loop bit for bit, and
-``reference_evaluate``, the expression tree walk that pins the compiled
-closures bit for bit.
+exceptions are three restatements of earlier code:
+``reference_integrate_finite``, the integrator's plain bisection loop,
+which pins the optimised loop bit for bit; ``reference_evaluate``, the
+expression tree walk, which pins the compiled closures bit for bit; and
+``reference_parse``, the parser with its depth kept in a mutable counter,
+which pins the parser's trees and errors.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import re
+from typing import Callable
 
 import numpy as np
 
@@ -20,10 +24,22 @@ from rmtkit.errors import (
     DivisionByZero,
     DomainError,
     EvaluationError,
+    ExprSyntaxError,
     UnboundVariable,
     UnknownFunction,
 )
-from rmtkit.expr import _BUILTINS, BinaryOp, Call, Constant, UnaryNeg, Variable, _apply_power
+from rmtkit.expr import (
+    _BUILTINS,
+    BUILTIN_FUNCTIONS,
+    MAX_SOURCE_BYTES,
+    BinaryOp,
+    Call,
+    Constant,
+    ExprNode,
+    UnaryNeg,
+    Variable,
+    _apply_power,
+)
 from rmtkit.quadrature import (
     _WG,
     _WGK,
@@ -269,3 +285,192 @@ def reference_evaluate(node, env) -> float:
         except ValueError:  # math.sin and math.cos at +/-inf
             raise DomainError(f"{node.fn} undefined at {', '.join(map(repr, args))}") from None
     raise DomainError(f"unknown node type {type(node).__name__}")
+
+
+# The depth limit, stated here rather than imported so that a changed
+# limit shows as a disagreement.
+_REFERENCE_MAX_DEPTH = 120
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<op>[-+*/^(),])
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokenize(source: str):
+    tokens = []
+    pos = 0
+    n = len(source)
+    while pos < n:
+        m = _REFERENCE_TOKEN_RE.match(source, pos)
+        if m is None:
+            raise ExprSyntaxError(
+                f"unexpected character {source[pos]!r}",
+                pos,
+                ("number", "identifier", "operator"),
+            )
+        pos = m.end()
+        if m.lastgroup == "ws":
+            continue
+        tokens.append((m.lastgroup, m.group(), m.start()))
+    tokens.append(("end", "", n))
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, op: str):
+        kind, text, offset = self.peek()
+        if kind != "op" or text != op:
+            raise ExprSyntaxError(f"expected {op!r}", offset, (op,))
+        return self.advance()
+
+    def _enter(self, offset: int):
+        self.depth += 1
+        if self.depth > _REFERENCE_MAX_DEPTH:
+            raise ExprSyntaxError("expression too deeply nested", offset, ())
+
+    def _leave(self):
+        self.depth -= 1
+
+    def _chain(self, ops: str, operand: Callable[[], ExprNode]) -> ExprNode:
+        """A left-associative chain of ``operand`` joined by ``ops``.
+
+        Each operator deepens the tree one level, so each counts toward the
+        depth limit until the chain ends.
+        """
+        depth = self.depth
+        try:
+            node = operand()
+            while True:
+                kind, text, offset = self.peek()
+                if kind != "op" or text not in ops:
+                    return node
+                self._enter(offset)
+                self.advance()
+                node = BinaryOp(text, node, operand())
+        finally:
+            self.depth = depth
+
+    def parse_expr(self) -> ExprNode:
+        kind, text, offset = self.peek()
+        self._enter(offset)
+        try:
+            return self._chain("+-", self.parse_term)
+        finally:
+            self._leave()
+
+    def parse_term(self) -> ExprNode:
+        return self._chain("*/", self.parse_factor)
+
+    def parse_factor(self) -> ExprNode:
+        kind, text, offset = self.peek()
+        if kind == "op" and text == "-":
+            self._enter(offset)
+            try:
+                self.advance()
+                return UnaryNeg(self.parse_factor())
+            finally:
+                self._leave()
+        return self.parse_power()
+
+    def parse_power(self) -> ExprNode:
+        base = self.parse_primary()
+        kind, text, offset = self.peek()
+        if kind == "op" and text == "^":
+            self._enter(offset)
+            try:
+                self.advance()
+                # Right-associative; the exponent may not start with a bare
+                # unary minus (parenthesise it instead).
+                return BinaryOp("^", base, self.parse_power())
+            finally:
+                self._leave()
+        return base
+
+    def parse_primary(self) -> ExprNode:
+        kind, text, offset = self.advance()
+        if kind == "number":
+            value = float(text)
+            if math.isinf(value):
+                raise ExprSyntaxError(f"number {text!r} exceeds double range", offset, ())
+            return Constant(value)
+        if kind == "ident":
+            pk, pt, _ = self.peek()
+            if pk == "op" and pt == "(":
+                return self.parse_call(text, offset)
+            return Variable(text)
+        if kind == "op" and text == "(":
+            self._enter(offset)
+            try:
+                node = self.parse_expr()
+            finally:
+                self._leave()
+            self.expect_op(")")
+            return node
+        raise ExprSyntaxError(
+            f"expected a value, got {text!r}" if text else "unexpected end of input",
+            offset,
+            ("number", "identifier", "'('"),
+        )
+
+    def parse_call(self, name: str, offset: int) -> ExprNode:
+        if name not in BUILTIN_FUNCTIONS:
+            raise UnknownFunction(
+                f"unknown function {name!r}",
+                offset,
+                tuple(sorted(BUILTIN_FUNCTIONS)),
+            )
+        self.expect_op("(")
+        self._enter(offset)
+        try:
+            args = [self.parse_expr()]
+            while True:
+                kind, text, _ = self.peek()
+                if kind == "op" and text == ",":
+                    self.advance()
+                    args.append(self.parse_expr())
+                else:
+                    break
+        finally:
+            self._leave()
+        self.expect_op(")")
+        arity = BUILTIN_FUNCTIONS[name]
+        if len(args) != arity:
+            raise ExprSyntaxError(
+                f"{name} takes {arity} argument(s), got {len(args)}",
+                offset,
+                (),
+            )
+        return Call(name, tuple(args))
+
+
+def reference_parse(source: str) -> ExprNode:
+    """The parser as it stood with a mutable depth counter: ``_enter`` and
+    ``_leave`` around every construct that deepens the tree, restored by
+    hand in ``try``/``finally``."""
+    if len(source.encode("utf-8", errors="replace")) > MAX_SOURCE_BYTES:
+        raise ExprSyntaxError("input exceeds 64 KiB", MAX_SOURCE_BYTES, ())
+    parser = _ReferenceParser(_reference_tokenize(source))
+    node = parser.parse_expr()
+    kind, text, offset = parser.peek()
+    if kind != "end":
+        raise ExprSyntaxError(f"trailing input {text!r}", offset, ("end of input",))
+    return node

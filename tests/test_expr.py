@@ -17,7 +17,7 @@ from rmtkit.errors import (
     UnknownFunction,
 )
 from rmtkit import specfun
-from oracles import reference_evaluate
+from oracles import reference_evaluate, reference_parse
 from rmtkit.expr import (
     BUILTIN_FUNCTIONS,
     BinaryOp,
@@ -254,6 +254,15 @@ class TestPrinting:
     def test_round_trip_preserves_tree(self, source):
         assert parse(to_source(parse(source))) == parse(source)
 
+    @pytest.mark.parametrize("tree,source", [
+        (BinaryOp("+", Variable("a"), BinaryOp("-", Variable("b"), Variable("c"))), "a + (b - c)"),
+        (BinaryOp("*", Variable("a"), BinaryOp("/", Variable("b"), Variable("c"))), "a*(b/c)"),
+        (BinaryOp("-", Variable("a"), BinaryOp("+", Variable("b"), Variable("c"))), "a - (b + c)"),
+    ])
+    def test_right_nested_operand_of_equal_precedence_is_parenthesised(self, tree, source):
+        assert to_source(tree) == source
+        assert parse(source) == tree
+
 
 _BINARY_OPS = ["+", "-", "*", "/", "^"]
 
@@ -363,9 +372,8 @@ class TestCompiled:
     ]
 
     @staticmethod
-    def _fuzz_trees():
-        """Every tree that parses from test_seeded_fuzz_100k's generator,
-        with four more call fragments."""
+    def _fuzz_sources():
+        """test_seeded_fuzz_100k's generator, with four more call fragments."""
         rng = random.Random(0xC0FFEE)
         fragments = [
             "k", "x", "m", "s", "1", "2.5", "1e3", "+", "-", "*", "/", "^",
@@ -373,12 +381,17 @@ class TestCompiled:
             "sqrt(", "ln(", "cos(", "erf(",
         ]
         charset = "abkxms0123456789+-*/^(), .eE_#@!\\\"'"
-        trees = []
         for i in range(100_000):
             if i % 3 == 0:
-                source = "".join(rng.choice(fragments) for _ in range(rng.randrange(0, 14)))
+                yield "".join(rng.choice(fragments) for _ in range(rng.randrange(0, 14)))
             else:
-                source = "".join(rng.choice(charset) for _ in range(rng.randrange(0, 30)))
+                yield "".join(rng.choice(charset) for _ in range(rng.randrange(0, 30)))
+
+    @classmethod
+    def _fuzz_trees(cls):
+        """Every tree that parses from ``_fuzz_sources``."""
+        trees = []
+        for source in cls._fuzz_sources():
             try:
                 trees.append(parse(source))
             except ExprSyntaxError:
@@ -414,3 +427,53 @@ class TestCompiled:
         f = compile_expr(parse("a*x"), bindings, "x")
         bindings["a"] = 5.0
         assert f(3.0) == 6.0
+
+
+def _parse_outcome(parser, source):
+    """What parser(source) gives: the tree, or the exception's type,
+    message, offset and expected-token set."""
+    try:
+        return parser(source)
+    except ExprSyntaxError as exc:
+        return type(exc), str(exc), exc.offset, exc.expected
+
+
+# Each family nests ``n`` constructs of one kind around ``x``.
+_DEPTH_FAMILIES = {
+    "parens": lambda n: "(" * n + "x" + ")" * n,
+    "unary_minus": lambda n: "-" * n + "x",
+    "exp": lambda n: "exp(" * n + "x" + ")" * n,
+    "pow": lambda n: "pow(x," * n + "x" + ")" * n,
+    "power_parens": lambda n: "x^(" * n + "x" + ")" * n,
+    "sum_parens": lambda n: "(x+" * n + "x" + ")" * n,
+    **{f"chain{op}": (lambda n, op=op: f"x{op}" * n + "x") for op in "^+-*/"},
+}
+
+
+class TestReferenceParse:
+    """parse agrees with the parser as it stood with a mutable depth
+    counter: the same tree, or the same error at the same offset."""
+
+    def test_fuzzed_sources_match(self):
+        parsed = 0
+        for source in TestCompiled._fuzz_sources():
+            outcome = _parse_outcome(parse, source)
+            assert outcome == _parse_outcome(reference_parse, source), source
+            parsed += not isinstance(outcome, tuple)
+        assert parsed > 4000
+
+    @pytest.mark.parametrize("source", ROUND_TRIP_CORPUS)
+    def test_corpus_matches(self, source):
+        assert _parse_outcome(parse, source) == _parse_outcome(reference_parse, source)
+
+    @pytest.mark.parametrize("family", sorted(_DEPTH_FAMILIES))
+    def test_depth_boundary_matches(self, family):
+        # Every nesting count up to 121 levels, so each family's own limit
+        # is crossed; a chain of 119 operators parses and 120 do not.
+        outcomes = set()
+        for n in range(122):
+            source = _DEPTH_FAMILIES[family](n)
+            outcome = _parse_outcome(parse, source)
+            assert outcome == _parse_outcome(reference_parse, source), (family, n)
+            outcomes.add(isinstance(outcome, tuple))
+        assert outcomes == {False, True}

@@ -43,6 +43,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             QuadratureConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("max_subdivisions", 1.5), ("max_tail_panels", 2.5), ("max_tail_panels", 2.0)],
+    )
+    def test_non_integer_budgets_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            QuadratureConfig(**{name: value})
+
 
 class TestFinite:
     def test_unit_integrand(self):

@@ -12,6 +12,7 @@ import pytest
 
 from rmtkit.errors import (
     DerivativeUnavailable,
+    DomainError,
     NonConvergenceError,
     ParamDomainError,
     RadiusError,
@@ -286,6 +287,19 @@ class TestShift:
         pair = catalog_get("harmonic_shifted")
         with pytest.raises(DerivativeUnavailable):
             shift_sequence(pair, 7)
+
+    @pytest.mark.parametrize("n", [1.5, math.nan, math.inf])
+    def test_non_integral_shift_is_a_domain_error(self, n):
+        with pytest.raises(DomainError, match=r"^shift_sequence: n must be a positive integer$"):
+            shift_sequence(catalog_get("exp"), n)
+
+    def test_integral_float_shift_is_that_integer(self):
+        pair = catalog_get("power", m=3.0)
+        by_float, by_int = shift_sequence(pair, 2.0), shift_sequence(pair, 2)
+        assert by_float.label == by_int.label
+        for k in (0.0, 1.0, 2.5):
+            assert by_float.phi(k) == by_int.phi(k)
+            assert by_float.closed_form(k) == by_int.closed_form(k)
 
     def test_shift_updates_nonstandard_flag(self):
         # Shifting erf once lands on its Gaussian derivative, whose leading

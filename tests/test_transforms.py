@@ -103,6 +103,11 @@ class TestLemma2:
         with pytest.raises(DerivativeUnavailable):
             lemma2(catalog_get("harmonic_shifted"), 7)
 
+    @pytest.mark.parametrize("n", [1.5, math.nan, math.inf])
+    def test_non_integral_order_is_a_domain_error(self, n):
+        with pytest.raises(DomainError, match=r"^lemma2: n must be a positive integer$"):
+            lemma2(catalog_get("exp"), n)
+
     @pytest.mark.parametrize("id_,params", [("exp", {"a": 1.0}), ("power", {"m": 8.0})])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_analytic_sweep(self, id_, params, n):
@@ -285,6 +290,13 @@ class TestResidueCheck:
         with pytest.raises(DomainError):
             residue_check(pair, 0, 0.5)
 
+    @pytest.mark.parametrize("m", [1.5, math.nan, math.inf])
+    def test_non_integral_index_is_a_domain_error(self, m):
+        with pytest.raises(
+            DomainError, match=r"^residue_check: m must be a non-negative integer$"
+        ):
+            residue_check(catalog_get("exp"), m, 1e-4)
+
 
 class TestNthDerivativeFd:
     def test_cubic(self):
@@ -439,6 +451,13 @@ class TestIdentityTable:
         assert run["hardy"](geometric, None, 1e-9, s=0.5) == hardy(
             geometric, 0.5, tolerance=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "kind,inputs", [("lemma2", {"n": 1.5}), ("residue", {"m": 1.5, "eps": 1e-4})]
+    )
+    def test_runners_do_not_truncate_a_non_integral_order(self, kind, inputs):
+        with pytest.raises(DomainError, match="must be a"):
+            IDENTITIES[kind].run(catalog_get("exp"), None, 1e-3, **inputs)
 
     def test_residue_runner_reports_the_probe(self):
         exp = catalog_get("exp")
