@@ -123,17 +123,20 @@ def _kahan_sum(values) -> float:
 
 
 def _gk15(f: Callable[[float], float], a: float, b: float):
-    """One Gauss-Kronrod panel.  Returns (kronrod, error, evaluations).
+    """One Gauss-Kronrod panel.  Returns (kronrod, error, floored,
+    evaluations); floored is True when the round-off floor, not the
+    Kronrod-Gauss gap, set the error.
 
     When the integrand produces a non-finite value the panel stops at once -
     after 1 call at the centre, or 3 + 2j at node pair j - and returns
-    (None, None, evaluations); the caller retries on bisected subpanels.
+    (None, None, False, evaluations); the caller retries on bisected
+    subpanels.
     """
     center = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     fc = f(center)
     if not math.isfinite(fc):
-        return None, None, 1
+        return None, None, False, 1
     resk = _WGK[7] * fc
     resg = _WG[3] * fc
     resabs = abs(resk)
@@ -142,26 +145,28 @@ def _gk15(f: Callable[[float], float], a: float, b: float):
         f1 = f(center - dx)
         f2 = f(center + dx)
         if not (math.isfinite(f1) and math.isfinite(f2)):
-            return None, None, 3 + 2 * j
+            return None, None, False, 3 + 2 * j
         pair = f1 + f2
         resk += _WGK[j] * pair
         resabs += _WGK[j] * (abs(f1) + abs(f2))
         if j % 2 == 1:
             resg += _WG[j // 2] * pair
-    value = resk * hlgth
     # Plain Kronrod-Gauss discrepancy, floored at the round-off level of the
     # panel so trivially-exact integrands keep an honest estimate.
-    err = max(abs(resk - resg), 50.0 * _EPS * resabs) * abs(hlgth)
-    return value, err, 15
+    gap = abs(resk - resg)
+    floor = 50.0 * _EPS * resabs
+    if gap <= floor:
+        return resk * hlgth, floor * abs(hlgth), True, 15
+    return resk * hlgth, gap * abs(hlgth), False, 15
 
 
 def _panel_with_retries(f: Callable[[float], float], a: float, b: float, retries: int):
     """Evaluate a panel, bisecting up to ``retries`` times around non-finite
-    integrand values.  Returns ([(a, b, value, err), ...], evaluations),
-    counting the calls of aborted panels too."""
-    value, err, evals = _gk15(f, a, b)
+    integrand values.  Returns ([(a, b, value, err, floored), ...],
+    evaluations), counting the calls of aborted panels too."""
+    value, err, floored, evals = _gk15(f, a, b)
     if value is not None:
-        return [(a, b, value, err)], evals
+        return [(a, b, value, err, floored)], evals
     if retries <= 0:
         raise EvaluationError(
             f"integrand returned a non-finite value inside [{a!r}, {b!r}] "
@@ -188,17 +193,23 @@ def integrate_finite(
 
     Panels with the largest error estimate are bisected first; the returned
     error estimate is the summed Kronrod-Gauss discrepancy over accepted
-    panels.  On exhaustion of the subdivision budget the best value so far
-    is returned with converged=False.  ``evaluations`` counts every call of
-    f, including those of panels abandoned on a non-finite value.
+    panels.  A panel whose error is its round-off floor, 50 eps times the
+    panel's integral of |f|, is set aside: bisecting it cannot lower that
+    floor, so it is never bisected, but its value and error still count.
+    When the subdivision budget is spent, when the worst panel is too
+    narrow to bisect, or when only set-aside panels are left, the best value
+    so far is returned with converged=False.  ``evaluations`` counts every
+    call of f, including those of panels abandoned on a non-finite value.
 
-    The loop stops once the Kahan sum of the panel errors, in heap order, is
-    at most max(abs_tol, rel_tol * |Kahan sum of the panel values|).  Running
-    totals of both, with a bound on their rounding, rule that out in O(1)
-    while the loop is clearly short of it; only when they cannot decide is
-    the exact O(n) test run over the n panels.  So a bisection costs
-    O(log n), for the heap, and the loop stops at the same split as if it
-    re-summed the heap before every bisection.
+    The loop stops once the Kahan sum of the panel errors is at most
+    max(abs_tol, rel_tol * |Kahan sum of the panel values|), both summed
+    over the heap in heap order and then over the set-aside panels in the
+    order they were set aside.  Running totals of both, with a bound on
+    their rounding, rule that out in O(1) while the loop is clearly short
+    of it; only when they cannot decide is the exact O(n) test run over the
+    n panels.  So a bisection costs O(log n), for the heap, and the loop
+    stops at the same split as if it re-summed every panel before every
+    bisection.
     """
     cfg = cfg or QuadratureConfig()
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -211,19 +222,21 @@ def integrate_finite(
         return EvaluationResult(0.0, 0.0, 0, True)
 
     heap = []
+    aside = []  # round-off-limited panels, never bisected
     tick = 0
     splits = 0
     evaluations = 0
     min_width = abs(b - a) * 1e-15
-    # Running totals of the heap's values and errors.  Between two exact
-    # tests fewer than _MARGIN / eps (~4.5e9) updates are made - the heap
-    # would not fit in memory otherwise - so each total drifts from the
-    # exact heap sum by less than _MARGIN / 2 times the matching *_abs, which
-    # bounds the magnitudes summed.  The exact test's Kahan sums land within
-    # about eps * *_abs of the exact sum too.  val_abs sums |value| over every
-    # panel ever pushed.  err_abs restarts at each exact test: panel errors
-    # shrink by orders of magnitude, and a bound carried over from the
-    # first, large errors would send every later split to the exact test.
+    # Running totals of the values and errors of the panels kept, in the
+    # heap or set aside.  Between two exact tests fewer than _MARGIN / eps
+    # (~4.5e9) updates are made - the panels would not fit in memory
+    # otherwise - so each total drifts from the exact sum by less than
+    # _MARGIN / 2 times the matching *_abs, which bounds the magnitudes
+    # summed.  The exact test's Kahan sums land within about eps * *_abs of
+    # the exact sum too.  val_abs sums |value| over every panel ever kept.
+    # err_abs restarts at each exact test: panel errors shrink by orders of
+    # magnitude, and a bound carried over from the first, large errors
+    # would send every later split to the exact test.
     val_sum = val_abs = 0.0
     err_sum = err_abs = 0.0
     new_intervals = ((a, b),)
@@ -231,8 +244,12 @@ def integrate_finite(
         for sa, sb in new_intervals:
             panels, evals = _panel_with_retries(f, sa, sb, 2)
             evaluations += evals
-            for qa, qb, qval, qerr in panels:
-                heapq.heappush(heap, (-qerr, tick, qa, qb, qval, qerr))
+            for qa, qb, qval, qerr, floored in panels:
+                item = (-qerr, tick, qa, qb, qval, qerr)
+                if floored:
+                    aside.append(item)
+                else:
+                    heapq.heappush(heap, item)
                 tick += 1
                 val_sum += qval
                 val_abs += abs(qval)
@@ -244,13 +261,13 @@ def integrate_finite(
         err_lo = err_sum - _MARGIN * err_abs
         val_hi = abs(val_sum) + _MARGIN * val_abs
         if not err_lo > max(cfg.abs_tol, cfg.rel_tol * val_hi):
-            total = _kahan_sum(item[4] for item in heap)
-            total_err = _kahan_sum(item[5] for item in heap)
+            total = _kahan_sum(item[4] for item in heap + aside)
+            total_err = _kahan_sum(item[5] for item in heap + aside)
             if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
                 converged = True
                 break
             val_sum, err_sum, err_abs = total, total_err, total_err
-        if splits >= cfg.max_subdivisions:
+        if splits >= cfg.max_subdivisions or not heap:
             converged = False
             break
         _, _, pa, pb, val, err = heap[0]
@@ -266,7 +283,7 @@ def integrate_finite(
         splits += 1
 
     # Canonical accumulation order: left to right.
-    panels = sorted((item[2], item[3], item[4], item[5]) for item in heap)
+    panels = sorted((item[2], item[3], item[4], item[5]) for item in heap + aside)
     value = _kahan_sum(p[2] for p in panels)
     error = _kahan_sum(p[3] for p in panels)
     converged = converged and error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))

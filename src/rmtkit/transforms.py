@@ -243,8 +243,9 @@ def partial_fraction_sum(pair: SeriesPair, s: float, terms: int) -> float:
     limit is the head integral over [0, 1] of x^(s-1) F(x), so it differs
     from the full Mellin transform by the (entire) tail over [1, inf).
     """
-    if terms < 0:
+    if not (terms >= 0 and float(terms).is_integer()):
         raise DomainError("partial_fraction_sum: terms must be >= 0")
+    terms = int(terms)
     for k in range(terms + 1):
         if abs(s + k) <= 1e-10:
             raise PoleError(
@@ -341,8 +342,9 @@ def nth_derivative_fd(
     two levels.  Accuracy degrades with n roughly like machine-eps^(2/(n+2)),
     documented rather than guaranteed.
     """
-    if not 1 <= n <= FD_MAX_ORDER:
+    if not (1 <= n <= FD_MAX_ORDER and float(n).is_integer()):
         raise DomainError(f"nth_derivative_fd: n must be in 1..{FD_MAX_ORDER}, got {n}")
+    n = int(n)
     positive_tolerance(h, "nth_derivative_fd: h")
     coarse = _central_difference(f, x, n, h)
     fine = _central_difference(f, x, n, h / 2.0)

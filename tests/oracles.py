@@ -4,11 +4,12 @@ Nothing here touches the package's adaptive Gauss-Kronrod integrator: the
 routines are composite Simpson / trapezoid rules on explicit meshes plus
 analytic tail handling, so agreement with the library is meaningful.  The
 exceptions are three restatements of earlier code:
-``reference_integrate_finite``, the integrator's plain bisection loop,
-which pins the optimised loop bit for bit; ``reference_evaluate``, the
-expression tree walk, which pins the compiled closures bit for bit; and
-``reference_parse``, the parser with its depth kept in a mutable counter,
-which pins the parser's trees and errors.
+``reference_integrate_finite``, the integrator's plain bisection loop
+(re-summing every panel before each split, with round-off-limited panels
+set aside unbisected), which pins the optimised loop bit for bit;
+``reference_evaluate``, the expression tree walk, which pins the compiled
+closures bit for bit; and ``reference_parse``, the parser with its depth
+kept in a mutable counter, which pins the parser's trees and errors.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def _reference_gk15(f, a: float, b: float):
     hlgth = 0.5 * (b - a)
     fc = f(center)
     if not math.isfinite(fc):
-        return 0.0, 0.0, False
+        return 0.0, 0.0, False, False
     resk = _WGK[7] * fc
     resg = _WG[3] * fc
     resabs = abs(resk)
@@ -181,20 +182,21 @@ def _reference_gk15(f, a: float, b: float):
         f1 = f(center - dx)
         f2 = f(center + dx)
         if not (math.isfinite(f1) and math.isfinite(f2)):
-            return 0.0, 0.0, False
+            return 0.0, 0.0, False, False
         pair = f1 + f2
         resk += _WGK[j] * pair
         resabs += _WGK[j] * (abs(f1) + abs(f2))
         if j % 2 == 1:
             resg += _WG[j // 2] * pair
-    err = max(abs(resk - resg), 50.0 * 2.220446049250313e-16 * resabs) * abs(hlgth)
-    return resk * hlgth, err, True
+    floor = 50.0 * 2.220446049250313e-16 * resabs
+    err = max(abs(resk - resg), floor) * abs(hlgth)
+    return resk * hlgth, err, abs(resk - resg) <= floor, True
 
 
 def _reference_panels(f, a: float, b: float, retries: int):
-    value, err, ok = _reference_gk15(f, a, b)
+    value, err, floored, ok = _reference_gk15(f, a, b)
     if ok:
-        return [(a, b, value, err)]
+        return [(a, b, value, err, floored)]
     mid = 0.5 * (a + b)
     if retries <= 0 or not (a < mid < b):
         raise EvaluationError(f"non-finite integrand inside [{a!r}, {b!r}]")
@@ -204,9 +206,12 @@ def _reference_panels(f, a: float, b: float, retries: int):
 
 
 def reference_integrate_finite(f, a: float, b: float, cfg=None) -> EvaluationResult:
-    """The adaptive loop as first written: every call of f counted by a
-    wrapper, and the stopping test re-summing the whole panel heap (Kahan,
-    heap order) before each bisection - O(n) per split."""
+    """The adaptive loop in its plain form: every call of f counted by a
+    wrapper, and the stopping test re-summing every panel (Kahan, the heap
+    in heap order, then the set-aside panels in the order they were set
+    aside) before each bisection - O(n) per split.  A panel whose error is
+    its round-off floor is set aside, never bisected; when no other panel
+    is left the loop stops unconverged."""
     cfg = cfg or QuadratureConfig()
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise DomainError(f"bad interval [{a!r}, {b!r}]")
@@ -214,19 +219,29 @@ def reference_integrate_finite(f, a: float, b: float, cfg=None) -> EvaluationRes
         return EvaluationResult(0.0, 0.0, 0, True)
     counter = _CallCounter(f)
     heap = []
+    aside = []
     tick = 0
-    for pa, pb, val, err in _reference_panels(counter, a, b, 2):
-        heapq.heappush(heap, (-err, tick, pa, pb, val, err))
-        tick += 1
+
+    def keep(sa, sb):
+        nonlocal tick
+        for qa, qb, qval, qerr, floored in _reference_panels(counter, sa, sb, 2):
+            item = (-qerr, tick, qa, qb, qval, qerr)
+            if floored:
+                aside.append(item)
+            else:
+                heapq.heappush(heap, item)
+            tick += 1
+
+    keep(a, b)
     splits = 0
     min_width = abs(b - a) * 1e-15
     while True:
-        total = _kahan_sum(item[4] for item in heap)
-        total_err = _kahan_sum(item[5] for item in heap)
+        total = _kahan_sum(item[4] for item in heap + aside)
+        total_err = _kahan_sum(item[5] for item in heap + aside)
         if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
             converged = True
             break
-        if splits >= cfg.max_subdivisions:
+        if splits >= cfg.max_subdivisions or not heap:
             converged = False
             break
         neg_err, _, pa, pb, val, err = heapq.heappop(heap)
@@ -235,12 +250,10 @@ def reference_integrate_finite(f, a: float, b: float, cfg=None) -> EvaluationRes
             heapq.heappush(heap, (neg_err, tick, pa, pb, val, err))
             converged = False
             break
-        for sa, sb in ((pa, mid), (mid, pb)):
-            for qa, qb, qval, qerr in _reference_panels(counter, sa, sb, 2):
-                heapq.heappush(heap, (-qerr, tick, qa, qb, qval, qerr))
-                tick += 1
+        keep(pa, mid)
+        keep(mid, pb)
         splits += 1
-    panels = sorted((item[2], item[3], item[4], item[5]) for item in heap)
+    panels = sorted((item[2], item[3], item[4], item[5]) for item in heap + aside)
     value = _kahan_sum(p[2] for p in panels)
     error = _kahan_sum(p[3] for p in panels)
     converged = converged and error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))

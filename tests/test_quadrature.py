@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from rmtkit.errors import DomainError, EvaluationError, SingularityError
@@ -140,21 +141,35 @@ def _inf_at(node: float, f):
 
 
 def _reference_grid():
-    """Seeded integrands: (label, f, a, b)."""
+    """Seeded integrands: (label, f, a, b, f at 30 digits or None)."""
     rng = random.Random(20190201)
     cases = []
     for i in range(3):
         c, w, length = rng.uniform(0.1, 2.0), rng.uniform(0.0, 5.0), rng.uniform(1.0, 20.0)
-        cases.append((f"smooth{i}", lambda x, c=c, w=w: math.exp(-c * x) * math.cos(w * x), 0.0, length))
+        cases.append((
+            f"smooth{i}",
+            lambda x, c=c, w=w: math.exp(-c * x) * math.cos(w * x),
+            0.0,
+            length,
+            lambda x, c=c, w=w: mpmath.exp(-c * x) * mpmath.cos(w * x),
+        ))
     for i in range(3):
         w, length = rng.uniform(20.0, 80.0), rng.uniform(1.0, 3.0)
-        cases.append((f"oscillatory{i}", lambda x, w=w: math.sin(w * x * x), 0.0, length))
-    cases.append(("sqrt_abs_sin", lambda x: math.sqrt(abs(math.sin(50.0 * x))), 0.0, 10.0))
-    cases.append(("inf_at_centre", _inf_at(0.5, lambda x: x * x), 0.0, 1.0))
+        cases.append((
+            f"oscillatory{i}",
+            lambda x, w=w: math.sin(w * x * x),
+            0.0,
+            length,
+            lambda x, w=w: mpmath.sin(w * x * x),
+        ))
+    cases.append(("sqrt_abs_sin", lambda x: math.sqrt(abs(math.sin(50.0 * x))), 0.0, 10.0, None))
+    cases.append(("inf_at_centre", _inf_at(0.5, lambda x: x * x), 0.0, 1.0, None))
     # Non-finite at the left node of pair 2 of the first panel: 7 calls.
-    cases.append(("inf_at_pair2", _inf_at(0.5 - 0.5 * _XGK[2], math.cos), 0.0, 1.0))
+    cases.append(("inf_at_pair2", _inf_at(0.5 - 0.5 * _XGK[2], math.cos), 0.0, 1.0, None))
     # ... and of the last pair: 15 calls, as many as a whole panel makes.
-    cases.append(("inf_at_pair6", _inf_at(0.5 - 0.5 * _XGK[6], math.cos), 0.0, 1.0))
+    cases.append(("inf_at_pair6", _inf_at(0.5 - 0.5 * _XGK[6], math.cos), 0.0, 1.0, None))
+    # Integrated exactly by the rule, so its one panel sits at the round-off floor.
+    cases.append(("linear_floor", lambda x: 1.0 + x, 0.0, 1.0, lambda x: 1 + x))
     return cases
 
 
@@ -162,6 +177,7 @@ _REFERENCE_CONFIGS = {
     "default": QuadratureConfig(),
     "tight": QuadratureConfig(abs_tol=1e-14, rel_tol=1e-13),
     "five_splits": QuadratureConfig(max_subdivisions=5),
+    "floor": QuadratureConfig(abs_tol=1e-18, rel_tol=1e-18),
 }
 
 
@@ -172,21 +188,24 @@ class TestMatchesReferenceLoop:
     @pytest.mark.parametrize("cfg_name", sorted(_REFERENCE_CONFIGS))
     @pytest.mark.parametrize("case", _reference_grid(), ids=lambda c: c[0])
     def test_bit_identical(self, case, cfg_name):
-        _, f, a, b = case
+        _, f, a, b, _ = case
         cfg = _REFERENCE_CONFIGS[cfg_name]
         assert integrate_finite(f, a, b, cfg) == reference_integrate_finite(f, a, b, cfg)
 
     # abs_tol equals, to the last bit, the heap's error total at one split,
     # where a plain running total of the errors differs from it in the last
     # bits: there a test on running totals alone stops a split early (sqrt)
-    # or late (kink).
+    # or late (kink).  For cos30 it equals the total summed over the heap
+    # and then the set-aside panels, one ulp below the total in the other
+    # order, so summing the set-aside panels first stops a split late.
     @pytest.mark.parametrize(
         "f, abs_tol",
         [
             (math.sqrt, 5.049495430109488e-14),
             (lambda x: abs(x - 1.0 / 3.0), 6.19263576937754e-05),
+            (lambda x: math.cos(30.0 * x), 1.3586270140757039e-12),
         ],
-        ids=["sqrt", "kink"],
+        ids=["sqrt", "kink", "cos30"],
     )
     def test_tolerance_on_a_rounding_boundary(self, f, abs_tol):
         cfg = QuadratureConfig(abs_tol=abs_tol, rel_tol=0.0)
@@ -201,6 +220,30 @@ class TestMatchesReferenceLoop:
         pair6 = integrate_finite(_inf_at(0.5 - 0.5 * _XGK[6], math.cos), 0.0, 1.0)
         assert pair6.evaluations == 15 + 30
         assert pair6.converged and abs(pair6.value - math.sin(1.0)) < 1e-12
+
+    def test_round_off_floor_stops_at_once(self):
+        # The one panel is set aside, so the loop stops before any split
+        # with the estimate that bisecting to the budget (60,015 calls)
+        # would also reach.
+        res = integrate_finite(lambda x: 1.0 + x, 0.0, 1.0, _REFERENCE_CONFIGS["floor"])
+        assert res.evaluations == 15
+        assert res.converged is False
+        assert res.error_estimate == 1.6653345369377348e-14
+        assert res.value == 1.5
+
+    @pytest.mark.parametrize(
+        "case", [c for c in _reference_grid() if c[4] is not None], ids=lambda c: c[0]
+    )
+    def test_error_estimate_covers_true_error(self, case):
+        # Set-aside panels keep their errors: at the tight tolerance, where
+        # the oscillatory cases stop unconverged, the estimate still covers
+        # the distance to a 30-digit mpmath integral.
+        _, f, a, b, exact_f = case
+        res = integrate_finite(f, a, b, _REFERENCE_CONFIGS["tight"])
+        with mpmath.workdps(30):
+            exact, exact_err = mpmath.quad(exact_f, mpmath.linspace(a, b, 20), error=True)
+        assert exact_err < 1e-25
+        assert abs(res.value - float(exact)) <= res.error_estimate
 
 
 class TestSemiInfinite:

@@ -243,6 +243,16 @@ class TestPartialFractionSum:
         with pytest.raises(PoleError):
             partial_fraction_sum(pair, -2.0 + 1e-11, 5)
 
+    @pytest.mark.parametrize("terms", [1.5, 2.0, math.nan])
+    def test_non_integral_term_count(self, terms):
+        pair = catalog_get("exp")
+        if float(terms).is_integer():
+            expected = partial_fraction_sum(pair, 0.5, 2)
+            assert partial_fraction_sum(pair, 0.5, terms) == expected
+            return
+        with pytest.raises(DomainError, match=r"^partial_fraction_sum: terms must be >= 0$"):
+            partial_fraction_sum(pair, 0.5, terms)
+
     @pytest.mark.parametrize("s", [0.5, 1.5, 2.5])
     def test_truncation_error_decreases_exp(self, s):
         """The truncated sum converges monotonically to the unit-interval
@@ -324,6 +334,16 @@ class TestNthDerivativeFd:
             nth_derivative_fd(math.sin, 0.0, 2, 0.0)
         with pytest.raises(DomainError, match="nth_derivative_fd: h must be finite"):
             nth_derivative_fd(math.sin, 0.0, 2, math.inf)
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, math.nan])
+    def test_non_integral_order(self, n):
+        if float(n).is_integer():
+            expected = nth_derivative_fd(math.exp, 0.5, 2, 1e-3)
+            assert nth_derivative_fd(math.exp, 0.5, n, 1e-3) == expected
+            return
+        message = rf"^nth_derivative_fd: n must be in 1\.\.6, got {n}$"
+        with pytest.raises(DomainError, match=message):
+            nth_derivative_fd(math.exp, 0.5, n, 1e-3)
 
 
 def _assert_honest(report, exact):
