@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, EvaluationError, SingularityError
@@ -59,6 +59,11 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
+# (node, Kronrod weight, Gauss weight or 0.0, calls made through the pair) of
+# each node pair but the centre.
+_NODE_PAIRS = tuple(zip(
+    _XGK[:7], _WGK[:7], (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0), range(3, 17, 2)
+))
 # Machine epsilon, the spacing of doubles at 1.0 (twice the unit round-off).
 _EPS = 2.220446049250313e-16
 # Relative slack that the running totals of integrate_finite's stopping test
@@ -70,7 +75,7 @@ _MARGIN = 1e-6
 class QuadratureConfig:
     """Tolerances and budgets shared by all integrators.
 
-    At least one of abs_tol / rel_tol must be positive.
+    At least one of abs_tol / rel_tol must stay positive when quartered.
     """
 
     abs_tol: float = 1e-12
@@ -83,18 +88,24 @@ class QuadratureConfig:
             raise ValueError("tolerances must be finite")
         if self.abs_tol < 0.0 or self.rel_tol < 0.0:
             raise ValueError("tolerances must be non-negative")
-        if self.abs_tol == 0.0 and self.rel_tol == 0.0:
-            raise ValueError("at least one of abs_tol, rel_tol must be positive")
+        if self.abs_tol * 0.25 == 0.0 and self.rel_tol * 0.25 == 0.0:
+            raise ValueError(
+                f"abs_tol={self.abs_tol!r} and rel_tol={self.rel_tol!r} are too small: "
+                "at least one must stay positive when quartered"
+            )
         for name in ("max_subdivisions", "max_tail_panels"):
             budget = getattr(self, name)
-            if not isinstance(budget, int):
+            if isinstance(budget, bool) or not isinstance(budget, int):
                 raise ValueError(f"{name} must be an integer")
             if budget < 1:
                 raise ValueError(f"{name} must be >= 1")
 
     def scaled(self, factor: float) -> "QuadratureConfig":
-        """Copy with both tolerances multiplied by ``factor``."""
-        return replace(self, abs_tol=self.abs_tol * factor, rel_tol=self.rel_tol * factor)
+        """Copy with both tolerances multiplied by ``factor``, not checked
+        again: the quarter of a valid config's quarter may be 0."""
+        copy = object.__new__(QuadratureConfig)
+        vars(copy).update(vars(self), abs_tol=self.abs_tol * factor, rel_tol=self.rel_tol * factor)
+        return copy
 
 
 @dataclass(frozen=True)
@@ -140,17 +151,18 @@ def _gk15(f: Callable[[float], float], a: float, b: float):
     resk = _WGK[7] * fc
     resg = _WG[3] * fc
     resabs = abs(resk)
-    for j in range(7):
-        dx = hlgth * _XGK[j]
+    for node, wk, wg, evaluations in _NODE_PAIRS:
+        dx = hlgth * node
         f1 = f(center - dx)
         f2 = f(center + dx)
-        if not (math.isfinite(f1) and math.isfinite(f2)):
-            return None, None, False, 3 + 2 * j
         pair = f1 + f2
-        resk += _WGK[j] * pair
-        resabs += _WGK[j] * (abs(f1) + abs(f2))
-        if j % 2 == 1:
-            resg += _WG[j // 2] * pair
+        # f1 + f2 is finite only if both are; an overflowed sum tests each.
+        if not math.isfinite(pair) and not (math.isfinite(f1) and math.isfinite(f2)):
+            return None, None, False, evaluations
+        resk += wk * pair
+        resabs += wk * (abs(f1) + abs(f2))
+        if wg:
+            resg += wg * pair
     # Plain Kronrod-Gauss discrepancy, floored at the round-off level of the
     # panel so trivially-exact integrands keep an honest estimate.
     gap = abs(resk - resg)
@@ -209,7 +221,7 @@ def integrate_finite(
     of it; only when they cannot decide is the exact O(n) test run over the
     n panels.  So a bisection costs O(log n), for the heap, and the loop
     stops at the same split as if it re-summed every panel before every
-    bisection.
+    bisection.  A first panel that meets the test on its own returns at once.
     """
     cfg = cfg or QuadratureConfig()
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -220,12 +232,17 @@ def integrate_finite(
         raise DomainError(f"integrate_finite: need a <= b, got [{a!r}, {b!r}]")
     if a == b:
         return EvaluationResult(0.0, 0.0, 0, True)
+    panels, evaluations = _panel_with_retries(f, a, b, 2)
+    if len(panels) == 1:
+        # The loop's one-panel Kahan sums are 0.0 + value and 0.0 + error.
+        value, error = 0.0 + panels[0][2], 0.0 + panels[0][3]
+        if error <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+            return EvaluationResult(value, error, evaluations, True)
 
     heap = []
     aside = []  # round-off-limited panels, never bisected
     tick = 0
     splits = 0
-    evaluations = 0
     min_width = abs(b - a) * 1e-15
     # Running totals of the values and errors of the panels kept, in the
     # heap or set aside.  Between two exact tests fewer than _MARGIN / eps
@@ -239,22 +256,18 @@ def integrate_finite(
     # would send every later split to the exact test.
     val_sum = val_abs = 0.0
     err_sum = err_abs = 0.0
-    new_intervals = ((a, b),)
     while True:
-        for sa, sb in new_intervals:
-            panels, evals = _panel_with_retries(f, sa, sb, 2)
-            evaluations += evals
-            for qa, qb, qval, qerr, floored in panels:
-                item = (-qerr, tick, qa, qb, qval, qerr)
-                if floored:
-                    aside.append(item)
-                else:
-                    heapq.heappush(heap, item)
-                tick += 1
-                val_sum += qval
-                val_abs += abs(qval)
-                err_sum += qerr
-                err_abs += qerr
+        for qa, qb, qval, qerr, floored in panels:
+            item = (-qerr, tick, qa, qb, qval, qerr)
+            if floored:
+                aside.append(item)
+            else:
+                heapq.heappush(heap, item)
+            tick += 1
+            val_sum += qval
+            val_abs += abs(qval)
+            err_sum += qerr
+            err_abs += qerr
         # If even the smallest error total and the largest value total the
         # exact test could see fail it, it would fail: bisect.  NaN or
         # infinite totals make the comparison false.
@@ -279,7 +292,10 @@ def integrate_finite(
         heapq.heappop(heap)
         val_sum -= val
         err_sum -= err
-        new_intervals = ((pa, mid), (mid, pb))
+        left, left_evals = _panel_with_retries(f, pa, mid, 2)
+        right, right_evals = _panel_with_retries(f, mid, pb, 2)
+        panels = left + right
+        evaluations += left_evals + right_evals
         splits += 1
 
     # Canonical accumulation order: left to right.
@@ -312,13 +328,17 @@ def _geometric_panels(
     values, errs, diagonals = [], [], []  # diagonals: the last three
     evaluations = 0
     edge = 1.0
+    total = comp = 0.0  # _kahan_sum(values), carried from panel to panel
     for _ in range(cfg.max_tail_panels):
         res = integrate_finite(f, min(edge, edge * ratio), max(edge, edge * ratio), panel_cfg)
         edge *= ratio
         evaluations += res.evaluations
         values.append(res.value)
         errs.append(res.error_estimate)
-        total = _kahan_sum(values)
+        y = res.value - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
         # eps_(k+1)^(n-k-1) = eps_(k-1)^(n-k) + 1 / (eps_k^(n-k) - eps_k^(n-k-1)),
         # with eps_(-1) = 0.
         previous = diagonals[-1] if diagonals else []
@@ -377,8 +397,9 @@ def integrate_mellin(
 
     A non-finite F on (0, 1] raises SingularityError.
     """
-    if not s > 0.0:
-        raise DomainError(f"integrate_mellin: requires s > 0, got {s!r}")
+    if not 0.0 < s < math.inf:
+        raise DomainError(f"integrate_mellin: requires finite s > 0, got {s!r}")
+    power = s - 1.0
 
     def integrand(x: float) -> float:
         v = F(x)
@@ -389,9 +410,9 @@ def integrate_mellin(
                 f"integrand function is non-finite at x={x!r} in the head interval"
             )
         try:
-            return x ** (s - 1.0) * v
+            return x ** power * v
         except OverflowError:  # x^(s-1) alone leaves the double range
-            half = x ** ((s - 1.0) / 2.0)
+            half = x ** (power / 2.0)
             return half * v * half
 
     return integrate_semi_infinite(integrand, cfg)

@@ -185,8 +185,10 @@ def lemma2(
             f"derivative_max={pair.derivative_max}"
         )
 
+    derivative, power = pair.derivative, n - 1
+
     def integrand(x: float) -> float:
-        return x ** (n - 1) * pair.derivative(n, x)
+        return x ** power * derivative(n, x)
 
     lhs = integrate_semi_infinite(integrand, cfg)
     rhs = (-1.0) ** (n - 1) * (pair.f_at_infinity - pair.f_at_zero) * specfun.gamma(float(n))

@@ -3,10 +3,14 @@
 Nothing here touches the package's adaptive Gauss-Kronrod integrator: the
 routines are composite Simpson / trapezoid rules on explicit meshes plus
 analytic tail handling, so agreement with the library is meaningful.  The
-exceptions are three restatements of earlier code:
+exceptions are restatements of earlier code:
 ``reference_integrate_finite``, the integrator's plain bisection loop
 (re-summing every panel before each split, with round-off-limited panels
 set aside unbisected), which pins the optimised loop bit for bit;
+``reference_geometric_panels`` with ``reference_integrate_semi_infinite``
+and ``reference_mellin_integrand``, the semi-infinite integrator re-summing
+its partial sums after every panel over that plain loop, which pin
+``integrate_semi_infinite`` and ``integrate_mellin`` bit for bit;
 ``reference_evaluate``, the expression tree walk, which pins the compiled
 closures bit for bit; and ``reference_parse``, the parser with its depth
 kept in a mutable counter, which pins the parser's trees and errors.
@@ -26,6 +30,7 @@ from rmtkit.errors import (
     DomainError,
     EvaluationError,
     ExprSyntaxError,
+    SingularityError,
     UnboundVariable,
     UnknownFunction,
 )
@@ -258,6 +263,84 @@ def reference_integrate_finite(f, a: float, b: float, cfg=None) -> EvaluationRes
     error = _kahan_sum(p[3] for p in panels)
     converged = converged and error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
     return EvaluationResult(value, error, counter.count, converged)
+
+
+def reference_geometric_panels(f, ratio: float, cfg: QuadratureConfig) -> EvaluationResult:
+    """One end of [0, inf) as geometric panels from 1 toward infinity (ratio
+    2) or toward 0 (ratio 1/2), each panel run by the plain loop above, the
+    partial sum re-summed over every panel after each one and extrapolated
+    with Wynn's epsilon algorithm."""
+    panel_cfg = cfg.scaled(0.25)
+    values, errs, diagonals = [], [], []  # diagonals: the last three
+    evaluations = 0
+    edge = 1.0
+    for _ in range(cfg.max_tail_panels):
+        res = reference_integrate_finite(
+            f, min(edge, edge * ratio), max(edge, edge * ratio), panel_cfg
+        )
+        edge *= ratio
+        evaluations += res.evaluations
+        values.append(res.value)
+        errs.append(res.error_estimate)
+        total = _kahan_sum(values)
+        # eps_(k+1)^(n-k-1) = eps_(k-1)^(n-k) + 1 / (eps_k^(n-k) - eps_k^(n-k-1)),
+        # with eps_(-1) = 0.
+        previous = diagonals[-1] if diagonals else []
+        diagonal = [total]
+        for k, old in enumerate(previous):
+            difference = diagonal[k] - old
+            if difference == 0.0:
+                break
+            entry = (previous[k - 1] if k else 0.0) + 1.0 / difference
+            if not math.isfinite(entry):
+                break
+            diagonal.append(entry)
+        diagonals = diagonals[-2:] + [diagonal]
+        if len(diagonals) < 3 or not abs(values[-3]) >= abs(values[-2]) >= abs(values[-1]):
+            continue
+        first, second, last = diagonals
+        columns = range(0, min(map(len, diagonals)), 2)
+        change, k = min(
+            (abs(last[k] - second[k]) + abs(second[k] - first[k]), k) for k in columns
+        )
+        change += 10.0 * 2.220446049250313e-16 * abs(total)
+        if change <= max(cfg.abs_tol, cfg.rel_tol * abs(last[k])) / 4.0:
+            return EvaluationResult(last[k], change + _kahan_sum(errs), evaluations, True)
+    errs.append(abs(values[-1]))
+    return EvaluationResult(total, _kahan_sum(errs), evaluations, False)
+
+
+def reference_integrate_semi_infinite(f, cfg=None) -> EvaluationResult:
+    """The head toward 0 plus the tail toward infinity, both by
+    ``reference_geometric_panels``."""
+    cfg = cfg or QuadratureConfig()
+    head = reference_geometric_panels(f, 0.5, cfg)
+    tail = reference_geometric_panels(f, 2.0, cfg)
+    value = head.value + tail.value
+    error = head.error_estimate + tail.error_estimate
+    converged = head.converged and tail.converged
+    converged = converged and error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    return EvaluationResult(value, error, head.evaluations + tail.evaluations, converged)
+
+
+def reference_mellin_integrand(F, s: float):
+    """x^(s-1) F(x) as the Mellin integrator forms it: 0 where F is 0, an
+    error where F is non-finite on (0, 1], and the power split in two
+    halves where it alone overflows."""
+
+    def integrand(x: float) -> float:
+        v = F(x)
+        if v == 0.0:
+            return 0.0
+        if x <= 1.0 and not math.isfinite(v):
+            raise SingularityError(f"non-finite F at x={x!r}")
+        try:
+            return x ** (s - 1.0) * v
+        except OverflowError:
+            half = x ** ((s - 1.0) / 2.0)
+            return half * v * half
+
+    return integrand
 
 
 def reference_evaluate(node, env) -> float:

@@ -196,6 +196,18 @@ class TestInputErrors:
         assert "--tol-scale" in err and "positive" in err
         assert out == ""
 
+    @pytest.mark.parametrize("abs_tol", ["5e-324", "1e-323"])
+    def test_tolerance_that_quarters_to_zero_is_input_error(self, capsys, abs_tol):
+        # Semi-infinite panels run at a quarter of the tolerances; that
+        # quarter flushes to 0 here.
+        code, out, err = run_in_process(
+            capsys, "verify", "rmt", "--catalog", "exp", "--s", "2",
+            "--abs-tol", abs_tol, "--rel-tol", "0",
+        )
+        assert (code, out) == (2, "")
+        assert err == (f"error: abs_tol={float(abs_tol)!r} and rel_tol=0.0 are too small: "
+                       "at least one must stay positive when quartered\n")
+
     def test_infinite_identity_tolerance_is_input_error(self, capsys):
         code, out, err = run_in_process(
             capsys, "verify", "rmt", "--catalog", "exp", "--s", "3", "--tol", "inf"

@@ -6,17 +6,26 @@ import random
 import mpmath
 import pytest
 
+from rmtkit import quadrature
 from rmtkit.errors import DomainError, EvaluationError, SingularityError
 from rmtkit.quadrature import (
     _XGK,
     _geometric_panels,
+    _gk15,
     QuadratureConfig,
     integrate_finite,
     integrate_mellin,
     integrate_semi_infinite,
 )
+from rmtkit.sequences import catalog_get
 
-from oracles import graded_mesh_trapezoid, reference_integrate_finite, trapezoid
+from oracles import (
+    graded_mesh_trapezoid,
+    reference_integrate_finite,
+    reference_integrate_semi_infinite,
+    reference_mellin_integrand,
+    trapezoid,
+)
 
 SQRT_PI = 1.7724538509055159
 
@@ -51,6 +60,36 @@ class TestConfig:
     def test_non_integer_budgets_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
             QuadratureConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("name", ["max_subdivisions", "max_tail_panels"])
+    def test_bool_budgets_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            QuadratureConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "abs_tol, rel_tol", [(5e-324, 0.0), (1e-323, 0.0), (0.0, 5e-324), (1e-323, 1e-323)]
+    )
+    def test_tolerances_that_quarter_to_zero_rejected(self, abs_tol, rel_tol):
+        # Semi-infinite panels run at a quarter of the tolerances.
+        with pytest.raises(ValueError, match=f"^abs_tol={abs_tol!r} and rel_tol={rel_tol!r} "
+                                             "are too small"):
+            QuadratureConfig(abs_tol=abs_tol, rel_tol=rel_tol)
+
+    def test_semi_infinite_not_reached_with_a_tolerance_that_quarters_to_zero(self):
+        calls = []
+        with pytest.raises(ValueError, match="too small"):
+            integrate_semi_infinite(calls.append, QuadratureConfig(abs_tol=5e-324, rel_tol=0.0))
+        assert calls == []
+
+    def test_quarter_of_a_valid_config_is_not_checked_again(self):
+        # 2e-323 quarters to 5e-324, whose own quarter is 0; the panels still
+        # run at 5e-324 rather than raising.
+        cfg = QuadratureConfig(abs_tol=2e-323, rel_tol=0.0)
+        assert cfg.scaled(0.25).abs_tol == 5e-324
+        assert QuadratureConfig().scaled(0.25) == QuadratureConfig(abs_tol=2.5e-13, rel_tol=2.5e-11)
+        res = integrate_semi_infinite(lambda x: math.exp(-x), cfg)
+        assert abs(res.value - 1.0) <= res.error_estimate
 
 
 class TestFinite:
@@ -246,6 +285,155 @@ class TestMatchesReferenceLoop:
         assert abs(res.value - float(exact)) <= res.error_estimate
 
 
+def _bits(res):
+    """A result with its floats as hex, so -0.0 and 0.0 differ."""
+    return (res.value.hex(), res.error_estimate.hex(), res.evaluations, res.converged)
+
+
+def _poly(*coefficients):
+    return lambda x: sum(c * x**k for k, c in enumerate(coefficients))
+
+
+class TestOnePanelReturn:
+    """A first panel that meets the tolerance alone is returned at once, with
+    the bits of the plain loop's one-panel sums."""
+
+    @pytest.mark.parametrize(
+        "f, a, b, evaluations",
+        [
+            # Gauss-exact: the gap is round-off, the panel converges alone.
+            (_poly(0.5, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0, *[0.0] * 5, 3.0), -1.0, 2.0, 15),
+            # Kronrod-exact only: the Gauss gap sends it to the loop.
+            (_poly(1.0, *[0.0] * 21, 2.0), 0.0, 1.5, None),
+            (lambda x: 2.5, 0.0, 4.0, 15),
+            (lambda x: -0.0, 0.0, 1.0, 15),
+            # Finite first panel short of the tolerance.
+            (lambda x: math.sin(50.0 * x), 0.0, 3.0, None),
+            # First panel aborted at its centre, then retried on its halves.
+            (_inf_at(0.5, lambda x: x * x), 0.0, 1.0, 31),
+        ],
+        ids=["degree13", "degree22", "constant", "negative_zero", "unconverged", "aborted"],
+    )
+    def test_matches_reference_loop(self, f, a, b, evaluations):
+        res = integrate_finite(f, a, b)
+        assert _bits(res) == _bits(reference_integrate_finite(f, a, b))
+        if evaluations is None:
+            assert res.evaluations > 15
+        else:
+            assert res.evaluations == evaluations and res.converged
+
+    def test_negative_zero_integrand_gives_positive_zero(self):
+        res = integrate_finite(lambda x: -0.0, 0.0, 1.0)
+        assert math.copysign(1.0, res.value) == 1.0 and res.error_estimate == 0.0
+
+    @pytest.mark.parametrize(
+        "f, evaluations",
+        [(lambda x: 1e308, 15 + 5 * 30), (lambda x: 1e308 if abs(x - 0.5) > 0.49 else 1.0, 15)],
+        ids=["every_pair", "outer_pair"],
+    )
+    def test_overflowing_pair_sum_is_not_an_abort(self, f, evaluations):
+        # 1e308 + 1e308 overflows though both values are finite: the panel
+        # is kept, not retried as non-finite.  Overflowing every pair sum
+        # leaves a NaN gap, bisected to the budget; overflowing only the
+        # outer one, which has no Gauss weight, floors the error at inf.
+        cfg = QuadratureConfig(max_subdivisions=5)
+        res = integrate_finite(f, 0.0, 1.0, cfg)
+        assert _bits(res) == _bits(reference_integrate_finite(f, 0.0, 1.0, cfg))
+        assert res.evaluations == evaluations
+
+    def test_tolerance_at_the_first_panel_error(self):
+        # At abs_tol equal to the first panel's error the panel returns at
+        # once; one ulp below it the loop bisects.
+        f = lambda x: 1.0 / (1.0 + x)
+        _, err, floored, _ = _gk15(f, 0.0, 4.0)
+        assert not floored
+        for abs_tol, one_panel in [(err, True), (math.nextafter(err, 0.0), False)]:
+            cfg = QuadratureConfig(abs_tol=abs_tol, rel_tol=0.0)
+            res = integrate_finite(f, 0.0, 4.0, cfg)
+            assert _bits(res) == _bits(reference_integrate_finite(f, 0.0, 4.0, cfg))
+            assert (res.evaluations == 15) is one_panel and res.converged
+
+
+_SEMI_INFINITE_CONFIGS = {
+    "default": QuadratureConfig(),
+    "tight": QuadratureConfig(abs_tol=1e-14, rel_tol=1e-13),
+}
+
+
+def _lemma2_integrand(pair, n):
+    return lambda x: x ** (n - 1) * pair.derivative(n, x)
+
+
+def _frullani_integrand(f, alpha, beta):
+    return lambda x: (f(alpha * x) - f(beta * x)) / x
+
+
+class TestMatchesReferenceGeometricPanels:
+    """Each end's running Kahan total gives the bits of re-summing every
+    panel, so both integrators match ``oracles.reference_geometric_panels``
+    over the plain loop bit for bit."""
+
+    @pytest.mark.parametrize("cfg_name", sorted(_SEMI_INFINITE_CONFIGS))
+    @pytest.mark.parametrize(
+        "F, s",
+        [
+            (catalog_get("exp").closed_form, 0.5),
+            (catalog_get("exp", a=2.0).closed_form, 3.0),
+            (catalog_get("power", m=2.5).closed_form, 1.3),
+            (catalog_get("geometric").closed_form, 0.3),
+            (catalog_get("harmonic_shifted").closed_form, 0.6),
+            # Level tail panels: the end runs out its panels unconverged.
+            (catalog_get("geometric").closed_form, 1.0),
+        ],
+        ids=["exp", "exp_a2_s3", "power", "geometric", "harmonic_shifted", "divergent"],
+    )
+    def test_mellin(self, F, s, cfg_name):
+        cfg = _SEMI_INFINITE_CONFIGS[cfg_name]
+        expected = reference_integrate_semi_infinite(reference_mellin_integrand(F, s), cfg)
+        assert _bits(integrate_mellin(F, s, cfg)) == _bits(expected)
+
+    @pytest.mark.parametrize("cfg_name", sorted(_SEMI_INFINITE_CONFIGS))
+    @pytest.mark.parametrize(
+        "f",
+        [
+            _lemma2_integrand(catalog_get("erf"), 1),
+            _lemma2_integrand(catalog_get("erf"), 3),
+            _lemma2_integrand(catalog_get("laguerre_weight", n=3), 2),
+            _lemma2_integrand(catalog_get("laguerre_weight", n=4), 4),
+            _frullani_integrand(catalog_get("exp").closed_form, 2.0, 1.0),
+            _frullani_integrand(catalog_get("power", m=1.5).closed_form, 0.5, 3.0),
+        ],
+        ids=["erf_n1", "erf_n3", "laguerre_n3_d2", "laguerre_n4_d4", "frullani_exp",
+             "frullani_power"],
+    )
+    def test_semi_infinite(self, f, cfg_name):
+        cfg = _SEMI_INFINITE_CONFIGS[cfg_name]
+        expected = reference_integrate_semi_infinite(f, cfg)
+        assert _bits(integrate_semi_infinite(f, cfg)) == _bits(expected)
+
+
+class TestTracerContract:
+    """Profilers wrap the module global ``integrate_finite``; every geometric
+    panel must go through it, once."""
+
+    @pytest.mark.parametrize("ratio", [2.0, 0.5])
+    def test_one_module_level_call_per_panel(self, monkeypatch, ratio):
+        calls = []
+        original = quadrature.integrate_finite
+
+        def counting(f, a, b, cfg=None):
+            res = original(f, a, b, cfg)
+            calls.append((a, b, res.evaluations))
+            return res
+
+        monkeypatch.setattr(quadrature, "integrate_finite", counting)
+        res = _geometric_panels(lambda x: x ** -0.5 / (1.0 + x), ratio, QuadratureConfig())
+        edges = [ratio**j for j in range(len(calls) + 1)]
+        assert len(calls) > 3
+        assert [(a, b) for a, b, _ in calls] == [(min(p), max(p)) for p in zip(edges, edges[1:])]
+        assert sum(evaluations for _, _, evaluations in calls) == res.evaluations
+
+
 class TestSemiInfinite:
     def test_exponential(self):
         res = integrate_semi_infinite(lambda x: math.exp(-x))
@@ -328,6 +516,18 @@ class TestMellin:
             integrate_mellin(lambda x: math.exp(-x), 0.0)
         with pytest.raises(DomainError):
             integrate_mellin(lambda x: math.exp(-x), -1.0)
+
+    @pytest.mark.parametrize("s", [math.inf, math.nan, -math.inf, 0.0, -1.0])
+    def test_domain_checked_before_any_evaluation(self, s):
+        calls = []
+
+        def F(x):
+            calls.append(x)
+            return math.exp(-x)
+
+        with pytest.raises(DomainError, match="^integrate_mellin: requires finite s > 0"):
+            integrate_mellin(F, s)
+        assert calls == []
 
     def test_singular_function_detected(self):
         with pytest.raises(SingularityError):
