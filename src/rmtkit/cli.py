@@ -50,8 +50,6 @@ class _InputError(Exception):
 
 
 def _fmt(value: float) -> str:
-    if value != value:  # NaN
-        return "nan"
     return f"{value:.15g}"
 
 

@@ -277,26 +277,14 @@ def _apply_power(base: float, exponent: float) -> float:
     return math.pow(base, exponent)
 
 
-def _ln(x: float) -> float:
-    if x <= 0.0:
-        raise DomainError(f"ln of non-positive value {x!r}")
-    return math.log(x)
-
-
-def _sqrt(x: float) -> float:
-    if x < 0.0:
-        raise DomainError(f"sqrt of negative value {x!r}")
-    return math.sqrt(x)
-
-
 # name -> (arity, function).  The specfun functions are looked up when
 # called, so a function replaced on specfun is the one expressions reach.
 _BUILTINS: dict[str, tuple[int, Callable[..., float]]] = {
     "exp": (1, math.exp),
-    "ln": (1, _ln),
+    "ln": (1, math.log),
     "sin": (1, math.sin),
     "cos": (1, math.cos),
-    "sqrt": (1, _sqrt),
+    "sqrt": (1, math.sqrt),
     "gamma": (1, lambda x: specfun.gamma(x)),
     "fact": (1, lambda x: specfun.gamma(x + 1.0)),
     "erf": (1, lambda x: specfun.erf(x)),
@@ -389,7 +377,7 @@ def _compile_call(node: Call, bindings, variable) -> Callable[[float], float]:
         values = [a(x) for a in args]
         try:
             return fn(*values)
-        except ValueError:  # math.sin and math.cos at +/-inf
+        except ValueError:  # math.log, math.sqrt, math.sin, math.cos off their domains
             raise DomainError(f"{name} undefined at {', '.join(map(repr, values))}") from None
 
     return call

@@ -112,14 +112,21 @@ class QuadratureConfig:
 class EvaluationResult:
     """A numeric value with its absolute error estimate.
 
-    ``converged`` implies error_estimate <= max(abs_tol, rel_tol * |value|)
-    for the config the integral was run with.
+    ``converged`` implies a finite value and error_estimate <=
+    max(abs_tol, rel_tol * |value|) for the config the integral was run
+    with.
     """
 
     value: float
     error_estimate: float
     evaluations: int
     converged: bool
+
+
+def _within_tolerance(value: float, error: float, cfg: QuadratureConfig) -> bool:
+    """The convergence rule of every integrator: a finite value whose error
+    is at most max(abs_tol, rel_tol * |value|)."""
+    return math.isfinite(value) and error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
 
 
 def _kahan_sum(values) -> float:
@@ -208,20 +215,20 @@ def integrate_finite(
     panels.  A panel whose error is its round-off floor, 50 eps times the
     panel's integral of |f|, is set aside: bisecting it cannot lower that
     floor, so it is never bisected, but its value and error still count.
-    When the subdivision budget is spent, when the worst panel is too
-    narrow to bisect, or when only set-aside panels are left, the best value
-    so far is returned with converged=False.  ``evaluations`` counts every
-    call of f, including those of panels abandoned on a non-finite value.
+    ``evaluations`` counts every call of f, including those of panels
+    abandoned on a non-finite value.
 
-    The loop stops once the Kahan sum of the panel errors is at most
-    max(abs_tol, rel_tol * |Kahan sum of the panel values|), both summed
-    over the heap in heap order and then over the set-aside panels in the
-    order they were set aside.  Running totals of both, with a bound on
-    their rounding, rule that out in O(1) while the loop is clearly short
-    of it; only when they cannot decide is the exact O(n) test run over the
-    n panels.  So a bisection costs O(log n), for the heap, and the loop
-    stops at the same split as if it re-summed every panel before every
-    bisection.  A first panel that meets the test on its own returns at once.
+    Value and error are Kahan sums over the panels kept, taken left to
+    right: the loop stops once these sums pass ``_within_tolerance`` and
+    returns them as they are.  When the subdivision budget is spent, when
+    the worst panel is too narrow to bisect, or when only set-aside panels
+    are left, the same sums are returned with converged=False.  Running
+    totals of both, with a bound on their rounding, rule the test out in
+    O(1) while the loop is clearly short of it; only when they cannot
+    decide are the n panels sorted and summed.  So a bisection costs
+    O(log n), for the heap, and the loop stops at the same split as if it
+    re-summed every panel before every bisection.  A first panel that
+    passes the test on its own returns at once.
     """
     cfg = cfg or QuadratureConfig()
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -236,12 +243,17 @@ def integrate_finite(
     if len(panels) == 1:
         # The loop's one-panel Kahan sums are 0.0 + value and 0.0 + error.
         value, error = 0.0 + panels[0][2], 0.0 + panels[0][3]
-        if error <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+        if _within_tolerance(value, error, cfg):
             return EvaluationResult(value, error, evaluations, True)
 
     heap = []
     aside = []  # round-off-limited panels, never bisected
     tick = 0
+
+    def sums():
+        kept = sorted(heap + aside, key=lambda item: item[2])
+        return _kahan_sum(item[4] for item in kept), _kahan_sum(item[5] for item in kept)
+
     splits = 0
     min_width = abs(b - a) * 1e-15
     # Running totals of the values and errors of the panels kept, in the
@@ -274,21 +286,16 @@ def integrate_finite(
         err_lo = err_sum - _MARGIN * err_abs
         val_hi = abs(val_sum) + _MARGIN * val_abs
         if not err_lo > max(cfg.abs_tol, cfg.rel_tol * val_hi):
-            total = _kahan_sum(item[4] for item in heap + aside)
-            total_err = _kahan_sum(item[5] for item in heap + aside)
-            if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-                converged = True
-                break
-            val_sum, err_sum, err_abs = total, total_err, total_err
+            value, error = sums()
+            if _within_tolerance(value, error, cfg):
+                return EvaluationResult(value, error, evaluations, True)
+            val_sum, err_sum, err_abs = value, error, error
         if splits >= cfg.max_subdivisions or not heap:
-            converged = False
             break
         _, _, pa, pb, val, err = heap[0]
         mid = 0.5 * (pa + pb)
         if not (pa < mid < pb) or (pb - pa) < min_width:
-            # Cannot refine further in double precision.
-            converged = False
-            break
+            break  # cannot refine further in double precision
         heapq.heappop(heap)
         val_sum -= val
         err_sum -= err
@@ -297,13 +304,8 @@ def integrate_finite(
         panels = left + right
         evaluations += left_evals + right_evals
         splits += 1
-
-    # Canonical accumulation order: left to right.
-    panels = sorted((item[2], item[3], item[4], item[5]) for item in heap + aside)
-    value = _kahan_sum(p[2] for p in panels)
-    error = _kahan_sum(p[3] for p in panels)
-    converged = converged and error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    return EvaluationResult(value, error, evaluations, converged)
+    value, error = sums()
+    return EvaluationResult(value, error, evaluations, False)
 
 
 def _geometric_panels(
@@ -360,7 +362,7 @@ def _geometric_panels(
             (abs(last[k] - second[k]) + abs(second[k] - first[k]), k) for k in columns
         )
         change += 10.0 * _EPS * abs(total)
-        if change <= max(cfg.abs_tol, cfg.rel_tol * abs(last[k])) / 4.0:
+        if _within_tolerance(last[k], change, panel_cfg):
             return EvaluationResult(last[k], change + _kahan_sum(errs), evaluations, True)
     errs.append(abs(values[-1]))
     return EvaluationResult(total, _kahan_sum(errs), evaluations, False)
@@ -383,8 +385,7 @@ def integrate_semi_infinite(
     tail = _geometric_panels(f, 2.0, cfg)
     value = head.value + tail.value
     error = head.error_estimate + tail.error_estimate
-    converged = head.converged and tail.converged
-    converged = converged and error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    converged = head.converged and tail.converged and _within_tolerance(value, error, cfg)
     return EvaluationResult(value, error, head.evaluations + tail.evaluations, converged)
 
 

@@ -100,8 +100,9 @@ def eval_series(pair: SeriesPair, x: float, max_terms: int) -> SeriesValue:
     term (a valid tail bound when terms are eventually alternating and
     decreasing).
     """
-    if max_terms < 1:
+    if not (max_terms >= 1 and float(max_terms).is_integer()):
         raise DomainError("eval_series: max_terms must be >= 1")
+    max_terms = int(max_terms)
     if x < 0.0:
         raise DomainError(f"eval_series: requires x >= 0, got {x!r}")
     if x >= pair.convergence_radius:
@@ -296,11 +297,11 @@ def _build_laguerre_weight(**params) -> SeriesPair:
     """x^n e^(-x); its n-th derivative is n! L_n(x) e^(-x)."""
     _require_params("laguerre_weight", params, ("n",))
     n_f = float(params["n"])
-    n = int(round(n_f))
-    if n != n_f or n < 1 or n > 50:
+    if not (n_f.is_integer() and 1 <= n_f <= 50):
         raise ParamDomainError(
             f"catalog 'laguerre_weight': requires integer 1 <= n <= 50, got {n_f!r}"
         )
+    n = int(n_f)
 
     def phi(k: float) -> float:
         if abs(k - round(k)) > 1e-9:

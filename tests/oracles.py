@@ -5,8 +5,9 @@ routines are composite Simpson / trapezoid rules on explicit meshes plus
 analytic tail handling, so agreement with the library is meaningful.  The
 exceptions are restatements of earlier code:
 ``reference_integrate_finite``, the integrator's plain bisection loop
-(re-summing every panel before each split, with round-off-limited panels
-set aside unbisected), which pins the optimised loop bit for bit;
+(re-summing every panel left to right before each split, with
+round-off-limited panels set aside unbisected), which pins the optimised
+loop bit for bit;
 ``reference_geometric_panels`` with ``reference_integrate_semi_infinite``
 and ``reference_mellin_integrand``, the semi-infinite integrator re-summing
 its partial sums after every panel over that plain loop, which pin
@@ -212,11 +213,11 @@ def _reference_panels(f, a: float, b: float, retries: int):
 
 def reference_integrate_finite(f, a: float, b: float, cfg=None) -> EvaluationResult:
     """The adaptive loop in its plain form: every call of f counted by a
-    wrapper, and the stopping test re-summing every panel (Kahan, the heap
-    in heap order, then the set-aside panels in the order they were set
-    aside) before each bisection - O(n) per split.  A panel whose error is
-    its round-off floor is set aside, never bisected; when no other panel
-    is left the loop stops unconverged."""
+    wrapper, and every panel re-summed (Kahan, left to right) before each
+    bisection - O(n log n) per split.  The loop stops on a finite value
+    whose error is within the tolerance and returns those sums.  A panel
+    whose error is its round-off floor is set aside, never bisected; when
+    no other panel is left the loop stops unconverged."""
     cfg = cfg or QuadratureConfig()
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise DomainError(f"bad interval [{a!r}, {b!r}]")
@@ -241,28 +242,22 @@ def reference_integrate_finite(f, a: float, b: float, cfg=None) -> EvaluationRes
     splits = 0
     min_width = abs(b - a) * 1e-15
     while True:
-        total = _kahan_sum(item[4] for item in heap + aside)
-        total_err = _kahan_sum(item[5] for item in heap + aside)
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-            converged = True
-            break
+        panels = sorted((item[2], item[4], item[5]) for item in heap + aside)
+        value = _kahan_sum(p[1] for p in panels)
+        error = _kahan_sum(p[2] for p in panels)
+        if math.isfinite(value) and error <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+            return EvaluationResult(value, error, counter.count, True)
         if splits >= cfg.max_subdivisions or not heap:
-            converged = False
             break
-        neg_err, _, pa, pb, val, err = heapq.heappop(heap)
+        pa, pb = heap[0][2:4]
         mid = 0.5 * (pa + pb)
         if not (pa < mid < pb) or (pb - pa) < min_width:
-            heapq.heappush(heap, (neg_err, tick, pa, pb, val, err))
-            converged = False
             break
+        heapq.heappop(heap)
         keep(pa, mid)
         keep(mid, pb)
         splits += 1
-    panels = sorted((item[2], item[3], item[4], item[5]) for item in heap + aside)
-    value = _kahan_sum(p[2] for p in panels)
-    error = _kahan_sum(p[3] for p in panels)
-    converged = converged and error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    return EvaluationResult(value, error, counter.count, converged)
+    return EvaluationResult(value, error, counter.count, False)
 
 
 def reference_geometric_panels(f, ratio: float, cfg: QuadratureConfig) -> EvaluationResult:
@@ -318,7 +313,7 @@ def reference_integrate_semi_infinite(f, cfg=None) -> EvaluationResult:
     tail = reference_geometric_panels(f, 2.0, cfg)
     value = head.value + tail.value
     error = head.error_estimate + tail.error_estimate
-    converged = head.converged and tail.converged
+    converged = head.converged and tail.converged and math.isfinite(value)
     converged = converged and error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
     return EvaluationResult(value, error, head.evaluations + tail.evaluations, converged)
 

@@ -344,6 +344,19 @@ class TestInputErrors:
         )
         assert (code, out, err) == (2, "", "error: --param a must be finite\n")
 
+    @pytest.mark.parametrize("n", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify", "lemma2", "--n", "1"), ("residue", "--m", "0")],
+        ids=["verify", "residue"],
+    )
+    def test_non_finite_laguerre_order_is_input_error(self, capsys, argv, n):
+        code, out, err = run_in_process(
+            capsys, *argv, "--catalog", "laguerre_weight", "--param", f"n={n}"
+        )
+        message = f"catalog 'laguerre_weight': requires integer 1 <= n <= 50, got {n}"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_overflowing_number_literal_is_input_error(self, capsys):
         code, out, err = run_in_process(
             capsys, "verify", "rmt", "--phi", "1", "--closed-form", "exp(-x)+exp(-1e999)",

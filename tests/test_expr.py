@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import struct
 
 import pytest
@@ -179,6 +180,25 @@ class TestEvaluate:
             evaluate(parse("(0-2)^0.5"), {})
         with pytest.raises(DomainError):
             evaluate(parse("gamma(0)"), {})
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("ln(0-1)", "ln undefined at -1.0"),
+            ("ln(0)", "ln undefined at 0.0"),
+            ("sqrt(0-1)", "sqrt undefined at -1.0"),
+        ],
+    )
+    def test_domain_error_messages(self, source, message):
+        tree = parse(source)
+        for run in (lambda: evaluate(tree, {}), lambda: compile_expr(tree, {}, "x")(1.0)):
+            with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+                run()
+
+    def test_sqrt_of_negative_zero(self):
+        tree = parse("sqrt(-0.0)")
+        assert math.copysign(1.0, evaluate(tree, {})) == -1.0
+        assert math.copysign(1.0, compile_expr(tree, {}, "x")(1.0)) == -1.0
 
     def test_zero_to_negative_power(self):
         with pytest.raises(DivisionByZero):

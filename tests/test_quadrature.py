@@ -231,20 +231,21 @@ class TestMatchesReferenceLoop:
         cfg = _REFERENCE_CONFIGS[cfg_name]
         assert integrate_finite(f, a, b, cfg) == reference_integrate_finite(f, a, b, cfg)
 
-    # abs_tol equals, to the last bit, the heap's error total at one split,
-    # where a plain running total of the errors differs from it in the last
-    # bits: there a test on running totals alone stops a split early (sqrt)
-    # or late (kink).  For cos30 it equals the total summed over the heap
-    # and then the set-aside panels, one ulp below the total in the other
-    # order, so summing the set-aside panels first stops a split late.
+    # abs_tol equals, to the last bit, the left-to-right error total at one
+    # split, where a plain running total of the errors differs from it in
+    # the last bits: there a test on running totals alone stops a split
+    # early (sqrt) or late (kink).  In aside_in_place a set-aside panel lies
+    # between heap panels, and summing the set-aside panels after the heap
+    # ones rather than in place gives a total above abs_tol, so the loop
+    # would stop a split late.
     @pytest.mark.parametrize(
         "f, abs_tol",
         [
-            (math.sqrt, 5.049495430109488e-14),
-            (lambda x: abs(x - 1.0 / 3.0), 6.19263576937754e-05),
-            (lambda x: math.cos(30.0 * x), 1.3586270140757039e-12),
+            (lambda x: x * math.sqrt(x), 4.44089209850063e-15),
+            (lambda x: abs(x - 1.0 / 3.0), 6.192635769377541e-05),
+            (lambda x: math.sqrt(abs(x - 0.05)), 6.003969740594776e-11),
         ],
-        ids=["sqrt", "kink", "cos30"],
+        ids=["sqrt", "kink", "aside_in_place"],
     )
     def test_tolerance_on_a_rounding_boundary(self, f, abs_tol):
         cfg = QuadratureConfig(abs_tol=abs_tol, rel_tol=0.0)
@@ -368,48 +369,85 @@ def _frullani_integrand(f, alpha, beta):
     return lambda x: (f(alpha * x) - f(beta * x)) / x
 
 
+_MELLIN_CASES = [
+    pytest.param(catalog_get("exp").closed_form, 0.5, id="exp"),
+    pytest.param(catalog_get("exp", a=2.0).closed_form, 3.0, id="exp_a2_s3"),
+    pytest.param(catalog_get("power", m=2.5).closed_form, 1.3, id="power"),
+    pytest.param(catalog_get("geometric").closed_form, 0.3, id="geometric"),
+    pytest.param(catalog_get("harmonic_shifted").closed_form, 0.6, id="harmonic_shifted"),
+    # Level tail panels: the end runs out its panels unconverged.
+    pytest.param(catalog_get("geometric").closed_form, 1.0, id="divergent"),
+]
+
+_SEMI_INFINITE_INTEGRANDS = [
+    pytest.param(_lemma2_integrand(catalog_get("erf"), 1), id="erf_n1"),
+    pytest.param(_lemma2_integrand(catalog_get("erf"), 3), id="erf_n3"),
+    pytest.param(_lemma2_integrand(catalog_get("laguerre_weight", n=3), 2), id="laguerre_n3_d2"),
+    pytest.param(_lemma2_integrand(catalog_get("laguerre_weight", n=4), 4), id="laguerre_n4_d4"),
+    pytest.param(_frullani_integrand(catalog_get("exp").closed_form, 2.0, 1.0), id="frullani_exp"),
+    pytest.param(
+        _frullani_integrand(catalog_get("power", m=1.5).closed_form, 0.5, 3.0),
+        id="frullani_power",
+    ),
+]
+
+
 class TestMatchesReferenceGeometricPanels:
     """Each end's running Kahan total gives the bits of re-summing every
     panel, so both integrators match ``oracles.reference_geometric_panels``
     over the plain loop bit for bit."""
 
     @pytest.mark.parametrize("cfg_name", sorted(_SEMI_INFINITE_CONFIGS))
-    @pytest.mark.parametrize(
-        "F, s",
-        [
-            (catalog_get("exp").closed_form, 0.5),
-            (catalog_get("exp", a=2.0).closed_form, 3.0),
-            (catalog_get("power", m=2.5).closed_form, 1.3),
-            (catalog_get("geometric").closed_form, 0.3),
-            (catalog_get("harmonic_shifted").closed_form, 0.6),
-            # Level tail panels: the end runs out its panels unconverged.
-            (catalog_get("geometric").closed_form, 1.0),
-        ],
-        ids=["exp", "exp_a2_s3", "power", "geometric", "harmonic_shifted", "divergent"],
-    )
+    @pytest.mark.parametrize("F, s", _MELLIN_CASES)
     def test_mellin(self, F, s, cfg_name):
         cfg = _SEMI_INFINITE_CONFIGS[cfg_name]
         expected = reference_integrate_semi_infinite(reference_mellin_integrand(F, s), cfg)
         assert _bits(integrate_mellin(F, s, cfg)) == _bits(expected)
 
     @pytest.mark.parametrize("cfg_name", sorted(_SEMI_INFINITE_CONFIGS))
-    @pytest.mark.parametrize(
-        "f",
-        [
-            _lemma2_integrand(catalog_get("erf"), 1),
-            _lemma2_integrand(catalog_get("erf"), 3),
-            _lemma2_integrand(catalog_get("laguerre_weight", n=3), 2),
-            _lemma2_integrand(catalog_get("laguerre_weight", n=4), 4),
-            _frullani_integrand(catalog_get("exp").closed_form, 2.0, 1.0),
-            _frullani_integrand(catalog_get("power", m=1.5).closed_form, 0.5, 3.0),
-        ],
-        ids=["erf_n1", "erf_n3", "laguerre_n3_d2", "laguerre_n4_d4", "frullani_exp",
-             "frullani_power"],
-    )
+    @pytest.mark.parametrize("f", _SEMI_INFINITE_INTEGRANDS)
     def test_semi_infinite(self, f, cfg_name):
         cfg = _SEMI_INFINITE_CONFIGS[cfg_name]
         expected = reference_integrate_semi_infinite(f, cfg)
         assert _bits(integrate_semi_infinite(f, cfg)) == _bits(expected)
+
+
+def _assert_contract(res, cfg):
+    if res.converged:
+        assert math.isfinite(res.value)
+        assert res.error_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+
+
+class TestConvergedContract:
+    """``converged`` implies a finite value whose error estimate is within
+    max(abs_tol, rel_tol * |value|)."""
+
+    @pytest.mark.parametrize("cfg_name", sorted(_REFERENCE_CONFIGS))
+    @pytest.mark.parametrize("case", _reference_grid(), ids=lambda c: c[0])
+    def test_finite(self, case, cfg_name):
+        _, f, a, b, _ = case
+        cfg = _REFERENCE_CONFIGS[cfg_name]
+        _assert_contract(integrate_finite(f, a, b, cfg), cfg)
+
+    @pytest.mark.parametrize("cfg_name", sorted(_SEMI_INFINITE_CONFIGS))
+    @pytest.mark.parametrize("F, s", _MELLIN_CASES)
+    def test_mellin(self, F, s, cfg_name):
+        cfg = _SEMI_INFINITE_CONFIGS[cfg_name]
+        _assert_contract(integrate_mellin(F, s, cfg), cfg)
+
+    @pytest.mark.parametrize("cfg_name", sorted(_SEMI_INFINITE_CONFIGS))
+    @pytest.mark.parametrize("f", _SEMI_INFINITE_INTEGRANDS)
+    def test_semi_infinite(self, f, cfg_name):
+        cfg = _SEMI_INFINITE_CONFIGS[cfg_name]
+        _assert_contract(integrate_semi_infinite(f, cfg), cfg)
+
+    def test_overflowed_panel_sum_is_not_converged(self):
+        # The outer pair sum of the one panel overflows, so its value is inf
+        # and its round-off floor, the error, is inf too: the loop stops on
+        # the set-aside panel without a split, unconverged.
+        res = integrate_finite(lambda x: 1e308 if abs(x - 0.5) > 0.49 else 1.0, 0.0, 1.0)
+        assert res.value == math.inf and res.evaluations == 15
+        assert res.converged is False
 
 
 class TestTracerContract:

@@ -124,6 +124,8 @@ class TestCatalog:
             ("erf", {"a": 1.0}),
             ("exp", {"a": math.inf}),
             ("power", {"m": math.inf}),
+            ("laguerre_weight", {"n": math.nan}),
+            ("laguerre_weight", {"n": math.inf}),
         ],
     )
     def test_param_domain(self, id_, params):
@@ -193,6 +195,18 @@ class TestEvalSeries:
         pair = catalog_get("exp", a=1.0)
         with pytest.raises(NonConvergenceError):
             eval_series(pair, 1.0, 3)
+
+    @pytest.mark.parametrize("max_terms", [1.5, math.nan, math.inf])
+    def test_non_integral_term_budget_rejected(self, max_terms):
+        with pytest.raises(DomainError, match=r"^eval_series: max_terms must be >= 1$"):
+            eval_series(catalog_get("exp"), 0.5, max_terms)
+
+    def test_integral_float_term_budget_is_an_int(self):
+        # 2.0 runs as 2: the same budget spent, the same message.
+        pair = catalog_get("exp")
+        with pytest.raises(NonConvergenceError, match=r"within 2 terms$"):
+            eval_series(pair, 0.5, 2.0)
+        assert eval_series(pair, 0.5, 40.0) == eval_series(pair, 0.5, 40)
 
     @pytest.mark.parametrize("id_,params", ALL_ENTRIES)
     def test_series_matches_closed_form(self, id_, params):
