@@ -318,20 +318,22 @@ def _geometric_panels(
 
     Panels are integrated at a quarter of the tolerances.  Each adds one
     ascending diagonal to Wynn's epsilon table over the Kahan-summed partial
-    sums.  The end stops at the even-column entry that moved least over the
-    last three diagonals, that movement plus 10 eps |sum| being its
-    remainder estimate, once the movement is within a quarter of the
-    tolerance and the last three panel magnitudes do not increase: growing
-    or level panels diverge, whatever finite antilimit the table offers.
+    sums; the last three diagonals are carried as first, second and last.
+    The end stops at the even-column entry that moved least over them, that
+    movement plus 10 eps |sum| being its remainder estimate, once the
+    movement is within a quarter of the tolerance and the last three panel
+    magnitudes do not increase: growing or level panels diverge, whatever
+    finite antilimit the table offers.
     Otherwise, after max_tail_panels panels, the plain sum is returned with
     |last panel| as its remainder and converged=False.
     """
     panel_cfg = cfg.scaled(0.25)
-    values, errs, diagonals = [], [], []  # diagonals: the last three
+    values, errs = [], []
+    first = second = last = ()  # the last three diagonals, oldest first
     evaluations = 0
     edge = 1.0
     total = comp = 0.0  # _kahan_sum(values), carried from panel to panel
-    for _ in range(cfg.max_tail_panels):
+    for panel in range(cfg.max_tail_panels):
         res = integrate_finite(f, min(edge, edge * ratio), max(edge, edge * ratio), panel_cfg)
         edge *= ratio
         evaluations += res.evaluations
@@ -342,28 +344,33 @@ def _geometric_panels(
         comp = (t - total) - y
         total = t
         # eps_(k+1)^(n-k-1) = eps_(k-1)^(n-k) + 1 / (eps_k^(n-k) - eps_k^(n-k-1)),
-        # with eps_(-1) = 0.
-        previous = diagonals[-1] if diagonals else []
+        # with eps_(-1) = 0: entry is the new diagonal's k-th element and
+        # below the last diagonal's (k-1)-th.
         diagonal = [total]
-        for k, old in enumerate(previous):
-            difference = diagonal[k] - old
+        entry, below = total, 0.0
+        for old in last:
+            difference = entry - old
             if difference == 0.0:
                 break
-            entry = (previous[k - 1] if k else 0.0) + 1.0 / difference
+            entry = below + 1.0 / difference
             if not math.isfinite(entry):
                 break
             diagonal.append(entry)
-        diagonals = diagonals[-2:] + [diagonal]
-        if len(diagonals) < 3 or not abs(values[-3]) >= abs(values[-2]) >= abs(values[-1]):
+            below = old
+        first, second, last = second, last, diagonal
+        if panel < 2 or not abs(values[-3]) >= abs(values[-2]) >= abs(values[-1]):
             continue
-        first, second, last = diagonals
-        columns = range(0, min(map(len, diagonals)), 2)
-        change, k = min(
-            (abs(last[k] - second[k]) + abs(second[k] - first[k]), k) for k in columns
-        )
+        # The even column that moved least, the first on a tie, as min() picks.
+        columns = zip(first[::2], second[::2], last[::2])
+        a, b, value = next(columns)
+        change = abs(value - b) + abs(b - a)
+        for a, b, c in columns:
+            movement = abs(c - b) + abs(b - a)
+            if movement < change:
+                change, value = movement, c
         change += 10.0 * _EPS * abs(total)
-        if _within_tolerance(last[k], change, panel_cfg):
-            return EvaluationResult(last[k], change + _kahan_sum(errs), evaluations, True)
+        if _within_tolerance(value, change, panel_cfg):
+            return EvaluationResult(value, change + _kahan_sum(errs), evaluations, True)
     errs.append(abs(values[-1]))
     return EvaluationResult(total, _kahan_sum(errs), evaluations, False)
 

@@ -64,10 +64,12 @@ class SeriesPair:
     phi must be evaluable wherever an operation needs it: non-negative
     integers for series work and -s for master-theorem right-hand sides.
     closed_form is valid on all of x >= 0, beyond the series' radius.
-    derivative(order, x) is the analytic order-th derivative of closed_form,
-    supported up to derivative_max.  phi_plain, when set, gives the plain
-    coefficients: F(x) = sum phi_plain(k) (-x)^k, so phi(k) = k! phi_plain(k).
-    phi_highprec(k), when set, is phi(k) as an mpmath number.
+    derivative(order, x) is the analytic order-th derivative of closed_form
+    at an integer order from 0 to derivative_max (2.0 means 2); catalog
+    pairs raise DomainError at a negative or non-integral order and
+    DerivativeUnavailable above derivative_max.  phi_plain, when set, gives
+    the plain coefficients: F(x) = sum phi_plain(k) (-x)^k, so phi(k) =
+    k! phi_plain(k).  phi_highprec(k), when set, is phi(k) as an mpmath number.
     """
 
     phi: Callable[[float], float]
@@ -184,16 +186,32 @@ def _require_params(
         raise ParamDomainError(f"catalog {id_!r}: unknown parameter(s) {extra}")
 
 
+def _per_order(id_: str, derivative_max: int, constants: Callable[[int], object]):
+    """constants(order), cached: the factors a derivative closure needs at one
+    order.  A cache miss checks the order against SeriesPair.derivative's contract."""
+    @functools.cache
+    def cached(order):
+        if not (order >= 0 and float(order).is_integer()):
+            raise DomainError(f"catalog {id_!r}: derivative order {order!r} is not an integer >= 0")
+        if order > derivative_max:
+            raise DerivativeUnavailable(
+                f"catalog {id_!r}: derivative order {order} exceeds derivative_max={derivative_max}"
+            )
+        return constants(int(order))
+    return cached
+
+
 def _build_exp(**params) -> SeriesPair:
     """Exponential decay e^(-ax); coefficients a^k."""
     _require_params("exp", params, (), optional=("a",))
     a = float(params.get("a", 1.0))
     if not 0.0 < a < math.inf:
         raise ParamDomainError(f"catalog 'exp': requires 0 < a < inf, got {a!r}")
+    scale = _per_order("exp", 1000, lambda order: (-a) ** order)
     return SeriesPair(
         phi=lambda k: a**k,
         closed_form=lambda x: math.exp(-a * x),
-        derivative=lambda order, x: (-a) ** order * math.exp(-a * x),
+        derivative=lambda order, x: scale(order) * math.exp(-a * x),
         derivative_max=1000,
         f_at_zero=1.0,
         f_at_infinity=0.0,
@@ -214,13 +232,13 @@ def _build_power(**params) -> SeriesPair:
         # Gamma(m+k)/Gamma(m), the natural interpolant of the rising factorial.
         return specfun.gamma(m + k) / specfun.gamma(m)
 
-    # The integrands call derivative at one order many times over; each
-    # order's factor is computed on first use, so a pair whose Gamma(m)
+    # Computed on first use of each order, so a pair whose Gamma(m)
     # overflows still builds.
-    rising = functools.cache(phi)
+    constants = _per_order("power", 100, lambda order: ((-1.0) ** order * phi(order), -(m + order)))
 
     def derivative(order: int, x: float) -> float:
-        return (-1.0) ** order * rising(order) * (1.0 + x) ** (-(m + order))
+        factor, exponent = constants(order)
+        return factor * (1.0 + x) ** exponent
 
     def phi_hp(k: int):
         mp = _mp()
@@ -268,17 +286,15 @@ def _build_erf(**params) -> SeriesPair:
     """The error function; it enters through the derivative identities
     (its leading coefficient vanishes)."""
     _require_params("erf", params, ())
+    # (sign times 2/sqrt(pi), Hermite degree); degree -1 is erf itself.
+    constants = _per_order("erf", specfun.MAX_POLY_DEGREE + 1, lambda order: (
+        (-1.0 if order % 2 == 0 else 1.0) * TWO_OVER_SQRT_PI, order - 1))
 
     def derivative(order: int, x: float) -> float:
-        if order == 0:
+        scale, degree = constants(order)
+        if degree < 0:
             return specfun.erf(x)
-        sign = -1.0 if order % 2 == 0 else 1.0
-        return (
-            sign
-            * TWO_OVER_SQRT_PI
-            * specfun.hermite(order - 1, x)
-            * math.exp(-x * x)
-        )
+        return scale * specfun.hermite(degree, x) * math.exp(-x * x)
 
     return SeriesPair(
         phi=_erf_phi,
@@ -319,12 +335,15 @@ def _build_laguerre_weight(**params) -> SeriesPair:
             return mp.mpf(0)
         return mp.mpf(-1) ** n * mp.factorial(k) / mp.factorial(k - n)
 
+    # Leibniz rule on x^n e^-x: (C(order, i) n!/(n-i)! (-1)^(order-i), n - i) per term.
+    terms = _per_order("laguerre_weight", specfun.MAX_POLY_DEGREE, lambda order: tuple(
+        (float(math.comb(order, i) * math.perm(n, i)) * (-1.0) ** (order - i), n - i)
+        for i in range(min(order, n) + 1)))
+
     def derivative(order: int, x: float) -> float:
-        # Leibniz rule on x^n * e^-x.
         total = 0.0
-        for i in range(min(order, n) + 1):
-            falling = math.perm(n, i)  # n!/(n-i)!
-            total += math.comb(order, i) * falling * x ** (n - i) * (-1.0) ** (order - i)
+        for coefficient, power in terms(order):
+            total += coefficient * x**power
         return total * math.exp(-x)
 
     return SeriesPair(
@@ -365,10 +384,15 @@ def _harmonic_closed(x: float) -> float:
     return -math.expm1(-x) / x
 
 
+# (order, (-1)^order) up to the pair's derivative_max, 6.
+_harmonic_constants = _per_order("harmonic_shifted", 6, lambda order: (order, (-1.0) ** order))
+
+
 def _harmonic_derivative(order: int, x: float) -> float:
     # F(x) = integral_0^1 e^(-x t) dt, so the order-th derivative is
     # (-1)^order * integral_0^1 t^order e^(-x t) dt, computed by series for
     # small x and by the stable upward recurrence otherwise.
+    order, sign = _harmonic_constants(order)
     if order == 0:
         return _harmonic_closed(x)
     if abs(x) < 1.0:
@@ -381,12 +405,12 @@ def _harmonic_derivative(order: int, x: float) -> float:
             term *= -x / j
             if abs(term) < 1e-18 * max(abs(total), 1e-30) or j > 60:
                 break
-        return (-1.0) ** order * total
+        return sign * total
     moment = _harmonic_closed(x)  # integral of e^(-x t)
     ex = math.exp(-x)
     for j in range(1, order + 1):
         moment = (j * moment - ex) / x
-    return (-1.0) ** order * moment
+    return sign * moment
 
 
 def _build_harmonic_shifted(**params) -> SeriesPair:

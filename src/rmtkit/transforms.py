@@ -21,6 +21,7 @@ the corpus both dispatch through it, so a new identity is one entry there.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -321,14 +322,21 @@ IDENTITIES = {
 
 # Central-difference coefficients: f^(n)(x) ~ h^-n sum_i (-1)^i C(n,i)
 # f(x + (n/2 - i) h), with error O(h^2).
-def _central_difference(
-    f: Callable[[float], float], x: float, n: int, h: float
-) -> float:
+@functools.lru_cache(maxsize=32)
+def _stencil(n: int, h: float) -> tuple[tuple[tuple[float, float], ...], float]:
+    """The (weight, offset) pairs of the order-n stencil at step h, and h^n."""
+    scale = h**n
+    if scale == 0.0:
+        raise DomainError(f"nth_derivative_fd: step h={h!r} is too small: h**{n} underflows to 0")
+    return tuple((math.comb(n, i) * (-1.0) ** i, (n / 2.0 - i) * h) for i in range(n + 1)), scale
+
+
+def _central_difference(f: Callable[[float], float], x: float, n: int, h: float) -> float:
+    weights, scale = _stencil(n, h)
     total = 0.0
-    for i in range(n + 1):
-        weight = math.comb(n, i) * (-1.0) ** i
-        total += weight * f(x + (n / 2.0 - i) * h)
-    return total / h**n
+    for weight, offset in weights:
+        total += weight * f(x + offset)
+    return total / scale
 
 
 def nth_derivative_fd(

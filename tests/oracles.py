@@ -13,8 +13,12 @@ and ``reference_mellin_integrand``, the semi-infinite integrator re-summing
 its partial sums after every panel over that plain loop, which pin
 ``integrate_semi_infinite`` and ``integrate_mellin`` bit for bit;
 ``reference_evaluate``, the expression tree walk, which pins the compiled
-closures bit for bit; and ``reference_parse``, the parser with its depth
-kept in a mutable counter, which pins the parser's trees and errors.
+closures bit for bit; ``reference_parse``, the parser with its depth
+kept in a mutable counter, which pins the parser's trees and errors;
+``reference_laguerre_weight_derivative``, the Leibniz rule re-deriving its
+coefficients on every call, which pins the catalog closure bit for bit; and
+``reference_nth_derivative_fd``, the central-difference stencil rebuilt on
+every call, which pins ``nth_derivative_fd`` bit for bit.
 """
 
 from __future__ import annotations
@@ -336,6 +340,31 @@ def reference_mellin_integrand(F, s: float):
             return half * v * half
 
     return integrand
+
+
+def reference_laguerre_weight_derivative(n: int, order: int, x: float) -> float:
+    """The order-th derivative of x^n e^-x by the Leibniz rule, each
+    coefficient computed afresh."""
+    total = 0.0
+    for i in range(min(order, n) + 1):
+        falling = math.perm(n, i)  # n!/(n-i)!
+        total += math.comb(order, i) * falling * x ** (n - i) * (-1.0) ** (order - i)
+    return total * math.exp(-x)
+
+
+def reference_nth_derivative_fd(f, x: float, n: int, h: float) -> tuple[float, float]:
+    """(value, error estimate) of the order-n central difference at steps h
+    and h/2 with one Richardson step, the stencil built on every call."""
+
+    def central(step: float) -> float:
+        total = 0.0
+        for i in range(n + 1):
+            weight = math.comb(n, i) * (-1.0) ** i
+            total += weight * f(x + (n / 2.0 - i) * step)
+        return total / step**n
+
+    coarse, fine = central(h), central(h / 2.0)
+    return (4.0 * fine - coarse) / 3.0, abs(fine - coarse)
 
 
 def reference_evaluate(node, env) -> float:

@@ -301,6 +301,17 @@ class TestInputErrors:
         assert err == "error: --fd-step must be finite\n"
         assert out == ""
 
+    def test_underflowing_fd_step_is_input_error(self, capsys):
+        code, out, err = run_in_process(
+            capsys, "verify", "lemma2", "--phi", "1", "--closed-form", "exp(-x)",
+            "--n", "4", "--fd-derivatives", "--fd-step", "1e-100",
+        )
+        assert code == 2
+        assert err == (
+            "error: nth_derivative_fd: step h=1e-100 is too small: h**4 underflows to 0\n"
+        )
+        assert out == ""
+
     def test_infinite_argument_of_cos_is_input_error(self, capsys):
         code, out, err = run_in_process(
             capsys, "verify", "rmt", "--phi", "1", "--closed-form",

@@ -412,6 +412,20 @@ class TestMatchesReferenceGeometricPanels:
         assert _bits(integrate_semi_infinite(f, cfg)) == _bits(expected)
 
 
+class TestEpsilonTableInPlace:
+    """The carried diagonals and the one-pass column pick give the bits of
+    the oracle's rebuilt table and its min() over (movement, column)."""
+
+    def test_tied_columns_pick_the_first(self):
+        # Two even columns of the head's table move by exactly the same
+        # amount here; picking the later one gives 0.0 instead of -2^-54.
+        f = _lemma2_integrand(catalog_get("laguerre_weight", n=2), 1)
+        cfg = _SEMI_INFINITE_CONFIGS["tight"]
+        res = integrate_semi_infinite(f, cfg)
+        assert _bits(res) == _bits(reference_integrate_semi_infinite(f, cfg))
+        assert res.value == -(2.0**-54)
+
+
 def _assert_contract(res, cfg):
     if res.converged:
         assert math.isfinite(res.value)

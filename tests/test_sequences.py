@@ -22,6 +22,18 @@ from rmtkit import sequences
 from rmtkit.sequences import catalog_get, catalog_ids, eval_series, shift_sequence
 from rmtkit.transforms import nth_derivative_fd
 
+from oracles import reference_laguerre_weight_derivative
+
+# One entry per catalog id.
+CATALOG_ENTRIES = [
+    ("exp", {}),
+    ("power", {"m": 2.5}),
+    ("erf", {}),
+    ("laguerre_weight", {"n": 3.0}),
+    ("geometric", {}),
+    ("harmonic_shifted", {}),
+]
+
 ALL_ENTRIES = [
     ("exp", {"a": 1.0}),
     ("exp", {"a": 2.0}),
@@ -338,3 +350,63 @@ class TestHarmonicDerivatives:
         pair = catalog_get("harmonic_shifted")
         assert pair.closed_form(0.0) == 1.0
         assert pair.closed_form(1e-12) == pytest.approx(1.0, abs=1e-11)
+
+
+class TestDerivativeOrderContract:
+    def test_entries_cover_the_catalog(self):
+        assert sorted(id_ for id_, _ in CATALOG_ENTRIES) == catalog_ids()
+
+    @pytest.mark.parametrize("id_,params", CATALOG_ENTRIES)
+    @pytest.mark.parametrize("order", [2.5, -1, -1.0, math.nan, math.inf, -math.inf])
+    def test_non_integral_or_negative_order_is_domain_error(self, id_, params, order):
+        pair = catalog_get(id_, **params)
+        message = rf"^catalog '{id_}': derivative order \S+ is not an integer >= 0$"
+        if id_ == "geometric":  # the power pair at m = 1
+            message = message.replace(id_, "power")
+        with pytest.raises(DomainError, match=message):
+            pair.derivative(order, 2.0)
+
+    @pytest.mark.parametrize("id_,params", CATALOG_ENTRIES)
+    def test_order_past_derivative_max_is_unavailable(self, id_, params):
+        pair = catalog_get(id_, **params)
+        pair.derivative(pair.derivative_max, 2.0)
+        for order in (pair.derivative_max + 1, float(pair.derivative_max + 1), 1000 * pair.derivative_max):
+            with pytest.raises(
+                DerivativeUnavailable, match=f"exceeds derivative_max={pair.derivative_max}$"
+            ):
+                pair.derivative(order, 2.0)
+
+    @pytest.mark.parametrize("id_,params", CATALOG_ENTRIES)
+    def test_integral_float_order_is_that_integer(self, id_, params):
+        pair = catalog_get(id_, **params)
+        for order in range(min(pair.derivative_max, 6) + 1):
+            for x in (0.0, 0.3, 2.0, 7.5):
+                assert pair.derivative(float(order), x) == pair.derivative(order, x)
+
+    def test_orders_that_returned_silent_values(self):
+        # Each of these returned a complex number or a large finite value.
+        with pytest.raises(DomainError):
+            catalog_get("exp").derivative(2.5, 2.0)
+        with pytest.raises(DerivativeUnavailable):
+            catalog_get("harmonic_shifted").derivative(100, 2.0)
+        with pytest.raises(DerivativeUnavailable):
+            catalog_get("power", m=2.0).derivative(101, 2.0)
+
+    def test_rejected_order_is_not_cached(self):
+        pair = catalog_get("exp")
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                pair.derivative(-1, 1.0)
+        assert pair.derivative(1, 1.0) == -math.exp(-1.0)
+
+
+class TestLaguerreWeightDerivativeOracle:
+    def test_matches_leibniz_reference_bit_for_bit(self):
+        rng = random.Random(15)
+        for n in range(1, 51):
+            pair = catalog_get("laguerre_weight", n=float(n))
+            for order in range(pair.derivative_max + 1):
+                for x in (0.0, 1.0, rng.uniform(0.0, 1.0), rng.uniform(0.0, 60.0)):
+                    got = pair.derivative(order, x)
+                    want = reference_laguerre_weight_derivative(n, order, x)
+                    assert got.hex() == want.hex(), (n, order, x)

@@ -1,6 +1,7 @@
 """Identity operations: both sides, pole machinery, derivative stencils."""
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -17,6 +18,7 @@ from rmtkit.quadrature import QuadratureConfig
 from rmtkit.sequences import catalog_get, shift_sequence
 from rmtkit.transforms import (
     DEFAULT_IDENTITY_TOL,
+    FD_MAX_ORDER,
     IDENTITIES,
     frullani,
     hardy,
@@ -29,7 +31,12 @@ from rmtkit.transforms import (
     scale_report,
 )
 
-from oracles import frullani_log_simpson, hardy_quarter_integral, harmonic_half_integral
+from oracles import (
+    frullani_log_simpson,
+    hardy_quarter_integral,
+    harmonic_half_integral,
+    reference_nth_derivative_fd,
+)
 
 SQRT_PI = 1.7724538509055159
 
@@ -344,6 +351,27 @@ class TestNthDerivativeFd:
         message = rf"^nth_derivative_fd: n must be in 1\.\.6, got {n}$"
         with pytest.raises(DomainError, match=message):
             nth_derivative_fd(math.exp, 0.5, n, 1e-3)
+
+
+    @pytest.mark.parametrize("n,h", [(6, 1e-80), (4, 1e-100), (2, 2e-162), (1, 5e-324)])
+    def test_underflowing_step_is_domain_error(self, n, h):
+        # (2e-162)^2 is a subnormal but its half's square is 0; so is
+        # (5e-324 / 2)^1.
+        message = rf"^nth_derivative_fd: step h=\S+ is too small: h\*\*{n} underflows to 0$"
+        with pytest.raises(DomainError, match=message):
+            nth_derivative_fd(math.exp, 0.5, n, h)
+
+    def test_matches_reference_stencil_bit_for_bit(self):
+        rng = random.Random(15)
+        functions = (math.exp, math.sin, specfun.erf, lambda t: 1.0 / (1.0 + t * t))
+        for n in range(1, FD_MAX_ORDER + 1):
+            for h in (0.3, 0.05, 0.01, 1e-3, rng.uniform(1e-4, 0.5)):
+                for f in functions:
+                    for x in (0.0, 0.5, rng.uniform(-3.0, 3.0), rng.uniform(0.0, 60.0)):
+                        got = nth_derivative_fd(f, x, n, h)
+                        want = reference_nth_derivative_fd(f, x, n, h)
+                        assert (got.value.hex(), got.error_estimate.hex()) == (
+                            want[0].hex(), want[1].hex()), (n, h, x)
 
 
 def _assert_honest(report, exact):
