@@ -7,7 +7,10 @@ toward each end, [2^j, 2^(j+1)] toward infinity and [2^-(j+1), 2^-j] toward
 0, extrapolating the partial sums with Wynn's epsilon algorithm (the scheme
 of QUADPACK's QAGI and QAGS), so algebraic tails and x^(s-1) endpoint
 singularities converge in a few dozen panels.  A Mellin integral is the
-semi-infinite integral of x^(s-1) F(x).
+semi-infinite integral of x^(s-1) F(x).  Tail panels [lo, 2 lo] are
+integrated in the log-spaced coordinate u, x = lo 2^u, where an algebraic
+tail x^p is the smooth exponential 2^((p+1)u) that one 15-point panel
+resolves; in x, each such panel is bisected once at every scale.
 
 Integrators hold no global state; results are deterministic for a fixed
 configuration because panels are accumulated in a canonical order.
@@ -66,6 +69,8 @@ _NODE_PAIRS = tuple(zip(
 ))
 # Machine epsilon, the spacing of doubles at 1.0 (twice the unit round-off).
 _EPS = 2.220446049250313e-16
+# ln 2, the Jacobian factor of x = lo * 2^u per unit of u.
+_LN2 = math.log(2.0)
 # Relative slack that the running totals of integrate_finite's stopping test
 # allow for their own rounding; see the comment there.
 _MARGIN = 1e-6
@@ -308,6 +313,20 @@ def integrate_finite(
     return EvaluationResult(value, error, evaluations, False)
 
 
+def _log_spaced(f: Callable[[float], float], lo: float) -> Callable[[float], float]:
+    """f on [lo, 2 lo] as an integrand over the same interval in the
+    log-spaced coordinate: x = lo * 2^u with u = y / lo - 1 in [0, 1], so
+    that f(x) dx = f(lo * 2^u) * 2^u ln 2 dy.  lo is a power of two, so
+    y * (1 / lo) is exact and the ends map to lo and 2 lo exactly."""
+    scale = 1.0 / lo
+
+    def g(y: float) -> float:
+        w = 2.0 ** (y * scale - 1.0)
+        return f(lo * w) * (w * _LN2)
+
+    return g
+
+
 def _geometric_panels(
     f: Callable[[float], float],
     ratio: float,
@@ -316,9 +335,14 @@ def _geometric_panels(
     """Integral of f from 1 toward infinity (ratio 2) or toward 0 (ratio
     1/2), summed over the panels between successive powers of ratio.
 
-    Panels are integrated at a quarter of the tolerances.  Each adds one
-    ascending diagonal to Wynn's epsilon table over the Kahan-summed partial
-    sums; the last three diagonals are carried as first, second and last.
+    Panels are integrated at a quarter of the tolerances, each by one call
+    to the module-level integrate_finite over its ends in x.  A tail panel
+    [lo, 2 lo] runs in the log-spaced coordinate of ``_log_spaced``; a head
+    panel runs in x, where the same substitution saved under 1% of the
+    evaluations and let more error estimates fall short of the true error.
+    Each panel adds one ascending diagonal to Wynn's epsilon table over the
+    Kahan-summed partial sums; the last three diagonals are carried as
+    first, second and last.
     The end stops at the even-column entry that moved least over them, that
     movement plus 10 eps |sum| being its remainder estimate, once the
     movement is within a quarter of the tolerance and the last three panel
@@ -334,7 +358,10 @@ def _geometric_panels(
     edge = 1.0
     total = comp = 0.0  # _kahan_sum(values), carried from panel to panel
     for panel in range(cfg.max_tail_panels):
-        res = integrate_finite(f, min(edge, edge * ratio), max(edge, edge * ratio), panel_cfg)
+        if ratio > 1.0:
+            res = integrate_finite(_log_spaced(f, edge), edge, edge * ratio, panel_cfg)
+        else:
+            res = integrate_finite(f, edge * ratio, edge, panel_cfg)
         edge *= ratio
         evaluations += res.evaluations
         values.append(res.value)

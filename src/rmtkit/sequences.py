@@ -155,16 +155,29 @@ def shift_sequence(pair: SeriesPair, n: int) -> SeriesPair:
     base_phi = pair.phi
     base_deriv = pair.derivative
     base_hp = pair.phi_highprec
+    label = f"{pair.label} shifted by {n}"
+    derivative_max = pair.derivative_max - n
+
+    def derivative(order: int, x: float) -> float:
+        # A negative order would reach the base pair's lower derivatives.
+        if not (order >= 0 and float(order).is_integer()):
+            raise DomainError(f"{label}: derivative order {order!r} is not an integer >= 0")
+        if order > derivative_max:
+            raise DerivativeUnavailable(
+                f"{label}: derivative order {order} exceeds derivative_max={derivative_max}"
+            )
+        return sign * base_deriv(n + order, x)
+
     return SeriesPair(
         phi=lambda k: base_phi(n + k),
         closed_form=lambda x: sign * base_deriv(n, x),
-        derivative=lambda order, x: sign * base_deriv(n + order, x),
-        derivative_max=pair.derivative_max - n,
+        derivative=derivative,
+        derivative_max=derivative_max,
         f_at_zero=sign * base_deriv(n, 0.0),
         f_at_infinity=0.0,
         convergence_radius=pair.convergence_radius,
         phi_highprec=(lambda k: base_hp(n + k)) if base_hp else None,
-        label=f"{pair.label} shifted by {n}",
+        label=label,
     )
 
 

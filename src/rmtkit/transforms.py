@@ -325,7 +325,10 @@ IDENTITIES = {
 @functools.lru_cache(maxsize=32)
 def _stencil(n: int, h: float) -> tuple[tuple[tuple[float, float], ...], float]:
     """The (weight, offset) pairs of the order-n stencil at step h, and h^n."""
-    scale = h**n
+    try:
+        scale = h**n
+    except OverflowError:
+        raise DomainError(f"nth_derivative_fd: step h={h!r} is too large: h**{n} overflows") from None
     if scale == 0.0:
         raise DomainError(f"nth_derivative_fd: step h={h!r} is too small: h**{n} underflows to 0")
     return tuple((math.comb(n, i) * (-1.0) ** i, (n / 2.0 - i) * h) for i in range(n + 1)), scale

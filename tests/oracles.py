@@ -11,7 +11,8 @@ loop bit for bit;
 ``reference_geometric_panels`` with ``reference_integrate_semi_infinite``
 and ``reference_mellin_integrand``, the semi-infinite integrator re-summing
 its partial sums after every panel over that plain loop, which pin
-``integrate_semi_infinite`` and ``integrate_mellin`` bit for bit;
+``integrate_semi_infinite`` and ``integrate_mellin`` bit for bit, tail
+panels in their log-spaced coordinate included;
 ``reference_evaluate``, the expression tree walk, which pins the compiled
 closures bit for bit; ``reference_parse``, the parser with its depth
 kept in a mutable counter, which pins the parser's trees and errors;
@@ -268,15 +269,23 @@ def reference_geometric_panels(f, ratio: float, cfg: QuadratureConfig) -> Evalua
     """One end of [0, inf) as geometric panels from 1 toward infinity (ratio
     2) or toward 0 (ratio 1/2), each panel run by the plain loop above, the
     partial sum re-summed over every panel after each one and extrapolated
-    with Wynn's epsilon algorithm."""
+    with Wynn's epsilon algorithm.  A tail panel [lo, 2 lo] runs on the
+    integrand substituted with x = lo 2^u, u = y / lo - 1, over y in the same
+    interval."""
     panel_cfg = cfg.scaled(0.25)
     values, errs, diagonals = [], [], []  # diagonals: the last three
     evaluations = 0
     edge = 1.0
     for _ in range(cfg.max_tail_panels):
-        res = reference_integrate_finite(
-            f, min(edge, edge * ratio), max(edge, edge * ratio), panel_cfg
-        )
+        lo, hi = min(edge, edge * ratio), max(edge, edge * ratio)
+        g = f
+        if ratio == 2.0:
+
+            def g(y, lo=lo):
+                w = 2.0 ** (y / lo - 1.0)
+                return f(lo * w) * (w * math.log(2.0))
+
+        res = reference_integrate_finite(g, lo, hi, panel_cfg)
         edge *= ratio
         evaluations += res.evaluations
         values.append(res.value)

@@ -312,6 +312,15 @@ class TestInputErrors:
         )
         assert out == ""
 
+    def test_overflowing_fd_step_is_input_error(self, capsys):
+        code, out, err = run_in_process(
+            capsys, "verify", "lemma2", "--phi", "1", "--closed-form", "exp(-x)",
+            "--n", "2", "--fd-derivatives", "--fd-step", "1e300",
+        )
+        assert code == 2
+        assert err == "error: nth_derivative_fd: step h=1e+300 is too large: h**2 overflows\n"
+        assert out == ""
+
     def test_infinite_argument_of_cos_is_input_error(self, capsys):
         code, out, err = run_in_process(
             capsys, "verify", "rmt", "--phi", "1", "--closed-form",

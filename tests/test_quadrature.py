@@ -418,12 +418,12 @@ class TestEpsilonTableInPlace:
 
     def test_tied_columns_pick_the_first(self):
         # Two even columns of the head's table move by exactly the same
-        # amount here; picking the later one gives 0.0 instead of -2^-54.
+        # amount here; picking the later one gives 3 * 2^-54 instead of 2^-53.
         f = _lemma2_integrand(catalog_get("laguerre_weight", n=2), 1)
         cfg = _SEMI_INFINITE_CONFIGS["tight"]
         res = integrate_semi_infinite(f, cfg)
         assert _bits(res) == _bits(reference_integrate_semi_infinite(f, cfg))
-        assert res.value == -(2.0**-54)
+        assert res.value == 2.0**-53
 
 
 def _assert_contract(res, cfg):
@@ -484,6 +484,27 @@ class TestTracerContract:
         assert len(calls) > 3
         assert [(a, b) for a, b, _ in calls] == [(min(p), max(p)) for p in zip(edges, edges[1:])]
         assert sum(evaluations for _, _, evaluations in calls) == res.evaluations
+
+
+class TestLogSpacedTail:
+    """A tail panel [lo, 2 lo] is integrated in u, with x = lo 2^u, where a
+    power of x is a smooth exponential in u: one GK15 panel resolves it."""
+
+    @pytest.mark.parametrize("p", [-1.95, -1.5, -1.05])
+    def test_power_tail_takes_one_panel_per_octave(self, monkeypatch, p):
+        calls = []
+        original = quadrature.integrate_finite
+
+        def counting(f, a, b, cfg=None):
+            res = original(f, a, b, cfg)
+            calls.append(res.evaluations)
+            return res
+
+        monkeypatch.setattr(quadrature, "integrate_finite", counting)
+        res = _geometric_panels(lambda x: x**p, 2.0, QuadratureConfig())
+        assert res.converged
+        assert calls == [15] * len(calls) and res.evaluations == sum(calls)
+        assert abs(res.value + 1.0 / (p + 1.0)) <= res.error_estimate
 
 
 class TestSemiInfinite:

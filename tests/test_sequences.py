@@ -319,6 +319,22 @@ class TestShift:
         with pytest.raises(DomainError, match=r"^shift_sequence: n must be a positive integer$"):
             shift_sequence(catalog_get("exp"), n)
 
+    @pytest.mark.parametrize("order", [-1, -3, 0.5, math.nan])
+    def test_negative_or_non_integral_order_is_a_domain_error(self, order):
+        # Order -1 would be the base pair's first derivative, not a value of
+        # the shifted pair.
+        shifted = shift_sequence(catalog_get("exp"), 2)
+        message = rf"^exp\(a=1\) shifted by 2: derivative order {order} is not an integer >= 0$"
+        with pytest.raises(DomainError, match=message):
+            shifted.derivative(order, 1.0)
+
+    def test_order_above_the_shifted_maximum_names_the_shifted_pair(self):
+        shifted = shift_sequence(catalog_get("exp"), 2)
+        assert shifted.derivative_max == 998
+        message = r"^exp\(a=1\) shifted by 2: derivative order 999 exceeds derivative_max=998$"
+        with pytest.raises(DerivativeUnavailable, match=message):
+            shifted.derivative(999, 1.0)
+
     def test_integral_float_shift_is_that_integer(self):
         pair = catalog_get("power", m=3.0)
         by_float, by_int = shift_sequence(pair, 2.0), shift_sequence(pair, 2)

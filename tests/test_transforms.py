@@ -361,6 +361,12 @@ class TestNthDerivativeFd:
         with pytest.raises(DomainError, match=message):
             nth_derivative_fd(math.exp, 0.5, n, h)
 
+    @pytest.mark.parametrize("n,h", [(6, 1e300), (2, 1e200), (3, 1e103)])
+    def test_overflowing_step_is_domain_error(self, n, h):
+        message = rf"^nth_derivative_fd: step h=\S+ is too large: h\*\*{n} overflows$"
+        with pytest.raises(DomainError, match=message):
+            nth_derivative_fd(math.sin, 0.5, n, h)
+
     def test_matches_reference_stencil_bit_for_bit(self):
         rng = random.Random(15)
         functions = (math.exp, math.sin, specfun.erf, lambda t: 1.0 / (1.0 + t * t))
@@ -415,6 +421,72 @@ class TestAlgebraicEnds:
         rep = rmt(catalog_get(id_, **params), 1.5)
         assert not rep.passed
         assert not rep.lhs.converged
+
+
+# The honesty sweep: catalog identities inside each strip at the default
+# tolerance.  Exact values are textbook formulas evaluated with mpmath at 30
+# digits, never through specfun or quadrature.
+_MP = mpmath.mp.clone()
+_MP.dps = 30
+# f(0) and f(inf) of each closed form, stated here rather than read off the pair.
+_SWEEP_LIMITS = {
+    "exp": ({"a": 2.0}, 1, 0),
+    "power": ({"m": 2.5}, 1, 0),
+    "erf": ({}, 0, 1),
+    "geometric": ({}, 1, 0),
+    "harmonic_shifted": ({}, 1, 0),
+}
+# Seven interior points of a strip (0, 1), evenly spread.
+_UNIT_STRIP = [(2 * j + 1) / 14 for j in range(7)]
+
+
+def _sweep_cases():
+    cases = []
+
+    def add(name, run, exact):
+        cases.append(pytest.param(run, exact, id=name))
+
+    for a in (0.5, 1.0, 3.0):
+        for s in (0.1, 0.4, 1.0, 2.5, 5.0, 8.0):
+            add(f"rmt-exp-a{a}-s{s}", lambda a=a, s=s: rmt(catalog_get("exp", a=a), s),
+                _MP.gamma(s) * _MP.mpf(a) ** -s)
+    for m in (0.5, 1.0, 2.5, 5.0):
+        for u in _UNIT_STRIP:
+            s = m * u
+            add(f"rmt-power-m{m}-s{s:.4g}", lambda m=m, s=s: rmt(catalog_get("power", m=m), s),
+                _MP.gamma(s) * _MP.gamma(m - _MP.mpf(s)) / _MP.gamma(m))
+    for s in _UNIT_STRIP:
+        reflection = _MP.pi / _MP.sin(_MP.pi * s)
+        add(f"hardy-geometric-s{s:.4g}", lambda s=s: hardy(catalog_get("geometric"), s),
+            reflection)
+        add(f"rmt-geometric-s{s:.4g}", lambda s=s: rmt(catalog_get("geometric"), s), reflection)
+        add(f"rmt-harmonic_shifted-s{s:.4g}",
+            lambda s=s: rmt(catalog_get("harmonic_shifted"), s), _MP.gamma(s) / (1 - _MP.mpf(s)))
+    for id_, (params, f0, finf) in _SWEEP_LIMITS.items():
+        pair = catalog_get(id_, **params)
+        for alpha, beta in ((2.0, 1.0), (0.5, 3.0), (0.25, 4.0), (3.0, 0.75)):
+            add(f"frullani-{id_}-{alpha}-{beta}",
+                lambda pair=pair, alpha=alpha, beta=beta: frullani(
+                    pair.closed_form, pair.f_at_zero, pair.f_at_infinity, alpha, beta),
+                (finf - f0) * (_MP.log(alpha) - _MP.log(beta)))
+        for n in range(1, 6):
+            add(f"lemma2-{id_}-n{n}", lambda pair=pair, n=n: lemma2(pair, n),
+                (-1) ** (n - 1) * (finf - f0) * _MP.gamma(n))
+    return cases
+
+
+class TestHonestySweep:
+    """Every check passes, and a converged left side is within its error
+    estimate of the exact value.  Zero-valued identities are left out:
+    their two ends cancel, and each end meets a tolerance relative to its
+    own value, not to their sum."""
+
+    @pytest.mark.parametrize("run, exact", _sweep_cases())
+    def test_passes_with_an_honest_estimate(self, run, exact):
+        report = run()
+        assert report.passed
+        if report.lhs.converged:
+            assert abs(_MP.mpf(report.lhs.value) - exact) <= report.lhs.error_estimate
 
 
 class TestIdentityReport:
