@@ -19,9 +19,10 @@ insignificant.
 
 ``fact(x)`` is defined as gamma(x+1) so it accepts real arguments.
 There are no user-defined functions or conditionals; evaluation is strict,
-bottom-up, in double precision.  ``compile_expr`` turns a tree into nested
-closures once and reads every bound name then, so a later evaluation walks
-no tree; ``evaluate`` compiles and calls once.
+bottom-up, in double precision.  ``compile_expr`` turns a tree once into
+one closure per node and reads every bound name then, so a later
+evaluation walks no tree and a builtin call passes its argument values
+straight to the function; ``evaluate`` compiles and calls once.
 """
 
 from __future__ import annotations
@@ -277,6 +278,13 @@ def _apply_power(base: float, exponent: float) -> float:
     return math.pow(base, exponent)
 
 
+def _fact(x: float) -> float:
+    try:
+        return specfun.gamma(x + 1.0)
+    except (DomainError, OverflowError) as exc:
+        raise type(exc)(f"fact({x!r}): {exc}") from None
+
+
 # name -> (arity, function).  The specfun functions are looked up when
 # called, so a function replaced on specfun is the one expressions reach.
 _BUILTINS: dict[str, tuple[int, Callable[..., float]]] = {
@@ -286,7 +294,7 @@ _BUILTINS: dict[str, tuple[int, Callable[..., float]]] = {
     "cos": (1, math.cos),
     "sqrt": (1, math.sqrt),
     "gamma": (1, lambda x: specfun.gamma(x)),
-    "fact": (1, lambda x: specfun.gamma(x + 1.0)),
+    "fact": (1, _fact),
     "erf": (1, lambda x: specfun.erf(x)),
     "pow": (2, _apply_power),
 }
@@ -300,9 +308,11 @@ def compile_expr(
 
     Every other name is read from ``bindings`` once, here, as a float;
     with ``variable`` None every name is, and the argument goes unused.
-    Evaluation is strict, bottom-up, in double precision, and an error is
-    raised only when evaluation reaches it, so ``1/0 + q`` with ``q``
-    unbound raises DivisionByZero as a left-to-right walk would.
+    Each node becomes one closure, and a call passes its argument values
+    to the builtin directly.  Evaluation is strict, bottom-up, in double
+    precision, and an error is raised only when evaluation reaches it, so
+    ``1/0 + q`` with ``q`` unbound raises DivisionByZero as a left-to-right
+    walk would.
     """
     if isinstance(node, Constant):
         value = node.value
@@ -370,15 +380,20 @@ def _compile_call(node: Call, bindings, variable) -> Callable[[float], float]:
     builtin = _BUILTINS.get(name)
     if builtin is None:
         return _raises(UnknownFunction, f"unknown function {name!r}", 0, ())
-    fn = builtin[1]
+    arity, fn = builtin
     args = [compile_expr(a, bindings, variable) for a in node.args]
+    if len(args) != arity:  # hand-built: fn raises TypeError, as in the walk
+        return lambda x: fn(*[a(x) for a in args])
+    if name == "pow":  # '^', whose _apply_power raises no ValueError
+        return _compile_binary("^", *args)
+    (arg,) = args
 
     def call(x: float) -> float:
-        values = [a(x) for a in args]
+        value = arg(x)
         try:
-            return fn(*values)
+            return fn(value)
         except ValueError:  # math.log, math.sqrt, math.sin, math.cos off their domains
-            raise DomainError(f"{name} undefined at {', '.join(map(repr, values))}") from None
+            raise DomainError(f"{name} undefined at {value!r}") from None
 
     return call
 

@@ -328,6 +328,15 @@ class TestInputErrors:
         )
         assert (code, out, err) == (2, "", "error: cos undefined at inf\n")
 
+    def test_pole_of_fact_names_fact_and_its_argument(self, capsys):
+        code, out, err = run_in_process(
+            capsys, "verify", "rmt", "--phi", "fact(k)", "--closed-form", "1/(1+x)",
+            "--s", "1",
+        )
+        assert (code, out, err) == (
+            2, "", "error: fact(-1.0): gamma: pole at non-positive integer near x=0.0\n"
+        )
+
     @pytest.mark.parametrize("chain", ["1^" * 2000 + "1", "x+" * 30000 + "x"])
     def test_long_operator_chain_is_input_error(self, capsys, chain):
         code, out, err = run_in_process(

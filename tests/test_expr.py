@@ -4,6 +4,7 @@ import math
 import random
 import re
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from rmtkit.errors import (
     DivisionByZero,
     DomainError,
     ExprSyntaxError,
+    PoleError,
     RmtError,
     UnboundVariable,
     UnknownFunction,
@@ -160,6 +162,19 @@ class TestEvaluate:
         monkeypatch.setattr(specfun, "gamma", lambda x: -x)
         monkeypatch.setattr(specfun, "erf", lambda x: 7.0)
         assert evaluate(parse("gamma(2) + fact(3) + erf(0)"), {}) == -2.0 - 4.0 + 7.0
+
+    @pytest.mark.parametrize("k, error, message", [
+        (-1.0, PoleError, "fact(-1.0): gamma: pole at non-positive integer near x=0.0"),
+        (171.0, OverflowError, "fact(171.0): gamma: Gamma(172.0) exceeds double range"),
+        (math.inf, DomainError, "fact(inf): gamma: undefined at inf"),
+    ])
+    def test_fact_errors_name_fact_and_its_argument(self, k, error, message):
+        tree = parse("fact(k)")
+        for run in (lambda: evaluate(tree, {"k": k}),
+                    lambda: compile_expr(tree, {"k": k}, "x")(1.0)):
+            with pytest.raises(error, match=rf"^{re.escape(message)}$") as exc_info:
+                run()
+            assert type(exc_info.value) is error
 
     def test_unbound_variable(self):
         with pytest.raises(UnboundVariable):
@@ -447,6 +462,62 @@ class TestCompiled:
         f = compile_expr(parse("a*x"), bindings, "x")
         bindings["a"] = 5.0
         assert f(3.0) == 6.0
+
+    # One- and two-argument builtin calls, on and off each builtin's domain.
+    CALLS = [
+        "ln(0)", "sqrt(-1)", "cos(1e308*10)", "erf(1e308*10)",
+        "gamma(0)", "fact(-1)", "exp(1000)",
+        "pow(-2, 0.5)", "pow(0, -1)",
+        "exp(-sqrt(x))", "pow(pow(x, 2), 0.5)",
+    ]
+    SPECIAL = (0.0, -0.0, math.inf, math.nan)
+
+    @staticmethod
+    def _assert_call_matches_reference(tree, bindings):
+        compiled = compile_expr(tree, bindings, "x")
+        for x in TestCompiled.POINTS:
+            expected = _outcome(lambda: reference_evaluate(tree, {**bindings, "x": x}))
+            assert _outcome(lambda: compiled(x)) == expected, (tree, bindings, x)
+
+    @pytest.mark.parametrize("source", CALLS)
+    def test_call_closures_match_the_tree_walk(self, source):
+        self._assert_call_matches_reference(parse(source), self.BINDINGS)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_FUNCTIONS))
+    @pytest.mark.parametrize("b", SPECIAL, ids=repr)
+    def test_call_closures_match_the_tree_walk_at_special_bound_values(self, name, b):
+        args = ("b",) if BUILTIN_FUNCTIONS[name] == 1 else ("b", "2")
+        for source in {f"{name}({', '.join(args)})", f"{name}({', '.join(reversed(args))})"}:
+            self._assert_call_matches_reference(parse(source), {"b": b})
+
+    @staticmethod
+    def _python_calls(f, x):
+        """Python-level ``call`` events in one evaluation of ``f`` at ``x``."""
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(profile)
+        try:
+            f(x)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    # One frame per closure node, and none for an argument list: the free
+    # variable compiles to float and the math functions are C, so neither
+    # makes a Python frame, while pow's _apply_power makes one.
+    @pytest.mark.parametrize("source, frames", [
+        ("exp(-a*x)", 4),
+        ("exp(-sqrt(x))", 3),
+        ("pow(x, 2)", 3),
+        ("1/(1+c*x)", 6),
+    ])
+    def test_one_frame_per_closure_node(self, source, frames):
+        f = compile_expr(parse(source), {"a": 2.0, "c": 3.0}, "x")
+        assert self._python_calls(f, 0.5) == frames
 
 
 def _parse_outcome(parser, source):
