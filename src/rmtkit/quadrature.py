@@ -184,24 +184,22 @@ def _gk15(f: Callable[[float], float], a: float, b: float):
     return resk * hlgth, gap * abs(hlgth), False, 15
 
 
-def _panel_with_retries(f: Callable[[float], float], a: float, b: float, retries: int):
+def _panel_with_retries(f: Callable[[float], float], a: float, b: float, retries: int, evals=0):
     """Evaluate a panel, bisecting up to ``retries`` times around non-finite
     integrand values.  Returns ([(a, b, value, err, floored), ...],
-    evaluations), counting the calls of aborted panels too."""
-    value, err, floored, evals = _gk15(f, a, b)
-    if value is not None:
-        return [(a, b, value, err, floored)], evals
+    evaluations), counting the calls of aborted panels too.  Nonzero
+    ``evals`` are the calls of a panel on [a, b] that already aborted."""
+    if not evals:
+        value, err, floored, evals = _gk15(f, a, b)
+        if value is not None:
+            return [(a, b, value, err, floored)], evals
     if retries <= 0:
-        raise EvaluationError(
-            f"integrand returned a non-finite value inside [{a!r}, {b!r}] "
-            "after two bisection retries"
-        )
+        raise EvaluationError(f"integrand returned a non-finite value inside [{a!r}, {b!r}] "
+                              "after two bisection retries")
     mid = 0.5 * (a + b)
     if not (a < mid < b):
-        raise EvaluationError(
-            f"integrand is non-finite on an interval too narrow to bisect "
-            f"at [{a!r}, {b!r}]"
-        )
+        raise EvaluationError("integrand is non-finite on an interval too narrow to bisect "
+                              f"at [{a!r}, {b!r}]")
     left, left_evals = _panel_with_retries(f, a, mid, retries - 1)
     right, right_evals = _panel_with_retries(f, mid, b, retries - 1)
     return left + right, evals + left_evals + right_evals
@@ -232,24 +230,27 @@ def integrate_finite(
     O(1) while the loop is clearly short of it; only when they cannot
     decide are the n panels sorted and summed.  So a bisection costs
     O(log n), for the heap, and the loop stops at the same split as if it
-    re-summed every panel before every bisection.  A first panel that
-    passes the test on its own returns at once.
+    re-summed every panel before every bisection.  The first panel is one
+    ``_gk15`` call; if it passes ``_within_tolerance``'s rule, inlined, it
+    returns at once the loop's one-panel sums: 0.0 + value, and its error.
     """
     cfg = cfg or QuadratureConfig()
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(
-            f"integrate_finite: endpoints must be finite, got [{a!r}, {b!r}]"
-        )
+        raise DomainError(f"integrate_finite: endpoints must be finite, got [{a!r}, {b!r}]")
     if not a <= b:
         raise DomainError(f"integrate_finite: need a <= b, got [{a!r}, {b!r}]")
     if a == b:
         return EvaluationResult(0.0, 0.0, 0, True)
-    panels, evaluations = _panel_with_retries(f, a, b, 2)
-    if len(panels) == 1:
-        # The loop's one-panel Kahan sums are 0.0 + value and 0.0 + error.
-        value, error = 0.0 + panels[0][2], 0.0 + panels[0][3]
-        if _within_tolerance(value, error, cfg):
-            return EvaluationResult(value, error, evaluations, True)
+    value, error, floored, evaluations = _gk15(f, a, b)
+    if value is None:
+        panels, evaluations = _panel_with_retries(f, a, b, 2, evaluations)
+    elif math.isfinite(value) and error <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+        result = object.__new__(EvaluationResult)  # __init__'s fields, without its setattr
+        vars(result).update(value=0.0 + value, error_estimate=error, evaluations=evaluations,
+                            converged=True)
+        return result
+    else:
+        panels = [(a, b, value, error, floored)]
 
     heap = []
     aside = []  # round-off-limited panels, never bisected
@@ -327,6 +328,45 @@ def _log_spaced(f: Callable[[float], float], lo: float) -> Callable[[float], flo
     return g
 
 
+def _epsilon_table() -> Callable[[float], tuple]:
+    """Wynn's epsilon table, fed one partial sum per call.  Each call adds
+    an ascending diagonal and returns (value, movement, column): of the even
+    columns the last three diagonals share, the newest entry c that moved
+    least, the first on a tie, or (sum, inf, None) before a third diagonal.
+    Only the last diagonal is kept, with the step |c - b| that made each
+    even column: a movement |c - b| + |b - a| is a new step plus a stored one.
+    """
+    last, steps = [], []
+
+    def extrapolate(total: float) -> tuple:
+        nonlocal last, steps
+        # eps_(k+1)^(n-k-1) = eps_(k-1)^(n-k) + 1 / (eps_k^(n-k) - eps_k^(n-k-1)),
+        # with eps_(-1) = 0: entry is the new diagonal's k-th element and
+        # below the last diagonal's (k-1)-th.
+        diagonal, moved = [total], []
+        value, change, column = total, math.inf, None
+        entry, below, shared = total, 0.0, 2 * len(steps)
+        for k, old in enumerate(last):
+            difference = entry - old
+            if not k & 1:
+                moved.append(abs(difference))
+                if k < shared:
+                    movement = moved[-1] + steps[k >> 1]
+                    if movement < change or column is None:
+                        value, change, column = entry, movement, k
+            if difference == 0.0:
+                break
+            entry = below + 1.0 / difference
+            if not math.isfinite(entry):
+                break
+            diagonal.append(entry)
+            below = old
+        last, steps = diagonal, moved
+        return value, change, column
+
+    return extrapolate
+
+
 def _geometric_panels(
     f: Callable[[float], float],
     ratio: float,
@@ -340,65 +380,45 @@ def _geometric_panels(
     [lo, 2 lo] runs in the log-spaced coordinate of ``_log_spaced``; a head
     panel runs in x, where the same substitution saved under 1% of the
     evaluations and let more error estimates fall short of the true error.
-    Each panel adds one ascending diagonal to Wynn's epsilon table over the
-    Kahan-summed partial sums; the last three diagonals are carried as
-    first, second and last.
-    The end stops at the even-column entry that moved least over them, that
-    movement plus 10 eps |sum| being its remainder estimate, once the
-    movement is within a quarter of the tolerance and the last three panel
-    magnitudes do not increase: growing or level panels diverge, whatever
-    finite antilimit the table offers.
-    Otherwise, after max_tail_panels panels, the plain sum is returned with
-    |last panel| as its remainder and converged=False.
+    Each Kahan-summed partial sum steps an ``_epsilon_table``.  The end
+    stops at the entry it picks, that movement plus 10 eps |sum| being its
+    remainder estimate, once the movement is within a quarter of the
+    tolerance and the last three panel magnitudes do not increase: growing
+    or level panels diverge, whatever finite antilimit the table offers.
+    Otherwise, after max_tail_panels panels or at the last edge before one
+    that overflows to inf or underflows to 0, the plain sum is returned
+    with |last panel| as its remainder and converged=False.
     """
     panel_cfg = cfg.scaled(0.25)
-    values, errs = [], []
-    first = second = last = ()  # the last three diagonals, oldest first
+    extrapolate = _epsilon_table()
+    errs = []
+    old = last = 0.0  # the magnitudes of the last panels, oldest first
     evaluations = 0
     edge = 1.0
-    total = comp = 0.0  # _kahan_sum(values), carried from panel to panel
-    for panel in range(cfg.max_tail_panels):
+    total = comp = 0.0  # the Kahan sum of the panel values, carried from panel to panel
+    for _ in range(cfg.max_tail_panels):
+        far = edge * ratio
+        if not 0.0 < far < math.inf:
+            break
         if ratio > 1.0:
-            res = integrate_finite(_log_spaced(f, edge), edge, edge * ratio, panel_cfg)
+            res = integrate_finite(_log_spaced(f, edge), edge, far, panel_cfg)
         else:
-            res = integrate_finite(f, edge * ratio, edge, panel_cfg)
-        edge *= ratio
+            res = integrate_finite(f, far, edge, panel_cfg)
+        edge = far
         evaluations += res.evaluations
-        values.append(res.value)
         errs.append(res.error_estimate)
         y = res.value - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        # eps_(k+1)^(n-k-1) = eps_(k-1)^(n-k) + 1 / (eps_k^(n-k) - eps_k^(n-k-1)),
-        # with eps_(-1) = 0: entry is the new diagonal's k-th element and
-        # below the last diagonal's (k-1)-th.
-        diagonal = [total]
-        entry, below = total, 0.0
-        for old in last:
-            difference = entry - old
-            if difference == 0.0:
-                break
-            entry = below + 1.0 / difference
-            if not math.isfinite(entry):
-                break
-            diagonal.append(entry)
-            below = old
-        first, second, last = second, last, diagonal
-        if panel < 2 or not abs(values[-3]) >= abs(values[-2]) >= abs(values[-1]):
+        older, old, last = old, last, abs(res.value)
+        value, change, column = extrapolate(total)
+        if column is None or not older >= old >= last:
             continue
-        # The even column that moved least, the first on a tie, as min() picks.
-        columns = zip(first[::2], second[::2], last[::2])
-        a, b, value = next(columns)
-        change = abs(value - b) + abs(b - a)
-        for a, b, c in columns:
-            movement = abs(c - b) + abs(b - a)
-            if movement < change:
-                change, value = movement, c
         change += 10.0 * _EPS * abs(total)
         if _within_tolerance(value, change, panel_cfg):
             return EvaluationResult(value, change + _kahan_sum(errs), evaluations, True)
-    errs.append(abs(values[-1]))
+    errs.append(last)
     return EvaluationResult(total, _kahan_sum(errs), evaluations, False)
 
 

@@ -13,6 +13,9 @@ and ``reference_mellin_integrand``, the semi-infinite integrator re-summing
 its partial sums after every panel over that plain loop, which pin
 ``integrate_semi_infinite`` and ``integrate_mellin`` bit for bit, tail
 panels in their log-spaced coordinate included;
+``reference_epsilon_picks``, Wynn's table rebuilt diagonal by diagonal
+with its column picked by min() over (movement, column), which pins
+the one-pass ``_epsilon_table`` bit for bit;
 ``reference_evaluate``, the expression tree walk, which pins the compiled
 closures bit for bit; ``reference_parse``, the parser with its depth
 kept in a mutable counter, which pins the parser's trees and errors;
@@ -316,6 +319,37 @@ def reference_geometric_panels(f, ratio: float, cfg: QuadratureConfig) -> Evalua
             return EvaluationResult(last[k], change + _kahan_sum(errs), evaluations, True)
     errs.append(abs(values[-1]))
     return EvaluationResult(total, _kahan_sum(errs), evaluations, False)
+
+
+def reference_epsilon_picks(sums) -> list:
+    """Wynn's epsilon table over ``sums``, each diagonal rebuilt from the
+    one before.  Once three diagonals exist, the pick is min() over
+    (movement, column) for the even columns present in all three, movement
+    being |c - b| + |b - a| down the column.  Returns one (value, movement,
+    column, movements) per sum, movements listing every even column's, or
+    None while fewer than three diagonals exist."""
+    diagonals, picks = [], []
+    for total in sums:
+        previous = diagonals[-1] if diagonals else []
+        diagonal = [total]
+        for k, old in enumerate(previous):
+            difference = diagonal[k] - old
+            if difference == 0.0:
+                break
+            entry = (previous[k - 1] if k else 0.0) + 1.0 / difference
+            if not math.isfinite(entry):
+                break
+            diagonal.append(entry)
+        diagonals = diagonals[-2:] + [diagonal]
+        if len(diagonals) < 3:
+            picks.append(None)
+            continue
+        first, second, last = diagonals
+        columns = range(0, min(map(len, diagonals)), 2)
+        movements = [abs(last[k] - second[k]) + abs(second[k] - first[k]) for k in columns]
+        change, k = min(zip(movements, columns))
+        picks.append((last[k], change, k, movements))
+    return picks
 
 
 def reference_integrate_semi_infinite(f, cfg=None) -> EvaluationResult:

@@ -66,6 +66,15 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout
 
+    def test_panel_budget_beyond_the_double_range_is_a_failure(self):
+        # The tail's 1,024th edge would be 2^1024 = inf; the end stops
+        # unconverged at 2^1023 and the divergent integral is a FAIL.
+        proc = run_cli(
+            "verify", "rmt", "--catalog", "geometric", "--s", "1.5", "--max-tail-panels", "1100"
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "FAIL" in proc.stdout and proc.stderr == ""
+
     def test_hardy_integer_exponent_is_input_error(self):
         proc = run_cli("verify", "hardy", "--catalog", "geometric", "--s", "1")
         assert proc.returncode == 2

@@ -1,7 +1,11 @@
 """Integrator behaviour: values, error estimates, tails, and invariances."""
 
+import dataclasses
+import itertools
 import math
 import random
+import sys
+from collections import Counter
 
 import mpmath
 import pytest
@@ -10,8 +14,10 @@ from rmtkit import quadrature
 from rmtkit.errors import DomainError, EvaluationError, SingularityError
 from rmtkit.quadrature import (
     _XGK,
+    _epsilon_table,
     _geometric_panels,
     _gk15,
+    EvaluationResult,
     QuadratureConfig,
     integrate_finite,
     integrate_mellin,
@@ -21,6 +27,7 @@ from rmtkit.sequences import catalog_get
 
 from oracles import (
     graded_mesh_trapezoid,
+    reference_epsilon_picks,
     reference_integrate_finite,
     reference_integrate_semi_infinite,
     reference_mellin_integrand,
@@ -426,6 +433,60 @@ class TestEpsilonTableInPlace:
         assert res.value == 2.0**-53
 
 
+def _partial_sums(rng):
+    """A random partial-sum sequence: a convergent series, dyadic steps that
+    give exact ties and zero differences, an exactly summed halving series,
+    or plain noise, with the odd inf or NaN mixed in."""
+    n = rng.randint(1, 20)
+    kind = rng.randrange(4)
+    if kind == 0:
+        ratio, term = rng.uniform(-0.9, 0.9), rng.uniform(-2.0, 2.0)
+        terms = [term * ratio**j for j in range(n)]
+    elif kind == 1:
+        terms = [rng.choice((-1.0, -0.5, 0.0, 0.25, 1.0, 2.0)) for _ in range(n)]
+    elif kind == 2:
+        terms = [rng.choice((-1.0, 1.0)) * 2.0**-j for j in range(n)]
+    else:
+        terms = [rng.uniform(-10.0, 10.0) for _ in range(n)]
+    sums = list(itertools.accumulate(terms))
+    for j in range(n):
+        if rng.random() < 0.05:
+            sums[j] = rng.choice((math.inf, -math.inf, math.nan))
+    return sums
+
+
+class TestEpsilonTableHelper:
+    """``_epsilon_table`` picks its column while building each diagonal, from
+    stored steps; ``oracles.reference_epsilon_picks`` rebuilds the diagonals
+    and takes min() over (movement, column).  Same bits, same column."""
+
+    def test_matches_the_rebuilt_table(self):
+        rng = random.Random(20191)
+        seen = Counter()
+        for _ in range(3000):
+            sums = _partial_sums(rng)
+            extrapolate = _epsilon_table()
+            for total, expected in zip(sums, reference_epsilon_picks(sums)):
+                value, movement, column = extrapolate(total)
+                if expected is None:
+                    assert (value.hex(), movement, column) == (total.hex(), math.inf, None)
+                    continue
+                want, change, k, movements = expected
+                assert (value.hex(), movement.hex(), column) == (want.hex(), change.hex(), k)
+                seen["tie"] += movements.count(change) > 1
+                seen["non_finite"] += not math.isfinite(change)
+                seen["later_column"] += k > 0
+            seen["zero_difference"] += any(a == b for a, b in zip(sums, sums[1:]))
+        # The draws reach every case the one-pass pick must get right.
+        assert min(seen[key] for key in ("tie", "non_finite", "later_column", "zero_difference")) > 10
+
+    def test_first_two_sums_pick_nothing(self):
+        extrapolate = _epsilon_table()
+        assert extrapolate(1.0) == (1.0, math.inf, None)
+        assert extrapolate(1.5) == (1.5, math.inf, None)
+        assert extrapolate(1.75)[2] == 0
+
+
 def _assert_contract(res, cfg):
     if res.converged:
         assert math.isfinite(res.value)
@@ -484,6 +545,108 @@ class TestTracerContract:
         assert len(calls) > 3
         assert [(a, b) for a, b, _ in calls] == [(min(p), max(p)) for p in zip(edges, edges[1:])]
         assert sum(evaluations for _, _, evaluations in calls) == res.evaluations
+
+
+_RESULT_MAKERS = {
+    "one_panel": lambda: integrate_finite(math.exp, 0.0, 1.0),
+    "loop": lambda: integrate_finite(lambda x: math.sin(50.0 * x), 0.0, 3.0),
+    "semi_infinite": lambda: integrate_semi_infinite(lambda x: math.exp(-x * x)),
+    "mellin": lambda: integrate_mellin(lambda x: math.exp(-x), 0.5),
+}
+
+
+class TestResultContract:
+    """Results built without ``EvaluationResult.__init__`` behave as built
+    with it: equal, hashed and printed alike, frozen, and replaceable."""
+
+    @pytest.mark.parametrize("name", sorted(_RESULT_MAKERS))
+    def test_as_if_constructed(self, name):
+        res = _RESULT_MAKERS[name]()
+        built = EvaluationResult(res.value, res.error_estimate, res.evaluations, res.converged)
+        assert res == built and hash(res) == hash(built) and repr(res) == repr(built)
+        assert repr(res).startswith("EvaluationResult(value=")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.value = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.extra = 0.0
+        moved = dataclasses.replace(res, value=2.0 * res.value)
+        assert moved == EvaluationResult(2.0 * res.value, res.error_estimate, res.evaluations,
+                                         res.converged)
+
+    def test_one_panel_result_is_the_fast_path(self):
+        res = _RESULT_MAKERS["one_panel"]()
+        assert res.evaluations == 15 and res.converged is True
+
+
+class TestOnePanelFrames:
+    """One converging panel makes exactly these Python-level calls: the
+    integrator, one GK15 panel and the integrand's 15 evaluations.  A
+    per-panel helper frame creeping back shows here."""
+
+    def test_python_calls_of_one_converging_panel(self):
+        cfg = QuadratureConfig()
+        f = lambda x: 2.5 * x
+        calls = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code.co_name] += 1
+
+        sys.setprofile(profile)
+        try:
+            res = integrate_finite(f, 1.0, 2.0, cfg)
+        finally:
+            sys.setprofile(None)
+        assert res.converged and res.evaluations == 15
+        assert calls == {"integrate_finite": 1, "_gk15": 1, "<lambda>": 15}
+
+
+class TestPanelEdgesInDoubleRange:
+    """An end whose panel budget outlasts the double range stops, unconverged,
+    at its last finite, nonzero edge: 2^1023 toward infinity, 2^-1074 toward
+    0.  Budgets that stay in range are unchanged."""
+
+    @staticmethod
+    def _edges(monkeypatch, f, ratio, cfg):
+        calls = []
+        original = quadrature.integrate_finite
+
+        def recording(g, a, b, panel_cfg=None):
+            calls.append((a, b))
+            return original(g, a, b, panel_cfg)
+
+        monkeypatch.setattr(quadrature, "integrate_finite", recording)
+        return _geometric_panels(f, ratio, cfg), calls
+
+    def test_semi_infinite_budget_beyond_the_range(self):
+        res = integrate_semi_infinite(lambda x: 1.0, QuadratureConfig(max_tail_panels=1100))
+        assert res.converged is False and math.isfinite(res.value)
+
+    def test_tail_stops_at_the_largest_power_of_two(self, monkeypatch):
+        res, calls = self._edges(monkeypatch, lambda x: 1.0, 2.0,
+                                 QuadratureConfig(max_tail_panels=1100))
+        assert len(calls) == 1023 and calls[-1] == (2.0**1022, 2.0**1023)
+        assert res.converged is False and res.evaluations == 15 * 1023
+
+    def test_head_stops_at_the_smallest_subnormal(self, monkeypatch):
+        # The panels' quarter of abs_tol, 2^-1074, is below the 10 eps |sum|
+        # floor of the head's remainder estimate, so the head runs out its
+        # edges.  f is never called at 0, where the next panel would start.
+        def f(x):
+            assert x > 0.0
+            return 1.0
+
+        cfg = QuadratureConfig(abs_tol=2.0**-1072, rel_tol=0.0, max_tail_panels=1100)
+        res, calls = self._edges(monkeypatch, f, 0.5, cfg)
+        assert len(calls) == 1074 and calls[-1] == (2.0**-1074, 2.0**-1073)
+        assert res.converged is False and res.value == 1.0
+
+    def test_budget_in_range_matches_reference(self):
+        cfg = QuadratureConfig(max_tail_panels=1023)
+        f = lambda x: 1.0
+        assert _bits(integrate_semi_infinite(f, cfg)) == _bits(
+            reference_integrate_semi_infinite(f, cfg)
+        )
 
 
 class TestLogSpacedTail:
