@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer rule that
+raises them for every order and count.
 
 The hierarchy is intentionally shallow: ``RmtError`` is the common base so
 callers can catch everything library-specific in one clause, while the CLI
@@ -79,3 +80,13 @@ class UnboundVariable(RmtError):
 
 class DivisionByZero(RmtError):
     """Expression evaluation divided by exactly zero."""
+
+
+def integer_in(value, low, high, error: type[Exception], message: str, *args) -> int:
+    """``value`` as an int when it is an integral number in [low, high]
+    (2.0 counts as 2); otherwise ``error(message % args)``.  This is the one
+    rule for every integer order and count the package takes.  The message
+    is formatted only on refusal, so a hot caller pays for the test alone."""
+    if low <= value <= high and float(value).is_integer():
+        return int(value)
+    raise error(message % args)

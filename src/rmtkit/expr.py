@@ -381,9 +381,9 @@ def _compile_call(node: Call, bindings, variable) -> Callable[[float], float]:
     if builtin is None:
         return _raises(UnknownFunction, f"unknown function {name!r}", 0, ())
     arity, fn = builtin
+    if len(node.args) != arity:  # hand-built: parse rejects such a call
+        return _raises(DomainError, f"{name} takes {arity} argument(s), got {len(node.args)}")
     args = [compile_expr(a, bindings, variable) for a in node.args]
-    if len(args) != arity:  # hand-built: fn raises TypeError, as in the walk
-        return lambda x: fn(*[a(x) for a in args])
     if name == "pow":  # '^', whose _apply_power raises no ValueError
         return _compile_binary("^", *args)
     (arg,) = args

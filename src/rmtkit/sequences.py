@@ -32,6 +32,7 @@ from .errors import (
     PoleError,
     RadiusError,
     UnknownEntry,
+    integer_in,
 )
 from .specfun import TWO_OVER_SQRT_PI
 
@@ -66,8 +67,9 @@ class SeriesPair:
     closed_form is valid on all of x >= 0, beyond the series' radius.
     derivative(order, x) is the analytic order-th derivative of closed_form
     at an integer order from 0 to derivative_max (2.0 means 2); catalog
-    pairs raise DomainError at a negative or non-integral order and
-    DerivativeUnavailable above derivative_max.  phi_plain, when set, gives
+    and shifted pairs raise DomainError at a negative or non-integral order
+    and DerivativeUnavailable above derivative_max, a contract implemented
+    once, by _per_order, on errors.integer_in.  phi_plain, when set, gives
     the plain coefficients: F(x) = sum phi_plain(k) (-x)^k, so phi(k) =
     k! phi_plain(k).  phi_highprec(k), when set, is phi(k) as an mpmath number.
     """
@@ -102,9 +104,7 @@ def eval_series(pair: SeriesPair, x: float, max_terms: int) -> SeriesValue:
     term (a valid tail bound when terms are eventually alternating and
     decreasing).
     """
-    if not (max_terms >= 1 and float(max_terms).is_integer()):
-        raise DomainError("eval_series: max_terms must be >= 1")
-    max_terms = int(max_terms)
+    max_terms = integer_in(max_terms, 1, math.inf, DomainError, "eval_series: max_terms must be >= 1")
     if x < 0.0:
         raise DomainError(f"eval_series: requires x >= 0, got {x!r}")
     if x >= pair.convergence_radius:
@@ -143,35 +143,22 @@ def shift_sequence(pair: SeriesPair, n: int) -> SeriesPair:
     closed form, so the series identity
     f^(n)(x) = (-1)^n sum_k phi(n+k) (-x)^k / k! carries over directly.
     """
-    if not (n >= 1 and float(n).is_integer()):
-        raise DomainError("shift_sequence: n must be a positive integer")
-    n = int(n)
-    if n > pair.derivative_max:
-        raise DerivativeUnavailable(
-            f"shift_sequence: order {n} exceeds derivative_max="
-            f"{pair.derivative_max}"
-        )
+    n = integer_in(n, 1, math.inf, DomainError, "shift_sequence: n must be a positive integer")
+    refuse_order_above(pair.label, n, pair.derivative_max)
     sign = (-1.0) ** n
     base_phi = pair.phi
     base_deriv = pair.derivative
     base_hp = pair.phi_highprec
     label = f"{pair.label} shifted by {n}"
     derivative_max = pair.derivative_max - n
-
-    def derivative(order: int, x: float) -> float:
-        # A negative order would reach the base pair's lower derivatives.
-        if not (order >= 0 and float(order).is_integer()):
-            raise DomainError(f"{label}: derivative order {order!r} is not an integer >= 0")
-        if order > derivative_max:
-            raise DerivativeUnavailable(
-                f"{label}: derivative order {order} exceeds derivative_max={derivative_max}"
-            )
-        return sign * base_deriv(n + order, x)
+    # The catalog's contract, so a negative order cannot reach the base
+    # pair's lower derivatives.
+    base_order = _per_order(label, derivative_max, lambda order: n + order)
 
     return SeriesPair(
         phi=lambda k: base_phi(n + k),
         closed_form=lambda x: sign * base_deriv(n, x),
-        derivative=derivative,
+        derivative=lambda order, x: sign * base_deriv(base_order(order), x),
         derivative_max=derivative_max,
         f_at_zero=sign * base_deriv(n, 0.0),
         f_at_infinity=0.0,
@@ -199,18 +186,24 @@ def _require_params(
         raise ParamDomainError(f"catalog {id_!r}: unknown parameter(s) {extra}")
 
 
-def _per_order(id_: str, derivative_max: int, constants: Callable[[int], object]):
+def refuse_order_above(label: str, order: float, derivative_max: int) -> None:
+    """The one DerivativeUnavailable refusal of an order above derivative_max."""
+    if order > derivative_max:
+        raise DerivativeUnavailable(
+            f"{label}: derivative order {order} exceeds derivative_max={derivative_max}"
+        )
+
+
+def _per_order(label: str, derivative_max: int, constants: Callable[[int], object]):
     """constants(order), cached: the factors a derivative closure needs at one
-    order.  A cache miss checks the order against SeriesPair.derivative's contract."""
+    order.  A cache miss checks the order against SeriesPair.derivative's
+    contract, so this is the one implementation of that contract."""
     @functools.cache
     def cached(order):
-        if not (order >= 0 and float(order).is_integer()):
-            raise DomainError(f"catalog {id_!r}: derivative order {order!r} is not an integer >= 0")
-        if order > derivative_max:
-            raise DerivativeUnavailable(
-                f"catalog {id_!r}: derivative order {order} exceeds derivative_max={derivative_max}"
-            )
-        return constants(int(order))
+        checked = integer_in(order, 0, math.inf, DomainError,
+                             "%s: derivative order %r is not an integer >= 0", label, order)
+        refuse_order_above(label, order, derivative_max)
+        return constants(checked)
     return cached
 
 
@@ -220,7 +213,7 @@ def _build_exp(**params) -> SeriesPair:
     a = float(params.get("a", 1.0))
     if not 0.0 < a < math.inf:
         raise ParamDomainError(f"catalog 'exp': requires 0 < a < inf, got {a!r}")
-    scale = _per_order("exp", 1000, lambda order: (-a) ** order)
+    scale = _per_order("catalog 'exp'", 1000, lambda order: (-a) ** order)
     return SeriesPair(
         phi=lambda k: a**k,
         closed_form=lambda x: math.exp(-a * x),
@@ -247,7 +240,7 @@ def _build_power(**params) -> SeriesPair:
 
     # Computed on first use of each order, so a pair whose Gamma(m)
     # overflows still builds.
-    constants = _per_order("power", 100, lambda order: ((-1.0) ** order * phi(order), -(m + order)))
+    constants = _per_order("catalog 'power'", 100, lambda order: ((-1.0) ** order * phi(order), -(m + order)))
 
     def derivative(order: int, x: float) -> float:
         factor, exponent = constants(order)
@@ -270,10 +263,16 @@ def _build_power(**params) -> SeriesPair:
     )
 
 
+def _coefficient_index(k: float, id_: str) -> int:
+    """k rounded to an int, for a coefficient function defined at integers
+    only: DomainError unless k is finite and within 1e-9 of one."""
+    if not (math.isfinite(k) and abs(k - round(k)) <= 1e-9):
+        raise DomainError(f"catalog {id_!r}: coefficients defined at integers only")
+    return int(round(k))
+
+
 def _erf_phi(k: float) -> float:
-    if abs(k - round(k)) > 1e-9:
-        raise DomainError("catalog 'erf': coefficients defined at integers only")
-    k = int(round(k))
+    k = _coefficient_index(k, "erf")
     if k < 0 or k % 2 == 0:
         return 0.0
     j = (k - 1) // 2
@@ -300,7 +299,7 @@ def _build_erf(**params) -> SeriesPair:
     (its leading coefficient vanishes)."""
     _require_params("erf", params, ())
     # (sign times 2/sqrt(pi), Hermite degree); degree -1 is erf itself.
-    constants = _per_order("erf", specfun.MAX_POLY_DEGREE + 1, lambda order: (
+    constants = _per_order("catalog 'erf'", specfun.MAX_POLY_DEGREE + 1, lambda order: (
         (-1.0 if order % 2 == 0 else 1.0) * TWO_OVER_SQRT_PI, order - 1))
 
     def derivative(order: int, x: float) -> float:
@@ -326,18 +325,11 @@ def _build_laguerre_weight(**params) -> SeriesPair:
     """x^n e^(-x); its n-th derivative is n! L_n(x) e^(-x)."""
     _require_params("laguerre_weight", params, ("n",))
     n_f = float(params["n"])
-    if not (n_f.is_integer() and 1 <= n_f <= 50):
-        raise ParamDomainError(
-            f"catalog 'laguerre_weight': requires integer 1 <= n <= 50, got {n_f!r}"
-        )
-    n = int(n_f)
+    n = integer_in(n_f, 1, 50, ParamDomainError,
+                   "catalog 'laguerre_weight': requires integer 1 <= n <= 50, got %r", n_f)
 
     def phi(k: float) -> float:
-        if abs(k - round(k)) > 1e-9:
-            raise DomainError(
-                "catalog 'laguerre_weight': coefficients defined at integers only"
-            )
-        k = int(round(k))
+        k = _coefficient_index(k, "laguerre_weight")
         if k < n:
             return 0.0
         return (-1.0) ** n * math.perm(k, n)  # k!/(k-n)!
@@ -349,7 +341,7 @@ def _build_laguerre_weight(**params) -> SeriesPair:
         return mp.mpf(-1) ** n * mp.factorial(k) / mp.factorial(k - n)
 
     # Leibniz rule on x^n e^-x: (C(order, i) n!/(n-i)! (-1)^(order-i), n - i) per term.
-    terms = _per_order("laguerre_weight", specfun.MAX_POLY_DEGREE, lambda order: tuple(
+    terms = _per_order("catalog 'laguerre_weight'", specfun.MAX_POLY_DEGREE, lambda order: tuple(
         (float(math.comb(order, i) * math.perm(n, i)) * (-1.0) ** (order - i), n - i)
         for i in range(min(order, n) + 1)))
 
@@ -398,7 +390,7 @@ def _harmonic_closed(x: float) -> float:
 
 
 # (order, (-1)^order) up to the pair's derivative_max, 6.
-_harmonic_constants = _per_order("harmonic_shifted", 6, lambda order: (order, (-1.0) ** order))
+_harmonic_constants = _per_order("catalog 'harmonic_shifted'", 6, lambda order: (order, (-1.0) ** order))
 
 
 def _harmonic_derivative(order: int, x: float) -> float:

@@ -28,11 +28,11 @@ from typing import Callable, NamedTuple
 
 from . import specfun
 from .errors import (
-    DerivativeUnavailable,
     DomainError,
     NonstandardPair,
     PoleError,
     PresentationError,
+    integer_in,
 )
 from .quadrature import (
     EvaluationResult,
@@ -40,7 +40,7 @@ from .quadrature import (
     integrate_mellin,
     integrate_semi_infinite,
 )
-from .sequences import SeriesPair
+from .sequences import SeriesPair, refuse_order_above
 
 __all__ = [
     "IdentityReport",
@@ -177,19 +177,17 @@ def lemma2(
     """Check integral of x^(n-1) f^(n)(x) against
     (-1)^(n-1) (f(inf) - f(0)) Gamma(n), using the pair's analytic
     derivative."""
-    if not (n >= 1 and float(n).is_integer()):
-        raise DomainError("lemma2: n must be a positive integer")
-    n = int(n)
-    if n > pair.derivative_max:
-        raise DerivativeUnavailable(
-            f"{pair.label}: derivative order {n} exceeds "
-            f"derivative_max={pair.derivative_max}"
-        )
+    n = integer_in(n, 1, math.inf, DomainError, "lemma2: n must be a positive integer")
+    refuse_order_above(pair.label, n, pair.derivative_max)
 
     derivative, power = pair.derivative, n - 1
 
     def integrand(x: float) -> float:
-        return x ** power * derivative(n, x)
+        try:
+            return x ** power * derivative(n, x)
+        except OverflowError:  # x^(n-1) alone leaves the double range
+            half = x ** (power / 2.0)
+            return half * derivative(n, x) * half
 
     lhs = integrate_semi_infinite(integrand, cfg)
     rhs = (-1.0) ** (n - 1) * (pair.f_at_infinity - pair.f_at_zero) * specfun.gamma(float(n))
@@ -246,9 +244,7 @@ def partial_fraction_sum(pair: SeriesPair, s: float, terms: int) -> float:
     limit is the head integral over [0, 1] of x^(s-1) F(x), so it differs
     from the full Mellin transform by the (entire) tail over [1, inf).
     """
-    if not (terms >= 0 and float(terms).is_integer()):
-        raise DomainError("partial_fraction_sum: terms must be >= 0")
-    terms = int(terms)
+    terms = integer_in(terms, 0, math.inf, DomainError, "partial_fraction_sum: terms must be >= 0")
     for k in range(terms + 1):
         if abs(s + k) <= 1e-10:
             raise PoleError(
@@ -275,9 +271,7 @@ def residue_check(pair: SeriesPair, m: int, eps: float) -> tuple[float, float]:
     the linear part of the regular factor and converges at O(eps^2);
     right is the residue (-1)^m phi(m)/m!.
     """
-    if not (m >= 0 and float(m).is_integer()):
-        raise DomainError("residue_check: m must be a non-negative integer")
-    m = int(m)
+    m = integer_in(m, 0, math.inf, DomainError, "residue_check: m must be a non-negative integer")
     if not 0.0 < eps <= 1e-2:
         raise DomainError("residue_check: eps must lie in (0, 1e-2]")
 
@@ -355,9 +349,8 @@ def nth_derivative_fd(
     two levels.  Accuracy degrades with n roughly like machine-eps^(2/(n+2)),
     documented rather than guaranteed.
     """
-    if not (1 <= n <= FD_MAX_ORDER and float(n).is_integer()):
-        raise DomainError(f"nth_derivative_fd: n must be in 1..{FD_MAX_ORDER}, got {n}")
-    n = int(n)
+    n = integer_in(n, 1, FD_MAX_ORDER, DomainError,
+                   "nth_derivative_fd: n must be in 1..%s, got %s", FD_MAX_ORDER, n)
     positive_tolerance(h, "nth_derivative_fd: h")
     coarse = _central_difference(f, x, n, h)
     fine = _central_difference(f, x, n, h / 2.0)

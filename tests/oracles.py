@@ -442,6 +442,8 @@ def reference_evaluate(node, env) -> float:
         builtin = _BUILTINS.get(node.fn)
         if builtin is None:
             raise UnknownFunction(f"unknown function {node.fn!r}", 0, ())
+        if len(node.args) != builtin[0]:
+            raise DomainError(f"{node.fn} takes {builtin[0]} argument(s), got {len(node.args)}")
         args = [reference_evaluate(a, env) for a in node.args]
         try:
             return builtin[1](*args)

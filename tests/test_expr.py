@@ -158,6 +158,25 @@ class TestEvaluate:
         with pytest.raises(UnknownFunction):
             evaluate(Call("zeta", (Constant(2.0),)), {})
 
+    @pytest.mark.parametrize("call,message", [
+        (Call("exp", ()), "exp takes 1 argument(s), got 0"),
+        (Call("pow", (Constant(1.0),)), "pow takes 2 argument(s), got 1"),
+        (Call("exp", (Constant(1.0), Constant(2.0))), "exp takes 1 argument(s), got 2"),
+    ])
+    def test_hand_built_call_with_wrong_arity_is_a_domain_error(self, call, message):
+        with pytest.raises(DomainError) as info:
+            evaluate(call, {})
+        assert (type(info.value), str(info.value)) == (DomainError, message)
+
+    @pytest.mark.parametrize("source", ["pow(1)", "exp(1, 2)", "gamma(x, x, x)"])
+    def test_arity_refusal_has_the_wording_of_parse(self, source):
+        with pytest.raises(ExprSyntaxError) as parsed:
+            parse(source)
+        call = Call(source[:source.index("(")], (Constant(1.0),) * (source.count(",") + 1))
+        with pytest.raises(DomainError) as info:
+            evaluate(call, {})
+        assert str(parsed.value).startswith(str(info.value) + " at offset ")
+
     def test_builtins_read_specfun_when_called(self, monkeypatch):
         monkeypatch.setattr(specfun, "gamma", lambda x: -x)
         monkeypatch.setattr(specfun, "erf", lambda x: 7.0)

@@ -74,6 +74,21 @@ class TestCatalog:
         assert pair.f_at_zero == 0.0
         assert pair.nonstandard
 
+    @pytest.mark.parametrize("id_,params", [("erf", {}), ("laguerre_weight", {"n": 2.0})])
+    @pytest.mark.parametrize("k", [2.5, -0.5, math.nan, math.inf, -math.inf])
+    def test_coefficients_off_the_integers_are_a_domain_error(self, id_, params, k):
+        pair = catalog_get(id_, **params)
+        with pytest.raises(DomainError) as info:
+            pair.phi(k)
+        assert type(info.value) is DomainError
+        assert str(info.value) == f"catalog '{id_}': coefficients defined at integers only"
+
+    @pytest.mark.parametrize("id_,params", [("erf", {}), ("laguerre_weight", {"n": 2.0})])
+    def test_coefficients_near_an_integer_are_that_integer(self, id_, params):
+        pair = catalog_get(id_, **params)
+        for k in range(6):
+            assert pair.phi(k + 1e-10) == pair.phi(k - 1e-10) == pair.phi(float(k))
+
     def test_geometric_is_plain_presentation(self):
         pair = catalog_get("geometric")
         assert pair.phi_plain is not None

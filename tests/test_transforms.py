@@ -115,6 +115,19 @@ class TestLemma2:
         with pytest.raises(DomainError, match=r"^lemma2: n must be a positive integer$"):
             lemma2(catalog_get("exp"), n)
 
+    @pytest.mark.parametrize("a,n,exact", [
+        (1.0, 150, math.gamma(150.0)),
+        (0.01, 100, math.gamma(100.0)),
+    ])
+    def test_high_order_where_the_power_alone_overflows(self, a, n, exact):
+        # x^(n-1) leaves the double range near x = 117 (n = 150) and
+        # x = 1230 (n = 100), where its product with f^(n) is finite.
+        rep = lemma2(catalog_get("exp", a=a), n)
+        assert rep.rhs == exact
+        assert rep.lhs.converged
+        assert rep.rel_discrepancy <= 1e-8
+        assert rep.passed
+
     @pytest.mark.parametrize("id_,params", [("exp", {"a": 1.0}), ("power", {"m": 8.0})])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_analytic_sweep(self, id_, params, n):
