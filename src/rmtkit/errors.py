@@ -83,10 +83,13 @@ class DivisionByZero(RmtError):
 
 
 def integer_in(value, low, high, error: type[Exception], message: str, *args) -> int:
-    """``value`` as an int when it is an integral number in [low, high]
-    (2.0 counts as 2); otherwise ``error(message % args)``.  This is the one
-    rule for every integer order and count the package takes.  The message
-    is formatted only on refusal, so a hot caller pays for the test alone."""
-    if low <= value <= high and float(value).is_integer():
-        return int(value)
+    """``value`` as an int when it is an integral number in [low, high] that a
+    float can hold (2.0 counts as 2); otherwise ``error(message % args)``.
+    This is the one rule for every integer order and count the package takes.
+    The message is formatted only on refusal, so a hot caller pays for the test alone."""
+    try:
+        if low <= value <= high and float(value).is_integer():
+            return int(value)
+    except OverflowError:  # an int beyond the double range
+        pass
     raise error(message % args)

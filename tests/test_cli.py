@@ -330,6 +330,20 @@ class TestInputErrors:
         assert err == "error: nth_derivative_fd: step h=1e+300 is too large: h**2 overflows\n"
         assert out == ""
 
+    def test_lemma2_order_past_gamma_range_is_refused_before_quadrature(self, capsys):
+        code, out, err = run_in_process(capsys, "verify", "lemma2", "--catalog", "exp", "--n", "200")
+        assert code == 2
+        assert err == "error: overflow: gamma: Gamma(200.0) exceeds double range\n"
+        assert out == ""
+
+    def test_lemma2_order_beyond_double_range_is_input_error(self, capsys):
+        code, out, err = run_in_process(
+            capsys, "verify", "lemma2", "--catalog", "exp", "--n", "1" + "0" * 400
+        )
+        assert code == 2
+        assert err == "error: lemma2: n must be a positive integer\n"
+        assert out == ""
+
     def test_infinite_argument_of_cos_is_input_error(self, capsys):
         code, out, err = run_in_process(
             capsys, "verify", "rmt", "--phi", "1", "--closed-form",

@@ -154,3 +154,19 @@ class TestIntegerOrders:
     def test_integral_float_is_that_integer(self, name):
         entry = ENTRIES[name]
         assert _outcome(lambda: entry.call(2.0)) == _outcome(lambda: entry.call(2))
+
+
+# An int that float() cannot convert: the rule refuses it with the caller's
+# own error rather than letting float()'s OverflowError escape (this covers
+# lemma2's n, residue_check's m and a catalog derivative's order).  The
+# laguerre_weight builder is left out: like every catalog parameter, its n
+# goes through float() before it reaches the rule.
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("name", sorted(set(ENTRIES) - {"laguerre_weight n"}))
+def test_int_beyond_the_double_range_is_refused(name):
+    entry = ENTRIES[name]
+    with pytest.raises(RmtError) as info:
+        entry.call(HUGE)
+    assert (type(info.value), str(info.value)) == entry.refusal(HUGE)
