@@ -179,6 +179,7 @@ def _expression_pair(args: argparse.Namespace) -> SeriesPair:
         convergence_radius=math.inf,
         phi_plain=phi,
         label="expression pair",
+        smooth_derivatives=not args.fd_derivatives,
     )
 
 
@@ -291,8 +292,13 @@ def _build_argparser() -> argparse.ArgumentParser:
     def add_quad_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--abs-tol", type=float, default=QuadratureConfig.abs_tol)
         p.add_argument("--rel-tol", type=float, default=QuadratureConfig.rel_tol)
-        p.add_argument("--max-subdivisions", type=int, default=QuadratureConfig.max_subdivisions)
-        p.add_argument("--max-tail-panels", type=int, default=QuadratureConfig.max_tail_panels)
+        p.add_argument("--max-subdivisions", type=int, default=QuadratureConfig.max_subdivisions,
+                       help="bisections per Gauss-Kronrod integral; on [0, inf) it bounds "
+                            "each panel of the geometric ends the double-exponential rule "
+                            "falls back to")
+        p.add_argument("--max-tail-panels", type=int, default=QuadratureConfig.max_tail_panels,
+                       help="geometric panels per end of a [0, inf) integral, used when the "
+                            "double-exponential rule cannot certify its result")
         p.add_argument("--json", action="store_true", help="emit JSON lines")
 
     verify = sub.add_parser("verify", help="check a single identity")

@@ -2,15 +2,32 @@
 
 The base rule is the 15-point Gauss-Kronrod pair; the embedded 7-point Gauss
 result provides a per-panel error estimate, and panels are bisected worst
-first.  Semi-infinite integrals split at x = 1 and sum geometric panels
-toward each end, [2^j, 2^(j+1)] toward infinity and [2^-(j+1), 2^-j] toward
-0, extrapolating the partial sums with Wynn's epsilon algorithm (the scheme
-of QUADPACK's QAGI and QAGS), so algebraic tails and x^(s-1) endpoint
-singularities converge in a few dozen panels.  A Mellin integral is the
-semi-infinite integral of x^(s-1) F(x).  Tail panels [lo, 2 lo] are
-integrated in the log-spaced coordinate u, x = lo 2^u, where an algebraic
-tail x^p is the smooth exponential 2^((p+1)u) that one 15-point panel
-resolves; in x, each such panel is bisected once at every scale.
+first.
+
+A semi-infinite integral first tries the trapezoid rule after a
+double-exponential map of (0, inf) (Takahasi & Mori 1974; Mori & Sugihara
+2001): x = exp(t - e^-t) when |x f(x)| falls fast from x = 16 to 64,
+x = exp(pi/2 sinh t) otherwise, with h halved from 1/2 to 1/32 over node
+tables built on first use.  It runs when the terms die out inside its table
+and a level certifies an estimate within the tolerance, and returns its
+h = 1/32 sum.  Otherwise - a
+tail or an endpoint singularity too slow for the table (s near a strip
+edge), all-zero terms, a floor above the tolerance, or an exception or
+non-finite value from f - it falls back to the geometric ends, which then
+raise or refuse exactly as they would alone.  The ends split at x = 1 and
+sum geometric panels toward each end, [2^j, 2^(j+1)] toward infinity and
+[2^-(j+1), 2^-j] toward 0, extrapolating the partial sums with Wynn's
+epsilon algorithm (the scheme of QUADPACK's QAGI and QAGS), so algebraic
+tails and x^(s-1) endpoint singularities converge in a few dozen panels.
+max_tail_panels and max_subdivisions bound these ends; the DE rule has its
+own fixed level cap.  ``evaluations`` counts every call of the integrand,
+an abandoned DE attempt's included.  A Mellin integral is the
+semi-infinite integral of x^(s-1) F(x); an F with noise far above rounding
+(finite-difference derivatives) goes straight to the geometric ends.  Tail
+panels [lo, 2 lo] are integrated in the log-spaced coordinate u,
+x = lo 2^u, where an algebraic tail x^p is the smooth exponential
+2^((p+1)u) that one 15-point panel resolves; in x, each such panel is
+bisected once at every scale.
 
 Integrators hold no global state; results are deterministic for a fixed
 configuration because panels are accumulated in a canonical order.
@@ -18,8 +35,10 @@ configuration because panels are accumulated in a canonical order.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,6 +88,9 @@ _NODE_PAIRS = tuple(zip(
 ))
 # Machine epsilon, the spacing of doubles at 1.0 (twice the unit round-off).
 _EPS = 2.220446049250313e-16
+# The round-off floor of a quadrature sum, per unit of its integral of |f|:
+# a GK15 panel's and a double-exponential level's.
+_ROUNDOFF = 50.0 * _EPS
 # ln 2, the Jacobian factor of x = lo * 2^u per unit of u.
 _LN2 = math.log(2.0)
 # Relative slack that the running totals of integrate_finite's stopping test
@@ -178,7 +200,7 @@ def _gk15(f: Callable[[float], float], a: float, b: float):
     # Plain Kronrod-Gauss discrepancy, floored at the round-off level of the
     # panel so trivially-exact integrands keep an honest estimate.
     gap = abs(resk - resg)
-    floor = 50.0 * _EPS * resabs
+    floor = _ROUNDOFF * resabs
     if gap <= floor:
         return resk * hlgth, floor * abs(hlgth), True, 15
     return resk * hlgth, gap * abs(hlgth), False, 15
@@ -422,35 +444,186 @@ def _geometric_panels(
     return EvaluationResult(total, _kahan_sum(errs), evaluations, False)
 
 
-def integrate_semi_infinite(
-    f: Callable[[float], float],
-    cfg: QuadratureConfig | None = None,
-) -> EvaluationResult:
-    """Integrate f over [0, infinity): geometric panels from 1 toward 0 and
-    toward infinity, each end extrapolated.
+# The double-exponential maps of (0, inf), t -> (x, dx/dt), each with the
+# t-range its node tables cover: x = exp(pi/2 sinh t) for algebraic decay,
+# x = exp(t - e^-t) for exponential decay (Mori & Sugihara 2001).
+def _algebraic_map(t: float) -> tuple[float, float]:
+    x = math.exp(0.5 * math.pi * math.sinh(t))
+    return x, x * (0.5 * math.pi * math.cosh(t))
 
-    f is never called at 0, so an integrable endpoint singularity is
-    allowed.  A divergent end, or one that exhausts its max_tail_panels
-    budget, makes the result converged=False (the best-effort value is
-    still returned).
+
+def _exponential_map(t: float) -> tuple[float, float]:
+    decay = math.exp(-t)
+    x = math.exp(t - decay)
+    return x, x * (1.0 + decay)
+
+
+_DE_MAPS = ((_algebraic_map, -6.0, 6.5), (_exponential_map, -6.0, 40.0))
+# Levels h = 1/2, 1/4, ..., 1/32.  A level-0 term is negligible at 10^-3 eps
+# of the largest; |x f(x)| falling by _DE_FALL from x = 16 to 64 picks the
+# exponential map.
+_DE_LEVELS = 5
+_DE_NEGLIGIBLE = 1e-3 * _EPS
+_DE_FALL = 1e-4
+
+
+@functools.cache
+def _de_nodes(exponential: bool, level: int) -> tuple[list, list]:
+    """The x and dx/dt of one map's nodes new at ``level``, built on first
+    use: the multiples of 1/2 across the map's t-range at level 0, the odd
+    multiples of h = 2^-(level+1) after.  Level-0 node i sits at lo + i/2,
+    so the level-L nodes between level-0 nodes a and b are those in
+    [a 2^(L-1), b 2^(L-1))."""
+    mapping, lo, hi = _DE_MAPS[exponential]
+    if level:
+        h = 0.5 ** (level + 1)
+        ts = [lo + (2 * i + 1) * h for i in range(int((hi - lo) / (2.0 * h)))]
+    else:
+        ts = [lo + 0.5 * i for i in range(int(2.0 * (hi - lo)) + 1)]
+    nodes = [mapping(t) for t in ts]
+    return [x for x, _ in nodes], [w for _, w in nodes]
+
+
+def _double_exponential(f: Callable[[float], float], cfg: QuadratureConfig, values: list):
+    """The trapezoid rule in t after a double-exponential map, or None when
+    it cannot certify its result.  Appends x f(x) at the two probes, then
+    each node's term f(x) dx/dt, to ``values``: their count is the
+    attempt's evaluations, also when f raises.
+
+    The map is exponential when |x f(x)| falls by ``_DE_FALL`` or more from
+    x = 16 to x = 64, algebraic otherwise.  Level 0, h = 1/2, walks from
+    t = 0 toward +inf, then toward -inf, until two consecutive terms are at
+    most ``_DE_NEGLIGIBLE`` times the largest so far.  Each later level
+    halves h over the walked range and reuses every node.  With
+    T = h sum(terms), floor = 50 eps h sum|terms| and change the movement of
+    T from the last level, the first level from 2 on whose estimate
+    10 change + floor is within the tolerance, and whose change is at most
+    a tenth of the last one plus the floor, certifies the result.  The rule
+    still refines to h = 1/32 and returns that level's T, the most
+    accurate, with the larger of the certified estimate and its own.  None
+    when a value is not finite, a walk runs off its table or meets only
+    zeros, a floor alone exceeds the tolerance, no level certifies, or the
+    last level's estimate exceeds the tolerance.  T is a math.fsum;
+    sum|terms| adds in the order the terms were made.
     """
-    cfg = cfg or QuadratureConfig()
+    near = 16.0 * f(16.0)
+    values.append(near)
+    far = 64.0 * f(64.0)
+    values.append(far)
+    if not (math.isfinite(near) and math.isfinite(far)):
+        return None
+    exponential = abs(far) <= _DE_FALL * abs(near)
+    xs, ws = _de_nodes(exponential, 0)
+    centre = int(-2.0 * _DE_MAPS[exponential][1])  # t = 0
+    first = f(xs[centre]) * ws[centre]
+    values.append(first)
+    largest = abs(first)
+    ends = []
+    for step, stop in ((1, len(xs)), (-1, -1)):
+        i, previous = centre, abs(first)
+        while True:
+            i += step
+            if i == stop:
+                return None
+            term = f(xs[i]) * ws[i]
+            values.append(term)
+            size = abs(term)
+            if size > largest:
+                largest = size
+            if size <= _DE_NEGLIGIBLE * largest and previous <= _DE_NEGLIGIBLE * largest:
+                break
+            previous = size
+        ends.append(i)
+    if not largest:
+        return None  # every term 0: no sign of where the mass of f lies
+    right, left = ends
+    h = 0.5
+    total = last_change = 0.0
+    certified = None
+    for level in range(_DE_LEVELS):
+        if level:
+            xs, ws = _de_nodes(exponential, level)
+            lo, hi = left << (level - 1), right << (level - 1)
+            values.extend(map(operator.mul, map(f, xs[lo:hi]), ws[lo:hi]))
+            h *= 0.5
+        terms = values[2:]
+        # A plain sum never raises: inf or NaN when a term is not finite, as
+        # after a walk that met one.
+        floor = _ROUNDOFF * h * sum(map(abs, terms))
+        if not floor < math.inf:
+            return None
+        previous, total = total, h * math.fsum(terms)
+        if not _within_tolerance(total, floor, cfg):
+            return None
+        change = abs(total - previous)
+        estimate = 10.0 * change + floor
+        if (certified is None and level >= 2 and _within_tolerance(total, estimate, cfg)
+                and change <= 0.1 * last_change + floor):
+            certified = estimate
+        last_change = change
+    if certified is None:
+        return None
+    estimate = max(certified, estimate)
+    if not _within_tolerance(total, estimate, cfg):
+        return None
+    return EvaluationResult(total, estimate, len(values), True)
+
+
+def _geometric_ends(
+    f: Callable[[float], float],
+    cfg: QuadratureConfig,
+    spent: int = 0,
+) -> EvaluationResult:
+    """Geometric panels from 1 toward 0 and toward infinity, each end
+    extrapolated, with ``spent`` earlier evaluations added to the count."""
     head = _geometric_panels(f, 0.5, cfg)
     tail = _geometric_panels(f, 2.0, cfg)
     value = head.value + tail.value
     error = head.error_estimate + tail.error_estimate
     converged = head.converged and tail.converged and _within_tolerance(value, error, cfg)
-    return EvaluationResult(value, error, head.evaluations + tail.evaluations, converged)
+    return EvaluationResult(value, error, spent + head.evaluations + tail.evaluations, converged)
+
+
+def integrate_semi_infinite(
+    f: Callable[[float], float],
+    cfg: QuadratureConfig | None = None,
+) -> EvaluationResult:
+    """Integrate f over [0, infinity): the double-exponential rule first,
+    and geometric panels from 1 toward 0 and toward infinity, each end
+    extrapolated, when that rule cannot certify its result.
+
+    f is never called at 0, so an integrable endpoint singularity is
+    allowed.  A DE attempt that f aborts, by an exception or a non-finite
+    value, falls back too, and the geometric ends raise or refuse as they
+    would alone; ``evaluations`` counts the abandoned attempt's calls as
+    well.  A divergent end, or one that exhausts its max_tail_panels budget,
+    makes the result converged=False (the best-effort value is still
+    returned).
+    """
+    cfg = cfg or QuadratureConfig()
+    values = []
+    raised = 0
+    try:
+        result = _double_exponential(f, cfg, values)
+    except Exception:  # the geometric ends raise it again, or do without the attempt
+        result, raised = None, 1  # count the call that raised
+    if result is not None:
+        return result
+    return _geometric_ends(f, cfg, len(values) + raised)
 
 
 def integrate_mellin(
     F: Callable[[float], float],
     s: float,
     cfg: QuadratureConfig | None = None,
+    smooth: bool = True,
 ) -> EvaluationResult:
     """Integrate x^(s-1) * F(x) over [0, infinity) for s > 0.
 
-    A non-finite F on (0, 1] raises SingularityError.
+    A non-finite F on (0, 1] raises SingularityError.  smooth=False says
+    that F carries noise far above rounding, as finite-difference
+    derivatives do; a DE level difference cannot see that noise, so the
+    integral goes straight to the geometric ends.
     """
     if not 0.0 < s < math.inf:
         raise DomainError(f"integrate_mellin: requires finite s > 0, got {s!r}")
@@ -470,4 +643,7 @@ def integrate_mellin(
             half = x ** (power / 2.0)
             return half * v * half
 
-    return integrate_semi_infinite(integrand, cfg)
+    cfg = cfg or QuadratureConfig()
+    if smooth:
+        return integrate_semi_infinite(integrand, cfg)
+    return _geometric_ends(integrand, cfg)

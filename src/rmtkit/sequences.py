@@ -72,6 +72,8 @@ class SeriesPair:
     once, by _per_order, on errors.integer_in.  phi_plain, when set, gives
     the plain coefficients: F(x) = sum phi_plain(k) (-x)^k, so phi(k) =
     k! phi_plain(k).  phi_highprec(k), when set, is phi(k) as an mpmath number.
+    smooth_derivatives is False when derivative values carry noise far above
+    rounding, as finite differences do; lemma2 passes it to integrate_mellin.
     """
 
     phi: Callable[[float], float]
@@ -84,6 +86,7 @@ class SeriesPair:
     phi_plain: Callable[[float], float] | None = None
     phi_highprec: Callable[[int], object] | None = None
     label: str = "pair"
+    smooth_derivatives: bool = True
 
     @property
     def nonstandard(self) -> bool:
@@ -165,6 +168,7 @@ def shift_sequence(pair: SeriesPair, n: int) -> SeriesPair:
         convergence_radius=pair.convergence_radius,
         phi_highprec=(lambda k: base_hp(n + k)) if base_hp else None,
         label=label,
+        smooth_derivatives=pair.smooth_derivatives,
     )
 
 
@@ -184,6 +188,15 @@ def _require_params(
     extra = [name for name in params if name not in required + optional]
     if extra:
         raise ParamDomainError(f"catalog {id_!r}: unknown parameter(s) {extra}")
+
+
+def _float_param(id_: str, name: str, value) -> float:
+    """A catalog parameter as a float: ParamDomainError, not OverflowError,
+    for an int beyond the double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParamDomainError(f"catalog {id_!r}: {name} is beyond the double range") from None
 
 
 def refuse_order_above(label: str, order: float, derivative_max: int) -> None:
@@ -210,7 +223,7 @@ def _per_order(label: str, derivative_max: int, constants: Callable[[int], objec
 def _build_exp(**params) -> SeriesPair:
     """Exponential decay e^(-ax); coefficients a^k."""
     _require_params("exp", params, (), optional=("a",))
-    a = float(params.get("a", 1.0))
+    a = _float_param("exp", "a", params.get("a", 1.0))
     if not 0.0 < a < math.inf:
         raise ParamDomainError(f"catalog 'exp': requires 0 < a < inf, got {a!r}")
     scale = _per_order("catalog 'exp'", 1000, lambda order: (-a) ** order)
@@ -230,7 +243,7 @@ def _build_exp(**params) -> SeriesPair:
 def _build_power(**params) -> SeriesPair:
     """Algebraic decay (1+x)^(-m); rising-factorial coefficients."""
     _require_params("power", params, ("m",))
-    m = float(params["m"])
+    m = _float_param("power", "m", params["m"])
     if not 0.0 < m < math.inf:
         raise ParamDomainError(f"catalog 'power': requires 0 < m < inf, got {m!r}")
 
@@ -324,7 +337,7 @@ def _build_erf(**params) -> SeriesPair:
 def _build_laguerre_weight(**params) -> SeriesPair:
     """x^n e^(-x); its n-th derivative is n! L_n(x) e^(-x)."""
     _require_params("laguerre_weight", params, ("n",))
-    n_f = float(params["n"])
+    n_f = _float_param("laguerre_weight", "n", params["n"])
     n = integer_in(n_f, 1, 50, ParamDomainError,
                    "catalog 'laguerre_weight': requires integer 1 <= n <= 50, got %r", n_f)
 

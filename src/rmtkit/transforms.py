@@ -183,7 +183,8 @@ def lemma2(
 
     rhs = (-1.0) ** (n - 1) * (pair.f_at_infinity - pair.f_at_zero) * specfun.gamma(float(n))
     derivative = pair.derivative
-    lhs = integrate_mellin(lambda x: derivative(n, x), float(n), cfg)
+    lhs = integrate_mellin(lambda x: derivative(n, x), float(n), cfg,
+                           smooth=pair.smooth_derivatives)
     return _report("lemma2", lhs, rhs, tolerance)
 
 

@@ -13,6 +13,10 @@ and ``reference_mellin_integrand``, the semi-infinite integrator re-summing
 its partial sums after every panel over that plain loop, which pin
 ``integrate_semi_infinite`` and ``integrate_mellin`` bit for bit, tail
 panels in their log-spaced coordinate included;
+``reference_double_exponential`` with
+``reference_integrate_semi_infinite_de``, the double-exponential rule
+restated from its map formulas and levels, falling back to the geometric
+oracle, which pins the DE path of both integrators bit for bit;
 ``reference_epsilon_picks``, Wynn's table rebuilt diagonal by diagonal
 with its column picked by min() over (movement, column), which pins
 the one-pass ``_epsilon_table`` bit for bit;
@@ -363,6 +367,111 @@ def reference_integrate_semi_infinite(f, cfg=None) -> EvaluationResult:
     converged = head.converged and tail.converged and math.isfinite(value)
     converged = converged and error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
     return EvaluationResult(value, error, head.evaluations + tail.evaluations, converged)
+
+
+def _reference_de_node(exponential: bool, t: float) -> tuple[float, float]:
+    """x and dx/dt of the double-exponential maps: x = exp(t - e^-t) for
+    exponential decay, x = exp(pi/2 sinh t) for algebraic decay."""
+    if exponential:
+        decay = math.exp(-t)
+        x = math.exp(t - decay)
+        return x, x * (1.0 + decay)
+    x = math.exp(math.pi / 2.0 * math.sinh(t))
+    return x, x * (math.pi / 2.0 * math.cosh(t))
+
+
+def _reference_de_attempt(f, cfg: QuadratureConfig):
+    eps = 2.220446049250313e-16
+    near, far = 16.0 * f(16.0), 64.0 * f(64.0)
+    if not (math.isfinite(near) and math.isfinite(far)):
+        return None
+    exponential = abs(far) <= 1e-4 * abs(near)
+    t_min, t_max = (-6.0, 40.0) if exponential else (-6.0, 6.5)
+    terms = {}  # t -> f(x) dx/dt, in the order made
+
+    def size_at(t):
+        x, w = _reference_de_node(exponential, t)
+        terms[t] = f(x) * w
+        return abs(terms[t])
+
+    largest = size_at(0.0)
+    reach = []
+    for direction in (1.0, -1.0):
+        sizes = [abs(terms[0.0])]
+        k = 0
+        while True:
+            k += 1
+            t = direction * 0.5 * k
+            if not t_min <= t <= t_max:
+                return None
+            sizes.append(size_at(t))
+            largest = max(largest, sizes[-1])
+            if all(size <= 1e-3 * eps * largest for size in sizes[-2:]):
+                break
+        reach.append(t)
+    if largest == 0.0:
+        return None
+    t_hi, t_lo = reach
+    h = 0.5
+    changes = []
+    previous = 0.0
+    certified = []
+    for level in range(5):
+        if level:
+            h /= 2.0
+            for m in range(int(t_lo / h) + 1, int(t_hi / h), 2):
+                size_at(m * h)
+        made = list(terms.values())
+        floor = 50.0 * eps * h * sum(abs(v) for v in made)
+        if not math.isfinite(floor):
+            return None
+        total = h * math.fsum(made)
+        tolerance = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        if not (math.isfinite(total) and floor <= tolerance):
+            return None
+        changes.append(abs(total - previous))
+        previous = total
+        estimate = 10.0 * changes[-1] + floor
+        if level >= 2 and estimate <= tolerance and changes[-1] <= 0.1 * changes[-2] + floor:
+            certified.append(estimate)
+    if not certified:
+        return None
+    estimate = max(certified[0], estimate)
+    if estimate > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        return None
+    return EvaluationResult(total, estimate, 0, True)
+
+
+def reference_double_exponential(f, cfg=None):
+    """(result or None, calls of f) of the double-exponential attempt,
+    restated from its definition: the map picked by the fall of |x f(x)|
+    from x = 16 to 64, the level-0 walk over t = k/2 (toward +inf, then
+    -inf) to two consecutive terms within 1e-3 eps of the largest, levels
+    h = 1/4 .. 1/32 over the walked range, the estimate
+    10 |T_L - T_(L-1)| + 50 eps h sum|terms| of the first level from 2 on
+    that passes, and the value of the last level.  None is a fallback; an
+    exception from f is one too."""
+    cfg = cfg or QuadratureConfig()
+    counter = _CallCounter(f)
+    try:
+        result = _reference_de_attempt(counter, cfg)
+    except Exception:
+        return None, counter.count
+    if result is None:
+        return None, counter.count
+    return EvaluationResult(result.value, result.error_estimate, counter.count, True), counter.count
+
+
+def reference_integrate_semi_infinite_de(f, cfg=None) -> EvaluationResult:
+    """The double-exponential attempt, or on its fallback
+    ``reference_integrate_semi_infinite`` with the attempt's calls added."""
+    cfg = cfg or QuadratureConfig()
+    result, calls = reference_double_exponential(f, cfg)
+    if result is not None:
+        return result
+    ends = reference_integrate_semi_infinite(f, cfg)
+    return EvaluationResult(ends.value, ends.error_estimate, calls + ends.evaluations,
+                            ends.converged)
 
 
 def reference_mellin_integrand(F, s: float):

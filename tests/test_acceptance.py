@@ -274,7 +274,7 @@ def test_criterion_10_cli_contract():
     for argv, expected in [
         (("verify", "hardy", "--catalog", "geometric", "--s", "1"), 2),
         (("residue", "--catalog", "erf", "--m", "0"), 2),
-        (("verify", "rmt", "--catalog", "exp", "--param", "a=2", "--s", "3", "--tol", "1e-30"), 1),
+        (("verify", "rmt", "--catalog", "exp", "--param", "a=2", "--s", "2.5", "--tol", "1e-30"), 1),
     ]:
         proc = subprocess.run([sys.executable, "-m", "rmtkit", *argv], capture_output=True, text=True)
         checks.append((f"exit {expected} for {' '.join(argv[:2])}", proc.returncode == expected))

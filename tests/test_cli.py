@@ -20,6 +20,9 @@ GOLDEN_INVOCATIONS = {
     "corpus_laguerre.txt": ["corpus", "--filter", "laguerre"],
     "corpus_euler_json.txt": ["corpus", "--filter", "euler", "--json"],
     "residue_exp_m0.txt": ["residue", "--catalog", "exp", "--m", "0"],
+    # Finite-difference derivatives go straight to the geometric ends.
+    "verify_lemma2_fd_json.txt": ["verify", "lemma2", "--phi", "a^k", "--closed-form", "exp(-a*x)",
+                                  "--param", "a=0.7", "--fd-derivatives", "--n", "2", "--json"],
 }
 
 RECORD_KEYS = [
@@ -59,8 +62,9 @@ class TestExitCodes:
         assert run_cli("verify", "rmt", "--catalog", "exp", "--param", "a=2", "--s", "3").returncode == 0
 
     def test_verification_failure_is_one(self):
+        # A nonzero discrepancy (2.8e-17) against an identity tolerance of 1e-30.
         proc = run_cli(
-            "verify", "rmt", "--catalog", "exp", "--param", "a=2", "--s", "3",
+            "verify", "rmt", "--catalog", "exp", "--param", "a=2", "--s", "2.5",
             "--tol", "1e-30",
         )
         assert proc.returncode == 1
@@ -483,8 +487,10 @@ class TestExpressionPairs:
 
 class TestWarnings:
     def test_rescaled_report_carries_non_convergence_warning_once(self, capsys):
+        # A tolerance no rule can meet, and one panel per geometric end.
         code, out, _ = run_in_process(
-            capsys, "corpus", "--filter", "hermite_2", "--max-tail-panels", "1", "--json"
+            capsys, "corpus", "--filter", "hermite_2", "--max-tail-panels", "1",
+            "--abs-tol", "1e-300", "--rel-tol", "1e-300", "--json"
         )
         assert code == 1
         (record,) = [json.loads(line) for line in out.splitlines()]

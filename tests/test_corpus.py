@@ -75,7 +75,9 @@ class TestRunCorpus:
         assert [c.name for c, _ in results] == [c.name for c in cases]
 
     def test_zero_tolerance_fails_with_nonzero_discrepancy(self):
-        case = dataclasses.replace(builtin_cases()[0], tolerance=0.0)
+        # The residue probe's discrepancy is O(eps^2), never 0.
+        (case,) = [c for c in builtin_cases() if c.name == "residue_m0"]
+        case = dataclasses.replace(case, tolerance=0.0)
         ((_, report),) = run_corpus([case])
         assert not report.passed
         assert report.abs_discrepancy > 0.0
@@ -162,7 +164,7 @@ class TestIdentityTableDispatch:
         ((_, report),) = run_corpus([dataclasses.replace(case, inputs={"n": 2})])
         pair = catalog_get("laguerre_weight", n=3.0)
         assert report == lemma2(pair, 2, tolerance=case.tolerance)
-        assert report.lhs.evaluations != lemma2(pair, 3).lhs.evaluations
+        assert report.lhs != lemma2(pair, 3).lhs
 
     @pytest.mark.parametrize("inputs", [
         {"m": 1},
@@ -176,7 +178,8 @@ class TestIdentityTableDispatch:
 
     def test_rescaled_non_converged_report_warns_once(self):
         cases = [c for c in builtin_cases() if c.catalog_id == "erf"]
-        for case, report in run_corpus(cases, QuadratureConfig(max_tail_panels=1)):
+        cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_tail_panels=1)
+        for case, report in run_corpus(cases, cfg):
             assert not report.lhs.converged, case.name
             assert report.warnings == (
                 "quadrature did not converge; best-effort value used",

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import subprocess
 import sys
 from collections import Counter
 
@@ -14,7 +15,9 @@ from rmtkit import quadrature
 from rmtkit.errors import DomainError, EvaluationError, SingularityError
 from rmtkit.quadrature import (
     _XGK,
+    _de_nodes,
     _epsilon_table,
+    _geometric_ends,
     _geometric_panels,
     _gk15,
     EvaluationResult,
@@ -28,8 +31,10 @@ from rmtkit.sequences import catalog_get
 from oracles import (
     graded_mesh_trapezoid,
     reference_epsilon_picks,
+    reference_double_exponential,
     reference_integrate_finite,
     reference_integrate_semi_infinite,
+    reference_integrate_semi_infinite_de,
     reference_mellin_integrand,
     trapezoid,
 )
@@ -401,22 +406,23 @@ _SEMI_INFINITE_INTEGRANDS = [
 
 class TestMatchesReferenceGeometricPanels:
     """Each end's running Kahan total gives the bits of re-summing every
-    panel, so both integrators match ``oracles.reference_geometric_panels``
-    over the plain loop bit for bit."""
+    panel, so the geometric ends - integrate_mellin with smooth=False, and
+    the fallback of integrate_semi_infinite - match
+    ``oracles.reference_geometric_panels`` over the plain loop bit for bit."""
 
     @pytest.mark.parametrize("cfg_name", sorted(_SEMI_INFINITE_CONFIGS))
     @pytest.mark.parametrize("F, s", _MELLIN_CASES)
     def test_mellin(self, F, s, cfg_name):
         cfg = _SEMI_INFINITE_CONFIGS[cfg_name]
         expected = reference_integrate_semi_infinite(reference_mellin_integrand(F, s), cfg)
-        assert _bits(integrate_mellin(F, s, cfg)) == _bits(expected)
+        assert _bits(integrate_mellin(F, s, cfg, smooth=False)) == _bits(expected)
 
     @pytest.mark.parametrize("cfg_name", sorted(_SEMI_INFINITE_CONFIGS))
     @pytest.mark.parametrize("f", _SEMI_INFINITE_INTEGRANDS)
     def test_semi_infinite(self, f, cfg_name):
         cfg = _SEMI_INFINITE_CONFIGS[cfg_name]
         expected = reference_integrate_semi_infinite(f, cfg)
-        assert _bits(integrate_semi_infinite(f, cfg)) == _bits(expected)
+        assert _bits(_geometric_ends(f, cfg)) == _bits(expected)
 
 
 class TestEpsilonTableInPlace:
@@ -428,7 +434,7 @@ class TestEpsilonTableInPlace:
         # amount here; picking the later one gives 3 * 2^-54 instead of 2^-53.
         f = _lemma2_integrand(catalog_get("laguerre_weight", n=2), 1)
         cfg = _SEMI_INFINITE_CONFIGS["tight"]
-        res = integrate_semi_infinite(f, cfg)
+        res = _geometric_ends(f, cfg)
         assert _bits(res) == _bits(reference_integrate_semi_infinite(f, cfg))
         assert res.value == 2.0**-53
 
@@ -644,7 +650,7 @@ class TestPanelEdgesInDoubleRange:
     def test_budget_in_range_matches_reference(self):
         cfg = QuadratureConfig(max_tail_panels=1023)
         f = lambda x: 1.0
-        assert _bits(integrate_semi_infinite(f, cfg)) == _bits(
+        assert _bits(_geometric_ends(f, cfg)) == _bits(
             reference_integrate_semi_infinite(f, cfg)
         )
 
@@ -668,6 +674,170 @@ class TestLogSpacedTail:
         assert res.converged
         assert calls == [15] * len(calls) and res.evaluations == sum(calls)
         assert abs(res.value + 1.0 / (p + 1.0)) <= res.error_estimate
+
+
+def _raising_beyond(limit, f):
+    """f, raising ZeroDivisionError at x > limit, where no geometric panel
+    within the default budget reaches."""
+
+    def g(x):
+        if x > limit:
+            raise ZeroDivisionError("beyond the limit")
+        return f(x)
+
+    return g
+
+
+def _de_grid():
+    """A seeded grid of semi-infinite integrands: exponential and algebraic
+    decay, endpoint singularities, sign changes and cancelling ends, slow
+    tails that run off the node table, zeros, and integrands that raise or
+    turn non-finite where only the DE nodes reach."""
+    rng = random.Random(20240521)
+    cases = []
+    for _ in range(12):
+        a, p = rng.uniform(0.3, 4.0), rng.uniform(0.02, 6.0)
+        cases.append((f"exp a={a:.3g} p={p:.3g}",
+                      lambda x, a=a, p=p: x ** (p - 1.0) * math.exp(-a * x)))
+    for _ in range(12):
+        s, m = rng.uniform(0.005, 0.995), rng.uniform(0.5, 4.0)
+        cases.append((f"algebraic s={s:.3g} m={m:.3g}",
+                      lambda x, s=s, m=m: x ** (m * s - 1.0) * (1.0 + x) ** -m))
+    for k in (2, 3, 4):
+        for n in (1, 2, 3):
+            pair = catalog_get("laguerre_weight", n=float(k))
+            cases.append((f"laguerre k={k} n={n}", _lemma2_integrand(pair, n)))
+    for n in (1, 3, 5):
+        cases.append((f"erf n={n}", _lemma2_integrand(catalog_get("erf"), n)))
+    for _ in range(4):
+        alpha, beta = rng.uniform(0.25, 4.0), rng.uniform(0.25, 4.0)
+        cases.append((f"frullani power {alpha:.3g}/{beta:.3g}", _frullani_integrand(
+            catalog_get("power", m=rng.uniform(0.5, 3.0)).closed_form, alpha, beta)))
+    cases += [
+        ("zero", lambda x: 0.0),
+        ("slow tail", lambda x: (1.0 + x) ** -1.01),
+        ("divergent", lambda x: 1.0 / (1.0 + x)),
+        ("raises far out", _raising_beyond(1e30, lambda x: (1.0 + x) ** -2.0)),
+        ("raises at the probe", lambda x: 1.0 / (x - 16.0) ** 2 if x == 16.0 else math.exp(-x)),
+        ("inf near 0", lambda x: math.inf if x < 1e-100 else math.exp(-x)),
+        ("nan far out", lambda x: math.nan if x > 1e100 else (1.0 + x) ** -2.0),
+        ("nan at one node", lambda x: math.nan if x == math.exp(-1.0) else math.exp(-x)),
+    ]
+    return cases
+
+
+class TestDoubleExponential:
+    """integrate_semi_infinite tries the double-exponential rule first and
+    falls back to the geometric ends when it cannot certify its result.
+    ``oracles.reference_integrate_semi_infinite_de`` restates both, so the
+    two match bit for bit on every path, fallbacks included."""
+
+    @pytest.mark.parametrize("cfg_name", sorted(_SEMI_INFINITE_CONFIGS))
+    def test_matches_the_oracle(self, cfg_name):
+        cfg = _SEMI_INFINITE_CONFIGS[cfg_name]
+        paths = Counter()
+        for name, f in _de_grid():
+            expected = reference_integrate_semi_infinite_de(f, cfg)
+            assert _bits(integrate_semi_infinite(f, cfg)) == _bits(expected), name
+            paths[reference_double_exponential(f, cfg)[0] is None] += 1
+        # Both paths are exercised at both tolerances.
+        assert paths[False] >= 10 and paths[True] >= 5, paths
+
+    @pytest.mark.parametrize("cfg_name", sorted(_SEMI_INFINITE_CONFIGS))
+    def test_mellin_matches_the_oracle(self, cfg_name):
+        cfg = _SEMI_INFINITE_CONFIGS[cfg_name]
+        rng = random.Random(7)
+        forms = [catalog_get("exp", a=rng.uniform(0.5, 3.0)).closed_form,
+                 catalog_get("geometric").closed_form,
+                 catalog_get("harmonic_shifted").closed_form,
+                 catalog_get("power", m=2.5).closed_form]
+        for F in forms:
+            for s in [0.003, 0.02, 0.5, 0.97, 0.993] + [rng.uniform(0.01, 0.99) for _ in range(4)]:
+                expected = reference_integrate_semi_infinite_de(reference_mellin_integrand(F, s), cfg)
+                assert _bits(integrate_mellin(F, s, cfg)) == _bits(expected), (F, s)
+
+    @pytest.mark.parametrize("f", [lambda x: math.exp(-x), lambda x: (1.0 + x) ** -3.0],
+                             ids=["exponential", "algebraic"])
+    def test_accepted_result_is_refined_to_the_last_level(self, f):
+        # n level-0 nodes over the walked range, then n - 1 new nodes per
+        # unit of 2^(L-1) at levels 1-4: n + 15 (n - 1), plus the two probes.
+        res = integrate_semi_infinite(f)
+        assert res.converged and (res.evaluations - 2 + 15) % 16 == 0
+
+    def test_fallback_counts_the_abandoned_attempt(self):
+        cfg = QuadratureConfig()
+        f = lambda x: (1.0 + x) ** -1.01  # too slow a tail for the node table
+        attempt, calls = reference_double_exponential(f, cfg)
+        assert attempt is None and calls > 2
+        res = integrate_semi_infinite(f, cfg)
+        assert _bits(res) == _bits(_geometric_ends(f, cfg, calls))
+
+    def test_call_that_raises_is_counted(self):
+        # The first probe raises; the geometric ends never call f at 16.
+        def f(x):
+            if x == 16.0:
+                raise ZeroDivisionError("probe")
+            return math.exp(-x)
+
+        cfg = QuadratureConfig()
+        assert _bits(integrate_semi_infinite(f, cfg)) == _bits(_geometric_ends(f, cfg, 1))
+
+    def test_exception_only_the_de_nodes_meet_falls_back(self):
+        f = _raising_beyond(1e30, lambda x: (1.0 + x) ** -2.0)
+        res = integrate_semi_infinite(f)
+        assert res.converged and abs(res.value - 1.0) <= res.error_estimate
+        with pytest.raises(ZeroDivisionError):
+            f(1e31)
+
+    def test_exception_the_geometric_ends_meet_is_raised(self):
+        with pytest.raises(ZeroDivisionError):
+            integrate_semi_infinite(_raising_beyond(100.0, lambda x: (1.0 + x) ** -2.0))
+
+    def test_all_zero_terms_fall_back(self):
+        # The DE attempt must not accept 0 from terms that all underflow.
+        cfg = QuadratureConfig()
+        f = lambda x: math.exp(-1e4 * x)
+        attempt, calls = reference_double_exponential(f, cfg)
+        assert attempt is None
+        assert _bits(integrate_semi_infinite(f, cfg)) == _bits(_geometric_ends(f, cfg, calls))
+
+    def test_floor_above_the_tolerance_falls_back(self):
+        cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
+        f = lambda x: math.exp(-x)
+        attempt, calls = reference_double_exponential(f, cfg)
+        assert attempt is None and calls < 40
+        res = integrate_semi_infinite(f, cfg)
+        assert _bits(res) == _bits(_geometric_ends(f, cfg, calls)) and not res.converged
+
+    def test_panel_budgets_bound_only_the_geometric_ends(self):
+        cfg = QuadratureConfig(max_tail_panels=1, max_subdivisions=1)
+        res = integrate_semi_infinite(lambda x: math.exp(-x), cfg)
+        assert res.converged and abs(res.value - 1.0) <= res.error_estimate
+        assert not _geometric_ends(lambda x: math.exp(-x), cfg).converged
+
+    def test_smooth_false_goes_straight_to_the_geometric_ends(self):
+        F = lambda x: math.exp(-x)
+        cfg = QuadratureConfig()
+        expected = reference_integrate_semi_infinite(reference_mellin_integrand(F, 2.0), cfg)
+        assert _bits(integrate_mellin(F, 2.0, cfg, smooth=False)) == _bits(expected)
+        assert integrate_mellin(F, 2.0, cfg).evaluations < expected.evaluations
+
+    @pytest.mark.parametrize("exponential, count", [(False, 26), (True, 93)])
+    def test_node_tables(self, exponential, count):
+        xs, ws = _de_nodes(exponential, 0)
+        assert len(xs) == len(ws) == count
+        centre = xs[12]  # t = 0
+        assert centre == (math.exp(-1.0) if exponential else 1.0)
+        for level in range(1, 5):
+            finer, _ = _de_nodes(exponential, level)
+            assert len(finer) == (count - 1) << (level - 1)
+            assert xs[0] < finer[0] < xs[1] and xs[-2] < finer[-1] < xs[-1]
+
+    def test_import_builds_no_node_table(self):
+        code = "import rmtkit; print(rmtkit.quadrature._de_nodes.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout == "0\n"
 
 
 class TestSemiInfinite:
@@ -700,7 +870,7 @@ class TestSemiInfinite:
         assert not integrate_semi_infinite(f).converged
 
     def test_panel_budget_below_three_is_not_converged(self):
-        res = integrate_semi_infinite(lambda x: math.exp(-x), QuadratureConfig(max_tail_panels=2))
+        res = _geometric_ends(lambda x: math.exp(-x), QuadratureConfig(max_tail_panels=2))
         assert not res.converged
 
     def test_converged_implies_estimate_within_tolerance(self):

@@ -153,6 +153,10 @@ class TestCatalog:
             ("power", {"m": math.inf}),
             ("laguerre_weight", {"n": math.nan}),
             ("laguerre_weight", {"n": math.inf}),
+            # Ints beyond the double range: the catalog's error, not float()'s.
+            ("exp", {"a": 10**400}),
+            ("power", {"m": 10**400}),
+            ("laguerre_weight", {"n": 10**400}),
         ],
     )
     def test_param_domain(self, id_, params):
@@ -249,6 +253,11 @@ class TestEvalSeries:
 
 
 class TestShift:
+    def test_shift_keeps_the_derivative_noise_fact(self):
+        pair = dataclasses.replace(catalog_get("exp"), smooth_derivatives=False)
+        assert shift_sequence(pair, 1).smooth_derivatives is False
+        assert shift_sequence(catalog_get("exp"), 1).smooth_derivatives is True
+
     def test_exp_shift_is_fixed_point(self):
         pair = catalog_get("exp", a=1.0)
         shifted = shift_sequence(pair, 2)
