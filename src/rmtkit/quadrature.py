@@ -7,14 +7,14 @@ first.
 A semi-infinite integral first tries the trapezoid rule after a
 double-exponential map of (0, inf) (Takahasi & Mori 1974; Mori & Sugihara
 2001): x = exp(t - e^-t) when |x f(x)| falls fast from x = 16 to 64,
-x = exp(pi/2 sinh t) otherwise, with h halved from 1/2 to 1/32 over node
-tables built on first use.  It runs when the terms die out inside its table
-and a level certifies an estimate within the tolerance, and returns its
-h = 1/32 sum.  Otherwise - a
-tail or an endpoint singularity too slow for the table (s near a strip
-edge), all-zero terms, a floor above the tolerance, or an exception or
-non-finite value from f - it falls back to the geometric ends, which then
-raise or refuse exactly as they would alone.  The ends split at x = 1 and
+x = exp(pi/2 sinh t) otherwise, with h halved from 1/2 (down to at most
+1/32) over node tables built on first use.  It runs when the terms die out
+inside its table, and returns the sum of the first level that certifies an
+estimate within the tolerance.  Otherwise - a tail or an endpoint
+singularity too slow for the table (s near a strip edge), all-zero terms,
+a floor above the tolerance, or an exception or non-finite value from f -
+it falls back to the geometric ends, which then raise or refuse exactly as
+they would alone.  The ends split at x = 1 and
 sum geometric panels toward each end, [2^j, 2^(j+1)] toward infinity and
 [2^-(j+1), 2^-j] toward 0, extrapolating the partial sums with Wynn's
 epsilon algorithm (the scheme of QUADPACK's QAGI and QAGS), so algebraic
@@ -459,9 +459,9 @@ def _exponential_map(t: float) -> tuple[float, float]:
 
 
 _DE_MAPS = ((_algebraic_map, -6.0, 6.5), (_exponential_map, -6.0, 40.0))
-# Levels h = 1/2, 1/4, ..., 1/32.  A level-0 term is negligible at 10^-3 eps
-# of the largest; |x f(x)| falling by _DE_FALL from x = 16 to 64 picks the
-# exponential map.
+# At most the levels h = 1/2, 1/4, ..., 1/32.  A level-0 term is negligible
+# at 10^-3 eps of the largest; |x f(x)| falling by _DE_FALL from x = 16 to 64
+# picks the exponential map.
 _DE_LEVELS = 5
 _DE_NEGLIGIBLE = 1e-3 * _EPS
 _DE_FALL = 1e-4
@@ -498,13 +498,11 @@ def _double_exponential(f: Callable[[float], float], cfg: QuadratureConfig, valu
     T = h sum(terms), floor = 50 eps h sum|terms| and change the movement of
     T from the last level, the first level from 2 on whose estimate
     10 change + floor is within the tolerance, and whose change is at most
-    a tenth of the last one plus the floor, certifies the result.  The rule
-    still refines to h = 1/32 and returns that level's T, the most
-    accurate, with the larger of the certified estimate and its own.  None
-    when a value is not finite, a walk runs off its table or meets only
-    zeros, a floor alone exceeds the tolerance, no level certifies, or the
-    last level's estimate exceeds the tolerance.  T is a math.fsum;
-    sum|terms| adds in the order the terms were made.
+    a tenth of the last one plus the floor, certifies the result: the rule
+    returns that level's T and estimate at once.  None when a value is not
+    finite, a walk runs off its table or meets only zeros, a floor alone
+    exceeds the tolerance, or no level up to h = 1/32 certifies.  T is a
+    math.fsum; sum|terms| adds in the order the terms were made.
     """
     near = 16.0 * f(16.0)
     values.append(near)
@@ -539,7 +537,6 @@ def _double_exponential(f: Callable[[float], float], cfg: QuadratureConfig, valu
     right, left = ends
     h = 0.5
     total = last_change = 0.0
-    certified = None
     for level in range(_DE_LEVELS):
         if level:
             xs, ws = _de_nodes(exponential, level)
@@ -557,16 +554,11 @@ def _double_exponential(f: Callable[[float], float], cfg: QuadratureConfig, valu
             return None
         change = abs(total - previous)
         estimate = 10.0 * change + floor
-        if (certified is None and level >= 2 and _within_tolerance(total, estimate, cfg)
+        if (level >= 2 and _within_tolerance(total, estimate, cfg)
                 and change <= 0.1 * last_change + floor):
-            certified = estimate
+            return EvaluationResult(total, estimate, len(values), True)
         last_change = change
-    if certified is None:
-        return None
-    estimate = max(certified, estimate)
-    if not _within_tolerance(total, estimate, cfg):
-        return None
-    return EvaluationResult(total, estimate, len(values), True)
+    return None
 
 
 def _geometric_ends(

@@ -2,7 +2,8 @@
 
 A seeded sweep of rmt, hardy, lemma2 and frullani over the catalog, at the
 default tolerances and at abs_tol 1e-14, rel_tol 1e-13, with s points
-within 0.01 of each edge of every fundamental strip.  Zero-valued
+within 0.01 of each edge of every fundamental strip, and frullani at scales
+within 10% of each other, where its integrand cancels.  Zero-valued
 identities (lemma2 on laguerre_weight) are included.  Each case asserts
 ``converged => |lhs - exact| <= error_estimate``; the verdict is not
 asserted, since points that close to an edge need not pass.  Exact values
@@ -54,6 +55,30 @@ KNOWN_UNDER_REPORTS = {
         "parent: estimate 4.49e-12 against a true error of 5.33e-12",
 }
 
+# Frullani points whose scales nearly cancel.  The double-exponential rule
+# certifies them at h = 1/8 or 1/16 and returns that level, whose error is
+# the float rounding of f(alpha x) - f(beta x).  With that difference at 40
+# digits (mpmath), the first point's h = 1/8 sum is within 1e-18 of the
+# truth; with float values every level from h = 1/4 to 1/32 is 1.5e-15 to
+# 2.2e-15 off.  Neither a level difference nor the 50 eps h sum|terms| floor
+# sees that rounding (ROADMAP item 1).
+_CLOSE_SCALES = {
+    "frullani-power{'m': 2.539257816320975}-1.892-1.924":
+        "refined to h = 1/32: estimate 4.55e-15 against a true error of 1.98e-15; "
+        "at the certifying level: estimate 1.09e-15 against 2.07e-15",
+    "frullani-geometric{}-0.277-0.2785":
+        "refined to h = 1/32: estimate 2.93e-15 against a true error of 4.70e-16; "
+        "at the certifying level: estimate 3.83e-16 against 7.57e-16",
+    "frullani-power{'m': 1.8398022357825332}-1.103-1.213":
+        "refined to h = 1/32: estimate 5.63e-15 against a true error of 1.19e-15; "
+        "at the certifying level: estimate 1.61e-15 against 2.70e-15",
+    "frullani-power{'m': 2.603998010061488}-3.313-3.436":
+        "refined to h = 1/32: estimate 8.11e-15 against a true error of 3.74e-16; "
+        "at the certifying level: estimate 7.51e-16 against 1.14e-15",
+}
+CLOSE_SCALE_UNDER_REPORTS = {(cfg_name, name): reason for name, reason in _CLOSE_SCALES.items()
+                             for cfg_name in CONFIGS}
+
 
 def _edge_points(rng, lo, hi):
     """Two s within 0.01 of each finite edge of (lo, hi), and two inside."""
@@ -104,18 +129,33 @@ def _cases():
         add(f"lemma2-{cid}{p}-n{n}", lambda cfg, cid=cid, p=p, n=n: lemma2(
             catalog_get(cid, **p), n, cfg), (-1) ** (n - 1) * (finf - f0) * MP.gamma(n))
 
+    scales = []
     for cid in ("exp", "erf", "power"):
-        f0, finf = LIMITS[cid]
         for _ in range(4):
             p = {"a": rng.uniform(0.5, 3.0)} if cid == "exp" else (
                 {"m": rng.uniform(0.5, 4.0)} if cid == "power" else {})
             alpha = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
             beta = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
-            pair = catalog_get(cid, **p)
-            add(f"frullani-{cid}{p}-{alpha:.4g}-{beta:.4g}",
-                lambda cfg, pair=pair, alpha=alpha, beta=beta: frullani(
-                    pair.closed_form, pair.f_at_zero, pair.f_at_infinity, alpha, beta, cfg),
-                (finf - f0) * (MP.log(alpha) - MP.log(beta)))
+            scales.append((cid, p, alpha, beta))
+    # Scales within 10% of each other, where f(alpha x) - f(beta x) cancels:
+    # three points drawn by the bench, then a seeded handful.
+    scales += [("power", {"m": 2.539257816320975}, 1.8924921944243391, 1.9239684576981755),
+               ("geometric", {}, 0.27696673858135124, 0.2785319137456604),
+               ("power", {"m": 1.8398022357825332}, 1.1032304575183256, 1.2128472484370312)]
+    rng = random.Random(22)
+    for cid in ("exp", "power", "geometric"):
+        for _ in range(3):
+            p = {"a": rng.uniform(0.5, 3.0)} if cid == "exp" else (
+                {"m": rng.uniform(0.5, 4.0)} if cid == "power" else {})
+            alpha = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
+            scales.append((cid, p, alpha, alpha * rng.uniform(0.9, 1.1)))
+    for cid, p, alpha, beta in scales:
+        f0, finf = LIMITS[cid]
+        pair = catalog_get(cid, **p)
+        add(f"frullani-{cid}{p}-{alpha:.4g}-{beta:.4g}",
+            lambda cfg, pair=pair, alpha=alpha, beta=beta: frullani(
+                pair.closed_form, pair.f_at_zero, pair.f_at_infinity, alpha, beta, cfg),
+            (finf - f0) * (MP.log(alpha) - MP.log(beta)))
     return cases
 
 
@@ -124,9 +164,9 @@ def _params():
     for cfg_name in sorted(CONFIGS):
         for name, run, exact in _cases():
             marks = ()
-            if (cfg_name, name) in KNOWN_UNDER_REPORTS:
-                marks = pytest.mark.xfail(strict=True,
-                                          reason=KNOWN_UNDER_REPORTS[cfg_name, name])
+            reason = (KNOWN_UNDER_REPORTS | CLOSE_SCALE_UNDER_REPORTS).get((cfg_name, name))
+            if reason:
+                marks = pytest.mark.xfail(strict=True, reason=reason)
             params.append(pytest.param(cfg_name, run, exact, id=f"{cfg_name}-{name}",
                                        marks=marks))
     return params

@@ -758,11 +758,18 @@ class TestDoubleExponential:
 
     @pytest.mark.parametrize("f", [lambda x: math.exp(-x), lambda x: (1.0 + x) ** -3.0],
                              ids=["exponential", "algebraic"])
-    def test_accepted_result_is_refined_to_the_last_level(self, f):
-        # n level-0 nodes over the walked range, then n - 1 new nodes per
-        # unit of 2^(L-1) at levels 1-4: n + 15 (n - 1), plus the two probes.
+    def test_accepted_result_stops_at_the_certifying_level(self, f):
+        # Level 2 certifies both: the two probes, n = 19 level-0 nodes over
+        # the walked range, then n - 1 new nodes at level 1 and 2 (n - 1) at
+        # level 2, 2 + n + 3 (n - 1) in all.  No finer node table is built.
+        _de_nodes.cache_clear()
         res = integrate_semi_infinite(f)
-        assert res.converged and (res.evaluations - 2 + 15) % 16 == 0
+        assert res.converged and res.evaluations == 75
+        for level in (3, 4):
+            for exponential in (False, True):
+                misses = _de_nodes.cache_info().misses
+                _de_nodes(exponential, level)
+                assert _de_nodes.cache_info().misses == misses + 1  # built only now
 
     def test_fallback_counts_the_abandoned_attempt(self):
         cfg = QuadratureConfig()
