@@ -8,13 +8,17 @@ A semi-infinite integral first tries the trapezoid rule after a
 double-exponential map of (0, inf) (Takahasi & Mori 1974; Mori & Sugihara
 2001): x = exp(t - e^-t) when |x f(x)| falls fast from x = 16 to 64,
 x = exp(pi/2 sinh t) otherwise, with h halved from 1/2 (down to at most
-1/32) over node tables built on first use.  It runs when the terms die out
-inside its table, and returns the sum of the first level that certifies an
-estimate within the tolerance.  Otherwise - a tail or an endpoint
-singularity too slow for the table (s near a strip edge), all-zero terms,
-a floor above the tolerance, or an exception or non-finite value from f -
-it falls back to the geometric ends, which then raise or refuse exactly as
-they would alone.  The ends split at x = 1 and
+1/32) over node tables built on first use: t in [-6.5, 6.5] for the
+algebraic map, x from about e^-522 to e^522, and t in [-6, 40] for the
+exponential one.  It runs when the terms die out inside its table, and
+returns the sum of the first level that certifies an estimate within the
+tolerance, or, unconverged, of the first whose round-off floor alone
+exceeds the tolerance once the levels have settled below that floor: no
+route certifies a floor above the tolerance.  Otherwise - a tail or an
+endpoint singularity too slow for the table (s near a strip edge),
+all-zero terms, levels that never settle, or an exception or non-finite
+value from f - it falls back to the geometric ends, which then raise or
+refuse exactly as they would alone.  The ends split at x = 1 and
 sum geometric panels toward each end, [2^j, 2^(j+1)] toward infinity and
 [2^-(j+1), 2^-j] toward 0, extrapolating the partial sums with Wynn's
 epsilon algorithm (the scheme of QUADPACK's QAGI and QAGS), so algebraic
@@ -446,7 +450,10 @@ def _geometric_panels(
 
 # The double-exponential maps of (0, inf), t -> (x, dx/dt), each with the
 # t-range its node tables cover: x = exp(pi/2 sinh t) for algebraic decay,
-# x = exp(t - e^-t) for exponential decay (Mori & Sugihara 2001).
+# x = exp(t - e^-t) for exponential decay (Mori & Sugihara 2001).  The
+# algebraic range is symmetric, so x -> 1/x maps its table onto itself:
+# t = -6.5 gives x ~ e^-522, a normal double, and t = -7 would underflow
+# to 0.
 def _algebraic_map(t: float) -> tuple[float, float]:
     x = math.exp(0.5 * math.pi * math.sinh(t))
     return x, x * (0.5 * math.pi * math.cosh(t))
@@ -458,7 +465,7 @@ def _exponential_map(t: float) -> tuple[float, float]:
     return x, x * (1.0 + decay)
 
 
-_DE_MAPS = ((_algebraic_map, -6.0, 6.5), (_exponential_map, -6.0, 40.0))
+_DE_MAPS = ((_algebraic_map, -6.5, 6.5), (_exponential_map, -6.0, 40.0))
 # At most the levels h = 1/2, 1/4, ..., 1/32.  A level-0 term is negligible
 # at 10^-3 eps of the largest; |x f(x)| falling by _DE_FALL from x = 16 to 64
 # picks the exponential map.
@@ -496,13 +503,15 @@ def _double_exponential(f: Callable[[float], float], cfg: QuadratureConfig, valu
     most ``_DE_NEGLIGIBLE`` times the largest so far.  Each later level
     halves h over the walked range and reuses every node.  With
     T = h sum(terms), floor = 50 eps h sum|terms| and change the movement of
-    T from the last level, the first level from 2 on whose estimate
-    10 change + floor is within the tolerance, and whose change is at most
-    a tenth of the last one plus the floor, certifies the result: the rule
-    returns that level's T and estimate at once.  None when a value is not
-    finite, a walk runs off its table or meets only zeros, a floor alone
-    exceeds the tolerance, or no level up to h = 1/32 certifies.  T is a
-    math.fsum; sum|terms| adds in the order the terms were made.
+    T from the last level, a level from 2 on whose change is at most a
+    tenth of the last one plus the floor returns that level's T with the
+    estimate 10 change + floor at once: converged when the estimate is
+    within the tolerance, unconverged when the floor alone exceeds it and
+    the change is at most the floor - round-off, not the step, limits T
+    then, and no route certifies a floor above the tolerance.  None when a
+    value is not finite, a walk runs off its table or meets only zeros, or
+    no level up to h = 1/32 returns.  T is a math.fsum; sum|terms| adds in
+    the order the terms were made.
     """
     near = 16.0 * f(16.0)
     values.append(near)
@@ -549,14 +558,15 @@ def _double_exponential(f: Callable[[float], float], cfg: QuadratureConfig, valu
         floor = _ROUNDOFF * h * sum(map(abs, terms))
         if not floor < math.inf:
             return None
+        # Finite terms with a finite sum of magnitudes: the fsum is finite.
         previous, total = total, h * math.fsum(terms)
-        if not _within_tolerance(total, floor, cfg):
-            return None
         change = abs(total - previous)
         estimate = 10.0 * change + floor
-        if (level >= 2 and _within_tolerance(total, estimate, cfg)
-                and change <= 0.1 * last_change + floor):
-            return EvaluationResult(total, estimate, len(values), True)
+        if level >= 2 and change <= 0.1 * last_change + floor:
+            if _within_tolerance(total, estimate, cfg):
+                return EvaluationResult(total, estimate, len(values), True)
+            if change <= floor and not _within_tolerance(total, floor, cfg):
+                return EvaluationResult(total, estimate, len(values), False)
         last_change = change
     return None
 
@@ -582,7 +592,9 @@ def integrate_semi_infinite(
 ) -> EvaluationResult:
     """Integrate f over [0, infinity): the double-exponential rule first,
     and geometric panels from 1 toward 0 and toward infinity, each end
-    extrapolated, when that rule cannot certify its result.
+    extrapolated, when that rule neither certifies its result nor finds it
+    limited by a round-off floor above the tolerance; such a result is
+    returned converged=False, as the ends could not certify it either.
 
     f is never called at 0, so an integrable endpoint singularity is
     allowed.  A DE attempt that f aborts, by an exception or a non-finite

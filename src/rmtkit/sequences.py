@@ -408,8 +408,10 @@ _harmonic_constants = _per_order("catalog 'harmonic_shifted'", 6, lambda order: 
 
 def _harmonic_derivative(order: int, x: float) -> float:
     # F(x) = integral_0^1 e^(-x t) dt, so the order-th derivative is
-    # (-1)^order * integral_0^1 t^order e^(-x t) dt, computed by series for
-    # small x and by the stable upward recurrence otherwise.
+    # (-1)^order * integral_0^1 t^order e^(-x t) dt, computed by the Taylor
+    # series of e^(-x t) for |x| < 1, by the positive series
+    # e^-x sum_k x^k / ((order+1)...(order+k+1)) below x = order + 1, and by
+    # the upward recurrence above, where each step shrinks the error by j/x.
     order, sign = _harmonic_constants(order)
     if order == 0:
         return _harmonic_closed(x)
@@ -424,8 +426,16 @@ def _harmonic_derivative(order: int, x: float) -> float:
             if abs(term) < 1e-18 * max(abs(total), 1e-30) or j > 60:
                 break
         return sign * total
-    moment = _harmonic_closed(x)  # integral of e^(-x t)
     ex = math.exp(-x)
+    if x < order + 1:
+        term = total = 1.0 / (order + 1)
+        k = order + 1
+        while term > 1e-17 * total:  # the ratios x / k are below 1 and falling
+            k += 1
+            term *= x / k
+            total += term
+        return sign * ex * total
+    moment = _harmonic_closed(x)  # integral of e^(-x t)
     for j in range(1, order + 1):
         moment = (j * moment - ex) / x
     return sign * moment

@@ -386,7 +386,7 @@ def _reference_de_attempt(f, cfg: QuadratureConfig):
     if not (math.isfinite(near) and math.isfinite(far)):
         return None
     exponential = abs(far) <= 1e-4 * abs(near)
-    t_min, t_max = (-6.0, 40.0) if exponential else (-6.0, 6.5)
+    t_min, t_max = (-6.0, 40.0) if exponential else (-6.5, 6.5)
     terms = {}  # t -> f(x) dx/dt, in the order made
 
     def size_at(t):
@@ -425,14 +425,17 @@ def _reference_de_attempt(f, cfg: QuadratureConfig):
         if not math.isfinite(floor):
             return None
         total = h * math.fsum(made)
-        tolerance = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if not (math.isfinite(total) and floor <= tolerance):
+        if not math.isfinite(total):
             return None
+        tolerance = max(cfg.abs_tol, cfg.rel_tol * abs(total))
         changes.append(abs(total - previous))
         previous = total
         estimate = 10.0 * changes[-1] + floor
-        if level >= 2 and estimate <= tolerance and changes[-1] <= 0.1 * changes[-2] + floor:
-            return EvaluationResult(total, estimate, 0, True)
+        if level >= 2 and changes[-1] <= 0.1 * changes[-2] + floor:
+            if estimate <= tolerance:
+                return EvaluationResult(total, estimate, 0, True)
+            if floor > tolerance and changes[-1] <= floor:
+                return EvaluationResult(total, estimate, 0, False)
     return None
 
 
@@ -443,8 +446,12 @@ def reference_double_exponential(f, cfg=None):
     -inf) to two consecutive terms within 1e-3 eps of the largest, levels
     h = 1/4 .. 1/32 over the walked range, and the value T_L and estimate
     10 |T_L - T_(L-1)| + 50 eps h sum|terms| of the first level from 2 on
-    that passes; no finer level is made.  None is a fallback; an exception
-    from f is one too."""
+    that passes; no finer level is made.  The level-0 t-range is
+    [-6.5, 6.5] for the algebraic map and [-6, 40] for the exponential one.
+    A level whose floor alone exceeds the tolerance, with a change that
+    passes the ratio test and is at most the floor, is returned too, with
+    converged=False.  None is a fallback; an exception from f is one
+    too."""
     cfg = cfg or QuadratureConfig()
     counter = _CallCounter(f)
     try:
@@ -453,7 +460,8 @@ def reference_double_exponential(f, cfg=None):
         return None, counter.count
     if result is None:
         return None, counter.count
-    return EvaluationResult(result.value, result.error_estimate, counter.count, True), counter.count
+    return (EvaluationResult(result.value, result.error_estimate, counter.count, result.converged),
+            counter.count)
 
 
 def reference_integrate_semi_infinite_de(f, cfg=None) -> EvaluationResult:

@@ -739,9 +739,12 @@ class TestDoubleExponential:
         for name, f in _de_grid():
             expected = reference_integrate_semi_infinite_de(f, cfg)
             assert _bits(integrate_semi_infinite(f, cfg)) == _bits(expected), name
-            paths[reference_double_exponential(f, cfg)[0] is None] += 1
-        # Both paths are exercised at both tolerances.
-        assert paths[False] >= 10 and paths[True] >= 5, paths
+            attempt = reference_double_exponential(f, cfg)[0]
+            paths["fallback" if attempt is None else attempt.converged] += 1
+        # Both paths are exercised at both tolerances, and at the tight one
+        # the round-off-limited return as well.
+        assert paths[True] >= 10 and paths["fallback"] >= 5, paths
+        assert cfg_name == "default" or paths[False] >= 5, paths
 
     @pytest.mark.parametrize("cfg_name", sorted(_SEMI_INFINITE_CONFIGS))
     def test_mellin_matches_the_oracle(self, cfg_name):
@@ -808,13 +811,41 @@ class TestDoubleExponential:
         assert attempt is None
         assert _bits(integrate_semi_infinite(f, cfg)) == _bits(_geometric_ends(f, cfg, calls))
 
-    def test_floor_above_the_tolerance_falls_back(self):
+    def test_round_off_limited_result_is_returned_unconverged(self, monkeypatch):
+        # The floor exceeds the tolerance, and the levels settle below it:
+        # the DE result is returned as it is, and no geometric panel is made.
         cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
         f = lambda x: math.exp(-x)
         attempt, calls = reference_double_exponential(f, cfg)
-        assert attempt is None and calls < 40
+        assert attempt is not None and not attempt.converged
+        monkeypatch.setattr(quadrature, "integrate_finite", None)
+        res = integrate_semi_infinite(f, cfg)
+        assert _bits(res) == _bits(attempt) and res.evaluations == calls
+        assert abs(res.value - 1.0) <= res.error_estimate
+
+    def test_floor_above_the_tolerance_with_unsettled_levels_falls_back(self):
+        # A jump at x = 3 only about halves each level's change: no level passes
+        # the ratio test, however far its floor exceeds the tolerance.
+        cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=20,
+                               max_tail_panels=8)
+        f = lambda x: math.exp(-x) if x < 3.0 else 0.0
+        attempt, calls = reference_double_exponential(f, cfg)
+        assert attempt is None and calls > 2
         res = integrate_semi_infinite(f, cfg)
         assert _bits(res) == _bits(_geometric_ends(f, cfg, calls)) and not res.converged
+
+    def test_left_end_node_certifies_the_mirror_image(self):
+        # x^(s-1)/(1+x) at s = 0.2 is its s = 0.8 form under x -> 1/x.  The
+        # walk toward 0 reaches t = -6.5, the algebraic table's node 0, and
+        # the rule certifies in as many calls as at s = 0.8.
+        F = catalog_get("geometric").closed_form
+        cfg = QuadratureConfig()
+        seen = []
+        res = integrate_mellin(lambda x: seen.append(x) or F(x), 0.2, cfg)
+        expected, calls = reference_double_exponential(reference_mellin_integrand(F, 0.2), cfg)
+        assert _bits(res) == _bits(expected) and res.converged
+        assert calls == integrate_mellin(F, 0.8, cfg).evaluations == 95
+        assert _de_nodes(False, 0)[0][0] in seen
 
     def test_panel_budgets_bound_only_the_geometric_ends(self):
         cfg = QuadratureConfig(max_tail_panels=1, max_subdivisions=1)
@@ -829,12 +860,12 @@ class TestDoubleExponential:
         assert _bits(integrate_mellin(F, 2.0, cfg, smooth=False)) == _bits(expected)
         assert integrate_mellin(F, 2.0, cfg).evaluations < expected.evaluations
 
-    @pytest.mark.parametrize("exponential, count", [(False, 26), (True, 93)])
-    def test_node_tables(self, exponential, count):
+    @pytest.mark.parametrize("exponential, count, centre", [(False, 27, 13), (True, 93, 12)])
+    def test_node_tables(self, exponential, count, centre):
         xs, ws = _de_nodes(exponential, 0)
         assert len(xs) == len(ws) == count
-        centre = xs[12]  # t = 0
-        assert centre == (math.exp(-1.0) if exponential else 1.0)
+        assert xs[centre] == (math.exp(-1.0) if exponential else 1.0)  # t = 0
+        assert sys.float_info.min < xs[0] and xs[-1] < math.inf
         for level in range(1, 5):
             finer, _ = _de_nodes(exponential, level)
             assert len(finer) == (count - 1) << (level - 1)

@@ -386,6 +386,23 @@ class TestHarmonicDerivatives:
                     fd, rel=1e-6, abs=1e-9
                 )
 
+    def test_derivative_against_mpmath(self):
+        # (-1)^n integral_0^1 t^n e^(-x t) dt = (-1)^n gamma(n+1, x) / x^(n+1),
+        # the lower incomplete gamma function at 40 digits.  Each branch is
+        # met, with both sides of x = 1 and of x = order + 1.
+        import mpmath
+
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        derivative = catalog_get("harmonic_shifted").derivative
+        rng = random.Random(23)
+        xs = [math.exp(rng.uniform(math.log(1e-6), math.log(50.0))) for _ in range(60)]
+        for order in range(1, 7):
+            for x in xs + [1e-6, 0.999, 1.0, order + 0.999, order + 1.0, 50.0]:
+                want = (-1) ** order * mp.gammainc(order + 1, 0, x) / mp.mpf(x) ** (order + 1)
+                got = derivative(order, x)
+                assert abs(got - want) <= 2e-15 * abs(want), (order, x)
+
     def test_closed_form_continuity_at_zero(self):
         pair = catalog_get("harmonic_shifted")
         assert pair.closed_form(0.0) == 1.0
