@@ -10,15 +10,21 @@ double-exponential map of (0, inf) (Takahasi & Mori 1974; Mori & Sugihara
 x = exp(pi/2 sinh t) otherwise, with h halved from 1/2 (down to at most
 1/32) over node tables built on first use: t in [-6.5, 6.5] for the
 algebraic map, x from about e^-522 to e^522, and t in [-6, 40] for the
-exponential one.  It runs when the terms die out inside its table, and
-returns the sum of the first level that certifies an estimate within the
-tolerance, or, unconverged, of the first whose round-off floor alone
-exceeds the tolerance once the levels have settled below that floor: no
-route certifies a floor above the tolerance.  Otherwise - a tail or an
-endpoint singularity too slow for the table (s near a strip edge),
-all-zero terms, levels that never settle, or an exception or non-finite
-value from f - it falls back to the geometric ends, which then raise or
-refuse exactly as they would alone.  The ends split at x = 1 and
+exponential one.  For a Mellin integral the walk toward 0 goes on below
+the table, to t = -12 and -11.5 (ln x about -1.28e5 and -9.9e4), each
+term there formed from ln x, since x^(s-1) and often x itself leave the
+double range; a plain integrand's walk ends at the table, as nothing is
+known of how it behaves below.  The rule runs when the terms die out inside
+that range, and returns the sum of the first level that certifies an
+estimate within the tolerance, or, unconverged, of the first whose
+round-off floor alone exceeds the tolerance once the levels have settled
+below that floor: no route certifies a floor above the tolerance.
+Otherwise - a tail too slow for the table (s near a strip's upper edge,
+whose mass lies beyond the largest double), an endpoint singularity too
+slow even below it (s under about 5e-4), all-zero terms, levels that
+never settle, or an exception or non-finite value from f - it falls back
+to the geometric ends, which then raise or refuse exactly as they would
+alone.  The ends split at x = 1 and
 sum geometric panels toward each end, [2^j, 2^(j+1)] toward infinity and
 [2^-(j+1), 2^-j] toward 0, extrapolating the partial sums with Wynn's
 epsilon algorithm (the scheme of QUADPACK's QAGI and QAGS), so algebraic
@@ -448,24 +454,26 @@ def _geometric_panels(
     return EvaluationResult(total, _kahan_sum(errs), evaluations, False)
 
 
-# The double-exponential maps of (0, inf), t -> (x, dx/dt), each with the
-# t-range its node tables cover: x = exp(pi/2 sinh t) for algebraic decay,
-# x = exp(t - e^-t) for exponential decay (Mori & Sugihara 2001).  The
-# algebraic range is symmetric, so x -> 1/x maps its table onto itself:
-# t = -6.5 gives x ~ e^-522, a normal double, and t = -7 would underflow
-# to 0.
+# The double-exponential maps of (0, inf), t -> (ln x, d ln x/dt), each with
+# the t-range its node tables cover and the t a Mellin head walks down to:
+# x = exp(pi/2 sinh t) for algebraic decay, x = exp(t - e^-t) for
+# exponential decay (Mori & Sugihara 2001).  The algebraic range is
+# symmetric, so x -> 1/x maps its table onto itself: t = -6.5 gives
+# x ~ e^-522, a normal double, and t = -7 would underflow to 0.  Below the
+# table, to ln x ~ -1.28e5 (t = -12) and -9.9e4 (t = -11.5), a Mellin term
+# x^(s-1) F(x) dx/dt is formed from ln x, as F(e^ln x) e^(s ln x) d ln x/dt,
+# though x may be subnormal or 0; a plain integrand carries no known power
+# of x there, so its walk ends at the table.
 def _algebraic_map(t: float) -> tuple[float, float]:
-    x = math.exp(0.5 * math.pi * math.sinh(t))
-    return x, x * (0.5 * math.pi * math.cosh(t))
+    return 0.5 * math.pi * math.sinh(t), 0.5 * math.pi * math.cosh(t)
 
 
 def _exponential_map(t: float) -> tuple[float, float]:
     decay = math.exp(-t)
-    x = math.exp(t - decay)
-    return x, x * (1.0 + decay)
+    return t - decay, 1.0 + decay
 
 
-_DE_MAPS = ((_algebraic_map, -6.5, 6.5), (_exponential_map, -6.0, 40.0))
+_DE_MAPS = ((_algebraic_map, -6.5, 6.5, -12.0), (_exponential_map, -6.0, 40.0, -11.5))
 # At most the levels h = 1/2, 1/4, ..., 1/32.  A level-0 term is negligible
 # at 10^-3 eps of the largest; |x f(x)| falling by _DE_FALL from x = 16 to 64
 # picks the exponential map.
@@ -474,24 +482,50 @@ _DE_NEGLIGIBLE = 1e-3 * _EPS
 _DE_FALL = 1e-4
 
 
-@functools.cache
-def _de_nodes(exponential: bool, level: int) -> tuple[list, list]:
-    """The x and dx/dt of one map's nodes new at ``level``, built on first
-    use: the multiples of 1/2 across the map's t-range at level 0, the odd
-    multiples of h = 2^-(level+1) after.  Level-0 node i sits at lo + i/2,
-    so the level-L nodes between level-0 nodes a and b are those in
-    [a 2^(L-1), b 2^(L-1))."""
-    mapping, lo, hi = _DE_MAPS[exponential]
+def _de_ts(lo: float, hi: float, level: int) -> list:
+    """The t of the nodes new at ``level`` on [lo, hi]: the multiples of 1/2
+    from lo at level 0, the odd multiples of h = 2^-(level+1) from lo after."""
     if level:
         h = 0.5 ** (level + 1)
-        ts = [lo + (2 * i + 1) * h for i in range(int((hi - lo) / (2.0 * h)))]
-    else:
-        ts = [lo + 0.5 * i for i in range(int(2.0 * (hi - lo)) + 1)]
+        return [lo + (2 * i + 1) * h for i in range(int((hi - lo) / (2.0 * h)))]
+    return [lo + 0.5 * i for i in range(int(2.0 * (hi - lo)) + 1)]
+
+
+@functools.cache
+def _de_nodes(exponential: bool, level: int) -> tuple[list, list]:
+    """The x and dx/dt of one map's table nodes new at ``level``, built on
+    first use.  Level-0 node i sits at lo + i/2, so the level-L nodes
+    between level-0 nodes a and b are those in [a 2^(L-1), b 2^(L-1))."""
+    mapping, lo, hi, _ = _DE_MAPS[exponential]
+    xs, ws = [], []
+    for t in _de_ts(lo, hi, level):
+        log_x, dlog_x = mapping(t)
+        x = math.exp(log_x)
+        xs.append(x)
+        ws.append(x * dlog_x)
+    return xs, ws
+
+
+@functools.cache
+def _de_head_nodes(exponential: bool, level: int) -> tuple[list, list]:
+    """The ln x and d ln x/dt of one map's nodes new at ``level`` below its
+    table, from the head's reach up to the table's first node, built on
+    first use.  Numbered as the table's nodes are, node i < 0 is entry i of
+    these lists: level-0 node -1 sits at lo - 1/2."""
+    mapping, lo, _, reach = _DE_MAPS[exponential]
+    ts = _de_ts(reach, lo, level)
+    if not level:
+        ts.pop()  # t = lo, the table's node 0
     nodes = [mapping(t) for t in ts]
-    return [x for x, _ in nodes], [w for _, w in nodes]
+    return [log_x for log_x, _ in nodes], [dlog_x for _, dlog_x in nodes]
 
 
-def _double_exponential(f: Callable[[float], float], cfg: QuadratureConfig, values: list):
+def _double_exponential(
+    f: Callable[[float], float],
+    cfg: QuadratureConfig,
+    values: list,
+    head: Callable[[float], float] | None = None,
+):
     """The trapezoid rule in t after a double-exponential map, or None when
     it cannot certify its result.  Appends x f(x) at the two probes, then
     each node's term f(x) dx/dt, to ``values``: their count is the
@@ -500,16 +534,18 @@ def _double_exponential(f: Callable[[float], float], cfg: QuadratureConfig, valu
     The map is exponential when |x f(x)| falls by ``_DE_FALL`` or more from
     x = 16 to x = 64, algebraic otherwise.  Level 0, h = 1/2, walks from
     t = 0 toward +inf, then toward -inf, until two consecutive terms are at
-    most ``_DE_NEGLIGIBLE`` times the largest so far.  Each later level
-    halves h over the walked range and reuses every node.  With
-    T = h sum(terms), floor = 50 eps h sum|terms| and change the movement of
-    T from the last level, a level from 2 on whose change is at most a
-    tenth of the last one plus the floor returns that level's T with the
-    estimate 10 change + floor at once: converged when the estimate is
+    most ``_DE_NEGLIGIBLE`` times the largest so far.  Given ``head``,
+    x f(x) as a function of ln x, the walk toward -inf goes on below the
+    table to the map's reach, each term there being head(ln x) d ln x/dt.
+    Each later level halves h over the walked range and reuses every node.
+    With T = h sum(terms), floor = 50 eps h sum|terms| and change the
+    movement of T from the last level, a level from 2 on whose change is at
+    most a tenth of the last one plus the floor returns that level's T with
+    the estimate 10 change + floor at once: converged when the estimate is
     within the tolerance, unconverged when the floor alone exceeds it and
     the change is at most the floor - round-off, not the step, limits T
     then, and no route certifies a floor above the tolerance.  None when a
-    value is not finite, a walk runs off its table or meets only zeros, or
+    value is not finite, a walk runs off its range or meets only zeros, or
     no level up to h = 1/32 returns.  T is a math.fsum; sum|terms| adds in
     the order the terms were made.
     """
@@ -521,18 +557,19 @@ def _double_exponential(f: Callable[[float], float], cfg: QuadratureConfig, valu
         return None
     exponential = abs(far) <= _DE_FALL * abs(near)
     xs, ws = _de_nodes(exponential, 0)
+    logs, dlogs = _de_head_nodes(exponential, 0) if head else ((), ())
     centre = int(-2.0 * _DE_MAPS[exponential][1])  # t = 0
     first = f(xs[centre]) * ws[centre]
     values.append(first)
     largest = abs(first)
     ends = []
-    for step, stop in ((1, len(xs)), (-1, -1)):
+    for step, stop in ((1, len(xs)), (-1, -1 - len(logs))):
         i, previous = centre, abs(first)
         while True:
             i += step
             if i == stop:
                 return None
-            term = f(xs[i]) * ws[i]
+            term = f(xs[i]) * ws[i] if i >= 0 else head(logs[i]) * dlogs[i]
             values.append(term)
             size = abs(term)
             if size > largest:
@@ -550,6 +587,10 @@ def _double_exponential(f: Callable[[float], float], cfg: QuadratureConfig, valu
         if level:
             xs, ws = _de_nodes(exponential, level)
             lo, hi = left << (level - 1), right << (level - 1)
+            if lo < 0:
+                logs, dlogs = _de_head_nodes(exponential, level)
+                values.extend(map(operator.mul, map(head, logs[lo:]), dlogs[lo:]))
+                lo = 0
             values.extend(map(operator.mul, map(f, xs[lo:hi]), ws[lo:hi]))
             h *= 0.5
         terms = values[2:]
@@ -586,6 +627,24 @@ def _geometric_ends(
     return EvaluationResult(value, error, spent + head.evaluations + tail.evaluations, converged)
 
 
+def _semi_infinite(
+    f: Callable[[float], float],
+    cfg: QuadratureConfig,
+    head: Callable[[float], float] | None = None,
+) -> EvaluationResult:
+    """The double-exponential attempt, ``head`` passed on to it, then the
+    geometric ends when it returns None."""
+    values = []
+    raised = 0
+    try:
+        result = _double_exponential(f, cfg, values, head)
+    except Exception:  # the geometric ends raise it again, or do without the attempt
+        result, raised = None, 1  # count the call that raised
+    if result is not None:
+        return result
+    return _geometric_ends(f, cfg, len(values) + raised)
+
+
 def integrate_semi_infinite(
     f: Callable[[float], float],
     cfg: QuadratureConfig | None = None,
@@ -604,16 +663,7 @@ def integrate_semi_infinite(
     makes the result converged=False (the best-effort value is still
     returned).
     """
-    cfg = cfg or QuadratureConfig()
-    values = []
-    raised = 0
-    try:
-        result = _double_exponential(f, cfg, values)
-    except Exception:  # the geometric ends raise it again, or do without the attempt
-        result, raised = None, 1  # count the call that raised
-    if result is not None:
-        return result
-    return _geometric_ends(f, cfg, len(values) + raised)
+    return _semi_infinite(f, cfg or QuadratureConfig())
 
 
 def integrate_mellin(
@@ -622,10 +672,18 @@ def integrate_mellin(
     cfg: QuadratureConfig | None = None,
     smooth: bool = True,
 ) -> EvaluationResult:
-    """Integrate x^(s-1) * F(x) over [0, infinity) for s > 0.
+    """Integrate x^(s-1) * F(x) over [0, infinity) for s > 0, as
+    ``integrate_semi_infinite`` does.
 
-    A non-finite F on (0, 1] raises SingularityError.  smooth=False says
-    that F carries noise far above rounding, as finite-difference
+    A non-finite F on (0, 1] raises SingularityError.  The DE rule's walk
+    toward 0 goes on below its node table, where x^(s-1) may leave the
+    double range, with each term formed from ln x as F(e^ln x) e^(s ln x)
+    d ln x/dt; F is called there at subnormal x and at 0, and an exception
+    or a non-finite term abandons the attempt.  So s near 0, where the
+    mass of the integrand lies below the table's first node, stays on the
+    DE rule; s near the strip's upper edge, with its mass beyond the
+    largest double, still falls back to the geometric ends.  smooth=False
+    says that F carries noise far above rounding, as finite-difference
     derivatives do; a DE level difference cannot see that noise, so the
     integral goes straight to the geometric ends.
     """
@@ -647,7 +705,11 @@ def integrate_mellin(
             half = x ** (power / 2.0)
             return half * v * half
 
+    def head(log_x: float) -> float:
+        # x^s F(x) at x = e^log_x below the node table: e^(s log_x) < 1.
+        return F(math.exp(log_x)) * math.exp(s * log_x)
+
     cfg = cfg or QuadratureConfig()
     if smooth:
-        return integrate_semi_infinite(integrand, cfg)
+        return _semi_infinite(integrand, cfg, head)
     return _geometric_ends(integrand, cfg)

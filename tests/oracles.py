@@ -14,9 +14,10 @@ its partial sums after every panel over that plain loop, which pin
 ``integrate_semi_infinite`` and ``integrate_mellin`` bit for bit, tail
 panels in their log-spaced coordinate included;
 ``reference_double_exponential`` with
-``reference_integrate_semi_infinite_de``, the double-exponential rule
-restated from its map formulas and levels, falling back to the geometric
-oracle, which pins the DE path of both integrators bit for bit;
+``reference_integrate_semi_infinite_de`` and ``reference_integrate_mellin``,
+the double-exponential rule restated from its map formulas and levels,
+the Mellin walk below the node table included, falling back to the
+geometric oracle, which pins the DE path of both integrators bit for bit;
 ``reference_epsilon_picks``, Wynn's table rebuilt diagonal by diagonal
 with its column picked by min() over (movement, column), which pins
 the one-pass ``_epsilon_table`` bit for bit;
@@ -370,28 +371,31 @@ def reference_integrate_semi_infinite(f, cfg=None) -> EvaluationResult:
 
 
 def _reference_de_node(exponential: bool, t: float) -> tuple[float, float]:
-    """x and dx/dt of the double-exponential maps: x = exp(t - e^-t) for
-    exponential decay, x = exp(pi/2 sinh t) for algebraic decay."""
+    """ln x and d ln x/dt of the double-exponential maps: x = exp(t - e^-t)
+    for exponential decay, x = exp(pi/2 sinh t) for algebraic decay."""
     if exponential:
         decay = math.exp(-t)
-        x = math.exp(t - decay)
-        return x, x * (1.0 + decay)
-    x = math.exp(math.pi / 2.0 * math.sinh(t))
-    return x, x * (math.pi / 2.0 * math.cosh(t))
+        return t - decay, 1.0 + decay
+    return math.pi / 2.0 * math.sinh(t), math.pi / 2.0 * math.cosh(t)
 
 
-def _reference_de_attempt(f, cfg: QuadratureConfig):
+def _reference_de_attempt(f, cfg: QuadratureConfig, head):
     eps = 2.220446049250313e-16
     near, far = 16.0 * f(16.0), 64.0 * f(64.0)
     if not (math.isfinite(near) and math.isfinite(far)):
         return None
     exponential = abs(far) <= 1e-4 * abs(near)
-    t_min, t_max = (-6.0, 40.0) if exponential else (-6.5, 6.5)
-    terms = {}  # t -> f(x) dx/dt, in the order made
+    t_table, t_max = (-6.0, 40.0) if exponential else (-6.5, 6.5)
+    t_min = t_table if head is None else (-11.5 if exponential else -12.0)
+    terms = {}  # t -> term, in the order made
 
     def size_at(t):
-        x, w = _reference_de_node(exponential, t)
-        terms[t] = f(x) * w
+        log_x, dlog_x = _reference_de_node(exponential, t)
+        if t < t_table:
+            terms[t] = head(log_x) * dlog_x
+        else:
+            x = math.exp(log_x)
+            terms[t] = f(x) * (x * dlog_x)
         return abs(terms[t])
 
     largest = size_at(0.0)
@@ -439,41 +443,58 @@ def _reference_de_attempt(f, cfg: QuadratureConfig):
     return None
 
 
-def reference_double_exponential(f, cfg=None):
-    """(result or None, calls of f) of the double-exponential attempt,
-    restated from its definition: the map picked by the fall of |x f(x)|
-    from x = 16 to 64, the level-0 walk over t = k/2 (toward +inf, then
-    -inf) to two consecutive terms within 1e-3 eps of the largest, levels
-    h = 1/4 .. 1/32 over the walked range, and the value T_L and estimate
-    10 |T_L - T_(L-1)| + 50 eps h sum|terms| of the first level from 2 on
-    that passes; no finer level is made.  The level-0 t-range is
-    [-6.5, 6.5] for the algebraic map and [-6, 40] for the exponential one.
-    A level whose floor alone exceeds the tolerance, with a change that
-    passes the ratio test and is at most the floor, is returned too, with
-    converged=False.  None is a fallback; an exception from f is one
-    too."""
+def reference_double_exponential(f, cfg=None, head=None):
+    """(result or None, calls of f and head) of the double-exponential
+    attempt, restated from its definition: the map picked by the fall of
+    |x f(x)| from x = 16 to 64, the level-0 walk over t = k/2 (toward +inf,
+    then -inf) to two consecutive terms within 1e-3 eps of the largest,
+    levels h = 1/4 .. 1/32 over the walked range, and the value T_L and
+    estimate 10 |T_L - T_(L-1)| + 50 eps h sum|terms| of the first level
+    from 2 on that passes; no finer level is made.  The term at t is
+    f(x) dx/dt, with dx/dt = x d ln x/dt.  The t-range is [-6.5, 6.5] for
+    the algebraic map and [-6, 40] for the exponential one; given ``head``,
+    x f(x) as a function of ln x, it reaches down to -12 and -11.5, the
+    term below the table being head(ln x) d ln x/dt.  A level whose floor
+    alone exceeds the tolerance, with a change that passes the ratio test
+    and is at most the floor, is returned too, with converged=False.  None
+    is a fallback; an exception from f or head is one too."""
     cfg = cfg or QuadratureConfig()
     counter = _CallCounter(f)
+    head_counter = _CallCounter(head)
     try:
-        result = _reference_de_attempt(counter, cfg)
+        result = _reference_de_attempt(counter, cfg, head and head_counter)
     except Exception:
-        return None, counter.count
+        result = None
+    calls = counter.count + head_counter.count
     if result is None:
-        return None, counter.count
-    return (EvaluationResult(result.value, result.error_estimate, counter.count, result.converged),
-            counter.count)
+        return None, calls
+    return EvaluationResult(result.value, result.error_estimate, calls, result.converged), calls
 
 
-def reference_integrate_semi_infinite_de(f, cfg=None) -> EvaluationResult:
+def reference_integrate_semi_infinite_de(f, cfg=None, head=None) -> EvaluationResult:
     """The double-exponential attempt, or on its fallback
     ``reference_integrate_semi_infinite`` with the attempt's calls added."""
     cfg = cfg or QuadratureConfig()
-    result, calls = reference_double_exponential(f, cfg)
+    result, calls = reference_double_exponential(f, cfg, head)
     if result is not None:
         return result
     ends = reference_integrate_semi_infinite(f, cfg)
     return EvaluationResult(ends.value, ends.error_estimate, calls + ends.evaluations,
                             ends.converged)
+
+
+def reference_mellin_head(F, s: float):
+    """x^s F(x) as a function of L = ln x, for the Mellin walk below the
+    DE node table: F(e^L) e^(sL)."""
+    return lambda log_x: F(math.exp(log_x)) * math.exp(s * log_x)
+
+
+def reference_integrate_mellin(F, s: float, cfg=None) -> EvaluationResult:
+    """``integrate_mellin`` with smooth=True: the double-exponential
+    attempt on ``reference_mellin_integrand``, its walk toward 0 continued
+    by ``reference_mellin_head``, then the geometric ends."""
+    return reference_integrate_semi_infinite_de(reference_mellin_integrand(F, s), cfg,
+                                                reference_mellin_head(F, s))
 
 
 def reference_mellin_integrand(F, s: float):

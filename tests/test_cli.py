@@ -484,6 +484,25 @@ class TestExpressionPairs:
         assert (code, out) == (2, "")
         assert err.startswith("error: division by zero")
 
+    def test_closed_form_lost_to_rounding_near_zero_keeps_its_result(self, capsys):
+        # (1 - exp(-x))/x rounds to 0 below x ~ 1e-16 and divides by zero at
+        # x = 0.  The DE walk toward 0 stops on those zeros inside its node
+        # table, never calling F at 0 below it; its levels never settle, and
+        # the geometric ends return the value, in 2,107 calls in all.
+        from rmtkit.errors import DivisionByZero
+        from rmtkit.expr import compile_expr, parse
+        from rmtkit.quadrature import integrate_mellin
+
+        code, out, _ = run_in_process(
+            capsys, "verify", "rmt", "--phi", "1/(k+1)", "--closed-form", "(1-exp(-x))/x",
+            "--s", "0.05", "--json",
+        )
+        assert code == 0 and json.loads(out)["evaluations"] == 2107
+        closed = compile_expr(parse("(1-exp(-x))/x"), {}, "x")
+        with pytest.raises(DivisionByZero):
+            closed(0.0)
+        assert integrate_mellin(closed, 0.05).value.hex() == "0x1.47eacf57a5eaap+4"
+
 
 class TestWarnings:
     def test_rescaled_report_carries_non_convergence_warning_once(self, capsys, monkeypatch):
@@ -492,7 +511,7 @@ class TestWarnings:
         # this tolerance, a pass; refusing it leaves the geometric ends' FAIL.
         from rmtkit import quadrature
 
-        monkeypatch.setattr(quadrature, "_double_exponential", lambda f, cfg, values: None)
+        monkeypatch.setattr(quadrature, "_double_exponential", lambda f, cfg, values, head: None)
         code, out, _ = run_in_process(
             capsys, "corpus", "--filter", "hermite_2", "--max-tail-panels", "1",
             "--abs-tol", "1e-300", "--rel-tol", "1e-300", "--json"

@@ -3,7 +3,9 @@
 A seeded sweep of rmt, hardy, lemma2 and frullani over the catalog, at the
 default tolerances and at abs_tol 1e-14, rel_tol 1e-13, with s points
 within 0.01 of each edge of every fundamental strip, and 0.16 to 0.25 of its
-width from each edge for the strips of finite width, and frullani at scales
+width from each edge for the strips of finite width, s log-spaced from 0.001
+to 0.16 at the lower edge of rmt on exp, power, harmonic_shifted and
+geometric and of hardy on geometric, and frullani at scales
 within 10% of each other, where its integrand cancels.  Zero-valued
 identities (lemma2 on laguerre_weight) are included.  Each case asserts
 ``converged => |lhs - exact| <= error_estimate``; the verdict is not
@@ -35,23 +37,16 @@ LIMITS = {"exp": (1, 0), "power": (1, 0), "erf": (0, 1), "laguerre_weight": (0, 
           "geometric": (1, 0), "harmonic_shifted": (1, 0)}
 
 # Points that under-reported before the double-exponential rule was added
-# too, with the estimate and true error measured then.  They fall back to
+# too, with the estimate and true error measured then.  They lie near the
+# strip's upper edge, where the DE walk runs off its table and falls back to
 # the geometric ends, whose estimate falls short there (ROADMAP item 1).
 KNOWN_UNDER_REPORTS = {
-    ("default", "rmt-power-m4.881-s0.00110554"):
-        "parent: estimate 1.47e-08 against a true error of 4.66e-08",
     ("tight", "rmt-power-m4.881-s4.87828"):
         "parent: estimate 2.99e-12 against a true error of 3.46e-12",
     ("tight", "rmt-power-m4.881-s4.87633"):
         "parent: estimate 3.43e-12 against a true error of 5.68e-12",
-    ("tight", "rmt-harmonic_shifted-s0.00838073"):
-        "parent: estimate 1.68e-12 against a true error of 1.96e-12",
-    ("tight", "rmt-geometric-s0.00493911"):
-        "parent: estimate 2.65e-12 against a true error of 7.64e-12",
     ("tight", "rmt-geometric-s0.990808"):
         "parent: estimate 2.26e-12 against a true error of 4.64e-12",
-    ("tight", "hardy-geometric-s0.00370226"):
-        "parent: estimate 4.41e-12 against a true error of 1.52e-10",
     ("tight", "hardy-geometric-s0.995958"):
         "parent: estimate 4.49e-12 against a true error of 5.33e-12",
 }
@@ -123,6 +118,17 @@ def _cases():
         points += [width * band_rng.uniform(lo, hi) for lo, hi in ((0.16, 0.25), (0.75, 0.84))
                    for _ in range(2)]
         for s in points:
+            add(f"{prefix}-s{s:.6g}", lambda cfg, s=s, check=check: check(s, cfg), value(s))
+    # s from 0.001 to 0.16, log-spaced: the mass of x^(s-1) F(x) lies below
+    # the DE node table, where the Mellin walk goes on in ln x.
+    lower = [0.001 * 160.0 ** (k / 7) for k in range(8)]
+    for a_low in (0.5, 3.0):
+        for s in lower:
+            add(f"rmt-exp-a{a_low:.4g}-s{s:.6g}",
+                lambda cfg, s=s, a=a_low: rmt(catalog_get("exp", a=a), s, cfg),
+                MP.gamma(s) * MP.mpf(a_low) ** -s)
+    for prefix, _, check, value in strips:
+        for s in lower:
             add(f"{prefix}-s{s:.6g}", lambda cfg, s=s, check=check: check(s, cfg), value(s))
 
     orders = {"exp": range(1, 6), "power": range(1, 6), "erf": range(1, 7),

@@ -15,6 +15,8 @@ from rmtkit import quadrature
 from rmtkit.errors import DomainError, EvaluationError, SingularityError
 from rmtkit.quadrature import (
     _XGK,
+    _DE_MAPS,
+    _de_head_nodes,
     _de_nodes,
     _epsilon_table,
     _geometric_ends,
@@ -34,7 +36,9 @@ from oracles import (
     reference_double_exponential,
     reference_integrate_finite,
     reference_integrate_semi_infinite,
+    reference_integrate_mellin,
     reference_integrate_semi_infinite_de,
+    reference_mellin_head,
     reference_mellin_integrand,
     trapezoid,
 )
@@ -754,10 +758,43 @@ class TestDoubleExponential:
                  catalog_get("geometric").closed_form,
                  catalog_get("harmonic_shifted").closed_form,
                  catalog_get("power", m=2.5).closed_form]
+        below = 0
         for F in forms:
             for s in [0.003, 0.02, 0.5, 0.97, 0.993] + [rng.uniform(0.01, 0.99) for _ in range(4)]:
-                expected = reference_integrate_semi_infinite_de(reference_mellin_integrand(F, s), cfg)
+                expected = reference_integrate_mellin(F, s, cfg)
                 assert _bits(integrate_mellin(F, s, cfg)) == _bits(expected), (F, s)
+                # Returned by a DE walk that went on below the node table.
+                integrand, head = reference_mellin_integrand(F, s), reference_mellin_head(F, s)
+                below += (reference_double_exponential(integrand, cfg)[0] is None
+                          and reference_double_exponential(integrand, cfg, head)[0] is not None)
+        assert below >= 8, below
+
+    @pytest.mark.parametrize("cid, params, s",
+                             [("geometric", {}, 0.02), ("exp", {"a": 2.0}, 0.01)])
+    def test_head_below_the_table_certifies_near_the_lower_edge(self, cid, params, s):
+        # rmt's left side.  The mass of x^(s-1) F(x) lies below the table's
+        # first node: the walk toward 0 goes on in ln x and the rule
+        # certifies, where the table alone runs off and the geometric ends
+        # took 941 and 833 calls.
+        F = catalog_get(cid, **params).closed_form
+        cfg = QuadratureConfig()
+        integrand = reference_mellin_integrand(F, s)
+        attempt, calls = reference_double_exponential(integrand, cfg, reference_mellin_head(F, s))
+        assert attempt is not None and attempt.converged and calls < 150
+        assert _bits(integrate_mellin(F, s, cfg)) == _bits(attempt)
+        assert reference_double_exponential(integrand, cfg)[0] is None
+
+    def test_plain_walk_ends_at_the_table(self):
+        # A plain integrand carries no known power of x below the table: its
+        # walk runs off at the table's first node, x = e^-409.4 here, and the
+        # integral falls back to the geometric ends.
+        f = lambda x: x**-0.95 * math.exp(-x)
+        cfg = QuadratureConfig()
+        seen = []
+        res = integrate_semi_infinite(lambda x: seen.append(x) or f(x), cfg)
+        attempt, calls = reference_double_exponential(f, cfg)
+        assert attempt is None and min(seen) >= 2.0**-1022
+        assert _bits(res) == _bits(_geometric_ends(f, cfg, calls))
 
     @pytest.mark.parametrize("f", [lambda x: math.exp(-x), lambda x: (1.0 + x) ** -3.0],
                              ids=["exponential", "algebraic"])
@@ -870,6 +907,24 @@ class TestDoubleExponential:
             finer, _ = _de_nodes(exponential, level)
             assert len(finer) == (count - 1) << (level - 1)
             assert xs[0] < finer[0] < xs[1] and xs[-2] < finer[-1] < xs[-1]
+
+    @pytest.mark.parametrize("exponential", [False, True])
+    def test_head_node_tables(self, exponential):
+        # Node i < 0 sits on the table's grid below its first node: at
+        # lo + i/2 at level 0, at lo + (2i + 1) h at level L, h = 2^-(L+1).
+        mapping, lo, _, reach = _DE_MAPS[exponential]
+        count = 11  # level-0 nodes: the reach lies 5.5 below the table in t
+        for level in range(5):
+            logs, dlogs = _de_head_nodes(exponential, level)
+            size = count << (level - 1) if level else count
+            assert len(logs) == len(dlogs) == size
+            h = 0.5 ** (level + 1)
+            for i in range(-size, 0):
+                t = lo + (2 * i + 1) * h if level else lo + 0.5 * i
+                assert (logs[i], dlogs[i]) == mapping(t)
+                assert math.isfinite(logs[i]) and dlogs[i] > 0.0
+            assert logs == sorted(logs) and logs[-1] < math.log(_de_nodes(exponential, 0)[0][0])
+        assert lo - 0.5 * count == reach
 
     def test_import_builds_no_node_table(self):
         code = "import rmtkit; print(rmtkit.quadrature._de_nodes.cache_info().currsize)"

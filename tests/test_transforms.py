@@ -557,9 +557,15 @@ _MP40.dps = 40
 
 
 class TestGeometricUnderReport:
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the estimate under-reports")
+    # Near the lower edge the DE rule's walk toward 0 goes on below its
+    # node table and certifies; near the upper edge it still falls back to
+    # the geometric ends, whose estimate falls short.
     @pytest.mark.parametrize("identity", [rmt, hardy], ids=["rmt", "hardy"])
-    @pytest.mark.parametrize("s", [0.02053471370448894, 0.9661323334894547])
+    @pytest.mark.parametrize("s", [
+        0.02053471370448894,
+        pytest.param(0.9661323334894547, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 3: the estimate under-reports")),
+    ])
     def test_converged_estimate_covers_the_true_error(self, identity, s):
         report = identity(catalog_get("geometric"), s)
         exact = _MP40.pi / _MP40.sin(_MP40.pi * _MP40.mpf(s))
