@@ -8,17 +8,16 @@ A semi-infinite integral first tries the trapezoid rule after a
 double-exponential map of (0, inf) (Takahasi & Mori 1974; Mori & Sugihara
 2001): x = exp(t - e^-t) when |x f(x)| falls fast from x = 16 to 64,
 x = exp(pi/2 sinh t) otherwise, with h halved from 1/2 (down to at most
-1/32) over node tables built on first use: t in [-6.5, 6.5] for the
-algebraic map, x from about e^-522 to e^522, and t in [-6, 40] for the
-exponential one.  For a Mellin integral the walk toward 0 goes on below
-the table, to t = -12 and -11.5 (ln x about -1.28e5 and -9.9e4), each
-term there formed from ln x, since x^(s-1) and often x itself leave the
-double range; a plain integrand's walk ends at the table, as nothing is
-known of how it behaves below.  The rule runs when the terms die out inside
-that range, and returns the sum of the first level that certifies an
-estimate within the tolerance, or, unconverged, of the first whose
-round-off floor alone exceeds the tolerance once the levels have settled
-below that floor: no route certifies a floor above the tolerance.
+1/32) on one t-grid per map, built on first use over the range that
+``_DE_MAPS`` gives; the upper part of the grid is the map's node table.  A
+Mellin integral's walk toward 0 may cover the whole grid, each term below
+the table formed from ln x, since x^(s-1) and often x itself leave the
+double range there; a plain integrand's walk ends at the table, as nothing
+is known of how it behaves below.  The rule runs when the terms die out
+inside its walk's range, and returns the sum of the first level that
+certifies an estimate within the tolerance, or, unconverged, of the first
+whose round-off floor alone exceeds the tolerance once the levels have
+settled below that floor: no route certifies a floor above the tolerance.
 Otherwise - a tail too slow for the table (s near a strip's upper edge,
 whose mass lies beyond the largest double), an endpoint singularity too
 slow even below it (s under about 5e-4), all-zero terms, levels that
@@ -454,16 +453,17 @@ def _geometric_panels(
     return EvaluationResult(total, _kahan_sum(errs), evaluations, False)
 
 
-# The double-exponential maps of (0, inf), t -> (ln x, d ln x/dt), each with
-# the t-range its node tables cover and the t a Mellin head walks down to:
-# x = exp(pi/2 sinh t) for algebraic decay, x = exp(t - e^-t) for
-# exponential decay (Mori & Sugihara 2001).  The algebraic range is
-# symmetric, so x -> 1/x maps its table onto itself: t = -6.5 gives
-# x ~ e^-522, a normal double, and t = -7 would underflow to 0.  Below the
-# table, to ln x ~ -1.28e5 (t = -12) and -9.9e4 (t = -11.5), a Mellin term
-# x^(s-1) F(x) dx/dt is formed from ln x, as F(e^ln x) e^(s ln x) d ln x/dt,
-# though x may be subnormal or 0; a plain integrand carries no known power
-# of x there, so its walk ends at the table.
+# The double-exponential maps of (0, inf), t -> (ln x, d ln x/dt)
+# (Mori & Sugihara 2001): x = exp(pi/2 sinh t) for algebraic decay,
+# x = exp(t - e^-t) for exponential decay.  Each entry is (map, lo, hi,
+# reach): the map's t-grid runs from reach to hi, and its node table, whose
+# terms are f(x) dx/dt, from lo, 5.5 above the reach, at level-0 node 11.
+# The algebraic table is symmetric, so x -> 1/x maps it onto itself:
+# t = -6.5 gives x ~ e^-522, a normal double, and t = -7 would underflow to
+# 0.  Below the table, down to ln x ~ -1.28e5 and -9.9e4 at the reaches, a
+# Mellin term x^(s-1) F(x) dx/dt is formed from ln x, as
+# F(e^ln x) e^(s ln x) d ln x/dt, though x may be subnormal or 0; a plain
+# integrand carries no known power of x there, so its walk ends at the table.
 def _algebraic_map(t: float) -> tuple[float, float]:
     return 0.5 * math.pi * math.sinh(t), 0.5 * math.pi * math.cosh(t)
 
@@ -482,42 +482,22 @@ _DE_NEGLIGIBLE = 1e-3 * _EPS
 _DE_FALL = 1e-4
 
 
-def _de_ts(lo: float, hi: float, level: int) -> list:
-    """The t of the nodes new at ``level`` on [lo, hi]: the multiples of 1/2
-    from lo at level 0, the odd multiples of h = 2^-(level+1) from lo after."""
+@functools.cache
+def _de_nodes(exponential: bool, level: int) -> tuple[list, list, list, list]:
+    """The ln x, d ln x/dt, x and dx/dt of one map's nodes new at ``level``,
+    over its whole t-grid, built on first use.  Level-0 node i sits at
+    reach + i/2, level-L node i at reach + (2i + 1) h with h = 2^-(L+1), so
+    the level-L nodes between level-0 nodes a and b are those in
+    [a 2^(L-1), b 2^(L-1)).  Below the table x may be subnormal or 0."""
+    mapping, _, hi, reach = _DE_MAPS[exponential]
     if level:
         h = 0.5 ** (level + 1)
-        return [lo + (2 * i + 1) * h for i in range(int((hi - lo) / (2.0 * h)))]
-    return [lo + 0.5 * i for i in range(int(2.0 * (hi - lo)) + 1)]
-
-
-@functools.cache
-def _de_nodes(exponential: bool, level: int) -> tuple[list, list]:
-    """The x and dx/dt of one map's table nodes new at ``level``, built on
-    first use.  Level-0 node i sits at lo + i/2, so the level-L nodes
-    between level-0 nodes a and b are those in [a 2^(L-1), b 2^(L-1))."""
-    mapping, lo, hi, _ = _DE_MAPS[exponential]
-    xs, ws = [], []
-    for t in _de_ts(lo, hi, level):
-        log_x, dlog_x = mapping(t)
-        x = math.exp(log_x)
-        xs.append(x)
-        ws.append(x * dlog_x)
-    return xs, ws
-
-
-@functools.cache
-def _de_head_nodes(exponential: bool, level: int) -> tuple[list, list]:
-    """The ln x and d ln x/dt of one map's nodes new at ``level`` below its
-    table, from the head's reach up to the table's first node, built on
-    first use.  Numbered as the table's nodes are, node i < 0 is entry i of
-    these lists: level-0 node -1 sits at lo - 1/2."""
-    mapping, lo, _, reach = _DE_MAPS[exponential]
-    ts = _de_ts(reach, lo, level)
-    if not level:
-        ts.pop()  # t = lo, the table's node 0
-    nodes = [mapping(t) for t in ts]
-    return [log_x for log_x, _ in nodes], [dlog_x for _, dlog_x in nodes]
+        ts = [reach + (2 * i + 1) * h for i in range(int((hi - reach) / (2.0 * h)))]
+    else:
+        ts = [reach + 0.5 * i for i in range(int(2.0 * (hi - reach)) + 1)]
+    logs, dlogs = map(list, zip(*map(mapping, ts)))
+    xs = list(map(math.exp, logs))
+    return logs, dlogs, xs, list(map(operator.mul, xs, dlogs))
 
 
 def _double_exponential(
@@ -534,10 +514,12 @@ def _double_exponential(
     The map is exponential when |x f(x)| falls by ``_DE_FALL`` or more from
     x = 16 to x = 64, algebraic otherwise.  Level 0, h = 1/2, walks from
     t = 0 toward +inf, then toward -inf, until two consecutive terms are at
-    most ``_DE_NEGLIGIBLE`` times the largest so far.  Given ``head``,
-    x f(x) as a function of ln x, the walk toward -inf goes on below the
-    table to the map's reach, each term there being head(ln x) d ln x/dt.
-    Each later level halves h over the walked range and reuses every node.
+    most ``_DE_NEGLIGIBLE`` times the largest so far, over the map's t-grid
+    in ``_DE_MAPS``: without ``head`` the walk toward -inf ends at the node
+    table's first node; given ``head``, x f(x) as a function of ln x, it
+    goes on below the table to the grid's first node, each term there being
+    head(ln x) d ln x/dt.  Each later level halves h over the walked range
+    and reuses every node.
     With T = h sum(terms), floor = 50 eps h sum|terms| and change the
     movement of T from the last level, a level from 2 on whose change is at
     most a tenth of the last one plus the floor returns that level's T with
@@ -556,20 +538,20 @@ def _double_exponential(
     if not (math.isfinite(near) and math.isfinite(far)):
         return None
     exponential = abs(far) <= _DE_FALL * abs(near)
-    xs, ws = _de_nodes(exponential, 0)
-    logs, dlogs = _de_head_nodes(exponential, 0) if head else ((), ())
-    centre = int(-2.0 * _DE_MAPS[exponential][1])  # t = 0
+    logs, dlogs, xs, ws = _de_nodes(exponential, 0)
+    _, table_lo, _, reach = _DE_MAPS[exponential]
+    start, centre = int(2.0 * (table_lo - reach)), int(-2.0 * reach)  # t = table_lo, 0
     first = f(xs[centre]) * ws[centre]
     values.append(first)
     largest = abs(first)
     ends = []
-    for step, stop in ((1, len(xs)), (-1, -1 - len(logs))):
+    for step, stop in ((1, len(xs)), (-1, -1 if head else start - 1)):
         i, previous = centre, abs(first)
         while True:
             i += step
             if i == stop:
                 return None
-            term = f(xs[i]) * ws[i] if i >= 0 else head(logs[i]) * dlogs[i]
+            term = f(xs[i]) * ws[i] if i >= start else head(logs[i]) * dlogs[i]
             values.append(term)
             size = abs(term)
             if size > largest:
@@ -585,12 +567,12 @@ def _double_exponential(
     total = last_change = 0.0
     for level in range(_DE_LEVELS):
         if level:
-            xs, ws = _de_nodes(exponential, level)
+            logs, dlogs, xs, ws = _de_nodes(exponential, level)
             lo, hi = left << (level - 1), right << (level - 1)
-            if lo < 0:
-                logs, dlogs = _de_head_nodes(exponential, level)
-                values.extend(map(operator.mul, map(head, logs[lo:]), dlogs[lo:]))
-                lo = 0
+            if left < start:
+                split = start << (level - 1)
+                values.extend(map(operator.mul, map(head, logs[lo:split]), dlogs[lo:split]))
+                lo = split
             values.extend(map(operator.mul, map(f, xs[lo:hi]), ws[lo:hi]))
             h *= 0.5
         terms = values[2:]
@@ -676,13 +658,14 @@ def integrate_mellin(
     ``integrate_semi_infinite`` does.
 
     A non-finite F on (0, 1] raises SingularityError.  The DE rule's walk
-    toward 0 goes on below its node table, where x^(s-1) may leave the
-    double range, with each term formed from ln x as F(e^ln x) e^(s ln x)
-    d ln x/dt; F is called there at subnormal x and at 0, and an exception
-    or a non-finite term abandons the attempt.  So s near 0, where the
-    mass of the integrand lies below the table's first node, stays on the
-    DE rule; s near the strip's upper edge, with its mass beyond the
-    largest double, still falls back to the geometric ends.  smooth=False
+    toward 0 may cover its map's whole t-grid, below the node table too,
+    where x^(s-1) may leave the double range, with each term formed from
+    ln x as F(e^ln x) e^(s ln x) d ln x/dt; F is called there at subnormal
+    x and at 0, and an exception or a non-finite term abandons the attempt.
+    So s near 0, where the mass of the integrand lies below the table's
+    first node, stays on the DE rule; s near the strip's upper edge, with
+    its mass beyond the largest double, still falls back to the geometric
+    ends.  smooth=False
     says that F carries noise far above rounding, as finite-difference
     derivatives do; a DE level difference cannot see that noise, so the
     integral goes straight to the geometric ends.

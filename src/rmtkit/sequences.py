@@ -108,7 +108,7 @@ def eval_series(pair: SeriesPair, x: float, max_terms: int) -> SeriesValue:
     decreasing).
     """
     max_terms = integer_in(max_terms, 1, math.inf, DomainError, "eval_series: max_terms must be >= 1")
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"eval_series: requires x >= 0, got {x!r}")
     if x >= pair.convergence_radius:
         raise RadiusError(

@@ -239,6 +239,8 @@ def partial_fraction_sum(pair: SeriesPair, s: float, terms: int) -> float:
     from the full Mellin transform by the (entire) tail over [1, inf).
     """
     terms = integer_in(terms, 0, math.inf, DomainError, "partial_fraction_sum: terms must be >= 0")
+    if math.isnan(s):
+        raise DomainError("partial_fraction_sum: s must be a number, got nan")
     for k in range(terms + 1):
         if abs(s + k) <= 1e-10:
             raise PoleError(

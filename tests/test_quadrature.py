@@ -16,8 +16,8 @@ from rmtkit.errors import DomainError, EvaluationError, SingularityError
 from rmtkit.quadrature import (
     _XGK,
     _DE_MAPS,
-    _de_head_nodes,
     _de_nodes,
+    _double_exponential,
     _epsilon_table,
     _geometric_ends,
     _geometric_panels,
@@ -31,6 +31,7 @@ from rmtkit.quadrature import (
 from rmtkit.sequences import catalog_get
 
 from oracles import (
+    _reference_de_node,
     graded_mesh_trapezoid,
     reference_epsilon_picks,
     reference_double_exponential,
@@ -784,17 +785,28 @@ class TestDoubleExponential:
         assert _bits(integrate_mellin(F, s, cfg)) == _bits(attempt)
         assert reference_double_exponential(integrand, cfg)[0] is None
 
-    def test_plain_walk_ends_at_the_table(self):
-        # A plain integrand carries no known power of x below the table: its
-        # walk runs off at the table's first node, x = e^-409.4 here, and the
-        # integral falls back to the geometric ends.
-        f = lambda x: x**-0.95 * math.exp(-x)
+    @pytest.mark.parametrize("F, s, exponential",
+                             [(lambda x: math.exp(-x), 0.05, True),
+                              (lambda x: 1.0 / (1.0 + x), 0.0005, False)],
+                             ids=["exponential", "algebraic"])
+    def test_plain_walk_ends_at_the_table(self, F, s, exponential):
+        # x^(s-1) F(x) has mass below the table.  As a plain integrand it
+        # carries no known power of x there: its walk runs off at the table's
+        # first node, x = e^-409.4 or e^-522.4, without calling f below it,
+        # and the integral falls back to the geometric ends.  As a Mellin
+        # integrand the same walk goes on below the table.
+        f = lambda x: x ** (s - 1.0) * F(x)
         cfg = QuadratureConfig()
+        first = _de_nodes(exponential, 0)[2][11]
         seen = []
-        res = integrate_semi_infinite(lambda x: seen.append(x) or f(x), cfg)
+        assert _double_exponential(lambda x: seen.append(x) or f(x), cfg, []) is None
+        assert min(seen) == first
         attempt, calls = reference_double_exponential(f, cfg)
-        assert attempt is None and min(seen) >= 2.0**-1022
-        assert _bits(res) == _bits(_geometric_ends(f, cfg, calls))
+        assert attempt is None and calls == len(seen)
+        assert _bits(integrate_semi_infinite(f, cfg)) == _bits(_geometric_ends(f, cfg, calls))
+        seen.clear()
+        integrate_mellin(lambda x: seen.append(x) or F(x), s, cfg)
+        assert min(seen) < first
 
     @pytest.mark.parametrize("f", [lambda x: math.exp(-x), lambda x: (1.0 + x) ** -3.0],
                              ids=["exponential", "algebraic"])
@@ -882,7 +894,7 @@ class TestDoubleExponential:
         expected, calls = reference_double_exponential(reference_mellin_integrand(F, 0.2), cfg)
         assert _bits(res) == _bits(expected) and res.converged
         assert calls == integrate_mellin(F, 0.8, cfg).evaluations == 95
-        assert _de_nodes(False, 0)[0][0] in seen
+        assert _de_nodes(False, 0)[2][11] in seen  # the table's first node
 
     def test_panel_budgets_bound_only_the_geometric_ends(self):
         cfg = QuadratureConfig(max_tail_panels=1, max_subdivisions=1)
@@ -897,34 +909,36 @@ class TestDoubleExponential:
         assert _bits(integrate_mellin(F, 2.0, cfg, smooth=False)) == _bits(expected)
         assert integrate_mellin(F, 2.0, cfg).evaluations < expected.evaluations
 
-    @pytest.mark.parametrize("exponential, count, centre", [(False, 27, 13), (True, 93, 12)])
-    def test_node_tables(self, exponential, count, centre):
-        xs, ws = _de_nodes(exponential, 0)
-        assert len(xs) == len(ws) == count
-        assert xs[centre] == (math.exp(-1.0) if exponential else 1.0)  # t = 0
-        assert sys.float_info.min < xs[0] and xs[-1] < math.inf
-        for level in range(1, 5):
-            finer, _ = _de_nodes(exponential, level)
-            assert len(finer) == (count - 1) << (level - 1)
-            assert xs[0] < finer[0] < xs[1] and xs[-2] < finer[-1] < xs[-1]
-
-    @pytest.mark.parametrize("exponential", [False, True])
-    def test_head_node_tables(self, exponential):
-        # Node i < 0 sits on the table's grid below its first node: at
-        # lo + i/2 at level 0, at lo + (2i + 1) h at level L, h = 2^-(L+1).
-        mapping, lo, _, reach = _DE_MAPS[exponential]
-        count = 11  # level-0 nodes: the reach lies 5.5 below the table in t
-        for level in range(5):
-            logs, dlogs = _de_head_nodes(exponential, level)
-            size = count << (level - 1) if level else count
-            assert len(logs) == len(dlogs) == size
-            h = 0.5 ** (level + 1)
-            for i in range(-size, 0):
-                t = lo + (2 * i + 1) * h if level else lo + 0.5 * i
-                assert (logs[i], dlogs[i]) == mapping(t)
-                assert math.isfinite(logs[i]) and dlogs[i] > 0.0
-            assert logs == sorted(logs) and logs[-1] < math.log(_de_nodes(exponential, 0)[0][0])
-        assert lo - 0.5 * count == reach
+    @pytest.mark.parametrize("level", range(5))
+    @pytest.mark.parametrize("exponential, count", [(False, 38), (True, 104)],
+                             ids=["algebraic", "exponential"])
+    def test_node_grid(self, exponential, count, level):
+        # One t-grid per map, from its reach to the end of its table:
+        # level-0 node i at reach + i/2, level-L node i at reach + (2i + 1) h,
+        # h = 2^-(L+1), between level-0 nodes i >> (L-1) and the next.  The
+        # table starts at level-0 node 11, t = lo; from there on x and dx/dt
+        # are e^ln x and x d ln x/dt, bit for bit.
+        mapping, lo, hi, reach = _DE_MAPS[exponential]
+        logs, dlogs, xs, ws = _de_nodes(exponential, level)
+        coarse = _de_nodes(exponential, 0)[0]
+        h = 0.5 ** (level + 1)
+        size = (count - 1) << (level - 1) if level else count
+        start = 11 << (level - 1) if level else 11
+        assert len(logs) == len(dlogs) == len(xs) == len(ws) == size
+        for i in range(size):
+            t = reach + (2 * i + 1) * h if level else reach + 0.5 * i
+            assert (logs[i], dlogs[i]) == mapping(t) == _reference_de_node(exponential, t)
+            assert math.isfinite(logs[i]) and dlogs[i] > 0.0
+            if level:
+                assert coarse[i >> (level - 1)] < logs[i] < coarse[(i >> (level - 1)) + 1]
+            if i >= start:
+                x = math.exp(logs[i])
+                assert (xs[i], ws[i]) == (x, x * dlogs[i])
+            assert (t >= lo) == (i >= start)
+        assert reach + 0.5 * 11 == lo and hi == reach + 0.5 * (count - 1)
+        assert sys.float_info.min < xs[start] and xs[-1] < math.inf
+        if not level:
+            assert xs[int(-2.0 * reach)] == (math.exp(-1.0) if exponential else 1.0)  # t = 0
 
     def test_import_builds_no_node_table(self):
         code = "import rmtkit; print(rmtkit.quadrature._de_nodes.cache_info().currsize)"

@@ -232,6 +232,12 @@ class TestEvalSeries:
         with pytest.raises(DomainError, match=r"^eval_series: max_terms must be >= 1$"):
             eval_series(catalog_get("exp"), 0.5, max_terms)
 
+    def test_nan_argument_rejected_before_any_term(self):
+        # Not x >= 0: refused up front, not after max_terms iterations as a
+        # stopping rule that never fired.
+        with pytest.raises(DomainError, match=r"^eval_series: requires x >= 0, got nan$"):
+            eval_series(catalog_get("exp"), math.nan, 50)
+
     def test_integral_float_term_budget_is_an_int(self):
         # 2.0 runs as 2: the same budget spent, the same message.
         pair = catalog_get("exp")

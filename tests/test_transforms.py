@@ -308,6 +308,11 @@ class TestPartialFractionSum:
         with pytest.raises(PoleError):
             partial_fraction_sum(pair, -2.0 + 1e-11, 5)
 
+    def test_nan_exponent_rejected(self):
+        # A NaN s is near no pole, and its sum would be a silent NaN.
+        with pytest.raises(DomainError, match=r"^partial_fraction_sum: s must be a number"):
+            partial_fraction_sum(catalog_get("exp", a=1.0), math.nan, 5)
+
     @pytest.mark.parametrize("terms", [1.5, 2.0, math.nan])
     def test_non_integral_term_count(self, terms):
         pair = catalog_get("exp")
