@@ -215,15 +215,13 @@ def _gk15(f: Callable[[float], float], a: float, b: float):
     return resk * hlgth, gap * abs(hlgth), False, 15
 
 
-def _panel_with_retries(f: Callable[[float], float], a: float, b: float, retries: int, evals=0):
+def _panel_with_retries(f: Callable[[float], float], a: float, b: float, retries: int):
     """Evaluate a panel, bisecting up to ``retries`` times around non-finite
     integrand values.  Returns ([(a, b, value, err, floored), ...],
-    evaluations), counting the calls of aborted panels too.  Nonzero
-    ``evals`` are the calls of a panel on [a, b] that already aborted."""
-    if not evals:
-        value, err, floored, evals = _gk15(f, a, b)
-        if value is not None:
-            return [(a, b, value, err, floored)], evals
+    evaluations), counting the calls of aborted panels too."""
+    value, err, floored, evals = _gk15(f, a, b)
+    if value is not None:
+        return [(a, b, value, err, floored)], evals
     if retries <= 0:
         raise EvaluationError(f"integrand returned a non-finite value inside [{a!r}, {b!r}] "
                               "after two bisection retries")
@@ -245,25 +243,26 @@ def integrate_finite(
     """Adaptive Gauss-Kronrod integration of f over [a, b].
 
     Panels with the largest error estimate are bisected first; the returned
-    error estimate is the summed Kronrod-Gauss discrepancy over accepted
-    panels.  A panel whose error is its round-off floor, 50 eps times the
-    panel's integral of |f|, is set aside: bisecting it cannot lower that
-    floor, so it is never bisected, but its value and error still count.
-    ``evaluations`` counts every call of f, including those of panels
-    abandoned on a non-finite value.
+    error estimate is the summed Kronrod-Gauss discrepancy over the panels.
+    A panel whose error is its round-off floor, 50 eps times the panel's
+    integral of |f|, sorts after every other in the one panel heap:
+    bisecting it cannot lower that floor, so it is never bisected, but its
+    value and error still count.  ``evaluations`` counts every call of f,
+    including those of panels abandoned on a non-finite value.
 
     Value and error are Kahan sums over the panels kept, taken left to
     right: the loop stops once these sums pass ``_within_tolerance`` and
     returns them as they are.  When the subdivision budget is spent, when
-    the worst panel is too narrow to bisect, or when only set-aside panels
-    are left, the same sums are returned with converged=False.  Running
-    totals of both, with a bound on their rounding, rule the test out in
-    O(1) while the loop is clearly short of it; only when they cannot
-    decide are the n panels sorted and summed.  So a bisection costs
+    the worst panel is too narrow to bisect, or when the heap's top panel
+    is round-off-limited, the same sums are returned with converged=False.
+    Running totals of both, with a bound on their rounding, rule the test
+    out in O(1) while the loop is clearly short of it; only when they
+    cannot decide are the n panels sorted and summed.  So a bisection costs
     O(log n), for the heap, and the loop stops at the same split as if it
-    re-summed every panel before every bisection.  The first panel is one
-    ``_gk15`` call; if it passes ``_within_tolerance``'s rule, inlined, it
-    returns at once the loop's one-panel sums: 0.0 + value, and its error.
+    re-summed every panel before every bisection.  The first panel is made
+    by ``_panel_with_retries``, as every later one is; if it is one panel
+    that passes ``_within_tolerance``, it returns at once the loop's
+    one-panel sums: 0.0 + value, and its error.
     """
     cfg = cfg or QuadratureConfig()
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -272,46 +271,35 @@ def integrate_finite(
         raise DomainError(f"integrate_finite: need a <= b, got [{a!r}, {b!r}]")
     if a == b:
         return EvaluationResult(0.0, 0.0, 0, True)
-    value, error, floored, evaluations = _gk15(f, a, b)
-    if value is None:
-        panels, evaluations = _panel_with_retries(f, a, b, 2, evaluations)
-    elif math.isfinite(value) and error <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-        result = object.__new__(EvaluationResult)  # __init__'s fields, without its setattr
-        vars(result).update(value=0.0 + value, error_estimate=error, evaluations=evaluations,
-                            converged=True)
-        return result
-    else:
-        panels = [(a, b, value, error, floored)]
+    panels, evaluations = _panel_with_retries(f, a, b, 2)
+    if len(panels) == 1:
+        _, _, value, error, _ = panels[0]
+        if _within_tolerance(value, error, cfg):
+            return EvaluationResult(0.0 + value, error, evaluations, True)
 
     heap = []
-    aside = []  # round-off-limited panels, never bisected
     tick = 0
 
     def sums():
-        kept = sorted(heap + aside, key=lambda item: item[2])
-        return _kahan_sum(item[4] for item in kept), _kahan_sum(item[5] for item in kept)
+        kept = sorted(heap, key=lambda item: item[3])
+        return _kahan_sum(item[5] for item in kept), _kahan_sum(item[6] for item in kept)
 
     splits = 0
     min_width = abs(b - a) * 1e-15
-    # Running totals of the values and errors of the panels kept, in the
-    # heap or set aside.  Between two exact tests fewer than _MARGIN / eps
-    # (~4.5e9) updates are made - the panels would not fit in memory
-    # otherwise - so each total drifts from the exact sum by less than
-    # _MARGIN / 2 times the matching *_abs, which bounds the magnitudes
-    # summed.  The exact test's Kahan sums land within about eps * *_abs of
-    # the exact sum too.  val_abs sums |value| over every panel ever kept.
-    # err_abs restarts at each exact test: panel errors shrink by orders of
-    # magnitude, and a bound carried over from the first, large errors
-    # would send every later split to the exact test.
+    # Running totals of the values and errors of the panels in the heap.
+    # Between two exact tests fewer than _MARGIN / eps (~4.5e9) updates are
+    # made - the panels would not fit in memory otherwise - so each total
+    # drifts from the exact sum by less than _MARGIN / 2 times the matching
+    # *_abs, which bounds the magnitudes summed.  The exact test's Kahan
+    # sums land within about eps * *_abs of the exact sum too.  val_abs sums
+    # |value| over every panel ever kept.  err_abs restarts at each exact
+    # test: errors shrink by orders of magnitude, and a bound carried over
+    # from the first, large ones would send every later split to the test.
     val_sum = val_abs = 0.0
     err_sum = err_abs = 0.0
     while True:
         for qa, qb, qval, qerr, floored in panels:
-            item = (-qerr, tick, qa, qb, qval, qerr)
-            if floored:
-                aside.append(item)
-            else:
-                heapq.heappush(heap, item)
+            heapq.heappush(heap, (floored, -qerr, tick, qa, qb, qval, qerr))
             tick += 1
             val_sum += qval
             val_abs += abs(qval)
@@ -327,9 +315,9 @@ def integrate_finite(
             if _within_tolerance(value, error, cfg):
                 return EvaluationResult(value, error, evaluations, True)
             val_sum, err_sum, err_abs = value, error, error
-        if splits >= cfg.max_subdivisions or not heap:
+        floored, _, _, pa, pb, val, err = heap[0]
+        if splits >= cfg.max_subdivisions or floored:
             break
-        _, _, pa, pb, val, err = heap[0]
         mid = 0.5 * (pa + pb)
         if not (pa < mid < pb) or (pb - pa) < min_width:
             break  # cannot refine further in double precision
@@ -665,10 +653,9 @@ def integrate_mellin(
     So s near 0, where the mass of the integrand lies below the table's
     first node, stays on the DE rule; s near the strip's upper edge, with
     its mass beyond the largest double, still falls back to the geometric
-    ends.  smooth=False
-    says that F carries noise far above rounding, as finite-difference
-    derivatives do; a DE level difference cannot see that noise, so the
-    integral goes straight to the geometric ends.
+    ends.  smooth=False says that F carries noise far above rounding, as
+    finite-difference derivatives do; a DE level difference cannot see that
+    noise, so the integral goes straight to the geometric ends.
     """
     if not 0.0 < s < math.inf:
         raise DomainError(f"integrate_mellin: requires finite s > 0, got {s!r}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, integer_in
 
 __all__ = [
     "gamma",
@@ -108,13 +108,8 @@ def erf(x: float) -> float:
     return math.erf(x)
 
 
-def _check_degree(n: int, name: str) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"{name}: degree must be an integer, got {n!r}")
-    if n < 0 or n > MAX_POLY_DEGREE:
-        raise DomainError(
-            f"{name}: degree must be in [0, {MAX_POLY_DEGREE}], got {n}"
-        )
+# The refusal of a polynomial degree, given the function's name and the degree.
+_DEGREE_RULE = f"%s: degree must be an integer in [0, {MAX_POLY_DEGREE}], got %r"
 
 
 def hermite(n: int, x: float) -> float:
@@ -123,7 +118,7 @@ def hermite(n: int, x: float) -> float:
     Three-term recurrence H_{k+1} = 2x H_k - 2k H_{k-1}; exact for small
     integer arguments.
     """
-    _check_degree(n, "hermite")
+    n = integer_in(n, 0, MAX_POLY_DEGREE, DomainError, _DEGREE_RULE, "hermite", n)
     if n == 0:
         return 1.0
     h_prev, h = 1.0, 2.0 * x
@@ -137,7 +132,7 @@ def laguerre(n: int, x: float) -> float:
 
     Recurrence (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}.
     """
-    _check_degree(n, "laguerre")
+    n = integer_in(n, 0, MAX_POLY_DEGREE, DomainError, _DEGREE_RULE, "laguerre", n)
     if n == 0:
         return 1.0
     l_prev, l = 1.0, 1.0 - x

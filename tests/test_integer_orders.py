@@ -13,6 +13,7 @@ import pytest
 
 from rmtkit.errors import DerivativeUnavailable, DomainError, ParamDomainError, RmtError
 from rmtkit.sequences import catalog_get, eval_series, shift_sequence
+from rmtkit.specfun import MAX_POLY_DEGREE, hermite, laguerre
 from rmtkit.transforms import (
     FD_MAX_ORDER,
     lemma2,
@@ -52,6 +53,14 @@ def _derivative_entry(pair, label):
     )
 
 
+def _degree_entry(polynomial, name):
+    return Entry(
+        lambda v: polynomial(v, 0.7),
+        0, MAX_POLY_DEGREE,
+        lambda v: (DomainError, f"{name}: degree must be an integer in [0, 60], got {v!r}"),
+    )
+
+
 def _entries():
     exp = catalog_get("exp")
     harmonic = catalog_get("harmonic_shifted")  # derivative_max 6
@@ -77,6 +86,8 @@ def _entries():
         "catalog derivative (harmonic_shifted)": _derivative_entry(
             harmonic, "catalog 'harmonic_shifted'"
         ),
+        "hermite degree": _degree_entry(hermite, "hermite"),
+        "laguerre degree": _degree_entry(laguerre, "laguerre"),
         "laguerre_weight n": Entry(
             lambda v: _pair_values(catalog_get("laguerre_weight", n=v)),
             1, 50,

@@ -569,7 +569,7 @@ class TestGeometricUnderReport:
     @pytest.mark.parametrize("s", [
         0.02053471370448894,
         pytest.param(0.9661323334894547, marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 3: the estimate under-reports")),
+            strict=True, reason="ROADMAP item 1: the estimate under-reports")),
     ])
     def test_converged_estimate_covers_the_true_error(self, identity, s):
         report = identity(catalog_get("geometric"), s)
