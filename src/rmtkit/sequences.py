@@ -311,7 +311,8 @@ def _build_erf(**params) -> SeriesPair:
     """The error function; it enters through the derivative identities
     (its leading coefficient vanishes)."""
     _require_params("erf", params, ())
-    # (sign times 2/sqrt(pi), Hermite degree); degree -1 is erf itself.
+    # (sign times 2/sqrt(pi), Hermite degree); degree -1 is erf itself.  The
+    # degree is checked here, once per order, so derivative runs the bare recurrence.
     constants = _per_order("catalog 'erf'", specfun.MAX_POLY_DEGREE + 1, lambda order: (
         (-1.0 if order % 2 == 0 else 1.0) * TWO_OVER_SQRT_PI, order - 1))
 
@@ -319,7 +320,7 @@ def _build_erf(**params) -> SeriesPair:
         scale, degree = constants(order)
         if degree < 0:
             return specfun.erf(x)
-        return scale * specfun.hermite(degree, x) * math.exp(-x * x)
+        return scale * specfun._hermite(degree, x) * math.exp(-x * x)
 
     return SeriesPair(
         phi=_erf_phi,
@@ -391,7 +392,7 @@ def _build_geometric(**params) -> SeriesPair:
 
 
 def _harmonic_phi(k: float) -> float:
-    if k == -1.0:
+    if abs(k + 1.0) <= specfun.POLE_EXCLUSION_RADIUS:
         raise PoleError("catalog 'harmonic_shifted': phi has a pole at k=-1")
     return 1.0 / (k + 1.0)
 
@@ -408,24 +409,13 @@ _harmonic_constants = _per_order("catalog 'harmonic_shifted'", 6, lambda order: 
 
 def _harmonic_derivative(order: int, x: float) -> float:
     # F(x) = integral_0^1 e^(-x t) dt, so the order-th derivative is
-    # (-1)^order * integral_0^1 t^order e^(-x t) dt, computed by the Taylor
-    # series of e^(-x t) for |x| < 1, by the positive series
-    # e^-x sum_k x^k / ((order+1)...(order+k+1)) below x = order + 1, and by
-    # the upward recurrence above, where each step shrinks the error by j/x.
+    # (-1)^order * integral_0^1 t^order e^(-x t) dt: F itself at order 0,
+    # the positive series e^-x sum_k x^k / ((order+1)...(order+k+1)) on
+    # 0 <= x < order + 1, and the upward recurrence above, where each step
+    # shrinks the error by j/x.
     order, sign = _harmonic_constants(order)
     if order == 0:
         return _harmonic_closed(x)
-    if abs(x) < 1.0:
-        total = 0.0
-        term = 1.0
-        j = 0
-        while True:
-            total += term / (order + j + 1)
-            j += 1
-            term *= -x / j
-            if abs(term) < 1e-18 * max(abs(total), 1e-30) or j > 60:
-                break
-        return sign * total
     ex = math.exp(-x)
     if x < order + 1:
         term = total = 1.0 / (order + 1)

@@ -3,7 +3,8 @@
 A seeded sweep of rmt, hardy, lemma2 and frullani over the catalog, at the
 default tolerances and at abs_tol 1e-14, rel_tol 1e-13, with s points
 within 0.01 of each edge of every fundamental strip, and 0.16 to 0.25 of its
-width from each edge for the strips of finite width, s log-spaced from 0.001
+width from each edge for the strips of finite width, fixed points from 0.025
+to 1e-11 below the upper edge of five of them, s log-spaced from 0.001
 to 0.16 at the lower edge of rmt on exp, power, harmonic_shifted and
 geometric and of hardy on geometric, and frullani at scales
 within 10% of each other, where its integrand cancels.  Zero-valued
@@ -75,6 +76,28 @@ _CLOSE_SCALES = {
 CLOSE_SCALE_UNDER_REPORTS = {(cfg_name, name): reason for name, reason in _CLOSE_SCALES.items()
                              for cfg_name in CONFIGS}
 
+# Fixed points at a strip's upper edge, which the draws of _edge_points,
+# 0.0005 to 0.01 from it, miss.  At the tight config the first six fall back
+# to the geometric ends, whose estimate falls short (ROADMAP item 1); at the
+# default config they are honest.  The last three are closer to the edge
+# than any draw: at the tight config they end unconverged, at the default
+# one they converge with an estimate far below the error, and the first
+# two of them FAIL a true identity without a warning.
+UPPER_EDGE_UNDER_REPORTS = {
+    ("tight", "rmt-geometric-s0.9995"): "estimate 4.42e-11 against a true error of 8.39e-10",
+    ("tight", "hardy-geometric-s0.9995"): "estimate 4.42e-11 against a true error of 8.39e-10",
+    ("tight", "rmt-power-m4.881-s4.88"): "estimate 1.89e-11 against a true error of 3.83e-10",
+    ("tight", "rmt-power-m1-s0.99"): "estimate 2.65e-12 against a true error of 9.62e-12",
+    ("tight", "rmt-power-m2.5-s2.475"): "estimate 3.57e-13 against a true error of 4.15e-13",
+    ("tight", "rmt-harmonic_shifted-s0.999"): "estimate 1.56e-11 against a true error of 3.52e-11",
+    ("default", "rmt-harmonic_shifted-s0.99999999999"):
+        "converged, estimate 1.37 against a true error of 1.48e6: a FAIL of a true identity",
+    ("default", "rmt-power-m2.5-s2.49999999999"):
+        "converged, estimate 1.39 against a true error of 2.67e7: a FAIL of a true identity",
+    ("default", "rmt-power-m2.5-s2.4999999"):
+        "converged, estimate 1.72e-4 against a true error of 2.13e-2",
+}
+
 
 def _edge_points(rng, lo, hi):
     """Two s within 0.01 of each finite edge of (lo, hi), and two inside."""
@@ -98,11 +121,13 @@ def _cases():
     for s in _edge_points(rng, 0.0, math.inf):
         add(f"rmt-exp-a{a:.4g}-s{s:.6g}", lambda cfg, s=s: rmt(catalog_get("exp", a=a), s, cfg),
             MP.gamma(s) * MP.mpf(a) ** -s)
-    m = rng.uniform(0.5, 5.0)
+    def power(m):
+        return (f"rmt-power-m{m:.4g}", m, lambda s, cfg: rmt(catalog_get("power", m=m), s, cfg),
+                lambda s: MP.gamma(s) * MP.gamma(m - MP.mpf(s)) / MP.gamma(m))
+
     # (name, strip width, check at s, exact value at s) of the strips (0, width).
     strips = [
-        (f"rmt-power-m{m:.4g}", m, lambda s, cfg: rmt(catalog_get("power", m=m), s, cfg),
-         lambda s: MP.gamma(s) * MP.gamma(m - MP.mpf(s)) / MP.gamma(m)),
+        power(rng.uniform(0.5, 5.0)),
         ("rmt-harmonic_shifted", 1.0, lambda s, cfg: rmt(catalog_get("harmonic_shifted"), s, cfg),
          lambda s: MP.gamma(s) / (1 - MP.mpf(s))),
         ("rmt-geometric", 1.0, lambda s, cfg: rmt(catalog_get("geometric"), s, cfg),
@@ -119,6 +144,13 @@ def _cases():
                    for _ in range(2)]
         for s in points:
             add(f"{prefix}-s{s:.6g}", lambda cfg, s=s, check=check: check(s, cfg), value(s))
+    # The fixed upper-edge points of UPPER_EDGE_UNDER_REPORTS.
+    _, harmonic, geometric, hardy_geometric = strips
+    for (prefix, _, check, value), s in [
+            (geometric, 0.9995), (hardy_geometric, 0.9995), (power(4.881), 4.88),
+            (power(1.0), 0.99), (power(2.5), 2.475), (harmonic, 0.999),
+            (harmonic, 1 - 1e-11), (power(2.5), 2.5 - 1e-11), (power(2.5), 2.5 - 1e-7)]:
+        add(f"{prefix}-s{s:.12g}", lambda cfg, s=s, check=check: check(s, cfg), value(s))
     # s from 0.001 to 0.16, log-spaced: the mass of x^(s-1) F(x) lies below
     # the DE node table, where the Mellin walk goes on in ln x.
     lower = [0.001 * 160.0 ** (k / 7) for k in range(8)]
@@ -177,7 +209,8 @@ def _params():
     for cfg_name in sorted(CONFIGS):
         for name, run, exact in _cases():
             marks = ()
-            reason = (KNOWN_UNDER_REPORTS | CLOSE_SCALE_UNDER_REPORTS).get((cfg_name, name))
+            reason = (KNOWN_UNDER_REPORTS | CLOSE_SCALE_UNDER_REPORTS
+                      | UPPER_EDGE_UNDER_REPORTS).get((cfg_name, name))
             if reason:
                 marks = pytest.mark.xfail(strict=True, reason=reason)
             params.append(pytest.param(cfg_name, run, exact, id=f"{cfg_name}-{name}",

@@ -18,9 +18,9 @@ from rmtkit.errors import (
     RadiusError,
     UnknownEntry,
 )
-from rmtkit import sequences
+from rmtkit import errors, sequences
 from rmtkit.sequences import catalog_get, catalog_ids, eval_series, shift_sequence
-from rmtkit.transforms import nth_derivative_fd
+from rmtkit.transforms import lemma2, nth_derivative_fd
 
 from oracles import reference_laguerre_weight_derivative
 
@@ -394,8 +394,9 @@ class TestHarmonicDerivatives:
 
     def test_derivative_against_mpmath(self):
         # (-1)^n integral_0^1 t^n e^(-x t) dt = (-1)^n gamma(n+1, x) / x^(n+1),
-        # the lower incomplete gamma function at 40 digits.  Each branch is
-        # met, with both sides of x = 1 and of x = order + 1.
+        # the lower incomplete gamma function at 40 digits.  Both ranges are
+        # met: the positive series from x = 0 and 5e-324 up, the recurrence
+        # from x = order + 1 up, with both sides of that one boundary.
         import mpmath
 
         mp = mpmath.mp.clone()
@@ -404,8 +405,10 @@ class TestHarmonicDerivatives:
         rng = random.Random(23)
         xs = [math.exp(rng.uniform(math.log(1e-6), math.log(50.0))) for _ in range(60)]
         for order in range(1, 7):
-            for x in xs + [1e-6, 0.999, 1.0, order + 0.999, order + 1.0, 50.0]:
-                want = (-1) ** order * mp.gammainc(order + 1, 0, x) / mp.mpf(x) ** (order + 1)
+            for x in xs + [0.0, 5e-324, 1e-6, 0.5, 0.999, 1.0, order + 0.999, order + 1.0, 50.0]:
+                # At x = 0 the integral is 1/(n+1), which gammainc's quotient cannot give.
+                want = ((-1) ** order * mp.gammainc(order + 1, 0, x) / mp.mpf(x) ** (order + 1)
+                        if x else mp.mpf(-1) ** order / (order + 1))
                 got = derivative(order, x)
                 assert abs(got - want) <= 2e-15 * abs(want), (order, x)
 
@@ -413,6 +416,31 @@ class TestHarmonicDerivatives:
         pair = catalog_get("harmonic_shifted")
         assert pair.closed_form(0.0) == 1.0
         assert pair.closed_form(1e-12) == pytest.approx(1.0, abs=1e-11)
+
+
+class TestDerivativeChecksOnce:
+    """A catalog derivative checks its order once, in its per-order cache,
+    and never per evaluation: a lemma2 check on erf runs errors.integer_in
+    for lemma2's own n and for the cache's one miss, however many times
+    the quadrature evaluates the Hermite derivative."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_integer_checks_of_one_lemma2_check(self, n):
+        pair = catalog_get("erf")
+        checks = 0
+
+        def profile(frame, event, arg):
+            nonlocal checks
+            if event == "call" and frame.f_code is errors.integer_in.__code__:
+                checks += 1
+
+        sys.setprofile(profile)
+        try:
+            rep = lemma2(pair, n)
+        finally:
+            sys.setprofile(None)
+        assert rep.lhs.evaluations > 100
+        assert checks <= 2, (n, checks, rep.lhs.evaluations)
 
 
 class TestDerivativeOrderContract:

@@ -211,6 +211,11 @@ class TestRmt:
         # phi(-3) = Gamma(m-3)/Gamma(m) hits the Gamma pole for m = 2.
         with pytest.raises(PoleError):
             rmt(catalog_get("power", m=2.0), 3.0)
+        # phi(-s) = 1/(1-s) is refused within specfun's pole radius, 1e-12,
+        # of s = 1, as the Gamma poles are, not only at s = 1 exactly.
+        for s in (1.0000000000001, 0.9999999999999):
+            with pytest.raises(PoleError, match="phi has a pole at k=-1"):
+                rmt(catalog_get("harmonic_shifted"), s)
 
     def test_domain(self):
         with pytest.raises(DomainError):
