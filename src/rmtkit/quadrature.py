@@ -9,21 +9,23 @@ double-exponential map of (0, inf) (Takahasi & Mori 1974; Mori & Sugihara
 2001): x = exp(t - e^-t) when |x f(x)| falls fast from x = 16 to 64,
 x = exp(pi/2 sinh t) otherwise, with h halved from 1/2 (down to at most
 1/32) on one t-grid per map, built on first use over the range that
-``_DE_MAPS`` gives; the upper part of the grid is the map's node table.  A
-Mellin integral's walk toward 0 may cover the whole grid, each term below
-the table formed from ln x, since x^(s-1) and often x itself leave the
-double range there; a plain integrand's walk ends at the table, as nothing
-is known of how it behaves below.  The rule runs when the terms die out
-inside its walk's range, and returns the sum of the first level that
-certifies an estimate within the tolerance, or, unconverged, of the first
-whose round-off floor alone exceeds the tolerance once the levels have
-settled below that floor: no route certifies a floor above the tolerance.
-Otherwise - a tail too slow for the table (s near a strip's upper edge,
-whose mass lies beyond the largest double), an endpoint singularity too
-slow even below it (s under about 5e-4), all-zero terms, levels that
-never settle, or an exception or non-finite value from f - it falls back
-to the geometric ends, which then raise or refuse exactly as they would
-alone.  The ends split at x = 1 and
+``_DE_MAPS`` gives; the middle of the grid is the map's node table.  A
+Mellin integral's walk toward 0 may cover the grid below the table, each
+term there formed from ln x, since x^(s-1) and often x itself leave the
+double range; its walk toward infinity goes on above the table in the same
+way when the integral is given ln F as a function of ln x.  A plain
+integrand's walk ends at the table, as nothing is known of how it behaves
+beyond.  The rule runs when the terms die out inside its walk's range, and
+returns the sum of the first level that certifies an estimate within the
+tolerance, or, unconverged, of the first whose round-off floor alone
+exceeds the tolerance once the levels have settled below that floor: no
+route certifies a floor above the tolerance.  Otherwise - a tail too slow
+for the grid (s near a strip's upper edge, whose mass lies beyond the
+largest double, when no ln F is given or even past ln x ~ 1.28e5), an
+endpoint singularity too slow even below the table (s under about 5e-4),
+all-zero terms, levels that never settle, or an exception or non-finite
+value from f - it falls back to the geometric ends, which then raise or
+refuse exactly as they would alone.  The ends split at x = 1 and
 sum geometric panels toward each end, [2^j, 2^(j+1)] toward infinity and
 [2^-(j+1), 2^-j] toward 0, extrapolating the partial sums with Wynn's
 epsilon algorithm (the scheme of QUADPACK's QAGI and QAGS), so algebraic
@@ -444,13 +446,15 @@ def _geometric_panels(
 # The double-exponential maps of (0, inf), t -> (ln x, d ln x/dt)
 # (Mori & Sugihara 2001): x = exp(pi/2 sinh t) for algebraic decay,
 # x = exp(t - e^-t) for exponential decay.  Each entry is (map, lo, hi,
-# reach): the map's t-grid runs from reach to hi, and its node table, whose
-# terms are f(x) dx/dt, from lo, 5.5 above the reach, at level-0 node 11.
-# The algebraic table is symmetric, so x -> 1/x maps it onto itself:
-# t = -6.5 gives x ~ e^-522, a normal double, and t = -7 would underflow to
-# 0.  Below the table, down to ln x ~ -1.28e5 and -9.9e4 at the reaches, a
-# Mellin term x^(s-1) F(x) dx/dt is formed from ln x, as
-# F(e^ln x) e^(s ln x) d ln x/dt, though x may be subnormal or 0; a plain
+# reach, top): the map's t-grid runs from reach to top, and its node table,
+# whose terms are f(x) dx/dt, from lo, 5.5 above the reach, at level-0 node
+# 11, to hi.  The algebraic table is symmetric, so x -> 1/x maps it onto
+# itself: t = -6.5 gives x ~ e^-522, a normal double, and t = -7 would
+# underflow to 0.  Below the table, down to ln x ~ -1.28e5 and -9.9e4 at
+# the reaches, a Mellin term x^(s-1) F(x) dx/dt is formed from ln x, as
+# F(e^ln x) e^(s ln x) d ln x/dt, though x may be subnormal or 0; above the
+# algebraic table, up to ln x ~ 1.28e5, where x overflows from t ~ 6.8 on,
+# as e^(s ln x + ln F) d ln x/dt when the pair gives ln F.  A plain
 # integrand carries no known power of x there, so its walk ends at the table.
 def _algebraic_map(t: float) -> tuple[float, float]:
     return 0.5 * math.pi * math.sinh(t), 0.5 * math.pi * math.cosh(t)
@@ -461,7 +465,8 @@ def _exponential_map(t: float) -> tuple[float, float]:
     return t - decay, 1.0 + decay
 
 
-_DE_MAPS = ((_algebraic_map, -6.5, 6.5, -12.0), (_exponential_map, -6.0, 40.0, -11.5))
+_DE_MAPS = ((_algebraic_map, -6.5, 6.5, -12.0, 12.0),
+            (_exponential_map, -6.0, 40.0, -11.5, 40.0))
 # At most the levels h = 1/2, 1/4, ..., 1/32.  A level-0 term is negligible
 # at 10^-3 eps of the largest; |x f(x)| falling by _DE_FALL from x = 16 to 64
 # picks the exponential map.
@@ -472,19 +477,20 @@ _DE_FALL = 1e-4
 
 @functools.cache
 def _de_nodes(exponential: bool, level: int) -> tuple[list, list, list, list]:
-    """The ln x, d ln x/dt, x and dx/dt of one map's nodes new at ``level``,
-    over its whole t-grid, built on first use.  Level-0 node i sits at
-    reach + i/2, level-L node i at reach + (2i + 1) h with h = 2^-(L+1), so
-    the level-L nodes between level-0 nodes a and b are those in
-    [a 2^(L-1), b 2^(L-1)).  Below the table x may be subnormal or 0."""
-    mapping, _, hi, reach = _DE_MAPS[exponential]
+    """The ln x and d ln x/dt of one map's nodes new at ``level``, over its
+    whole t-grid, and the x and dx/dt of those up to the table's end, built
+    on first use.  Level-0 node i sits at reach + i/2, level-L node i at
+    reach + (2i + 1) h with h = 2^-(L+1), so the level-L nodes between
+    level-0 nodes a and b are those in [a 2^(L-1), b 2^(L-1)).  Below the
+    table x may be subnormal or 0."""
+    mapping, _, hi, reach, top = _DE_MAPS[exponential]
     if level:
         h = 0.5 ** (level + 1)
-        ts = [reach + (2 * i + 1) * h for i in range(int((hi - reach) / (2.0 * h)))]
+        ts = [reach + (2 * i + 1) * h for i in range(int((top - reach) / (2.0 * h)))]
     else:
-        ts = [reach + 0.5 * i for i in range(int(2.0 * (hi - reach)) + 1)]
+        ts = [reach + 0.5 * i for i in range(int(2.0 * (top - reach)) + 1)]
     logs, dlogs = map(list, zip(*map(mapping, ts)))
-    xs = list(map(math.exp, logs))
+    xs = [math.exp(log_x) for t, log_x in zip(ts, logs) if t <= hi]
     return logs, dlogs, xs, list(map(operator.mul, xs, dlogs))
 
 
@@ -493,6 +499,7 @@ def _double_exponential(
     cfg: QuadratureConfig,
     values: list,
     head: Callable[[float], float] | None = None,
+    tail: Callable[[float], float] | None = None,
 ):
     """The trapezoid rule in t after a double-exponential map, or None when
     it cannot certify its result.  Appends x f(x) at the two probes, then
@@ -506,8 +513,9 @@ def _double_exponential(
     in ``_DE_MAPS``: without ``head`` the walk toward -inf ends at the node
     table's first node; given ``head``, x f(x) as a function of ln x, it
     goes on below the table to the grid's first node, each term there being
-    head(ln x) d ln x/dt.  Each later level halves h over the walked range
-    and reuses every node.
+    head(ln x) d ln x/dt.  ``tail`` does the same above the table's last
+    node, toward the grid's last.  Each later level halves h over the
+    walked range and reuses every node.
     With T = h sum(terms), floor = 50 eps h sum|terms| and change the
     movement of T from the last level, a level from 2 on whose change is at
     most a tenth of the last one plus the floor returns that level's T with
@@ -527,19 +535,24 @@ def _double_exponential(
         return None
     exponential = abs(far) <= _DE_FALL * abs(near)
     logs, dlogs, xs, ws = _de_nodes(exponential, 0)
-    _, table_lo, _, reach = _DE_MAPS[exponential]
-    start, centre = int(2.0 * (table_lo - reach)), int(-2.0 * reach)  # t = table_lo, 0
+    _, table_lo, table_hi, reach, _ = _DE_MAPS[exponential]
+    start, end = int(2.0 * (table_lo - reach)), int(2.0 * (table_hi - reach))  # t = lo, hi
+    centre = int(-2.0 * reach)  # t = 0
     first = f(xs[centre]) * ws[centre]
     values.append(first)
     largest = abs(first)
     ends = []
-    for step, stop in ((1, len(xs)), (-1, -1 if head else start - 1)):
+    for step, stop, past, beyond in ((1, len(logs) if tail else end + 1, end + 1, tail),
+                                     (-1, -1 if head else start - 1, start - 1, head)):
         i, previous = centre, abs(first)
+        g, points, weights = f, xs, ws
         while True:
             i += step
             if i == stop:
                 return None
-            term = f(xs[i]) * ws[i] if i >= start else head(logs[i]) * dlogs[i]
+            if i == past:  # the first node beyond the table: terms from ln x on
+                g, points, weights = beyond, logs, dlogs
+            term = g(points[i]) * weights[i]
             values.append(term)
             size = abs(term)
             if size > largest:
@@ -561,7 +574,9 @@ def _double_exponential(
                 split = start << (level - 1)
                 values.extend(map(operator.mul, map(head, logs[lo:split]), dlogs[lo:split]))
                 lo = split
-            values.extend(map(operator.mul, map(f, xs[lo:hi]), ws[lo:hi]))
+            values.extend(map(operator.mul, map(f, xs[lo:hi]), ws[lo:hi]))  # up to the table's end
+            if right > end:
+                values.extend(map(operator.mul, map(tail, logs[len(xs):hi]), dlogs[len(xs):hi]))
             h *= 0.5
         terms = values[2:]
         # A plain sum never raises: inf or NaN when a term is not finite, as
@@ -601,13 +616,14 @@ def _semi_infinite(
     f: Callable[[float], float],
     cfg: QuadratureConfig,
     head: Callable[[float], float] | None = None,
+    tail: Callable[[float], float] | None = None,
 ) -> EvaluationResult:
-    """The double-exponential attempt, ``head`` passed on to it, then the
-    geometric ends when it returns None."""
+    """The double-exponential attempt, ``head`` and ``tail`` passed on to
+    it, then the geometric ends when it returns None."""
     values = []
     raised = 0
     try:
-        result = _double_exponential(f, cfg, values, head)
+        result = _double_exponential(f, cfg, values, head, tail)
     except Exception:  # the geometric ends raise it again, or do without the attempt
         result, raised = None, 1  # count the call that raised
     if result is not None:
@@ -641,6 +657,7 @@ def integrate_mellin(
     s: float,
     cfg: QuadratureConfig | None = None,
     smooth: bool = True,
+    log_F: Callable[[float], float] | None = None,
 ) -> EvaluationResult:
     """Integrate x^(s-1) * F(x) over [0, infinity) for s > 0, as
     ``integrate_semi_infinite`` does.
@@ -651,11 +668,16 @@ def integrate_mellin(
     ln x as F(e^ln x) e^(s ln x) d ln x/dt; F is called there at subnormal
     x and at 0, and an exception or a non-finite term abandons the attempt.
     So s near 0, where the mass of the integrand lies below the table's
-    first node, stays on the DE rule; s near the strip's upper edge, with
-    its mass beyond the largest double, still falls back to the geometric
-    ends.  smooth=False says that F carries noise far above rounding, as
-    finite-difference derivatives do; a DE level difference cannot see that
-    noise, so the integral goes straight to the geometric ends.
+    first node, stays on the DE rule.  log_F, L -> ln F(e^L) for L >= 0 and
+    F > 0 there, continues the walk toward infinity above the table in the
+    same way, each term e^(s ln x + log_F(ln x)) d ln x/dt, and forms
+    x^(s-1) F(x) from logs wherever F(x) is subnormal or 0 above x = 1; so
+    s near the strip's upper edge, with its mass beyond the largest double,
+    stays on the DE rule too.  Without it that walk ends at the table and
+    such an s falls back to the geometric ends.  smooth=False says that F
+    carries noise far above rounding, as finite-difference derivatives do;
+    a DE level difference cannot see that noise, so the integral goes
+    straight to the geometric ends.
     """
     if not 0.0 < s < math.inf:
         raise DomainError(f"integrate_mellin: requires finite s > 0, got {s!r}")
@@ -663,8 +685,12 @@ def integrate_mellin(
 
     def integrand(x: float) -> float:
         v = F(x)
-        if v == 0.0:  # F underflows far out, where x^(s-1) may overflow
-            return 0.0
+        if v < 2.2250738585072014e-308:  # F below the least normal double: subnormal, 0 or < 0
+            if log_F and x > 1.0:  # F > 0 has lost its digits far out
+                log_x = math.log(x)
+                return math.exp(power * log_x + log_F(log_x))
+            if v == 0.0:  # F underflows far out, where x^(s-1) may overflow
+                return 0.0
         if x <= 1.0 and not math.isfinite(v):
             raise SingularityError(
                 f"integrand function is non-finite at x={x!r} in the head interval"
@@ -679,7 +705,11 @@ def integrate_mellin(
         # x^s F(x) at x = e^log_x below the node table: e^(s log_x) < 1.
         return F(math.exp(log_x)) * math.exp(s * log_x)
 
+    def tail(log_x: float) -> float:
+        # x^s F(x) at x = e^log_x above the node table, where x may overflow.
+        return math.exp(s * log_x + log_F(log_x))
+
     cfg = cfg or QuadratureConfig()
     if smooth:
-        return _semi_infinite(integrand, cfg, head)
+        return _semi_infinite(integrand, cfg, head, tail if log_F else None)
     return _geometric_ends(integrand, cfg)

@@ -74,6 +74,11 @@ class SeriesPair:
     k! phi_plain(k).  phi_highprec(k), when set, is phi(k) as an mpmath number.
     smooth_derivatives is False when derivative values carry noise far above
     rounding, as finite differences do; lemma2 passes it to integrate_mellin.
+    log_closed_form, when set, is L -> ln F(e^L) for L >= 0, F > 0 there,
+    finite up to L ~ 1.28e5 where x = e^L overflows; rmt and hardy pass it to
+    integrate_mellin, whose walk toward infinity it continues.  It restates
+    closed_form, so dataclasses.replace(pair, closed_form=...) must reset
+    it too (to None) unless the new closed form is the same F.
     """
 
     phi: Callable[[float], float]
@@ -87,6 +92,7 @@ class SeriesPair:
     phi_highprec: Callable[[int], object] | None = None
     label: str = "pair"
     smooth_derivatives: bool = True
+    log_closed_form: Callable[[float], float] | None = None
 
     @property
     def nonstandard(self) -> bool:
@@ -273,6 +279,8 @@ def _build_power(**params) -> SeriesPair:
         convergence_radius=1.0,
         phi_highprec=phi_hp,
         label=f"power(m={m:g})",
+        # ln (1 + e^L)^-m, finite where e^L alone overflows.
+        log_closed_form=lambda L: -m * (L + math.log1p(math.exp(-L))),
     )
 
 
@@ -431,6 +439,14 @@ def _harmonic_derivative(order: int, x: float) -> float:
     return sign * moment
 
 
+def _harmonic_log_closed(L: float) -> float:
+    # ln((1 - e^-x)/x) at x = e^L.  From L = 6 on e^-x < 1e-175 adds
+    # nothing to -L, and e^L itself would overflow above L ~ 709.8.
+    if L >= 6.0:
+        return -L
+    return math.log1p(-math.exp(-math.exp(L))) - L
+
+
 def _build_harmonic_shifted(**params) -> SeriesPair:
     """(1 - e^(-x))/x with coefficients 1/(k+1)."""
     _require_params("harmonic_shifted", params, ())
@@ -444,6 +460,7 @@ def _build_harmonic_shifted(**params) -> SeriesPair:
         convergence_radius=math.inf,
         phi_highprec=lambda k: 1 / _mp().mpf(k + 1),
         label="harmonic_shifted",
+        log_closed_form=_harmonic_log_closed,
     )
 
 

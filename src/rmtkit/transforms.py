@@ -206,7 +206,7 @@ def rmt(
     rhs = specfun.gamma(s) * pair.phi(-s)  # PoleError propagates
     if not math.isfinite(rhs):
         raise PoleError(f"rmt: Gamma(s) phi(-s) is non-finite at s={s!r}")
-    lhs = integrate_mellin(pair.closed_form, s, cfg)
+    lhs = integrate_mellin(pair.closed_form, s, cfg, log_F=pair.log_closed_form)
     regime = "integer order" if float(s).is_integer() else "real order"
     return _report(f"rmt ({regime})", lhs, rhs, tolerance)
 
@@ -227,7 +227,7 @@ def hardy(
             f"hardy: s must lie in (0, 1) for the integral to converge, got {s!r}"
         )
     rhs = factor * pair.phi_plain(-s)
-    lhs = integrate_mellin(pair.closed_form, s, cfg)
+    lhs = integrate_mellin(pair.closed_form, s, cfg, log_F=pair.log_closed_form)
     return _report("hardy", lhs, rhs, tolerance)
 
 

@@ -503,6 +503,21 @@ class TestExpressionPairs:
             closed(0.0)
         assert integrate_mellin(closed, 0.05).value.hex() == "0x1.47eacf57a5eaap+4"
 
+    def test_upper_edge_falls_back_without_a_log_form(self, capsys):
+        # An expression pair has no log form, so at s = 0.99 its walk ends at
+        # the node table and the geometric ends give the record they gave
+        # before catalog pairs could walk on; geometric walks on in 119.
+        code, out, _ = run_in_process(
+            capsys, "verify", "rmt", "--phi", "fact(k)", "--closed-form", "1/(1+x)",
+            "--s", "0.99", "--json",
+        )
+        record = json.loads(out)
+        assert code == 0 and (record["lhs_value"], record["lhs_error"], record["evaluations"]) == (
+            100.016451235242, 1.34068786143359e-09, 451)
+        code, out, _ = run_in_process(
+            capsys, "verify", "rmt", "--catalog", "geometric", "--s", "0.99", "--json")
+        assert code == 0 and json.loads(out)["evaluations"] == 119
+
 
 class TestWarnings:
     def test_rescaled_report_carries_non_convergence_warning_once(self, capsys, monkeypatch):
@@ -511,7 +526,7 @@ class TestWarnings:
         # this tolerance, a pass; refusing it leaves the geometric ends' FAIL.
         from rmtkit import quadrature
 
-        monkeypatch.setattr(quadrature, "_double_exponential", lambda f, cfg, values, head: None)
+        monkeypatch.setattr(quadrature, "_double_exponential", lambda *args: None)
         code, out, _ = run_in_process(
             capsys, "corpus", "--filter", "hermite_2", "--max-tail-panels", "1",
             "--abs-tol", "1e-300", "--rel-tol", "1e-300", "--json"

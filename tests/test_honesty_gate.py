@@ -37,21 +37,6 @@ CONFIGS = {
 LIMITS = {"exp": (1, 0), "power": (1, 0), "erf": (0, 1), "laguerre_weight": (0, 0),
           "geometric": (1, 0), "harmonic_shifted": (1, 0)}
 
-# Points that under-reported before the double-exponential rule was added
-# too, with the estimate and true error measured then.  They lie near the
-# strip's upper edge, where the DE walk runs off its table and falls back to
-# the geometric ends, whose estimate falls short there (ROADMAP item 1).
-KNOWN_UNDER_REPORTS = {
-    ("tight", "rmt-power-m4.881-s4.87828"):
-        "parent: estimate 2.99e-12 against a true error of 3.46e-12",
-    ("tight", "rmt-power-m4.881-s4.87633"):
-        "parent: estimate 3.43e-12 against a true error of 5.68e-12",
-    ("tight", "rmt-geometric-s0.990808"):
-        "parent: estimate 2.26e-12 against a true error of 4.64e-12",
-    ("tight", "hardy-geometric-s0.995958"):
-        "parent: estimate 4.49e-12 against a true error of 5.33e-12",
-}
-
 # Frullani points whose scales nearly cancel.  The double-exponential rule
 # certifies them at h = 1/8 or 1/16 and returns that level, whose error is
 # the float rounding of f(alpha x) - f(beta x).  With that difference at 40
@@ -77,19 +62,22 @@ CLOSE_SCALE_UNDER_REPORTS = {(cfg_name, name): reason for name, reason in _CLOSE
                              for cfg_name in CONFIGS}
 
 # Fixed points at a strip's upper edge, which the draws of _edge_points,
-# 0.0005 to 0.01 from it, miss.  At the tight config the first six fall back
-# to the geometric ends, whose estimate falls short (ROADMAP item 1); at the
-# default config they are honest.  The last three are closer to the edge
-# than any draw: at the tight config they end unconverged, at the default
-# one they converge with an estimate far below the error, and the first
-# two of them FAIL a true identity without a warning.
+# 0.0005 to 0.01 from it, miss.  With the pair's log form the DE walk goes
+# on above its node table and returns most of them, honestly; the strict
+# xfails below are those it does not.  At s = 0.9995 on geometric the walk
+# runs off the grid's top, ln x ~ 1.28e5, and the geometric ends' estimate
+# falls short (ROADMAP item 1); at m = 4.881, s = 4.88 the DE rule itself
+# under-reports.  The last three are closer to the edge than any draw: the
+# walk runs off at the top, at the tight config they end unconverged, at
+# the default one they converge with an estimate far below the error, and
+# the first two of them FAIL a true identity without a warning.
 UPPER_EDGE_UNDER_REPORTS = {
-    ("tight", "rmt-geometric-s0.9995"): "estimate 4.42e-11 against a true error of 8.39e-10",
-    ("tight", "hardy-geometric-s0.9995"): "estimate 4.42e-11 against a true error of 8.39e-10",
-    ("tight", "rmt-power-m4.881-s4.88"): "estimate 1.89e-11 against a true error of 3.83e-10",
-    ("tight", "rmt-power-m1-s0.99"): "estimate 2.65e-12 against a true error of 9.62e-12",
-    ("tight", "rmt-power-m2.5-s2.475"): "estimate 3.57e-13 against a true error of 4.15e-13",
-    ("tight", "rmt-harmonic_shifted-s0.999"): "estimate 1.56e-11 against a true error of 3.52e-11",
+    ("tight", "rmt-geometric-s0.9995"):
+        "geometric ends after 792 evaluations: estimate 4.42e-11 against a true error of 8.39e-10",
+    ("tight", "hardy-geometric-s0.9995"):
+        "geometric ends after 792 evaluations: estimate 4.42e-11 against a true error of 8.39e-10",
+    ("tight", "rmt-power-m4.881-s4.88"):
+        "DE rule in 483 evaluations: estimate 2.47e-11 against a true error of 6.49e-11",
     ("default", "rmt-harmonic_shifted-s0.99999999999"):
         "converged, estimate 1.37 against a true error of 1.48e6: a FAIL of a true identity",
     ("default", "rmt-power-m2.5-s2.49999999999"):
@@ -209,8 +197,7 @@ def _params():
     for cfg_name in sorted(CONFIGS):
         for name, run, exact in _cases():
             marks = ()
-            reason = (KNOWN_UNDER_REPORTS | CLOSE_SCALE_UNDER_REPORTS
-                      | UPPER_EDGE_UNDER_REPORTS).get((cfg_name, name))
+            reason = (CLOSE_SCALE_UNDER_REPORTS | UPPER_EDGE_UNDER_REPORTS).get((cfg_name, name))
             if reason:
                 marks = pytest.mark.xfail(strict=True, reason=reason)
             params.append(pytest.param(cfg_name, run, exact, id=f"{cfg_name}-{name}",

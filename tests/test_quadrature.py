@@ -41,6 +41,7 @@ from oracles import (
     reference_integrate_semi_infinite_de,
     reference_mellin_head,
     reference_mellin_integrand,
+    reference_mellin_tail,
     trapezoid,
 )
 
@@ -771,6 +772,24 @@ class TestDoubleExponential:
                 below += (reference_double_exponential(integrand, cfg)[0] is None
                           and reference_double_exponential(integrand, cfg, head)[0] is not None)
         assert below >= 8, below
+        # Near the upper edge, with the pair's log form: the walk toward
+        # infinity goes on above the table, and F subnormal in the table
+        # (power at m = 4.881 from ln x ~ 145 on) is formed from logs.
+        above = 0
+        for cid, params, width in [("geometric", {}, 1.0), ("harmonic_shifted", {}, 1.0),
+                                   ("power", {"m": 2.5}, 2.5), ("power", {"m": 4.881}, 4.881)]:
+            pair = catalog_get(cid, **params)
+            F, log_F = pair.closed_form, pair.log_closed_form
+            for s in [width * u for u in (0.5, 0.86, 0.95, 0.99, 0.999, 0.9995)] + [
+                    width * rng.uniform(0.84, 0.999) for _ in range(2)]:
+                expected = reference_integrate_mellin(F, s, cfg, log_F)
+                assert _bits(integrate_mellin(F, s, cfg, log_F=log_F)) == _bits(expected), (cid, s)
+                integrand = reference_mellin_integrand(F, s, log_F)
+                tail = reference_mellin_tail(log_F, s)
+                above += (reference_double_exponential(integrand, cfg)[0] is None
+                          and reference_double_exponential(integrand, cfg, None, tail)[0]
+                          is not None)
+        assert above >= 16, above
 
     @pytest.mark.parametrize("cid, params, s",
                              [("geometric", {}, 0.02), ("exp", {"a": 2.0}, 0.01)])
@@ -912,35 +931,42 @@ class TestDoubleExponential:
         assert integrate_mellin(F, 2.0, cfg).evaluations < expected.evaluations
 
     @pytest.mark.parametrize("level", range(5))
-    @pytest.mark.parametrize("exponential, count", [(False, 38), (True, 104)],
+    @pytest.mark.parametrize("exponential, count, end", [(False, 49, 37), (True, 104, 103)],
                              ids=["algebraic", "exponential"])
-    def test_node_grid(self, exponential, count, level):
-        # One t-grid per map, from its reach to the end of its table:
-        # level-0 node i at reach + i/2, level-L node i at reach + (2i + 1) h,
-        # h = 2^-(L+1), between level-0 nodes i >> (L-1) and the next.  The
-        # table starts at level-0 node 11, t = lo; from there on x and dx/dt
-        # are e^ln x and x d ln x/dt, bit for bit.
-        mapping, lo, hi, reach = _DE_MAPS[exponential]
+    def test_node_grid(self, exponential, count, end, level):
+        # One t-grid per map, from its reach to its top: level-0 node i at
+        # reach + i/2, level-L node i at reach + (2i + 1) h, h = 2^-(L+1),
+        # between level-0 nodes i >> (L-1) and the next.  The table runs
+        # from level-0 node 11, t = lo, to level-0 node end, t = hi; on it
+        # x and dx/dt are e^ln x and x d ln x/dt, bit for bit.  Above it,
+        # where the algebraic map's x overflows from t ~ 6.8 on, they are
+        # not made.
+        mapping, lo, hi, reach, top = _DE_MAPS[exponential]
         logs, dlogs, xs, ws = _de_nodes(exponential, level)
         coarse = _de_nodes(exponential, 0)[0]
         h = 0.5 ** (level + 1)
         size = (count - 1) << (level - 1) if level else count
         start = 11 << (level - 1) if level else 11
-        assert len(logs) == len(dlogs) == len(xs) == len(ws) == size
+        table = end << (level - 1) if level else end + 1  # the nodes up to t = hi
+        assert len(logs) == len(dlogs) == size and len(xs) == len(ws) == table
         for i in range(size):
             t = reach + (2 * i + 1) * h if level else reach + 0.5 * i
             assert (logs[i], dlogs[i]) == mapping(t) == _reference_de_node(exponential, t)
             assert math.isfinite(logs[i]) and dlogs[i] > 0.0
             if level:
                 assert coarse[i >> (level - 1)] < logs[i] < coarse[(i >> (level - 1)) + 1]
-            if i >= start:
+            if start <= i < table:
                 x = math.exp(logs[i])
                 assert (xs[i], ws[i]) == (x, x * dlogs[i])
             assert (t >= lo) == (i >= start)
-        assert reach + 0.5 * 11 == lo and hi == reach + 0.5 * (count - 1)
+            assert (t <= hi) == (i < table)
+        assert reach + 0.5 * 11 == lo and hi == reach + 0.5 * end
+        assert top == reach + 0.5 * (count - 1)
         assert sys.float_info.min < xs[start] and xs[-1] < math.inf
         if not level:
             assert xs[int(-2.0 * reach)] == (math.exp(-1.0) if exponential else 1.0)  # t = 0
+            assert coarse[-1] == (40.0 - math.exp(-40.0) if exponential
+                                  else 0.5 * math.pi * math.sinh(12.0))  # ln x ~ 1.28e5
 
     def test_import_builds_no_node_table(self):
         code = "import rmtkit; print(rmtkit.quadrature._de_nodes.cache_info().currsize)"

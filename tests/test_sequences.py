@@ -382,6 +382,60 @@ class TestShift:
         assert shifted.f_at_zero == pytest.approx(-2.0 / math.sqrt(math.pi), rel=1e-14)
 
 
+class TestLogClosedForm:
+    """L -> ln F(e^L), which continues the Mellin walk above the node table."""
+
+    PAIRS = [("geometric", {}), ("harmonic_shifted", {})] + [
+        ("power", {"m": m}) for m in (0.5, 1.0, 2.5, 4.881, 17.3)]
+
+    @pytest.mark.parametrize("id_, params", PAIRS)
+    def test_within_a_few_ulps_of_log_closed_form(self, id_, params):
+        # Wherever F(e^L) is a normal double: up to L ~ 709 for the slowly
+        # decaying forms, up to ln x ~ 708 / m for power.
+        pair = catalog_get(id_, **params)
+        rng = random.Random(11)
+        reach = 709.0 / max(1.0, params.get("m", 1.0))
+        points = [0.0, 1e-300, 1e-8, 0.5, 1.0, 5.999, 6.0, 36.0, 37.0] + [
+            rng.uniform(0.0, reach) for _ in range(400)]
+        checked = 0
+        for L in points:
+            F = pair.closed_form(math.exp(L))
+            if not F >= sys.float_info.min:
+                continue
+            want = math.log(F)
+            assert abs(pair.log_closed_form(L) - want) <= 4 * math.ulp(want), (L, want)
+            checked += 1
+        assert checked >= 300
+
+    def test_harmonic_form_stays_finite_up_to_the_grid_top(self):
+        # exp(e^L) would overflow from L ~ 6.6 on, and e^L itself from
+        # L ~ 709.8; the top of the algebraic DE grid is ln x ~ 1.28e5.
+        log_F = catalog_get("harmonic_shifted").log_closed_form
+        for L in (5.9, 6.0, 6.6, 709.0, 710.0, 1e4, 0.5 * math.pi * math.sinh(12.0), 1.3e5):
+            assert math.isfinite(log_F(L))
+        assert log_F(710.0) == -710.0
+
+    def test_geometric_shares_the_power_form_at_m_1(self):
+        geometric = catalog_get("geometric").log_closed_form
+        power = catalog_get("power", m=1.0).log_closed_form
+        assert all(geometric(L) == power(L) for L in (0.0, 0.7, 30.0, 800.0, 1.28e5))
+
+    @pytest.mark.parametrize("id_, params", [("exp", {"a": 2.0}), ("erf", {}),
+                                             ("laguerre_weight", {"n": 2.0})])
+    def test_other_catalog_pairs_carry_none(self, id_, params):
+        assert catalog_get(id_, **params).log_closed_form is None
+
+    def test_shifted_and_expression_pairs_carry_none(self):
+        from rmtkit import cli
+
+        assert shift_sequence(catalog_get("power", m=2.5), 1).log_closed_form is None
+        assert shift_sequence(catalog_get("harmonic_shifted"), 2).log_closed_form is None
+        args = cli._build_argparser().parse_args(
+            ["verify", "rmt", "--phi", "fact(k)", "--closed-form", "1/(1+x)", "--s", "0.5"])
+        args.params = {}
+        assert cli._expression_pair(args).log_closed_form is None
+
+
 class TestHarmonicDerivatives:
     def test_derivative_against_finite_differences(self):
         pair = catalog_get("harmonic_shifted")

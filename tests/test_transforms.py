@@ -37,6 +37,7 @@ from oracles import (
     frullani_log_simpson,
     hardy_quarter_integral,
     harmonic_half_integral,
+    reference_integrate_mellin,
     reference_nth_derivative_fd,
 )
 
@@ -567,20 +568,63 @@ _MP40.dps = 40
 
 
 class TestGeometricUnderReport:
-    # Near the lower edge the DE rule's walk toward 0 goes on below its
-    # node table and certifies; near the upper edge it still falls back to
-    # the geometric ends, whose estimate falls short.
+    # Near either edge the DE rule's walk goes on beyond its node table in
+    # ln x, below it from x^s F(x) and above it from the pair's log form,
+    # and certifies; the geometric ends, whose estimate fell short at both
+    # points, are not reached.
     @pytest.mark.parametrize("identity", [rmt, hardy], ids=["rmt", "hardy"])
-    @pytest.mark.parametrize("s", [
-        0.02053471370448894,
-        pytest.param(0.9661323334894547, marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 1: the estimate under-reports")),
-    ])
+    @pytest.mark.parametrize("s", [0.02053471370448894, 0.9661323334894547])
     def test_converged_estimate_covers_the_true_error(self, identity, s):
         report = identity(catalog_get("geometric"), s)
         exact = _MP40.pi / _MP40.sin(_MP40.pi * _MP40.mpf(s))
         if report.lhs.converged:
             assert abs(_MP40.mpf(report.lhs.value) - exact) <= report.lhs.error_estimate
+
+
+class TestUpperEdgeTail:
+    """rmt and hardy pass the pair's log form to integrate_mellin, whose
+    walk toward infinity then goes on above the DE node table."""
+
+    TIGHT = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("tight", [False, True], ids=["default", "tight"])
+    @pytest.mark.parametrize("identity, s, value, error", [
+        (rmt, 0.5, "0x1.921fb54442d19p+1", "0x1.3a28c59d54339p-45"),
+        (hardy, 0.3, "0x1.f10d6bc8e0e34p+1", "0x1.84527c34efb19p-45"),
+    ], ids=["rmt", "hardy"])
+    def test_walk_inside_the_table_keeps_its_bits(self, identity, s, value, error, tight):
+        # The values the rule gave before the walk could go on above the
+        # table: a walk that ends inside it makes the same terms.
+        lhs = identity(catalog_get("geometric"), s, self.TIGHT if tight else None).lhs
+        assert (lhs.value.hex(), lhs.error_estimate.hex(), lhs.evaluations) == (value, error, 91)
+
+    @pytest.mark.parametrize("tight, value, error, evaluations", [
+        (False, "0x1.9010d897b55f1p+6", "0x1.70868569a60b4p-30", 451),
+        (True, "0x1.9010d897afde2p+6", "0x1.75014ff84ecb3p-39", 691),
+    ], ids=["default", "tight"])
+    def test_pair_without_a_log_form_falls_back_as_before(self, tight, value, error,
+                                                          evaluations):
+        # An expression pair carries no log form: at s = 0.99 its walk runs
+        # off the table and the geometric ends give what they gave before.
+        cfg = self.TIGHT if tight else None
+        pair = replace(catalog_get("geometric"), log_closed_form=None)
+        lhs = rmt(pair, 0.99, cfg).lhs
+        assert (lhs.value.hex(), lhs.error_estimate.hex(), lhs.evaluations) == (
+            value, error, evaluations)
+        assert lhs == integrate_mellin(pair.closed_form, 0.99, cfg)
+
+    @pytest.mark.parametrize("tight", [False, True], ids=["default", "tight"])
+    @pytest.mark.parametrize("identity", [rmt, hardy], ids=["rmt", "hardy"])
+    def test_log_form_keeps_the_upper_edge_on_the_de_rule(self, identity, tight):
+        # 119 evaluations where the geometric ends took 451 and 691, the
+        # tight one under-reporting.
+        cfg = self.TIGHT if tight else None
+        pair = catalog_get("geometric")
+        lhs = identity(pair, 0.99, cfg).lhs
+        expected = reference_integrate_mellin(pair.closed_form, 0.99, cfg, pair.log_closed_form)
+        assert lhs == expected and lhs.converged and lhs.evaluations == 119
+        exact = _MP40.pi / _MP40.sin(_MP40.pi * _MP40.mpf(0.99))
+        assert abs(_MP40.mpf(lhs.value) - exact) <= lhs.error_estimate
 
 
 class TestIdentityReport:
