@@ -23,11 +23,11 @@ from dataclasses import replace
 from . import transforms
 from .corpus import builtin_cases, run_corpus, scale_tolerances
 from .errors import DerivativeUnavailable, ExprSyntaxError, RmtError
-# bench/tracer.py patches cli.evaluate by name, so cli keeps importing it.
+# bench/tracer.py patches cli.evaluate and cli.nth_derivative_fd by name: keep both.
 from .expr import compile_expr, evaluate, parse  # noqa: F401
 from .quadrature import QuadratureConfig
 from .sequences import SeriesPair, catalog_get, catalog_ids
-from .transforms import FD_MAX_ORDER, IdentityReport, nth_derivative_fd
+from .transforms import FD_MAX_ORDER, IdentityReport, nth_derivative_fd  # noqa: F401
 
 __all__ = ["main"]
 
@@ -43,6 +43,8 @@ _RECORD_KEYS = (
     "evaluations",
     "warnings",
 )
+
+_FD_STEP = 0.05  # the default --fd-step, the only one a catalog pair takes
 
 
 class _InputError(Exception):
@@ -155,14 +157,16 @@ def _expression_pair(args: argparse.Namespace) -> SeriesPair:
         raise _InputError("--param: k and x are the free variables of --phi and --closed-form")
     phi = compile_expr(phi_node, bindings, "k")
     closed = compile_expr(closed_node, bindings, "x")
-    step = args.fd_step
     if args.fd_derivatives:
-        transforms.positive_tolerance(step, "--fd-step")
+        transforms.positive_tolerance(args.fd_step, "--fd-step")
+    fds = {}  # order -> its derivative, built (order and step checked) on first use
 
     def derivative(order: int, x: float) -> float:
         if order == 0:
             return closed(x)
-        return nth_derivative_fd(closed, x, order, step).value
+        if order not in fds:
+            fds[order] = transforms._fd_derivative(closed, order, args.fd_step)
+        return fds[order](x)
 
     flags = [("--f0", args.f0), ("--finf", args.finf)]
     flags += [(f"--param {name}", value) for name, value in bindings.items()]
@@ -190,6 +194,10 @@ def _build_pair(args: argparse.Namespace) -> SeriesPair:
         return _expression_pair(args)
     if not args.catalog:
         raise _InputError("select a pair with --catalog or --phi/--closed-form")
+    flags = {"--f0": args.f0 is not None, "--finf": args.finf is not None,
+             "--fd-derivatives": args.fd_derivatives, "--fd-step": args.fd_step != _FD_STEP}
+    if given := [flag for flag, on in flags.items() if on]:
+        raise _InputError(f"--catalog pairs take no {', '.join(given)} (expression pairs only)")
     return catalog_get(args.catalog, **args.params)
 
 
@@ -321,7 +329,7 @@ def _build_argparser() -> argparse.ArgumentParser:
         action="store_true",
         help=f"finite-difference derivatives for expression pairs (orders 1..{FD_MAX_ORDER})",
     )
-    verify.add_argument("--fd-step", type=float, default=0.05)
+    verify.add_argument("--fd-step", type=float, default=_FD_STEP)
     verify.add_argument("--tol", type=float, default=None, help="identity tolerance")
     add_quad_flags(verify)
     verify.set_defaults(func=_cmd_verify)

@@ -20,9 +20,9 @@ insignificant.
 ``fact(x)`` is defined as gamma(x+1) so it accepts real arguments.
 There are no user-defined functions or conditionals; evaluation is strict,
 bottom-up, in double precision.  ``compile_expr`` turns a tree once into
-one closure per node and reads every bound name then, so a later
-evaluation walks no tree and a builtin call passes its argument values
-straight to the function; ``evaluate`` compiles and calls once.
+one closure per node that reads the free variable, folding each
+variable-free subtree to its value then, so a later evaluation walks no
+tree and recomputes no constant; ``evaluate`` compiles and calls once.
 """
 
 from __future__ import annotations
@@ -286,7 +286,8 @@ def _fact(x: float) -> float:
 
 
 # name -> (arity, function).  The specfun functions are looked up when
-# called, so a function replaced on specfun is the one expressions reach.
+# called, so a function replaced on specfun is the one expressions reach;
+# a variable-free call reads it once, when compile_expr folds the call.
 _BUILTINS: dict[str, tuple[int, Callable[..., float]]] = {
     "exp": (1, math.exp),
     "ln": (1, math.log),
@@ -300,6 +301,8 @@ _BUILTINS: dict[str, tuple[int, Callable[..., float]]] = {
 }
 BUILTIN_FUNCTIONS: dict[str, int] = {name: arity for name, (arity, _) in _BUILTINS.items()}
 
+_UNFOLDED = object()  # stands for the value of a subtree that reads the variable or raises
+
 
 def compile_expr(
     node: ExprNode, bindings: Mapping[str, float], variable: str | None
@@ -308,74 +311,101 @@ def compile_expr(
 
     Every other name is read from ``bindings`` once, here, as a float;
     with ``variable`` None every name is, and the argument goes unused.
-    Each node becomes one closure, and a call passes its argument values
-    to the builtin directly.  Evaluation is strict, bottom-up, in double
-    precision, and an error is raised only when evaluation reaches it, so
-    ``1/0 + q`` with ``q`` unbound raises DivisionByZero as a left-to-right
-    walk would.
+    Each node that reads ``variable`` becomes one closure, and a call
+    passes its argument values to the builtin directly.  A variable-free
+    subtree is evaluated once, here, and its parent captures the value.
+    Evaluation is strict, bottom-up, in double precision, and an error is
+    raised only when evaluation reaches it (a subtree that raises is not
+    folded), so ``1/0 + q`` with ``q`` unbound raises DivisionByZero as a
+    left-to-right walk would.
     """
+    return _compile(node, bindings, variable)[0]
+
+
+def _compile(node: ExprNode, bindings, variable) -> tuple[Callable[[float], float], object]:
+    """(closure, value) for ``node``: the value it folds to, or _UNFOLDED."""
     if isinstance(node, Constant):
         value = node.value
-        return lambda x: value
+        return (lambda x: value), value
     if isinstance(node, Variable):
         name = node.name
         if name == variable:
-            return float
+            return float, _UNFOLDED
         try:
             value = float(bindings[name])
         except KeyError:
             return _raises(UnboundVariable, f"variable {name!r} is not bound")
-        return lambda x: value
+        return (lambda x: value), value
     if isinstance(node, UnaryNeg):
-        child = compile_expr(node.child, bindings, variable)
-        return lambda x: -child(x)
+        child, value = _compile(node.child, bindings, variable)
+        return _fold(lambda x: -child(x), value)
     if isinstance(node, BinaryOp):
         return _compile_binary(
             node.op,
-            compile_expr(node.left, bindings, variable),
-            compile_expr(node.right, bindings, variable),
+            _compile(node.left, bindings, variable),
+            _compile(node.right, bindings, variable),
         )
     if isinstance(node, Call):
         return _compile_call(node, bindings, variable)
     return _raises(DomainError, f"unknown node type {type(node).__name__}")
 
 
-def _raises(error: type[Exception], *args) -> Callable[[float], float]:
+def _fold(closure: Callable[[float], float], *operands) -> tuple[Callable[[float], float], object]:
+    """(x -> value, value) with closure's value when every operand folded and
+    evaluating it raises nothing; else (closure, _UNFOLDED)."""
+    if _UNFOLDED not in operands:
+        try:
+            value = closure(0.0)
+            return (lambda x: value), value
+        except Exception:
+            pass
+    return closure, _UNFOLDED
+
+
+def _raises(error: type[Exception], *args) -> tuple[Callable[[float], float], object]:
     def fail(x: float) -> float:
         raise error(*args)
 
-    return fail
+    return fail, _UNFOLDED
 
 
-def _compile_binary(op: str, left, right) -> Callable[[float], float]:
-    if op == "+":
-        return lambda x: left(x) + right(x)
-    if op == "-":
-        return lambda x: left(x) - right(x)
-    if op == "*":
-        return lambda x: left(x) * right(x)
-    if op == "/":
-
-        def divide(x: float) -> float:
-            numerator = left(x)
-            denominator = right(x)
-            if denominator == 0.0:
-                raise DivisionByZero(f"division by zero: {numerator!r} / 0")
-            return numerator / denominator
-
-        return divide
-    if op == "^":
-        return lambda x: _apply_power(left(x), right(x))
-
-    def unknown(x: float) -> float:
-        left(x)
-        right(x)
-        raise DomainError(f"unknown operator {op!r}")
-
-    return unknown
+def _quotient(numerator: float, denominator: float) -> float:
+    if denominator == 0.0:
+        raise DivisionByZero(f"division by zero: {numerator!r} / 0")
+    return numerator / denominator
 
 
-def _compile_call(node: Call, bindings, variable) -> Callable[[float], float]:
+# op -> the closure of (left op right) from two closures, from a folded left
+# value and a closure, and from a closure and a folded right value; a
+# folded value is captured, and a nonzero folded divisor needs no zero test.
+_BINARY = {
+    "+": (lambda f, g: lambda x: f(x) + g(x), lambda a, g: lambda x: a + g(x),
+          lambda f, b: lambda x: f(x) + b),
+    "-": (lambda f, g: lambda x: f(x) - g(x), lambda a, g: lambda x: a - g(x),
+          lambda f, b: lambda x: f(x) - b),
+    "*": (lambda f, g: lambda x: f(x) * g(x), lambda a, g: lambda x: a * g(x),
+          lambda f, b: lambda x: f(x) * b),
+    "/": (lambda f, g: lambda x: _quotient(f(x), g(x)), lambda a, g: lambda x: _quotient(a, g(x)),
+          lambda f, b: (lambda x: f(x) / b) if b != 0.0 else lambda x: _quotient(f(x), b)),
+    "^": (lambda f, g: lambda x: _apply_power(f(x), g(x)),
+          lambda a, g: lambda x: _apply_power(a, g(x)),
+          lambda f, b: lambda x: _apply_power(f(x), b)),
+}
+
+
+def _compile_binary(op: str, left, right) -> tuple[Callable[[float], float], object]:
+    """(closure, value) of ``left op right`` from its operands' pairs."""
+    (f, a), (g, b) = left, right
+    if op in _BINARY:
+        both, left_folded, right_folded = _BINARY[op]
+        closure = (left_folded(a, g) if a is not _UNFOLDED
+                   else both(f, g) if b is _UNFOLDED else right_folded(f, b))
+        return _fold(closure, a, b)
+    fail, _ = _raises(DomainError, f"unknown operator {op!r}")
+    return (lambda x: fail((f(x), g(x)))), _UNFOLDED  # both operands first, as a walk would
+
+
+def _compile_call(node: Call, bindings, variable) -> tuple[Callable[[float], float], object]:
     name = node.fn
     builtin = _BUILTINS.get(name)
     if builtin is None:
@@ -383,10 +413,10 @@ def _compile_call(node: Call, bindings, variable) -> Callable[[float], float]:
     arity, fn = builtin
     if len(node.args) != arity:  # hand-built: parse rejects such a call
         return _raises(DomainError, f"{name} takes {arity} argument(s), got {len(node.args)}")
-    args = [compile_expr(a, bindings, variable) for a in node.args]
+    args = [_compile(a, bindings, variable) for a in node.args]
     if name == "pow":  # '^', whose _apply_power raises no ValueError
         return _compile_binary("^", *args)
-    (arg,) = args
+    ((arg, value),) = args
 
     def call(x: float) -> float:
         value = arg(x)
@@ -395,7 +425,7 @@ def _compile_call(node: Call, bindings, variable) -> Callable[[float], float]:
         except ValueError:  # math.log, math.sqrt, math.sin, math.cos off their domains
             raise DomainError(f"{name} undefined at {value!r}") from None
 
-    return call
+    return _fold(call, value)
 
 
 def evaluate(node: ExprNode, env: Mapping[str, float]) -> float:

@@ -182,8 +182,7 @@ def lemma2(
     refuse_order_above(pair.label, n, pair.derivative_max)
 
     rhs = (-1.0) ** (n - 1) * (pair.f_at_infinity - pair.f_at_zero) * specfun.gamma(float(n))
-    derivative = pair.derivative
-    lhs = integrate_mellin(lambda x: derivative(n, x), float(n), cfg,
+    lhs = integrate_mellin(functools.partial(pair.derivative, n), float(n), cfg,
                            smooth=pair.smooth_derivatives)
     return _report("lemma2", lhs, rhs, tolerance)
 
@@ -324,12 +323,27 @@ def _stencil(n: int, h: float) -> tuple[tuple[tuple[float, float], ...], float]:
     return tuple((math.comb(n, i) * (-1.0) ** i, (n / 2.0 - i) * h) for i in range(n + 1)), scale
 
 
-def _central_difference(f: Callable[[float], float], x: float, n: int, h: float) -> float:
-    weights, scale = _stencil(n, h)
-    total = 0.0
-    for weight, offset in weights:
-        total += weight * f(x + offset)
-    return total / scale
+def _fd_derivative(f: Callable[[float], float], n: int, h: float):
+    """x -> nth_derivative_fd(f, x, n, h).value (with ``estimate``, the whole
+    result), the order and step checked and both stencils fetched here, once."""
+    n = integer_in(n, 1, FD_MAX_ORDER, DomainError,
+                   "nth_derivative_fd: n must be in 1..%s, got %s", FD_MAX_ORDER, n)
+    positive_tolerance(h, "nth_derivative_fd: h")
+    coarse_weights, coarse_scale = _stencil(n, h)
+    fine_weights, fine_scale = _stencil(n, h / 2.0)
+
+    def derivative(x: float, estimate: bool = False):
+        coarse = fine = 0.0
+        for weight, offset in coarse_weights:
+            coarse += weight * f(x + offset)
+        for weight, offset in fine_weights:
+            fine += weight * f(x + offset)
+        coarse, fine = coarse / coarse_scale, fine / fine_scale
+        # Both levels carry O(h^2) leading error; eliminate it.
+        value = (4.0 * fine - coarse) / 3.0
+        return FdDerivative(value, abs(fine - coarse)) if estimate else value
+
+    return derivative
 
 
 def nth_derivative_fd(
@@ -345,11 +359,4 @@ def nth_derivative_fd(
     two levels.  Accuracy degrades with n roughly like machine-eps^(2/(n+2)),
     documented rather than guaranteed.
     """
-    n = integer_in(n, 1, FD_MAX_ORDER, DomainError,
-                   "nth_derivative_fd: n must be in 1..%s, got %s", FD_MAX_ORDER, n)
-    positive_tolerance(h, "nth_derivative_fd: h")
-    coarse = _central_difference(f, x, n, h)
-    fine = _central_difference(f, x, n, h / 2.0)
-    # Both levels carry O(h^2) leading error; eliminate it.
-    value = (4.0 * fine - coarse) / 3.0
-    return FdDerivative(value, abs(fine - coarse))
+    return _fd_derivative(f, n, h)(x, estimate=True)

@@ -1,11 +1,18 @@
 """CLI contract: exit codes, golden output, JSON round-trips."""
 
+import collections
 import json
+import math
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+from oracles import reference_nth_derivative_fd
+
+from rmtkit.errors import DomainError
+from rmtkit.transforms import FD_MAX_ORDER
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -422,6 +429,25 @@ class TestInputErrors:
         assert err.startswith("error: --phi/--closed-form: number '1e999' exceeds double range")
         assert out == ""
 
+    @pytest.mark.parametrize("flags", [
+        ["--f0", "2"], ["--finf", "0"], ["--fd-derivatives"], ["--fd-step", "0.01"],
+    ], ids=lambda flags: flags[0])
+    def test_expression_pair_flag_with_catalog_is_input_error(self, capsys, flags):
+        code, out, err = run_in_process(
+            capsys, "verify", "lemma2", "--catalog", "exp", "--n", "1", *flags
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --catalog pairs take no {flags[0]} (expression pairs only)\n"
+
+    def test_every_expression_pair_flag_with_catalog_is_named(self, capsys):
+        code, out, err = run_in_process(
+            capsys, "verify", "frullani", "--catalog", "exp", "--alpha", "2", "--beta", "1",
+            "--fd-step", "nan", "--finf", "1", "--fd-derivatives", "--f0", "0",
+        )
+        assert (code, out) == (2, "")
+        assert err == ("error: --catalog pairs take no --f0, --finf, --fd-derivatives, "
+                       "--fd-step (expression pairs only)\n")
+
     def test_expression_pair_without_derivatives_suggests_fd(self, capsys):
         code, out, err = run_in_process(
             capsys, "verify", "lemma2", "--phi", "1", "--closed-form", "exp(-x)", "--n", "1"
@@ -517,6 +543,81 @@ class TestExpressionPairs:
         code, out, _ = run_in_process(
             capsys, "verify", "rmt", "--catalog", "geometric", "--s", "0.99", "--json")
         assert code == 0 and json.loads(out)["evaluations"] == 119
+
+
+def expression_pair(*argv: str):
+    """The pair ``rmtkit verify lemma2`` builds from ``argv``."""
+    from rmtkit import cli
+
+    args = cli._build_argparser().parse_args(["verify", "lemma2", *argv])
+    args.params = cli._parse_params(args.param)
+    return cli._build_pair(args)
+
+
+FD_PAIR = ("--phi", "a^k", "--closed-form", "exp(-a*x)", "--param", "a=0.7", "--fd-derivatives")
+
+
+class TestFdDerivatives:
+    """The expression pair's finite-difference derivative, built once per
+    order: the same bits as nth_derivative_fd, its errors, and no checks
+    left on an evaluation."""
+
+    @pytest.mark.parametrize("h", [0.05, 0.02, 1e-3])
+    @pytest.mark.parametrize("closed_form", ["exp(-a*x)", "1/(1+x^2)"])
+    def test_values_match_the_reference_bit_for_bit(self, closed_form, h):
+        pair = expression_pair("--phi", "1", "--closed-form", closed_form, "--param", "a=0.7",
+                               "--fd-derivatives", "--fd-step", repr(h))
+        for order in range(1, FD_MAX_ORDER + 1):
+            # From x = 0, where the stencil reaches below 0, to x >> n h / 2.
+            for x in (0.0, order * h / 8.0, order * h / 3.0, 0.3, 1.0, 7.5):
+                expected = reference_nth_derivative_fd(pair.closed_form, x, order, h)[0]
+                assert pair.derivative(order, x).hex() == expected.hex(), (order, x)
+        assert pair.derivative(2.0, 0.3) == pair.derivative(2, 0.3)
+        assert pair.derivative(True, 0.3) == pair.derivative(1, 0.3)
+        assert pair.derivative(0, 0.3) == pair.closed_form(0.3)
+
+    @pytest.mark.parametrize("order", [2.5, math.nan, -1, FD_MAX_ORDER + 1])
+    def test_orders_outside_1_to_6_are_refused(self, order):
+        pair = expression_pair(*FD_PAIR)
+        message = f"nth_derivative_fd: n must be in 1..{FD_MAX_ORDER}, got {order}"
+        for _ in range(2):  # a refused order is refused on every call
+            with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+                pair.derivative(order, 0.5)
+
+    @pytest.mark.parametrize("h, order, message", [
+        ("1e-100", 4, "nth_derivative_fd: step h=1e-100 is too small: h**4 underflows to 0"),
+        ("1e300", 2, "nth_derivative_fd: step h=1e+300 is too large: h**2 overflows"),
+    ])
+    def test_step_errors_keep_their_text(self, h, order, message):
+        pair = expression_pair(*FD_PAIR, "--fd-step", h)
+        for _ in range(2):
+            with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+                pair.derivative(order, 0.5)
+
+    def test_an_evaluation_makes_no_check(self):
+        pair = expression_pair(*FD_PAIR)
+        pair.derivative(2, 0.5)  # the first use of order 2 builds its closure
+        calls = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[pathlib.Path(frame.f_code.co_filename).stem, frame.f_code.co_name] += 1
+
+        sys.setprofile(profile)
+        try:
+            pair.derivative(2, 0.5)
+        finally:
+            sys.setprofile(None)
+        # The pair's derivative, the order-2 closure, and three stencil points
+        # at each of two steps, each the call of exp and its product -a*x,
+        # whose -a is folded: no nth_derivative_fd, integer_in,
+        # positive_tolerance or _stencil frame.
+        assert calls == {
+            ("cli", "derivative"): 1,
+            ("transforms", "derivative"): 1,
+            ("expr", "call"): 6,
+            ("expr", "<lambda>"): 6,
+        }
 
 
 class TestWarnings:

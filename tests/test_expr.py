@@ -525,18 +525,45 @@ class TestCompiled:
             sys.setprofile(None)
         return calls
 
-    # One frame per closure node, and none for an argument list: the free
-    # variable compiles to float and the math functions are C, so neither
-    # makes a Python frame, while pow's _apply_power makes one.
+    # One frame per closure node that reads x, and none for an argument list
+    # or a variable-free subtree: the free variable compiles to float and
+    # the math functions are C, so neither makes a Python frame; numbers,
+    # bound names and -a fold into the parents, which capture their values;
+    # pow's _apply_power and the zero-tested division's _quotient make one.
     @pytest.mark.parametrize("source, frames", [
-        ("exp(-a*x)", 4),
+        ("exp(-a*x)", 2),
         ("exp(-sqrt(x))", 3),
-        ("pow(x, 2)", 3),
-        ("1/(1+c*x)", 6),
+        ("pow(x, 2)", 2),
+        ("1/(1+c*x)", 4),
     ])
     def test_one_frame_per_closure_node(self, source, frames):
         f = compile_expr(parse(source), {"a": 2.0, "c": 3.0}, "x")
         assert self._python_calls(f, 0.5) == frames
+
+    def test_a_variable_free_tree_folds_to_one_frame(self):
+        f = compile_expr(parse("exp(-a) * gamma(c) / (1 + pow(a, c))"), {"a": 2.0, "c": 3.0}, "x")
+        assert self._python_calls(f, 0.5) == 1
+        assert f(0.5) == math.exp(-2.0) * 2.0 / 9.0
+
+    # Variable-free subtrees whose evaluation raises: folding must leave
+    # each error to the evaluation that reaches it.
+    RAISING = ["ln(0)", "sqrt(-1)", "exp(1000)", "1/0", "gamma(0)", "fact(-1)",
+               "pow(0, -1)", "q"]
+
+    @pytest.mark.parametrize("subtree", RAISING)
+    @pytest.mark.parametrize("template", ["x + {}", "{} * x", "exp(x - {})", "{} / (1 + x)"])
+    def test_folding_keeps_errors_lazy(self, subtree, template):
+        tree = parse(template.format(subtree))
+        compiled = compile_expr(tree, self.BINDINGS, "x")  # raises nothing
+        for x in self.POINTS:
+            expected = _outcome(lambda: reference_evaluate(tree, {**self.BINDINGS, "x": x}))
+            assert issubclass(expected[0], Exception), (tree, x)
+            assert _outcome(lambda: compiled(x)) == expected, (tree, x)
+
+    def test_first_error_wins_after_folding(self):
+        compiled = compile_expr(parse("1/0 + q"), {}, "x")
+        with pytest.raises(DivisionByZero, match=r"^division by zero: 1\.0 / 0$"):
+            compiled(0.5)
 
 
 def _parse_outcome(parser, source):

@@ -10,6 +10,7 @@ import math
 from typing import Callable, NamedTuple
 
 import pytest
+from test_cli import FD_PAIR, expression_pair
 
 from rmtkit.errors import DerivativeUnavailable, DomainError, ParamDomainError, RmtError
 from rmtkit.sequences import catalog_get, eval_series, shift_sequence
@@ -63,6 +64,7 @@ def _degree_entry(polynomial, name):
 
 def _entries():
     exp = catalog_get("exp")
+    fd_pair = expression_pair(*FD_PAIR)
     harmonic = catalog_get("harmonic_shifted")  # derivative_max 6
     return {
         "eval_series max_terms": Entry(
@@ -114,6 +116,12 @@ def _entries():
             lambda v: residue_check(exp, v, 1e-4),
             0, math.inf,
             lambda v: (DomainError, "residue_check: m must be a non-negative integer"),
+        ),
+        # Order 0 is the closed form; the others are nth_derivative_fd's orders.
+        "expression pair FD derivative": Entry(
+            lambda v: fd_pair.derivative(v, 0.5),
+            0, FD_MAX_ORDER,
+            lambda v: (DomainError, f"nth_derivative_fd: n must be in 1..{FD_MAX_ORDER}, got {v}"),
         ),
         "nth_derivative_fd n": Entry(
             lambda v: nth_derivative_fd(math.exp, 0.5, v, 1e-3),
