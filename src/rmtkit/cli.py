@@ -26,7 +26,7 @@ from .errors import DerivativeUnavailable, ExprSyntaxError, RmtError
 # bench/tracer.py patches cli.evaluate and cli.nth_derivative_fd by name: keep both.
 from .expr import compile_expr, evaluate, parse  # noqa: F401
 from .quadrature import QuadratureConfig
-from .sequences import SeriesPair, catalog_get, catalog_ids
+from .sequences import SeriesPair, catalog_get, catalog_ids, refuse_order_above
 from .transforms import FD_MAX_ORDER, IdentityReport, nth_derivative_fd  # noqa: F401
 
 __all__ = ["main"]
@@ -161,12 +161,15 @@ def _expression_pair(args: argparse.Namespace) -> SeriesPair:
         transforms.positive_tolerance(args.fd_step, "--fd-step")
     fds = {}  # order -> its derivative, built (order and step checked) on first use
 
+    def fd(order: int):
+        if not args.fd_derivatives:  # only the closed form itself is known
+            refuse_order_above("expression pair", order, 0)
+        return fds.setdefault(order, transforms._fd_derivative(closed, order, args.fd_step))
+
     def derivative(order: int, x: float) -> float:
         if order == 0:
             return closed(x)
-        if order not in fds:
-            fds[order] = transforms._fd_derivative(closed, order, args.fd_step)
-        return fds[order](x)
+        return (fds.get(order) or fd(order))(x)
 
     flags = [("--f0", args.f0), ("--finf", args.finf)]
     flags += [(f"--param {name}", value) for name, value in bindings.items()]
@@ -183,7 +186,8 @@ def _expression_pair(args: argparse.Namespace) -> SeriesPair:
         convergence_radius=math.inf,
         phi_plain=phi,
         label="expression pair",
-        smooth_derivatives=not args.fd_derivatives,
+        derivative_with_noise=(lambda order, x: (fds.get(order) or fd(order))(x, noise=True))
+        if args.fd_derivatives else None,
     )
 
 

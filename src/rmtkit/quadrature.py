@@ -34,7 +34,8 @@ max_tail_panels and max_subdivisions bound these ends; the DE rule has its
 own fixed level cap.  ``evaluations`` counts every call of the integrand,
 an abandoned DE attempt's included.  A Mellin integral is the
 semi-infinite integral of x^(s-1) F(x); an F with noise far above rounding
-(finite-difference derivatives) goes straight to the geometric ends.  Tail
+(finite-difference derivatives) returns an error with each value, which
+joins the DE rule's floor weighted as the value is.  Tail
 panels [lo, 2 lo] are integrated in the log-spaced coordinate u,
 x = lo 2^u, where an algebraic tail x^p is the smooth exponential
 2^((p+1)u) that one 15-point panel resolves; in x, each such panel is
@@ -500,6 +501,7 @@ def _double_exponential(
     values: list,
     head: Callable[[float], float] | None = None,
     tail: Callable[[float], float] | None = None,
+    noisy: bool = False,
 ):
     """The trapezoid rule in t after a double-exponential map, or None when
     it cannot certify its result.  Appends x f(x) at the two probes, then
@@ -525,8 +527,23 @@ def _double_exponential(
     then, and no route certifies a floor above the tolerance.  None when a
     value is not finite, a walk runs off its range or meets only zeros, or
     no level up to h = 1/32 returns.  T is a math.fsum; sum|terms| adds in
-    the order the terms were made.
+    the order the terms were made.  Given ``noisy``, f and head return
+    (value, error), and h sum |error| dx/dt (d ln x/dt for head's) joins the floor.
     """
+    errors = []  # x |error| of each of f's values, |error| of each of head's
+    if noisy:
+        f_pair, head_pair = f, head
+
+        def f(x: float) -> float:
+            value, error = f_pair(x)
+            errors.append(x * abs(error))
+            return value
+
+        def head(log_x: float) -> float:
+            value, error = head_pair(log_x)
+            errors.append(abs(error))
+            return value
+
     near = 16.0 * f(16.0)
     values.append(near)
     far = 64.0 * f(64.0)
@@ -565,7 +582,7 @@ def _double_exponential(
         return None  # every term 0: no sign of where the mass of f lies
     right, left = ends
     h = 0.5
-    total = last_change = 0.0
+    total = last_change = noise = 0.0
     for level in range(_DE_LEVELS):
         if level:
             logs, dlogs, xs, ws = _de_nodes(exponential, level)
@@ -578,10 +595,14 @@ def _double_exponential(
             if right > end:
                 values.extend(map(operator.mul, map(tail, logs[len(xs):hi]), dlogs[len(xs):hi]))
             h *= 0.5
+        if noisy:  # this level's errors times d ln x/dt, in the order its terms were made
+            weights = (dlogs[left << (level - 1):right << (level - 1)] if level
+                       else dlogs[centre:right + 1] + dlogs[left:centre][::-1])
+            noise += sum(map(operator.mul, errors[-len(weights):], weights))
         terms = values[2:]
-        # A plain sum never raises: inf or NaN when a term is not finite, as
-        # after a walk that met one.
-        floor = _ROUNDOFF * h * sum(map(abs, terms))
+        # A plain sum never raises: inf or NaN when a term or an error is not
+        # finite, as after a walk that met one.
+        floor = _ROUNDOFF * h * sum(map(abs, terms)) + h * noise
         if not floor < math.inf:
             return None
         # Finite terms with a finite sum of magnitudes: the fsum is finite.
@@ -617,18 +638,20 @@ def _semi_infinite(
     cfg: QuadratureConfig,
     head: Callable[[float], float] | None = None,
     tail: Callable[[float], float] | None = None,
+    noisy: bool = False,
 ) -> EvaluationResult:
-    """The double-exponential attempt, ``head`` and ``tail`` passed on to
-    it, then the geometric ends when it returns None."""
+    """The double-exponential attempt, ``head``, ``tail`` and ``noisy``
+    passed on to it, then the geometric ends when it returns None; given
+    ``noisy``, the ends integrate the values of f alone."""
     values = []
     raised = 0
     try:
-        result = _double_exponential(f, cfg, values, head, tail)
+        result = _double_exponential(f, cfg, values, head, tail, noisy)
     except Exception:  # the geometric ends raise it again, or do without the attempt
         result, raised = None, 1  # count the call that raised
     if result is not None:
         return result
-    return _geometric_ends(f, cfg, len(values) + raised)
+    return _geometric_ends((lambda x: f(x)[0]) if noisy else f, cfg, len(values) + raised)
 
 
 def integrate_semi_infinite(
@@ -675,12 +698,32 @@ def integrate_mellin(
     s near the strip's upper edge, with its mass beyond the largest double,
     stays on the DE rule too.  Without it that walk ends at the table and
     such an s falls back to the geometric ends.  smooth=False says that F
-    carries noise far above rounding, as finite-difference derivatives do;
-    a DE level difference cannot see that noise, so the integral goes
-    straight to the geometric ends.
+    returns (value, error), the error bounding noise far above rounding, as
+    in finite-difference derivatives, which no DE level difference can see;
+    each error, weighted as its value, joins the DE rule's floor, log_F is
+    not used, and the geometric ends integrate the values alone.
     """
     if not 0.0 < s < math.inf:
         raise DomainError(f"integrate_mellin: requires finite s > 0, got {s!r}")
+    cfg = cfg or QuadratureConfig()
+    if smooth:
+        integrand, head, tail = _mellin_terms(F, s, log_F)
+        return _semi_infinite(integrand, cfg, head, tail if log_F else None)
+    error = [0.0]  # the error of F's last value
+
+    def value(x: float) -> float:
+        v, error[0] = F(x)
+        return v
+
+    # The errors run through the terms the values do, so they take the same weights.
+    value_integrand, value_head, _ = _mellin_terms(value, s, None)
+    error_integrand, error_head, _ = _mellin_terms(lambda x: error[0], s, None)
+    return _semi_infinite(lambda x: (value_integrand(x), error_integrand(x)), cfg,
+                          lambda log_x: (value_head(log_x), error_head(log_x)), None, True)
+
+
+def _mellin_terms(F: Callable[[float], float], s: float, log_F: Callable[[float], float] | None):
+    """x^(s-1) F(x), and x^s F(x) at x = e^log_x below and above the node table."""
     power = s - 1.0
 
     def integrand(x: float) -> float:
@@ -709,7 +752,4 @@ def integrate_mellin(
         # x^s F(x) at x = e^log_x above the node table, where x may overflow.
         return math.exp(s * log_x + log_F(log_x))
 
-    cfg = cfg or QuadratureConfig()
-    if smooth:
-        return _semi_infinite(integrand, cfg, head, tail if log_F else None)
-    return _geometric_ends(integrand, cfg)
+    return integrand, head, tail

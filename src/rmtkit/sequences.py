@@ -69,11 +69,13 @@ class SeriesPair:
     at an integer order from 0 to derivative_max (2.0 means 2); catalog
     and shifted pairs raise DomainError at a negative or non-integral order
     and DerivativeUnavailable above derivative_max, a contract implemented
-    once, by _per_order, on errors.integer_in.  phi_plain, when set, gives
+    once, by _PerOrder, on errors.integer_in.  phi_plain, when set, gives
     the plain coefficients: F(x) = sum phi_plain(k) (-x)^k, so phi(k) =
     k! phi_plain(k).  phi_highprec(k), when set, is phi(k) as an mpmath number.
-    smooth_derivatives is False when derivative values carry noise far above
-    rounding, as finite differences do; lemma2 passes it to integrate_mellin.
+    derivative_with_noise, when set, is (derivative(order, x), error) for
+    orders 1 to derivative_max, for derivatives whose values carry noise far
+    above rounding, as finite differences do; lemma2 then integrates it with
+    integrate_mellin(smooth=False), which adds the errors to its floor.
     log_closed_form, when set, is L -> ln F(e^L) for L >= 0, F > 0 there,
     finite up to L ~ 1.28e5 where x = e^L overflows; rmt and hardy pass it to
     integrate_mellin, whose walk toward infinity it continues.  It restates
@@ -91,7 +93,7 @@ class SeriesPair:
     phi_plain: Callable[[float], float] | None = None
     phi_highprec: Callable[[int], object] | None = None
     label: str = "pair"
-    smooth_derivatives: bool = True
+    derivative_with_noise: Callable[[int, float], tuple[float, float]] | None = None
     log_closed_form: Callable[[float], float] | None = None
 
     @property
@@ -158,23 +160,28 @@ def shift_sequence(pair: SeriesPair, n: int) -> SeriesPair:
     base_phi = pair.phi
     base_deriv = pair.derivative
     base_hp = pair.phi_highprec
+    base_noisy = pair.derivative_with_noise
     label = f"{pair.label} shifted by {n}"
     derivative_max = pair.derivative_max - n
     # The catalog's contract, so a negative order cannot reach the base
     # pair's lower derivatives.
-    base_order = _per_order(label, derivative_max, lambda order: n + order)
+    base_order = _PerOrder(label, derivative_max, lambda order: n + order)
+
+    def derivative_with_noise(order: int, x: float) -> tuple[float, float]:
+        value, error = base_noisy(base_order[order], x)
+        return sign * value, error
 
     return SeriesPair(
         phi=lambda k: base_phi(n + k),
         closed_form=lambda x: sign * base_deriv(n, x),
-        derivative=lambda order, x: sign * base_deriv(base_order(order), x),
+        derivative=lambda order, x: sign * base_deriv(base_order[order], x),
         derivative_max=derivative_max,
         f_at_zero=sign * base_deriv(n, 0.0),
         f_at_infinity=0.0,
         convergence_radius=pair.convergence_radius,
         phi_highprec=(lambda k: base_hp(n + k)) if base_hp else None,
         label=label,
-        smooth_derivatives=pair.smooth_derivatives,
+        derivative_with_noise=derivative_with_noise if base_noisy else None,
     )
 
 
@@ -213,17 +220,21 @@ def refuse_order_above(label: str, order: float, derivative_max: int) -> None:
         )
 
 
-def _per_order(label: str, derivative_max: int, constants: Callable[[int], object]):
-    """constants(order), cached: the factors a derivative closure needs at one
-    order.  A cache miss checks the order against SeriesPair.derivative's
-    contract, so this is the one implementation of that contract."""
-    @functools.cache
-    def cached(order):
+class _PerOrder(dict):
+    """order -> constants(order), the factors a derivative closure needs at
+    one order, made on first use.  A miss checks the order against
+    SeriesPair.derivative's contract, so this is the one implementation of
+    that contract; a refused order is not stored."""
+
+    def __init__(self, label: str, derivative_max: int, constants: Callable[[int], object]):
+        self.label, self.derivative_max, self.constants = label, derivative_max, constants
+
+    def __missing__(self, order):
         checked = integer_in(order, 0, math.inf, DomainError,
-                             "%s: derivative order %r is not an integer >= 0", label, order)
-        refuse_order_above(label, order, derivative_max)
-        return constants(checked)
-    return cached
+                             "%s: derivative order %r is not an integer >= 0", self.label, order)
+        refuse_order_above(self.label, order, self.derivative_max)
+        self[order] = value = self.constants(checked)
+        return value
 
 
 def _build_exp(**params) -> SeriesPair:
@@ -232,11 +243,11 @@ def _build_exp(**params) -> SeriesPair:
     a = _float_param("exp", "a", params.get("a", 1.0))
     if not 0.0 < a < math.inf:
         raise ParamDomainError(f"catalog 'exp': requires 0 < a < inf, got {a!r}")
-    scale = _per_order("catalog 'exp'", 1000, lambda order: (-a) ** order)
+    scale = _PerOrder("catalog 'exp'", 1000, lambda order: (-a) ** order)
     return SeriesPair(
         phi=lambda k: a**k,
         closed_form=lambda x: math.exp(-a * x),
-        derivative=lambda order, x: scale(order) * math.exp(-a * x),
+        derivative=lambda order, x: scale[order] * math.exp(-a * x),
         derivative_max=1000,
         f_at_zero=1.0,
         f_at_infinity=0.0,
@@ -259,10 +270,10 @@ def _build_power(**params) -> SeriesPair:
 
     # Computed on first use of each order, so a pair whose Gamma(m)
     # overflows still builds.
-    constants = _per_order("catalog 'power'", 100, lambda order: ((-1.0) ** order * phi(order), -(m + order)))
+    constants = _PerOrder("catalog 'power'", 100, lambda order: ((-1.0) ** order * phi(order), -(m + order)))
 
     def derivative(order: int, x: float) -> float:
-        factor, exponent = constants(order)
+        factor, exponent = constants[order]
         return factor * (1.0 + x) ** exponent
 
     def phi_hp(k: int):
@@ -321,11 +332,11 @@ def _build_erf(**params) -> SeriesPair:
     _require_params("erf", params, ())
     # (sign times 2/sqrt(pi), Hermite degree); degree -1 is erf itself.  The
     # degree is checked here, once per order, so derivative runs the bare recurrence.
-    constants = _per_order("catalog 'erf'", specfun.MAX_POLY_DEGREE + 1, lambda order: (
+    constants = _PerOrder("catalog 'erf'", specfun.MAX_POLY_DEGREE + 1, lambda order: (
         (-1.0 if order % 2 == 0 else 1.0) * TWO_OVER_SQRT_PI, order - 1))
 
     def derivative(order: int, x: float) -> float:
-        scale, degree = constants(order)
+        scale, degree = constants[order]
         if degree < 0:
             return specfun.erf(x)
         return scale * specfun._hermite(degree, x) * math.exp(-x * x)
@@ -363,13 +374,13 @@ def _build_laguerre_weight(**params) -> SeriesPair:
         return mp.mpf(-1) ** n * mp.factorial(k) / mp.factorial(k - n)
 
     # Leibniz rule on x^n e^-x: (C(order, i) n!/(n-i)! (-1)^(order-i), n - i) per term.
-    terms = _per_order("catalog 'laguerre_weight'", specfun.MAX_POLY_DEGREE, lambda order: tuple(
+    terms = _PerOrder("catalog 'laguerre_weight'", specfun.MAX_POLY_DEGREE, lambda order: tuple(
         (float(math.comb(order, i) * math.perm(n, i)) * (-1.0) ** (order - i), n - i)
         for i in range(min(order, n) + 1)))
 
     def derivative(order: int, x: float) -> float:
         total = 0.0
-        for coefficient, power in terms(order):
+        for coefficient, power in terms[order]:
             total += coefficient * x**power
         return total * math.exp(-x)
 
@@ -412,7 +423,7 @@ def _harmonic_closed(x: float) -> float:
 
 
 # (order, (-1)^order) up to the pair's derivative_max, 6.
-_harmonic_constants = _per_order("catalog 'harmonic_shifted'", 6, lambda order: (order, (-1.0) ** order))
+_harmonic_constants = _PerOrder("catalog 'harmonic_shifted'", 6, lambda order: (order, (-1.0) ** order))
 
 
 def _harmonic_derivative(order: int, x: float) -> float:
@@ -421,7 +432,7 @@ def _harmonic_derivative(order: int, x: float) -> float:
     # the positive series e^-x sum_k x^k / ((order+1)...(order+k+1)) on
     # 0 <= x < order + 1, and the upward recurrence above, where each step
     # shrinks the error by j/x.
-    order, sign = _harmonic_constants(order)
+    order, sign = _harmonic_constants[order]
     if order == 0:
         return _harmonic_closed(x)
     ex = math.exp(-x)

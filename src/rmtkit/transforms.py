@@ -70,6 +70,9 @@ DEFAULT_IDENTITY_TOL = 1e-8
 # derivative order nth_derivative_fd computes.
 RESIDUE_EPS = 1e-4
 FD_MAX_ORDER = 6
+# A finite difference's rounding noise per stencil term, 8 eps of its size:
+# a few roundings inside f, and that of x + offset, carried by f's slope.
+_FD_NOISE = 8.0 * 2.220446049250313e-16
 
 # The warning every report on a non-converged left side carries, once.
 _NOT_CONVERGED = "quadrature did not converge; best-effort value used"
@@ -175,15 +178,17 @@ def lemma2(
     cfg: QuadratureConfig | None = None,
     tolerance: float | None = None,
 ) -> IdentityReport:
-    """Check the Mellin transform of the pair's analytic f^(n) at s = n, the
-    integral of x^(n-1) f^(n)(x), against (-1)^(n-1) (f(inf)-f(0)) Gamma(n),
-    computed first so that a Gamma(n) beyond the double range refuses n."""
+    """Check the Mellin transform of the pair's f^(n) at s = n, the integral
+    of x^(n-1) f^(n)(x), against (-1)^(n-1) (f(inf)-f(0)) Gamma(n), computed
+    first so that a Gamma(n) beyond the double range refuses n.  A pair's
+    derivative_with_noise, when set, is integrated with its errors."""
     n = integer_in(n, 1, math.inf, DomainError, "lemma2: n must be a positive integer")
     refuse_order_above(pair.label, n, pair.derivative_max)
 
     rhs = (-1.0) ** (n - 1) * (pair.f_at_infinity - pair.f_at_zero) * specfun.gamma(float(n))
-    lhs = integrate_mellin(functools.partial(pair.derivative, n), float(n), cfg,
-                           smooth=pair.smooth_derivatives)
+    noisy = pair.derivative_with_noise
+    lhs = integrate_mellin(functools.partial(noisy or pair.derivative, n), float(n), cfg,
+                           smooth=noisy is None)
     return _report("lemma2", lhs, rhs, tolerance)
 
 
@@ -325,22 +330,27 @@ def _stencil(n: int, h: float) -> tuple[tuple[tuple[float, float], ...], float]:
 
 def _fd_derivative(f: Callable[[float], float], n: int, h: float):
     """x -> nth_derivative_fd(f, x, n, h).value (with ``estimate``, the whole
-    result), the order and step checked and both stencils fetched here, once."""
+    result; with ``noise``, the value and a bound on its rounding noise), the
+    order and step checked and both stencils fetched here, once."""
     n = integer_in(n, 1, FD_MAX_ORDER, DomainError,
                    "nth_derivative_fd: n must be in 1..%s, got %s", FD_MAX_ORDER, n)
     positive_tolerance(h, "nth_derivative_fd: h")
     coarse_weights, coarse_scale = _stencil(n, h)
     fine_weights, fine_scale = _stencil(n, h / 2.0)
 
-    def derivative(x: float, estimate: bool = False):
-        coarse = fine = 0.0
+    def derivative(x: float, estimate: bool = False, noise: bool = False):
+        coarse = fine = coarse_size = fine_size = 0.0
         for weight, offset in coarse_weights:
-            coarse += weight * f(x + offset)
+            coarse += (term := weight * f(x + offset))
+            coarse_size += abs(term)
         for weight, offset in fine_weights:
-            fine += weight * f(x + offset)
+            fine += (term := weight * f(x + offset))
+            fine_size += abs(term)
         coarse, fine = coarse / coarse_scale, fine / fine_scale
         # Both levels carry O(h^2) leading error; eliminate it.
         value = (4.0 * fine - coarse) / 3.0
+        if noise:  # each term's rounding, through the extrapolation
+            return value, _FD_NOISE * (4.0 * fine_size / fine_scale + coarse_size / coarse_scale) / 3.0
         return FdDerivative(value, abs(fine - coarse)) if estimate else value
 
     return derivative

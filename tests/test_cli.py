@@ -8,10 +8,11 @@ import re
 import subprocess
 import sys
 
+import mpmath
 import pytest
 from oracles import reference_nth_derivative_fd
 
-from rmtkit.errors import DomainError
+from rmtkit.errors import DerivativeUnavailable, DomainError
 from rmtkit.transforms import FD_MAX_ORDER
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -27,7 +28,7 @@ GOLDEN_INVOCATIONS = {
     "corpus_laguerre.txt": ["corpus", "--filter", "laguerre"],
     "corpus_euler_json.txt": ["corpus", "--filter", "euler", "--json"],
     "residue_exp_m0.txt": ["residue", "--catalog", "exp", "--m", "0"],
-    # Finite-difference derivatives go straight to the geometric ends.
+    # Finite-difference derivatives, their rounding noise in the double-exponential floor.
     "verify_lemma2_fd_json.txt": ["verify", "lemma2", "--phi", "a^k", "--closed-form", "exp(-a*x)",
                                   "--param", "a=0.7", "--fd-derivatives", "--n", "2", "--json"],
 }
@@ -618,6 +619,61 @@ class TestFdDerivatives:
             ("expr", "call"): 6,
             ("expr", "<lambda>"): 6,
         }
+
+
+class TestFdHonesty:
+    """lemma2 on finite-difference derivatives runs the double-exponential
+    rule with each stencil's rounding noise in its floor, and its estimate
+    covers the error against the exact integral of the finite-difference
+    integrand: for exp(-a x) the stencil at step h is exp(-a x) times
+    S(h) = (-2 sinh(a h / 2) / h)^n, so that integral is
+    (4 S(h/2) - S(h)) / 3 * Gamma(n) / a^n."""
+
+    @staticmethod
+    def exact(a, n, h):
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        a, h = mp.mpf(a), mp.mpf(h)
+
+        def stencil(step):
+            return (-2 * mp.sinh(a * step / 2) / step) ** n
+
+        return (4 * stencil(h / 2) - stencil(h)) / 3 * mp.gamma(n) / a**n
+
+    @pytest.mark.parametrize("h", [0.05, 0.02])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("a", [0.5, 0.7, 1.0, 2.0])
+    def test_estimate_covers_the_error(self, a, n, h):
+        from rmtkit.transforms import lemma2
+
+        pair = expression_pair("--phi", "a^k", "--closed-form", "exp(-a*x)",
+                               "--param", f"a={a!r}", "--fd-derivatives", "--fd-step", repr(h))
+        lhs = lemma2(pair, n).lhs
+        assert abs(lhs.value - self.exact(a, n, h)) <= lhs.error_estimate
+        if n <= 2:  # returned by the double-exponential rule; the geometric ends take ~300
+            assert lhs.evaluations < 150
+
+    def test_derivative_with_noise_is_the_derivative_and_its_noise(self):
+        pair = expression_pair(*FD_PAIR)
+        finer = expression_pair(*FD_PAIR, "--fd-step", "0.01")
+        for order in range(1, FD_MAX_ORDER + 1):
+            value, noise = pair.derivative_with_noise(order, 0.5)
+            assert value == pair.derivative(order, 0.5)
+            # Rounding noise grows as h^-order.
+            assert 0.0 < noise < finer.derivative_with_noise(order, 0.5)[1]
+        assert expression_pair("--phi", "1", "--closed-form", "exp(-x)").derivative_with_noise is None
+
+
+class TestExpressionPairOrders:
+    def test_orders_above_derivative_max_are_refused(self):
+        # Without --fd-derivatives only order 0, the closed form, is known.
+        pair = expression_pair("--phi", "1", "--closed-form", "exp(-x)")
+        assert pair.derivative_max == 0 and pair.derivative(0, 0.5) == math.exp(-0.5)
+        for order in (1, 2, FD_MAX_ORDER + 1):
+            message = f"expression pair: derivative order {order} exceeds derivative_max=0"
+            for _ in range(2):  # a refused order is refused on every call
+                with pytest.raises(DerivativeUnavailable, match=rf"^{re.escape(message)}$"):
+                    pair.derivative(order, 0.5)
 
 
 class TestWarnings:

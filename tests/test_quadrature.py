@@ -412,16 +412,18 @@ _SEMI_INFINITE_INTEGRANDS = [
 
 class TestMatchesReferenceGeometricPanels:
     """Each end's running Kahan total gives the bits of re-summing every
-    panel, so the geometric ends - integrate_mellin with smooth=False, and
-    the fallback of integrate_semi_infinite - match
-    ``oracles.reference_geometric_panels`` over the plain loop bit for bit."""
+    panel, so the geometric ends - the fallback of integrate_semi_infinite
+    and integrate_mellin, here on the Mellin integrand integrate_mellin
+    forms - match ``oracles.reference_geometric_panels`` over the plain
+    loop bit for bit."""
 
     @pytest.mark.parametrize("cfg_name", sorted(_SEMI_INFINITE_CONFIGS))
     @pytest.mark.parametrize("F, s", _MELLIN_CASES)
     def test_mellin(self, F, s, cfg_name):
         cfg = _SEMI_INFINITE_CONFIGS[cfg_name]
         expected = reference_integrate_semi_infinite(reference_mellin_integrand(F, s), cfg)
-        assert _bits(integrate_mellin(F, s, cfg, smooth=False)) == _bits(expected)
+        integrand, _, _ = quadrature._mellin_terms(F, s, None)
+        assert _bits(_geometric_ends(integrand, cfg)) == _bits(expected)
 
     @pytest.mark.parametrize("cfg_name", sorted(_SEMI_INFINITE_CONFIGS))
     @pytest.mark.parametrize("f", _SEMI_INFINITE_INTEGRANDS)
@@ -923,12 +925,48 @@ class TestDoubleExponential:
         assert res.converged and abs(res.value - 1.0) <= res.error_estimate
         assert not _geometric_ends(lambda x: math.exp(-x), cfg).converged
 
-    def test_smooth_false_goes_straight_to_the_geometric_ends(self):
-        F = lambda x: math.exp(-x)
+    @pytest.mark.parametrize("F, s", _MELLIN_CASES)
+    def test_smooth_false_with_zero_errors_is_the_smooth_route(self, F, s):
+        # F = (value, error): errors of 0 add nothing to the double-exponential
+        # floor, and a fallback integrates the values alone, so every bit and
+        # every evaluation is the smooth route's, and the oracle's.
+        for cfg in _SEMI_INFINITE_CONFIGS.values():
+            noisy = integrate_mellin(lambda x: (F(x), 0.0), s, cfg, smooth=False)
+            assert _bits(noisy) == _bits(integrate_mellin(F, s, cfg))
+            assert _bits(noisy) == _bits(reference_integrate_mellin(F, s, cfg))
+
+    def test_smooth_false_adds_the_weighted_errors_to_the_floor(self):
+        # An error of d |F| in each value, its sign dropped: the double-exponential
+        # rule returns the level it returns without errors, its estimate
+        # raised by h sum d |x^(s-1) F| dx/dt ~ d Gamma(s), here 2 d.
         cfg = QuadratureConfig()
-        expected = reference_integrate_semi_infinite(reference_mellin_integrand(F, 2.0), cfg)
-        assert _bits(integrate_mellin(F, 2.0, cfg, smooth=False)) == _bits(expected)
-        assert integrate_mellin(F, 2.0, cfg).evaluations < expected.evaluations
+        F = lambda x: math.exp(-x)
+        plain = integrate_mellin(F, 3.0, cfg)
+        noisy = integrate_mellin(lambda x: (F(x), -1e-11 * F(x)), 3.0, cfg, smooth=False)
+        assert noisy.value == plain.value and noisy.evaluations == plain.evaluations
+        assert noisy.converged
+        assert noisy.error_estimate - plain.error_estimate == pytest.approx(2e-11, rel=1e-6)
+
+    def test_smooth_false_errors_above_the_tolerance_end_unconverged(self):
+        # No route certifies a floor above the tolerance: the double-exponential
+        # rule returns unconverged rather than falling back to the geometric ends.
+        cfg = QuadratureConfig()
+        res = integrate_mellin(lambda x: (math.exp(-x), 1e-6 * math.exp(-x)), 2.0, cfg,
+                               smooth=False)
+        assert not res.converged and res.evaluations < 150
+        assert abs(res.value - 1.0) <= res.error_estimate
+
+    def test_smooth_false_walks_below_the_table_in_ln_x(self):
+        # s near 0: the mass lies below the node table, where each error is
+        # weighted as its value, by e^(s ln x) d ln x/dt.
+        cfg = QuadratureConfig()
+        F = lambda x: 1.0 / (1.0 + x)
+        s = 0.02
+        plain = integrate_mellin(F, s, cfg)
+        noisy = integrate_mellin(lambda x: (F(x), 1e-9 * F(x)), s, cfg, smooth=False)
+        assert noisy.value == plain.value and noisy.evaluations == plain.evaluations < 150
+        exact = math.pi / math.sin(math.pi * s)
+        assert noisy.error_estimate - plain.error_estimate == pytest.approx(1e-9 * exact, rel=1e-3)
 
     @pytest.mark.parametrize("level", range(5))
     @pytest.mark.parametrize("exponential, count, end", [(False, 49, 37), (True, 104, 103)],

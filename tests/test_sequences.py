@@ -259,10 +259,17 @@ class TestEvalSeries:
 
 
 class TestShift:
-    def test_shift_keeps_the_derivative_noise_fact(self):
-        pair = dataclasses.replace(catalog_get("exp"), smooth_derivatives=False)
-        assert shift_sequence(pair, 1).smooth_derivatives is False
-        assert shift_sequence(catalog_get("exp"), 1).smooth_derivatives is True
+    def test_shift_carries_the_noisy_derivative_over_shifted(self):
+        base = catalog_get("exp")
+        pair = dataclasses.replace(
+            base, derivative_with_noise=lambda order, x: (base.derivative(order, x), order * x))
+        shifted = shift_sequence(pair, 1)
+        # f^(order)(x) of the shifted pair is -f^(order + 1)(x) of the base.
+        assert shifted.derivative_with_noise(2, 0.25) == (-base.derivative(3, 0.25), 0.75)
+        assert shifted.derivative_with_noise(2, 0.25)[0] == shifted.derivative(2, 0.25)
+        with pytest.raises(DerivativeUnavailable, match="exceeds derivative_max=999$"):
+            shifted.derivative_with_noise(1000, 0.25)
+        assert shift_sequence(base, 1).derivative_with_noise is None
 
     def test_exp_shift_is_fixed_point(self):
         pair = catalog_get("exp", a=1.0)
@@ -543,6 +550,17 @@ class TestDerivativeOrderContract:
             with pytest.raises(DomainError):
                 pair.derivative(-1, 1.0)
         assert pair.derivative(1, 1.0) == -math.exp(-1.0)
+
+    def test_per_order_constants_are_made_once_and_refusals_not_kept(self):
+        made = []
+        known = sequences._PerOrder("pair", 3, lambda order: made.append(order) or 2 * order)
+        assert (known[2], known[2.0], known[True], known[1]) == (4, 4, 2, 2)
+        assert made == [2, 1]
+        for order, error in ((4, DerivativeUnavailable), (-1, DomainError), (1.5, DomainError)):
+            for _ in range(2):
+                with pytest.raises(error):
+                    known[order]
+        assert dict(known) == {1: 2, 2: 4} and made == [2, 1]
 
 
 class TestLaguerreWeightDerivativeOracle:

@@ -159,14 +159,23 @@ class TestLemma2:
             lemma2(pair, 1)
 
     def test_derivative_noise_routes_the_left_side(self):
-        # A pair whose derivatives carry noise (finite differences) skips
-        # the double-exponential rule: its left side is the geometric ends'.
+        # A pair whose derivatives carry noise (finite differences) gives
+        # lemma2 derivative_with_noise, which it integrates with
+        # smooth=False: the errors join the double-exponential floor.
         pair = catalog_get("exp", a=0.7)
-        routes = {smooth: integrate_mellin(lambda x: pair.derivative(2, x), 2.0, smooth=smooth)
-                  for smooth in (True, False)}
-        assert routes[True] != routes[False]
-        for smooth, expected in routes.items():
-            assert lemma2(replace(pair, smooth_derivatives=smooth), 2).lhs == expected
+
+        def noisy(order, x):
+            return pair.derivative(order, x), 1e-9 * pair.derivative(order, x)
+
+        routes = {
+            None: integrate_mellin(lambda x: pair.derivative(2, x), 2.0),
+            noisy: integrate_mellin(lambda x: noisy(2, x), 2.0, smooth=False),
+        }
+        assert routes[None].value == routes[noisy].value
+        assert routes[None].error_estimate < routes[noisy].error_estimate
+        for derivative_with_noise, expected in routes.items():
+            noisy_pair = replace(pair, derivative_with_noise=derivative_with_noise)
+            assert lemma2(noisy_pair, 2).lhs == expected
 
     @pytest.mark.parametrize("id_,params", [("exp", {"a": 1.0}), ("power", {"m": 8.0})])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
