@@ -9,34 +9,30 @@ double-exponential map of (0, inf) (Takahasi & Mori 1974; Mori & Sugihara
 2001): x = exp(t - e^-t) when |x f(x)| falls fast from x = 16 to 64,
 x = exp(pi/2 sinh t) otherwise, with h halved from 1/2 (down to at most
 1/32) on one t-grid per map, built on first use over the range that
-``_DE_MAPS`` gives; the middle of the grid is the map's node table.  A
-Mellin integral's walk toward 0 may cover the grid below the table, each
-term there formed from ln x, since x^(s-1) and often x itself leave the
-double range; its walk toward infinity goes on above the table in the same
-way when the integral is given ln F as a function of ln x.  A plain
-integrand's walk ends at the table, as nothing is known of how it behaves
-beyond.  The rule runs when the terms die out inside its walk's range, and
-returns the sum of the first level that certifies an estimate within the
-tolerance, or, unconverged, of the first whose round-off floor alone
+``_DE_MAPS`` gives.  Each attempt walks one kind of term over one range of
+its grid.  A Mellin integral's terms, x^s F(x) d ln x/dt, are formed from
+ln x, as x^(s-1) and x itself may leave the double range: its walk covers
+the whole grid, above x ~ e^522 only when ln F is given as a function of
+ln x.  A plain integrand's terms, f(x) dx/dt, keep to the middle of the
+grid where x is a normal double, as nothing is known of f beyond.  The
+rule returns the sum of the first level that certifies an estimate within
+the tolerance, or, unconverged, of the first whose round-off floor alone
 exceeds the tolerance once the levels have settled below that floor: no
-route certifies a floor above the tolerance.  Otherwise - a tail too slow
-for the grid (s near a strip's upper edge, whose mass lies beyond the
-largest double, when no ln F is given or even past ln x ~ 1.28e5), an
-endpoint singularity too slow even below the table (s under about 5e-4),
-all-zero terms, levels that never settle, or an exception or non-finite
-value from f - it falls back to the geometric ends, which then raise or
-refuse exactly as they would alone.  The ends split at x = 1 and
-sum geometric panels toward each end, [2^j, 2^(j+1)] toward infinity and
-[2^-(j+1), 2^-j] toward 0, extrapolating the partial sums with Wynn's
+route certifies a floor above the tolerance.  Otherwise - a walk that runs
+off its range (s within about 5e-4 of a strip's edge, or near the upper
+one with no ln F given), all-zero terms, levels that never settle, or an
+exception or non-finite value from f - it falls back to the geometric
+ends, which then raise or refuse exactly as they would alone.  The ends
+split at x = 1 and sum geometric panels, [2^j, 2^(j+1)] toward infinity
+and [2^-(j+1), 2^-j] toward 0, extrapolating the partial sums with Wynn's
 epsilon algorithm (the scheme of QUADPACK's QAGI and QAGS), so algebraic
-tails and x^(s-1) endpoint singularities converge in a few dozen panels.
-max_tail_panels and max_subdivisions bound these ends; the DE rule has its
+tails and x^(s-1) endpoint singularities converge in a few dozen panels;
+max_tail_panels and max_subdivisions bound them, and the DE rule has its
 own fixed level cap.  ``evaluations`` counts every call of the integrand,
-an abandoned DE attempt's included.  A Mellin integral is the
-semi-infinite integral of x^(s-1) F(x); an F with noise far above rounding
+an abandoned DE attempt's included.  An F with noise far above rounding
 (finite-difference derivatives) returns an error with each value, which
-joins the DE rule's floor weighted as the value is.  Tail
-panels [lo, 2 lo] are integrated in the log-spaced coordinate u,
+joins the DE rule's floor weighted as the value is.  Panels [lo, 2 lo]
+toward infinity are integrated in the log-spaced coordinate u,
 x = lo 2^u, where an algebraic tail x^p is the smooth exponential
 2^((p+1)u) that one 15-point panel resolves; in x, each such panel is
 bisected once at every scale.
@@ -51,6 +47,7 @@ import functools
 import heapq
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -98,8 +95,9 @@ _WG = (
 _NODE_PAIRS = tuple(zip(
     _XGK[:7], _WGK[:7], (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0), range(3, 17, 2)
 ))
-# Machine epsilon, the spacing of doubles at 1.0 (twice the unit round-off).
-_EPS = 2.220446049250313e-16
+# Machine epsilon, the spacing of doubles at 1.0 (twice the unit round-off),
+# and the least normal double.
+_EPS, _LEAST_NORMAL = sys.float_info.epsilon, sys.float_info.min
 # The round-off floor of a quadrature sum, per unit of its integral of |f|:
 # a GK15 panel's and a double-exponential level's.
 _ROUNDOFF = 50.0 * _EPS
@@ -447,16 +445,13 @@ def _geometric_panels(
 # The double-exponential maps of (0, inf), t -> (ln x, d ln x/dt)
 # (Mori & Sugihara 2001): x = exp(pi/2 sinh t) for algebraic decay,
 # x = exp(t - e^-t) for exponential decay.  Each entry is (map, lo, hi,
-# reach, top): the map's t-grid runs from reach to top, and its node table,
-# whose terms are f(x) dx/dt, from lo, 5.5 above the reach, at level-0 node
-# 11, to hi.  The algebraic table is symmetric, so x -> 1/x maps it onto
-# itself: t = -6.5 gives x ~ e^-522, a normal double, and t = -7 would
-# underflow to 0.  Below the table, down to ln x ~ -1.28e5 and -9.9e4 at
-# the reaches, a Mellin term x^(s-1) F(x) dx/dt is formed from ln x, as
-# F(e^ln x) e^(s ln x) d ln x/dt, though x may be subnormal or 0; above the
-# algebraic table, up to ln x ~ 1.28e5, where x overflows from t ~ 6.8 on,
-# as e^(s ln x + ln F) d ln x/dt when the pair gives ln F.  A plain
-# integrand carries no known power of x there, so its walk ends at the table.
+# reach, top): the map's t-grid runs from reach to top, ln x ~ -1.28e5 to
+# 1.28e5 and -9.9e4 to 40, and its node table of x and dx/dt from lo, at
+# level-0 node 11, to hi.  The algebraic table is symmetric, x -> 1/x maps
+# it onto itself: t = -6.5 gives x ~ e^-522, a normal double, and t = -7
+# would underflow to 0.  A Mellin walk, in ln x, may cover the whole grid
+# (above the table, where x overflows from t ~ 6.8 on, only given ln F); a
+# plain integrand's keeps to the table.
 def _algebraic_map(t: float) -> tuple[float, float]:
     return 0.5 * math.pi * math.sinh(t), 0.5 * math.pi * math.cosh(t)
 
@@ -477,13 +472,14 @@ _DE_FALL = 1e-4
 
 
 @functools.cache
-def _de_nodes(exponential: bool, level: int) -> tuple[list, list, list, list]:
+def _de_nodes(exponential: bool, level: int) -> tuple[list, list, list, list, list]:
     """The ln x and d ln x/dt of one map's nodes new at ``level``, over its
-    whole t-grid, and the x and dx/dt of those up to the table's end, built
-    on first use.  Level-0 node i sits at reach + i/2, level-L node i at
-    reach + (2i + 1) h with h = 2^-(L+1), so the level-L nodes between
-    level-0 nodes a and b are those in [a 2^(L-1), b 2^(L-1)).  Below the
-    table x may be subnormal or 0."""
+    whole t-grid, the x and dx/dt of those up to the table's end, and their
+    (x, ln x) over the whole grid, built on first use.  Level-0 node i sits
+    at reach + i/2, level-L node i at reach + (2i + 1) h with h = 2^-(L+1),
+    so the level-L nodes between level-0 nodes a and b are those in
+    [a 2^(L-1), b 2^(L-1)).  Below the table x may be subnormal or 0, and
+    above it x is inf where it overflows."""
     mapping, _, hi, reach, top = _DE_MAPS[exponential]
     if level:
         h = 0.5 ** (level + 1)
@@ -491,33 +487,34 @@ def _de_nodes(exponential: bool, level: int) -> tuple[list, list, list, list]:
     else:
         ts = [reach + 0.5 * i for i in range(int(2.0 * (top - reach)) + 1)]
     logs, dlogs = map(list, zip(*map(mapping, ts)))
-    xs = [math.exp(log_x) for t, log_x in zip(ts, logs) if t <= hi]
-    return logs, dlogs, xs, list(map(operator.mul, xs, dlogs))
+    log_max = math.log(sys.float_info.max)  # e^log_max is the largest double
+    pairs = [(math.exp(log_x) if log_x <= log_max else math.inf, log_x) for log_x in logs]
+    xs = [x for t, (x, _) in zip(ts, pairs) if t <= hi]
+    return logs, dlogs, xs, list(map(operator.mul, xs, dlogs)), pairs
 
 
 def _double_exponential(
     f: Callable[[float], float],
     cfg: QuadratureConfig,
     values: list,
-    head: Callable[[float], float] | None = None,
-    tail: Callable[[float], float] | None = None,
-    noisy: bool = False,
+    g: Callable[[tuple], float] | None = None,
+    above: bool = False,
+    errors: list | None = None,
 ):
     """The trapezoid rule in t after a double-exponential map, or None when
     it cannot certify its result.  Appends x f(x) at the two probes, then
-    each node's term f(x) dx/dt, to ``values``: their count is the
-    attempt's evaluations, also when f raises.
+    each node's term to ``values``: their count is the attempt's
+    evaluations, also when f or g raises.
 
     The map is exponential when |x f(x)| falls by ``_DE_FALL`` or more from
-    x = 16 to x = 64, algebraic otherwise.  Level 0, h = 1/2, walks from
-    t = 0 toward +inf, then toward -inf, until two consecutive terms are at
-    most ``_DE_NEGLIGIBLE`` times the largest so far, over the map's t-grid
-    in ``_DE_MAPS``: without ``head`` the walk toward -inf ends at the node
-    table's first node; given ``head``, x f(x) as a function of ln x, it
-    goes on below the table to the grid's first node, each term there being
-    head(ln x) d ln x/dt.  ``tail`` does the same above the table's last
-    node, toward the grid's last.  Each later level halves h over the
-    walked range and reuses every node.
+    x = 16 to x = 64, algebraic otherwise.  The terms are f(x) dx/dt over
+    the map's node table in ``_DE_MAPS``, or, given ``g``, x f(x) as a
+    function of the pair (x, ln x), g((x, ln x)) d ln x/dt from the grid's
+    first node to the table's last, the grid's last given ``above``.
+    Level 0, h = 1/2, walks that range from t = 0 toward +inf, then toward
+    -inf, until two consecutive terms are at most ``_DE_NEGLIGIBLE`` times
+    the largest so far; each later level halves h over the walked range and
+    reuses every node.
     With T = h sum(terms), floor = 50 eps h sum|terms| and change the
     movement of T from the last level, a level from 2 on whose change is at
     most a tenth of the last one plus the floor returns that level's T with
@@ -527,23 +524,9 @@ def _double_exponential(
     then, and no route certifies a floor above the tolerance.  None when a
     value is not finite, a walk runs off its range or meets only zeros, or
     no level up to h = 1/32 returns.  T is a math.fsum; sum|terms| adds in
-    the order the terms were made.  Given ``noisy``, f and head return
-    (value, error), and h sum |error| dx/dt (d ln x/dt for head's) joins the floor.
+    the order the terms were made.  Given ``errors``, to which g appends
+    the error of each term it makes, h sum error d ln x/dt joins the floor.
     """
-    errors = []  # x |error| of each of f's values, |error| of each of head's
-    if noisy:
-        f_pair, head_pair = f, head
-
-        def f(x: float) -> float:
-            value, error = f_pair(x)
-            errors.append(x * abs(error))
-            return value
-
-        def head(log_x: float) -> float:
-            value, error = head_pair(log_x)
-            errors.append(abs(error))
-            return value
-
     near = 16.0 * f(16.0)
     values.append(near)
     far = 64.0 * f(64.0)
@@ -551,27 +534,27 @@ def _double_exponential(
     if not (math.isfinite(near) and math.isfinite(far)):
         return None
     exponential = abs(far) <= _DE_FALL * abs(near)
-    logs, dlogs, xs, ws = _de_nodes(exponential, 0)
-    _, table_lo, table_hi, reach, _ = _DE_MAPS[exponential]
-    start, end = int(2.0 * (table_lo - reach)), int(2.0 * (table_hi - reach))  # t = lo, hi
+    _, lo, hi, reach, top = _DE_MAPS[exponential]
+    # The one source of terms - f at x weighted by dx/dt, or g at (x, ln x)
+    # by d ln x/dt - as columns of _de_nodes, and the level-0 nodes it walks.
+    term, columns = (g, operator.itemgetter(4, 1)) if g else (f, operator.itemgetter(2, 3))
+    start = 0 if g else int(2.0 * (lo - reach))
+    end = int(2.0 * ((top if above else hi) - reach))
+    points, weights = columns(_de_nodes(exponential, 0))
     centre = int(-2.0 * reach)  # t = 0
-    first = f(xs[centre]) * ws[centre]
-    values.append(first)
-    largest = abs(first)
+    middle = term(points[centre]) * weights[centre]
+    values.append(middle)
+    largest = abs(middle)
     ends = []
-    for step, stop, past, beyond in ((1, len(logs) if tail else end + 1, end + 1, tail),
-                                     (-1, -1 if head else start - 1, start - 1, head)):
-        i, previous = centre, abs(first)
-        g, points, weights = f, xs, ws
+    for step, stop in ((1, end + 1), (-1, start - 1)):
+        i, previous = centre, abs(middle)
         while True:
             i += step
             if i == stop:
                 return None
-            if i == past:  # the first node beyond the table: terms from ln x on
-                g, points, weights = beyond, logs, dlogs
-            term = g(points[i]) * weights[i]
-            values.append(term)
-            size = abs(term)
+            value = term(points[i]) * weights[i]
+            values.append(value)
+            size = abs(value)
             if size > largest:
                 largest = size
             if size <= _DE_NEGLIGIBLE * largest and previous <= _DE_NEGLIGIBLE * largest:
@@ -585,20 +568,13 @@ def _double_exponential(
     total = last_change = noise = 0.0
     for level in range(_DE_LEVELS):
         if level:
-            logs, dlogs, xs, ws = _de_nodes(exponential, level)
-            lo, hi = left << (level - 1), right << (level - 1)
-            if left < start:
-                split = start << (level - 1)
-                values.extend(map(operator.mul, map(head, logs[lo:split]), dlogs[lo:split]))
-                lo = split
-            values.extend(map(operator.mul, map(f, xs[lo:hi]), ws[lo:hi]))  # up to the table's end
-            if right > end:
-                values.extend(map(operator.mul, map(tail, logs[len(xs):hi]), dlogs[len(xs):hi]))
+            span = slice(left << (level - 1), right << (level - 1))
+            points, weights = columns(_de_nodes(exponential, level))
+            values.extend(map(operator.mul, map(term, points[span]), weights[span]))
             h *= 0.5
-        if noisy:  # this level's errors times d ln x/dt, in the order its terms were made
-            weights = (dlogs[left << (level - 1):right << (level - 1)] if level
-                       else dlogs[centre:right + 1] + dlogs[left:centre][::-1])
-            noise += sum(map(operator.mul, errors[-len(weights):], weights))
+        if errors is not None:  # this level's errors times d ln x/dt, as its terms were made
+            ws = weights[span] if level else weights[centre:right + 1] + weights[left:centre][::-1]
+            noise += sum(map(operator.mul, errors[-len(ws):], ws))
         terms = values[2:]
         # A plain sum never raises: inf or NaN when a term or an error is not
         # finite, as after a walk that met one.
@@ -636,22 +612,20 @@ def _geometric_ends(
 def _semi_infinite(
     f: Callable[[float], float],
     cfg: QuadratureConfig,
-    head: Callable[[float], float] | None = None,
-    tail: Callable[[float], float] | None = None,
-    noisy: bool = False,
+    g: Callable[[tuple], float] | None = None,
+    above: bool = False,
+    errors: list | None = None,
 ) -> EvaluationResult:
-    """The double-exponential attempt, ``head``, ``tail`` and ``noisy``
-    passed on to it, then the geometric ends when it returns None; given
-    ``noisy``, the ends integrate the values of f alone."""
-    values = []
-    raised = 0
+    """The double-exponential attempt, ``g``, ``above`` and ``errors``
+    passed on to it, then the geometric ends on f when it returns None."""
+    values, raised = [], 0
     try:
-        result = _double_exponential(f, cfg, values, head, tail, noisy)
+        result = _double_exponential(f, cfg, values, g, above, errors)
     except Exception:  # the geometric ends raise it again, or do without the attempt
         result, raised = None, 1  # count the call that raised
     if result is not None:
         return result
-    return _geometric_ends((lambda x: f(x)[0]) if noisy else f, cfg, len(values) + raised)
+    return _geometric_ends(f, cfg, len(values) + raised)
 
 
 def integrate_semi_infinite(
@@ -685,21 +659,20 @@ def integrate_mellin(
     """Integrate x^(s-1) * F(x) over [0, infinity) for s > 0, as
     ``integrate_semi_infinite`` does.
 
-    A non-finite F on (0, 1] raises SingularityError.  The DE rule's walk
-    toward 0 may cover its map's whole t-grid, below the node table too,
-    where x^(s-1) may leave the double range, with each term formed from
-    ln x as F(e^ln x) e^(s ln x) d ln x/dt; F is called there at subnormal
-    x and at 0, and an exception or a non-finite term abandons the attempt.
-    So s near 0, where the mass of the integrand lies below the table's
-    first node, stays on the DE rule.  log_F, L -> ln F(e^L) for L >= 0 and
-    F > 0 there, continues the walk toward infinity above the table in the
-    same way, each term e^(s ln x + log_F(ln x)) d ln x/dt, and forms
-    x^(s-1) F(x) from logs wherever F(x) is subnormal or 0 above x = 1; so
-    s near the strip's upper edge, with its mass beyond the largest double,
-    stays on the DE rule too.  Without it that walk ends at the table and
-    such an s falls back to the geometric ends.  smooth=False says that F
-    returns (value, error), the error bounding noise far above rounding, as
-    in finite-difference derivatives, which no DE level difference can see;
+    A non-finite F on (0, 1] raises SingularityError.  The DE rule forms
+    each term from L = ln x, as e^(sL) F(e^L) d ln x/dt, and its walk toward
+    0 covers its map's whole t-grid, where x^(s-1) may leave the double
+    range and F is called at subnormal x and at 0; an exception or a
+    non-finite term abandons the attempt.  So s near 0, with the mass of the
+    integrand below the node table, stays on the DE rule.  log_F,
+    L -> ln F(e^L) for L >= 0 and F > 0 there, lets the walk toward
+    infinity go on above the table to the grid's last node, each term being
+    e^(sL + log_F(L)) d ln x/dt wherever x overflows or F(x) is subnormal or
+    0 above x = 1: so s near the strip's upper edge, with its mass beyond
+    the largest double, stays on the DE rule too, where without log_F it
+    falls back to the geometric ends.  smooth=False says that F returns
+    (value, error), the error bounding noise far above rounding, as in
+    finite-difference derivatives, which no DE level difference can see;
     each error, weighted as its value, joins the DE rule's floor, log_F is
     not used, and the geometric ends integrate the values alone.
     """
@@ -707,31 +680,36 @@ def integrate_mellin(
         raise DomainError(f"integrate_mellin: requires finite s > 0, got {s!r}")
     cfg = cfg or QuadratureConfig()
     if smooth:
-        integrand, head, tail = _mellin_terms(F, s, log_F)
-        return _semi_infinite(integrand, cfg, head, tail if log_F else None)
-    error = [0.0]  # the error of F's last value
+        integrand, g = _mellin_terms(F, s, log_F)
+        return _semi_infinite(integrand, cfg, g, log_F is not None)
+    error, errors = [0.0], []  # F's last error; each DE term's, weighted as its value
 
     def value(x: float) -> float:
         v, error[0] = F(x)
         return v
 
-    # The errors run through the terms the values do, so they take the same weights.
-    value_integrand, value_head, _ = _mellin_terms(value, s, None)
-    error_integrand, error_head, _ = _mellin_terms(lambda x: error[0], s, None)
-    return _semi_infinite(lambda x: (value_integrand(x), error_integrand(x)), cfg,
-                          lambda log_x: (value_head(log_x), error_head(log_x)), None, True)
+    integrand, value_g = _mellin_terms(value, s, None)
+    _, error_g = _mellin_terms(lambda x: error[0], s, None)
+
+    def g(node: tuple) -> float:
+        v = value_g(node)
+        errors.append(abs(error_g(node)))
+        return v
+
+    return _semi_infinite(integrand, cfg, g, False, errors)
 
 
 def _mellin_terms(F: Callable[[float], float], s: float, log_F: Callable[[float], float] | None):
-    """x^(s-1) F(x), and x^s F(x) at x = e^log_x below and above the node table."""
+    """x^(s-1) F(x) of x, for the probes and the geometric ends, and x^s F(x) of (x, ln x)."""
     power = s - 1.0
+    exp, inf = math.exp, math.inf  # bound once: g runs at every DE node
 
     def integrand(x: float) -> float:
         v = F(x)
-        if v < 2.2250738585072014e-308:  # F below the least normal double: subnormal, 0 or < 0
+        if v < _LEAST_NORMAL:  # subnormal, 0 or < 0
             if log_F and x > 1.0:  # F > 0 has lost its digits far out
                 log_x = math.log(x)
-                return math.exp(power * log_x + log_F(log_x))
+                return exp(power * log_x + log_F(log_x))
             if v == 0.0:  # F underflows far out, where x^(s-1) may overflow
                 return 0.0
         if x <= 1.0 and not math.isfinite(v):
@@ -744,12 +722,18 @@ def _mellin_terms(F: Callable[[float], float], s: float, log_F: Callable[[float]
             half = x ** (power / 2.0)
             return half * v * half
 
-    def head(log_x: float) -> float:
-        # x^s F(x) at x = e^log_x below the node table: e^(s log_x) < 1.
-        return F(math.exp(log_x)) * math.exp(s * log_x)
+    def g(node: tuple) -> float:
+        x, log_x = node
+        v = F(x) if x < inf else 0.0  # x overflows only where log_F is given
+        if v < _LEAST_NORMAL:
+            if log_F and x > 1.0:
+                return exp(s * log_x + log_F(log_x))
+            if v == 0.0:  # e^(sL) may overflow where F underflows
+                return 0.0
+        try:
+            return exp(s * log_x) * v
+        except OverflowError:  # e^(sL) alone leaves the double range
+            half = exp(0.5 * s * log_x)
+            return half * v * half
 
-    def tail(log_x: float) -> float:
-        # x^s F(x) at x = e^log_x above the node table, where x may overflow.
-        return math.exp(s * log_x + log_F(log_x))
-
-    return integrand, head, tail
+    return integrand, g

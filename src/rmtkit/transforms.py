@@ -36,6 +36,7 @@ from .errors import (
     integer_in,
 )
 from .quadrature import (
+    _EPS,
     EvaluationResult,
     QuadratureConfig,
     integrate_mellin,
@@ -72,7 +73,7 @@ RESIDUE_EPS = 1e-4
 FD_MAX_ORDER = 6
 # A finite difference's rounding noise per stencil term, 8 eps of its size:
 # a few roundings inside f, and that of x + offset, carried by f's slope.
-_FD_NOISE = 8.0 * 2.220446049250313e-16
+_FD_NOISE = 8.0 * _EPS
 
 # The warning every report on a non-converged left side carries, once.
 _NOT_CONVERGED = "quadrature did not converge; best-effort value used"

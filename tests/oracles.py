@@ -16,8 +16,9 @@ panels in their log-spaced coordinate included;
 ``reference_double_exponential`` with
 ``reference_integrate_semi_infinite_de`` and ``reference_integrate_mellin``,
 the double-exponential rule restated from its map formulas and levels,
-the Mellin walks below and above the node table included, falling back to
-the geometric oracle, which pins the DE path of both integrators bit for bit;
+with ``reference_mellin_term``, the Mellin walk's one term in ln x over
+the whole grid, falling back to the geometric oracle, which pins the DE
+path of both integrators bit for bit;
 ``reference_epsilon_picks``, Wynn's table rebuilt diagonal by diagonal
 with its column picked by min() over (movement, column), which pins
 the one-pass ``_epsilon_table`` bit for bit;
@@ -35,6 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 import re
+import sys
 from typing import Callable
 
 import numpy as np
@@ -379,26 +381,24 @@ def _reference_de_node(exponential: bool, t: float) -> tuple[float, float]:
     return math.pi / 2.0 * math.sinh(t), math.pi / 2.0 * math.cosh(t)
 
 
-def _reference_de_attempt(f, cfg: QuadratureConfig, head, tail):
+def _reference_de_attempt(f, cfg: QuadratureConfig, g, above):
     eps = 2.220446049250313e-16
     near, far = 16.0 * f(16.0), 64.0 * f(64.0)
     if not (math.isfinite(near) and math.isfinite(far)):
         return None
     exponential = abs(far) <= 1e-4 * abs(near)
     t_table, t_top = (-6.0, 40.0) if exponential else (-6.5, 6.5)
-    t_min = t_table if head is None else (-11.5 if exponential else -12.0)
-    t_max = t_top if tail is None or exponential else 12.0
+    t_min = t_table if g is None else (-11.5 if exponential else -12.0)
+    t_max = t_top if not above or exponential else 12.0
     terms = {}  # t -> term, in the order made
 
     def size_at(t):
         log_x, dlog_x = _reference_de_node(exponential, t)
-        if t < t_table:
-            terms[t] = head(log_x) * dlog_x
-        elif t > t_top:
-            terms[t] = tail(log_x) * dlog_x
-        else:
+        if g is None:
             x = math.exp(log_x)
             terms[t] = f(x) * (x * dlog_x)
+        else:
+            terms[t] = g(log_x) * dlog_x
         return abs(terms[t])
 
     largest = size_at(0.0)
@@ -446,42 +446,40 @@ def _reference_de_attempt(f, cfg: QuadratureConfig, head, tail):
     return None
 
 
-def reference_double_exponential(f, cfg=None, head=None, tail=None):
-    """(result or None, calls of f, head and tail) of the double-exponential
+def reference_double_exponential(f, cfg=None, g=None, above=False):
+    """(result or None, calls of f and g) of the double-exponential
     attempt, restated from its definition: the map picked by the fall of
     |x f(x)| from x = 16 to 64, the level-0 walk over t = k/2 (toward +inf,
     then -inf) to two consecutive terms within 1e-3 eps of the largest,
     levels h = 1/4 .. 1/32 over the walked range, and the value T_L and
     estimate 10 |T_L - T_(L-1)| + 50 eps h sum|terms| of the first level
-    from 2 on that passes; no finer level is made.  The term at t is
-    f(x) dx/dt, with dx/dt = x d ln x/dt.  The t-range is [-6.5, 6.5] for
-    the algebraic map and [-6, 40] for the exponential one; given ``head``,
-    x f(x) as a function of ln x, it reaches down to -12 and -11.5, the
-    term below the table being head(ln x) d ln x/dt; given ``tail`` too,
-    the algebraic map's walk reaches up to 12, the term above the table
-    being tail(ln x) d ln x/dt.  A level whose floor
-    alone exceeds the tolerance, with a change that passes the ratio test
-    and is at most the floor, is returned too, with converged=False.  None
-    is a fallback; an exception from f, head or tail is one too."""
+    from 2 on that passes; no finer level is made.  Without ``g`` the term
+    at t is f(x) dx/dt, with dx/dt = x d ln x/dt, and the t-range is the
+    node table, [-6.5, 6.5] for the algebraic map and [-6, 40] for the
+    exponential one.  Given ``g``, x f(x) as a function of ln x, the term
+    is g(ln x) d ln x/dt, and the t-range reaches down to -12 and -11.5;
+    given ``above`` too, the algebraic map's reaches up to 12.  A level
+    whose floor alone exceeds the tolerance, with a change that passes the
+    ratio test and is at most the floor, is returned too, with
+    converged=False.  None is a fallback; an exception from f or g is one
+    too."""
     cfg = cfg or QuadratureConfig()
-    counter = _CallCounter(f)
-    head_counter, tail_counter = _CallCounter(head), _CallCounter(tail)
+    counter, g_counter = _CallCounter(f), _CallCounter(g)
     try:
-        result = _reference_de_attempt(counter, cfg, head and head_counter,
-                                       tail and tail_counter)
+        result = _reference_de_attempt(counter, cfg, g and g_counter, above)
     except Exception:
         result = None
-    calls = counter.count + head_counter.count + tail_counter.count
+    calls = counter.count + g_counter.count
     if result is None:
         return None, calls
     return EvaluationResult(result.value, result.error_estimate, calls, result.converged), calls
 
 
-def reference_integrate_semi_infinite_de(f, cfg=None, head=None, tail=None) -> EvaluationResult:
+def reference_integrate_semi_infinite_de(f, cfg=None, g=None, above=False) -> EvaluationResult:
     """The double-exponential attempt, or on its fallback
     ``reference_integrate_semi_infinite`` with the attempt's calls added."""
     cfg = cfg or QuadratureConfig()
-    result, calls = reference_double_exponential(f, cfg, head, tail)
+    result, calls = reference_double_exponential(f, cfg, g, above)
     if result is not None:
         return result
     ends = reference_integrate_semi_infinite(f, cfg)
@@ -489,26 +487,37 @@ def reference_integrate_semi_infinite_de(f, cfg=None, head=None, tail=None) -> E
                             ends.converged)
 
 
-def reference_mellin_head(F, s: float):
-    """x^s F(x) as a function of L = ln x, for the Mellin walk below the
-    DE node table: F(e^L) e^(sL)."""
-    return lambda log_x: F(math.exp(log_x)) * math.exp(s * log_x)
+def reference_mellin_term(F, s: float, log_F=None):
+    """x^s F(x) as a function of L = ln x, as the Mellin DE walk forms it:
+    given ``log_F``, e^(sL + log_F(L)) where x = e^L overflows or F(x) is
+    subnormal or 0 above x = 1; otherwise 0 where F is 0, and e^(sL) F(e^L)
+    with e^(sL) split in two halves where it alone overflows."""
 
+    def term(log_x: float) -> float:
+        if log_F is not None and log_x > math.log(sys.float_info.max):
+            return math.exp(s * log_x + log_F(log_x))
+        x = math.exp(log_x)
+        v = F(x)
+        if log_F is not None and x > 1.0 and v < sys.float_info.min:
+            return math.exp(s * log_x + log_F(log_x))
+        if v == 0.0:
+            return 0.0
+        if s * log_x > math.log(sys.float_info.max):
+            half = math.exp(s * log_x / 2.0)
+            return half * v * half
+        return math.exp(s * log_x) * v
 
-def reference_mellin_tail(log_F, s: float):
-    """x^s F(x) as a function of L = ln x, for the Mellin walk above the DE
-    node table: e^(sL + log_F(L))."""
-    return lambda log_x: math.exp(s * log_x + log_F(log_x))
+    return term
 
 
 def reference_integrate_mellin(F, s: float, cfg=None, log_F=None) -> EvaluationResult:
     """``integrate_mellin`` with smooth=True: the double-exponential
-    attempt on ``reference_mellin_integrand``, its walk toward 0 continued
-    by ``reference_mellin_head`` and, given ``log_F``, its walk toward
-    infinity by ``reference_mellin_tail``, then the geometric ends."""
+    attempt on ``reference_mellin_term``, walked above the node table given
+    ``log_F``, its probes and fallback on ``reference_mellin_integrand``,
+    then the geometric ends."""
     return reference_integrate_semi_infinite_de(
-        reference_mellin_integrand(F, s, log_F), cfg, reference_mellin_head(F, s),
-        log_F and reference_mellin_tail(log_F, s))
+        reference_mellin_integrand(F, s, log_F), cfg, reference_mellin_term(F, s, log_F),
+        log_F is not None)
 
 
 def reference_mellin_integrand(F, s: float, log_F=None):
@@ -519,7 +528,7 @@ def reference_mellin_integrand(F, s: float, log_F=None):
 
     def integrand(x: float) -> float:
         v = F(x)
-        if log_F is not None and x > 1.0 and v < 2.2250738585072014e-308:
+        if log_F is not None and x > 1.0 and v < sys.float_info.min:
             return math.exp((s - 1.0) * math.log(x) + log_F(math.log(x)))
         if v == 0.0:
             return 0.0

@@ -66,18 +66,18 @@ CLOSE_SCALE_UNDER_REPORTS = {(cfg_name, name): reason for name, reason in _CLOSE
 # on above its node table and returns most of them, honestly; the strict
 # xfails below are those it does not.  At s = 0.9995 on geometric the walk
 # runs off the grid's top, ln x ~ 1.28e5, and the geometric ends' estimate
-# falls short (ROADMAP item 1); at m = 4.881, s = 4.88 the DE rule itself
-# under-reports.  The last three are closer to the edge than any draw: the
-# walk runs off at the top, at the tight config they end unconverged, at
-# the default one they converge with an estimate far below the error, and
-# the first two of them FAIL a true identity without a warning.
+# falls short (ROADMAP item 1).  At m = 4.881, s = 4.88, tight, the DE rule
+# covers its error by a margin of only 1.1x (estimate 6.91e-11 against a
+# true error of 6.27e-11, 483 evaluations).  The last three are closer to
+# the edge than any draw: the walk runs off at the top, at the tight config
+# they end unconverged, at the default one they converge with an estimate
+# far below the error, and the first two of them FAIL a true identity
+# without a warning.
 UPPER_EDGE_UNDER_REPORTS = {
     ("tight", "rmt-geometric-s0.9995"):
         "geometric ends after 792 evaluations: estimate 4.42e-11 against a true error of 8.39e-10",
     ("tight", "hardy-geometric-s0.9995"):
         "geometric ends after 792 evaluations: estimate 4.42e-11 against a true error of 8.39e-10",
-    ("tight", "rmt-power-m4.881-s4.88"):
-        "DE rule in 483 evaluations: estimate 2.47e-11 against a true error of 6.49e-11",
     ("default", "rmt-harmonic_shifted-s0.99999999999"):
         "converged, estimate 1.37 against a true error of 1.48e6: a FAIL of a true identity",
     ("default", "rmt-power-m2.5-s2.49999999999"):

@@ -29,6 +29,7 @@ from rmtkit.quadrature import (
     integrate_semi_infinite,
 )
 from rmtkit.sequences import catalog_get
+from rmtkit.transforms import frullani
 
 from oracles import (
     _reference_de_node,
@@ -39,9 +40,8 @@ from oracles import (
     reference_integrate_semi_infinite,
     reference_integrate_mellin,
     reference_integrate_semi_infinite_de,
-    reference_mellin_head,
     reference_mellin_integrand,
-    reference_mellin_tail,
+    reference_mellin_term,
     trapezoid,
 )
 
@@ -422,7 +422,7 @@ class TestMatchesReferenceGeometricPanels:
     def test_mellin(self, F, s, cfg_name):
         cfg = _SEMI_INFINITE_CONFIGS[cfg_name]
         expected = reference_integrate_semi_infinite(reference_mellin_integrand(F, s), cfg)
-        integrand, _, _ = quadrature._mellin_terms(F, s, None)
+        integrand, _ = quadrature._mellin_terms(F, s, None)
         assert _bits(_geometric_ends(integrand, cfg)) == _bits(expected)
 
     @pytest.mark.parametrize("cfg_name", sorted(_SEMI_INFINITE_CONFIGS))
@@ -769,10 +769,11 @@ class TestDoubleExponential:
             for s in [0.003, 0.02, 0.5, 0.97, 0.993] + [rng.uniform(0.01, 0.99) for _ in range(4)]:
                 expected = reference_integrate_mellin(F, s, cfg)
                 assert _bits(integrate_mellin(F, s, cfg)) == _bits(expected), (F, s)
-                # Returned by a DE walk that went on below the node table.
-                integrand, head = reference_mellin_integrand(F, s), reference_mellin_head(F, s)
+                # Returned by a DE walk in ln x, where the plain walk over
+                # the node table runs off.
+                integrand, term = reference_mellin_integrand(F, s), reference_mellin_term(F, s)
                 below += (reference_double_exponential(integrand, cfg)[0] is None
-                          and reference_double_exponential(integrand, cfg, head)[0] is not None)
+                          and reference_double_exponential(integrand, cfg, term)[0] is not None)
         assert below >= 8, below
         # Near the upper edge, with the pair's log form: the walk toward
         # infinity goes on above the table, and F subnormal in the table
@@ -787,9 +788,9 @@ class TestDoubleExponential:
                 expected = reference_integrate_mellin(F, s, cfg, log_F)
                 assert _bits(integrate_mellin(F, s, cfg, log_F=log_F)) == _bits(expected), (cid, s)
                 integrand = reference_mellin_integrand(F, s, log_F)
-                tail = reference_mellin_tail(log_F, s)
-                above += (reference_double_exponential(integrand, cfg)[0] is None
-                          and reference_double_exponential(integrand, cfg, None, tail)[0]
+                term = reference_mellin_term(F, s, log_F)
+                above += (reference_double_exponential(integrand, cfg, term)[0] is None
+                          and reference_double_exponential(integrand, cfg, term, True)[0]
                           is not None)
         assert above >= 16, above
 
@@ -803,7 +804,7 @@ class TestDoubleExponential:
         F = catalog_get(cid, **params).closed_form
         cfg = QuadratureConfig()
         integrand = reference_mellin_integrand(F, s)
-        attempt, calls = reference_double_exponential(integrand, cfg, reference_mellin_head(F, s))
+        attempt, calls = reference_double_exponential(integrand, cfg, reference_mellin_term(F, s))
         assert attempt is not None and attempt.converged and calls < 150
         assert _bits(integrate_mellin(F, s, cfg)) == _bits(attempt)
         assert reference_double_exponential(integrand, cfg)[0] is None
@@ -914,7 +915,8 @@ class TestDoubleExponential:
         cfg = QuadratureConfig()
         seen = []
         res = integrate_mellin(lambda x: seen.append(x) or F(x), 0.2, cfg)
-        expected, calls = reference_double_exponential(reference_mellin_integrand(F, 0.2), cfg)
+        expected, calls = reference_double_exponential(reference_mellin_integrand(F, 0.2), cfg,
+                                                       reference_mellin_term(F, 0.2))
         assert _bits(res) == _bits(expected) and res.converged
         assert calls == integrate_mellin(F, 0.8, cfg).evaluations == 95
         assert _de_nodes(False, 0)[2][11] in seen  # the table's first node
@@ -976,31 +978,36 @@ class TestDoubleExponential:
         # reach + i/2, level-L node i at reach + (2i + 1) h, h = 2^-(L+1),
         # between level-0 nodes i >> (L-1) and the next.  The table runs
         # from level-0 node 11, t = lo, to level-0 node end, t = hi; on it
-        # x and dx/dt are e^ln x and x d ln x/dt, bit for bit.  Above it,
-        # where the algebraic map's x overflows from t ~ 6.8 on, they are
-        # not made.
+        # x and dx/dt are e^ln x and x d ln x/dt, bit for bit.  The pairs
+        # (x, ln x) cover the whole grid, x = inf where e^ln x overflows:
+        # above the algebraic table, from t ~ 6.8 on.
         mapping, lo, hi, reach, top = _DE_MAPS[exponential]
-        logs, dlogs, xs, ws = _de_nodes(exponential, level)
+        logs, dlogs, xs, ws, pairs = _de_nodes(exponential, level)
         coarse = _de_nodes(exponential, 0)[0]
         h = 0.5 ** (level + 1)
         size = (count - 1) << (level - 1) if level else count
         start = 11 << (level - 1) if level else 11
         table = end << (level - 1) if level else end + 1  # the nodes up to t = hi
-        assert len(logs) == len(dlogs) == size and len(xs) == len(ws) == table
+        assert len(logs) == len(dlogs) == len(pairs) == size and len(xs) == len(ws) == table
         for i in range(size):
             t = reach + (2 * i + 1) * h if level else reach + 0.5 * i
             assert (logs[i], dlogs[i]) == mapping(t) == _reference_de_node(exponential, t)
             assert math.isfinite(logs[i]) and dlogs[i] > 0.0
             if level:
                 assert coarse[i >> (level - 1)] < logs[i] < coarse[(i >> (level - 1)) + 1]
-            if start <= i < table:
+            try:
                 x = math.exp(logs[i])
+            except OverflowError:
+                x = math.inf
+            assert pairs[i] == (x, logs[i])
+            if start <= i < table:
                 assert (xs[i], ws[i]) == (x, x * dlogs[i])
             assert (t >= lo) == (i >= start)
             assert (t <= hi) == (i < table)
         assert reach + 0.5 * 11 == lo and hi == reach + 0.5 * end
         assert top == reach + 0.5 * (count - 1)
         assert sys.float_info.min < xs[start] and xs[-1] < math.inf
+        assert (pairs[-1][0] == math.inf) != exponential
         if not level:
             assert xs[int(-2.0 * reach)] == (math.exp(-1.0) if exponential else 1.0)  # t = 0
             assert coarse[-1] == (40.0 - math.exp(-40.0) if exponential
@@ -1011,6 +1018,97 @@ class TestDoubleExponential:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)
         assert out.stdout == "0\n"
+
+
+class TestPlainPathPinned:
+    """A plain integrand - integrate_semi_infinite's, Frullani's - is
+    walked as f(x) dx/dt over the node table, with x and dx/dt from the
+    table.  Its bits and calls are pinned here.  Forming its terms in ln x
+    instead, as e^L f(e^L) d ln x/dt over the whole grid, costs 10-25% per
+    call; it calls f at the same floats, but moves the bits of the beta
+    integral, and test_plain_walk_ends_at_the_table sees its longer walk."""
+
+    def test_frullani_exp_is_pinned(self):
+        report = frullani(lambda x: math.exp(-x), 1.0, 0.0, 2.0, 1.0)
+        assert _bits(report.lhs) == ("-0x1.62e42fefa39efp-1", "0x1.3d42457337d42p-47", 75, True)
+
+    @pytest.mark.parametrize("f, expected", [
+        (lambda x: math.exp(-x * x),
+         ("0x1.c5bf891b4ef6bp-1", "0x1.3a4fb463aab61p-44", 123, True)),
+        (lambda x: x * (1.0 + x) ** -5,
+         ("0x1.5555555555555p-4", "0x1.fe6aaaaaaaaabp-44", 67, True)),
+        # Too slow a tail for the node table: the geometric ends take over.
+        (lambda x: (1.0 + x) ** -1.1,
+         ("0x1.3fffffffff856p+3", "0x1.f33c3b8fae8a3p-33", 436, True)),
+    ], ids=["gaussian", "beta", "fallback"])
+    def test_semi_infinite_is_pinned(self, f, expected):
+        assert _bits(integrate_semi_infinite(f)) == expected
+
+    @pytest.mark.parametrize("f, exponential",
+                             [(lambda x: math.exp(-x), True), (lambda x: (1.0 + x) ** -3.0, False)],
+                             ids=["exponential", "algebraic"])
+    def test_plain_integrand_is_called_at_the_table_floats(self, f, exponential):
+        # After the two probes, f is called at level-0 node table floats
+        # (from node 11, the table's first, on), then at finer levels' ones.
+        seen = []
+        res = integrate_semi_infinite(lambda x: seen.append(x) or f(x))
+        assert res.converged and len(seen) == res.evaluations
+        assert seen[:2] == [16.0, 64.0]
+        table = set(_de_nodes(exponential, 0)[2][11:])
+        level0 = sum(x in table for x in seen[2:])
+        assert level0 >= 10 and set(seen[2:2 + level0]) <= table
+        finer = set().union(*(_de_nodes(exponential, level)[2] for level in range(1, 5)))
+        assert set(seen[2 + level0:]) <= finer
+
+
+class TestMellinTerm:
+    """The Mellin walk's one term, g(x, L) = x^s F(x) at x = e^L, against
+    x^s F(x) from mpmath at 40 digits, at an L that reaches each branch.
+    e^y amplifies the rounding of its exponent y = sL (+ ln F) by |y|, so
+    g is held within a few ulps times 1 + |sL| + |ln F|: a few ulps where
+    the exponent is small.  Where the true value lies below the double
+    range, g is exactly 0."""
+
+    @pytest.mark.parametrize("cid, params, s, log_x, uses_log_form", [
+        # e^(sL) alone: x^s F(x) directly, x normal, subnormal and 0.
+        ("exp", {}, 3.0, math.log(2.0), False),
+        ("exp", {}, 0.5, -700.0, False),
+        ("exp", {}, 0.5, -745.0, False),
+        ("exp", {}, 0.5, -2000.0, False),
+        # e^(sL) overflows with F = 0 at x ~ 13,408: 0, not inf * 0 = NaN.
+        ("exp", {}, 150.0, math.log(13408.0), False),
+        # e^(sL) alone overflows, F normal: the power is split in two halves.
+        ("exp", {}, 150.0, math.log(300.0), False),
+        # F subnormal above x = 1, from ln x ~ 145 on, with the log form.
+        ("power", {"m": 4.881}, 4.88, 150.0, True),
+        ("power", {"m": 4.881}, 1.0, 146.0, True),
+        # x overflows above the table: only the log form is left.
+        ("geometric", {}, 0.99, 800.0, True),
+        ("geometric", {}, 0.99, 5000.0, True),
+    ])
+    def test_matches_mpmath(self, cid, params, s, log_x, uses_log_form):
+        pair = catalog_get(cid, **params)
+        called = []
+        log_form = pair.log_closed_form  # exp has none
+        log_F = log_form and (lambda log_x: called.append(log_x) or log_form(log_x))
+        _, g = quadrature._mellin_terms(pair.closed_form, s, log_F)
+        try:
+            x = math.exp(log_x)
+        except OverflowError:
+            x = math.inf
+        value = g((x, log_x))
+        assert bool(called) == uses_log_form
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        x = mp.exp(mp.mpf(log_x))
+        F = {"exp": lambda: mp.exp(-x), "power": lambda: (1 + x) ** -mp.mpf(params.get("m", 0.0)),
+             "geometric": lambda: 1 / (1 + x)}[cid]()
+        exact = x ** mp.mpf(s) * F
+        if float(exact) == 0.0:
+            assert value == 0.0
+            return
+        ulps = 4.0 + abs(s * log_x) + abs(float(mp.log(F)))
+        assert abs(mp.mpf(value) - exact) <= ulps * sys.float_info.epsilon * exact
 
 
 class TestSemiInfinite:
