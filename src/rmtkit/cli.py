@@ -23,7 +23,9 @@ from dataclasses import replace
 from . import transforms
 from .corpus import builtin_cases, run_corpus, scale_tolerances
 from .errors import DerivativeUnavailable, ExprSyntaxError, RmtError
-# bench/tracer.py patches cli.evaluate and cli.nth_derivative_fd by name: keep both.
+# bench/tracer.py patches parse, evaluate, nth_derivative_fd, catalog_get,
+# SeriesPair and main on this module by name: keep them all.  The parse cache
+# sits on expr.parse, so every call still goes through cli.parse and counts.
 from .expr import compile_expr, evaluate, parse  # noqa: F401
 from .quadrature import QuadratureConfig
 from .sequences import SeriesPair, catalog_get, catalog_ids, refuse_order_above
@@ -291,8 +293,10 @@ def _cmd_residue(args: argparse.Namespace) -> int:
     return 0 if converging else 1
 
 
-# Built on the first main call and reused: parse_args leaves the parser as
-# it was (an append action copies its default list before appending).
+# Built on the first main call and reused: parsing leaves each parser as it
+# was (an append action copies its default list before appending).  main
+# hands the arguments after a subcommand's name straight to the parser
+# add_parser returned for it, kept in top.subcommands.
 @functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -351,12 +355,17 @@ def _build_argparser() -> argparse.ArgumentParser:
     residue.add_argument("--eps", type=float, default=transforms.RESIDUE_EPS)
     residue.add_argument("--json", action="store_true")
     residue.set_defaults(func=_cmd_residue)
+    top.subcommands = {"verify": verify, "corpus": corpus, "residue": residue}
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = _build_argparser()
-    args = parser.parse_args(argv)
+    command = parser.subcommands.get(argv[0]) if argv else None
+    args, extra = command.parse_known_args(argv[1:]) if command else parser.parse_known_args(argv)
+    if extra:  # reported as parser.parse_args would
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (_InputError, RmtError) as exc:

@@ -23,10 +23,14 @@ bottom-up, in double precision.  ``compile_expr`` turns a tree once into
 one closure per node that reads the free variable, folding each
 variable-free subtree to its value then, so a later evaluation walks no
 tree and recomputes no constant; ``evaluate`` compiles and calls once.
+``parse`` is memoized per source string in a bounded cache, since trees
+are immutable; ``compile_expr`` runs on every call, because the bindings
+it captures differ from call to call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -252,6 +256,7 @@ class _Parser:
         return Call(name, tuple(args))
 
 
+@functools.lru_cache(maxsize=256)
 def parse(source: str) -> ExprNode:
     """Parse ``source`` into an expression tree.
 

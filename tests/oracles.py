@@ -26,9 +26,11 @@ the one-pass ``_epsilon_table`` bit for bit;
 closures bit for bit; ``reference_parse``, the parser with its depth
 kept in a mutable counter, which pins the parser's trees and errors;
 ``reference_laguerre_weight_derivative``, the Leibniz rule re-deriving its
-coefficients on every call, which pins the catalog closure bit for bit; and
+coefficients on every call, which pins the catalog closure bit for bit;
 ``reference_nth_derivative_fd``, the central-difference stencil rebuilt on
-every call, which pins ``nth_derivative_fd`` bit for bit.
+every call, which pins ``nth_derivative_fd`` bit for bit; and
+``reference_cli_main``, the CLI entry route through the top-level
+argument parser, which pins ``cli.main``'s exit codes and output.
 """
 
 from __future__ import annotations
@@ -41,11 +43,13 @@ from typing import Callable
 
 import numpy as np
 
+from rmtkit.cli import _build_argparser, _InputError
 from rmtkit.errors import (
     DivisionByZero,
     DomainError,
     EvaluationError,
     ExprSyntaxError,
+    RmtError,
     SingularityError,
     UnboundVariable,
     UnknownFunction,
@@ -797,3 +801,23 @@ def reference_parse(source: str) -> ExprNode:
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {text!r}", offset, ("end of input",))
     return node
+
+
+def reference_cli_main(argv: list[str]) -> int:
+    """The CLI entry as it stood before ``main`` handed a subcommand's
+    arguments to that subcommand's parser: the top-level parser reads the
+    whole argv (``parse_args`` exits on a usage error), then the command
+    runs, its typed errors mapped to exit code 2.  A ``SystemExit`` is
+    returned as its code."""
+    try:
+        args = _build_argparser().parse_args(argv)
+        try:
+            return args.func(args)
+        except (_InputError, RmtError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except OverflowError as exc:
+            print(f"error: overflow: {exc}", file=sys.stderr)
+            return 2
+    except SystemExit as exc:
+        return exc.code

@@ -10,7 +10,7 @@ import sys
 
 import mpmath
 import pytest
-from oracles import reference_nth_derivative_fd
+from oracles import reference_cli_main, reference_nth_derivative_fd
 
 from rmtkit.errors import DerivativeUnavailable, DomainError
 from rmtkit.transforms import FD_MAX_ORDER
@@ -736,21 +736,95 @@ class TestParserReuse:
         ("verify", "rmt", "--phi", "a^k", "--closed-form", "exp(-a*x)", "--s", "2", "--json"),
         ("corpus", "--filter", "euler"),
         ("residue", "--catalog", "exp", "--m", "0"),
+        # One pair of sources under two bindings, a syntax error between them:
+        # a parsed tree carries no binding, and an error is not kept.
+        ("verify", "rmt", "--phi", "b*a^k", "--closed-form", "b*exp(-a*x)", "--param", "a=0.5",
+         "--param", "b=3", "--s", "1.5", "--json"),
+        ("verify", "rmt", "--phi", "b*a^k", "--closed-form", "b*exp(-a*x", "--param", "a=2",
+         "--s", "2", "--json"),
+        ("verify", "rmt", "--phi", "b*a^k", "--closed-form", "b*exp(-a*x)", "--param", "a=4",
+         "--param", "b=0.25", "--s", "2", "--json"),
     ]
 
     def test_calls_in_sequence_match_calls_alone(self, capsys):
-        """The parser is built once per process; no flag of one call may
-        carry over into the next."""
-        from rmtkit import cli
+        """The parser is built once per process and each expression source
+        parsed once; no flag, binding or error of one call may carry over
+        into the next."""
+        from rmtkit import cli, expr
 
         alone = []
         for argv in self.CALLS:
             cli._build_argparser.cache_clear()
+            expr.parse.cache_clear()
             alone.append(run_in_process(capsys, *argv))
         cli._build_argparser.cache_clear()
+        expr.parse.cache_clear()
         in_sequence = [run_in_process(capsys, *argv) for argv in self.CALLS]
         assert in_sequence == alone
         assert cli._build_argparser.cache_info().misses == 1
-        assert [code for code, _, _ in alone] == [0, 2, 0, 0]
+        assert expr.parse.cache_info().hits > 0
+        assert [code for code, _, _ in alone] == [0, 2, 0, 0, 0, 2, 0]
         assert alone[1][2] == "error: variable 'a' is not bound\n"
-        assert not any(out.startswith("{") for _, out, _ in alone[2:])
+        assert not any(out.startswith("{") for _, out, _ in alone[2:4])
+        assert alone[5][2].startswith("error: --phi/--closed-form: ")
+        # rhs = Gamma(s) b a^-s, with each call's own bindings.
+        rhs = [json.loads(alone[i][1])["rhs_value"] for i in (4, 6)]
+        assert rhs == pytest.approx([math.gamma(1.5) * 3 * 0.5**-1.5, 0.25 * 4.0**-2], rel=1e-14)
+
+
+def run_route(capsys, route, argv):
+    """(exit code, stdout, stderr) of one entry route; a SystemExit is its code."""
+    try:
+        code = route(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestEntryParity:
+    """``main`` hands a subcommand's arguments to that subcommand's parser;
+    every exit code, stdout and stderr is the top-level parser's."""
+
+    ARGVS = [
+        *GOLDEN_INVOCATIONS.values(),
+        [],
+        ["bogus"],
+        ["-h"],
+        ["--help"],
+        ["verify", "-h"],
+        ["corpus", "-h"],
+        ["residue", "-h"],
+        ["verify"],
+        ["verify", "rmt", "--catalog", "exp", "--s", "1", "--bogus"],
+        ["verify", "rmt", "--catalog", "exp", "--s", "1", "extra", "--bogus=1"],
+        ["corpus", "--filter", "euler", "--json", "--m", "0"],
+        ["verify", "rmt", "--catalog", "exp", "--s", "abc"],
+        ["verify", "lemma2", "--catalog", "exp", "--n", "1.5"],
+        ["verify", "residue", "--catalog", "exp", "--s", "1"],
+        ["residue", "--catalog", "exp"],
+        ["verify", "rmt", "--catalog=exp", "--s=-1"],
+        ["verify", "rmt", "--cat", "exp", "--s", "1"],
+        ["verify", "rmt", "--f", "1", "--catalog", "exp", "--s", "1"],
+        ["verify", "rmt", "--phi", "b*a^k", "--closed-form", "b*exp(-a*x)", "--param", "a=2",
+         "--param", "b=3", "--s", "2", "--json"],
+        ["verify", "--catalog", "exp", "rmt", "--s", "1"],
+        ["verify", "rmt", "--catalog", "exp", "--s", "1", "--", "--json"],
+        ["--s", "1", "verify", "rmt"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=[" ".join(a) or "<empty>" for a in ARGVS])
+    def test_main_matches_the_top_level_route(self, capsys, argv):
+        from rmtkit import cli
+
+        assert run_route(capsys, cli.main, argv) == run_route(capsys, reference_cli_main, argv)
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        from rmtkit import cli
+
+        argv = ["verify", "rmt", "--catalog", "exp", "--s", "1", "--bogus"]
+        monkeypatch.setattr(sys, "argv", ["rmtkit", *argv])
+        code, out, err = run_route(capsys, lambda _: cli.main(), [])
+        assert (code, out, err) == run_route(capsys, reference_cli_main, argv)
+        assert code == 2
+        assert err.splitlines()[-1] == "rmtkit: error: unrecognized arguments: --bogus"

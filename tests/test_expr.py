@@ -23,6 +23,7 @@ from rmtkit import specfun
 from oracles import reference_evaluate, reference_parse
 from rmtkit.expr import (
     BUILTIN_FUNCTIONS,
+    MAX_SOURCE_BYTES,
     BinaryOp,
     Call,
     Constant,
@@ -614,3 +615,35 @@ class TestReferenceParse:
             assert outcome == _parse_outcome(reference_parse, source), (family, n)
             outcomes.add(isinstance(outcome, tuple))
         assert outcomes == {False, True}
+
+
+class TestParseCache:
+    """parse is memoized per source string: trees are frozen, so a repeated
+    source may share one; errors are raised afresh on every call."""
+
+    def test_repeated_source_returns_the_identical_tree(self):
+        source = "gamma(m+k)/gamma(m)"
+        first = parse(source)
+        # An equal string built separately, not the same object.
+        again = parse("".join(["gamma(m+k)", "/gamma(m)"]))
+        assert again is first
+        assert again == reference_parse(source)
+
+    def test_malformed_source_raises_on_every_call(self):
+        errors = []
+        for _ in range(3):
+            with pytest.raises(ExprSyntaxError) as info:
+                parse("1 + * 2")
+            errors.append((str(info.value), info.value.offset, info.value.expected))
+        assert errors == [errors[0]] * 3
+
+    def test_length_cap_fires_on_every_call(self):
+        source = "1+" * 40000 + "1"
+        for _ in range(2):
+            with pytest.raises(ExprSyntaxError, match="64 KiB") as info:
+                parse(source)
+            assert info.value.offset == MAX_SOURCE_BYTES
+
+    def test_cache_is_bounded(self):
+        maxsize = parse.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 10_000
