@@ -28,7 +28,7 @@ from .errors import DerivativeUnavailable, ExprSyntaxError, RmtError
 # sits on expr.parse, so every call still goes through cli.parse and counts.
 from .expr import compile_expr, evaluate, parse  # noqa: F401
 from .quadrature import QuadratureConfig
-from .sequences import SeriesPair, catalog_get, catalog_ids, refuse_order_above
+from .sequences import SeriesPair, _PerOrder, catalog_get, catalog_ids
 from .transforms import FD_MAX_ORDER, IdentityReport, nth_derivative_fd  # noqa: F401
 
 __all__ = ["main"]
@@ -46,7 +46,7 @@ _RECORD_KEYS = (
     "warnings",
 )
 
-_FD_STEP = 0.05  # the default --fd-step, the only one a catalog pair takes
+_FD_STEP = 0.05  # the finite-difference step used when --fd-step is absent
 
 
 class _InputError(Exception):
@@ -159,19 +159,16 @@ def _expression_pair(args: argparse.Namespace) -> SeriesPair:
         raise _InputError("--param: k and x are the free variables of --phi and --closed-form")
     phi = compile_expr(phi_node, bindings, "k")
     closed = compile_expr(closed_node, bindings, "x")
-    if args.fd_derivatives:
-        transforms.positive_tolerance(args.fd_step, "--fd-step")
-    fds = {}  # order -> its derivative, built (order and step checked) on first use
-
-    def fd(order: int):
-        if not args.fd_derivatives:  # only the closed form itself is known
-            refuse_order_above("expression pair", order, 0)
-        return fds.setdefault(order, transforms._fd_derivative(closed, order, args.fd_step))
+    if args.fd_step is not None and not args.fd_derivatives:
+        raise _InputError("--fd-step needs --fd-derivatives")
+    step = _FD_STEP if args.fd_step is None else transforms.positive_tolerance(
+        args.fd_step, "--fd-step")
+    # order -> its FD derivative, built on first use; derivative_max 0 leaves order 0 alone.
+    fds = _PerOrder("expression pair", FD_MAX_ORDER if args.fd_derivatives else 0,
+                    lambda order: transforms._fd_derivative(closed, order, step))
 
     def derivative(order: int, x: float) -> float:
-        if order == 0:
-            return closed(x)
-        return (fds.get(order) or fd(order))(x)
+        return closed(x) if order == 0 else fds[order](x)
 
     flags = [("--f0", args.f0), ("--finf", args.finf)]
     flags += [(f"--param {name}", value) for name, value in bindings.items()]
@@ -182,13 +179,13 @@ def _expression_pair(args: argparse.Namespace) -> SeriesPair:
         phi=phi,
         closed_form=closed,
         derivative=derivative,
-        derivative_max=FD_MAX_ORDER if args.fd_derivatives else 0,
+        derivative_max=fds.derivative_max,
         f_at_zero=args.f0 if args.f0 is not None else phi(0.0),
         f_at_infinity=args.finf if args.finf is not None else 0.0,
         convergence_radius=math.inf,
         phi_plain=phi,
         label="expression pair",
-        derivative_with_noise=(lambda order, x: (fds.get(order) or fd(order))(x, noise=True))
+        derivative_with_noise=(lambda order, x: fds[order](x, noise=True))
         if args.fd_derivatives else None,
     )
 
@@ -201,7 +198,7 @@ def _build_pair(args: argparse.Namespace) -> SeriesPair:
     if not args.catalog:
         raise _InputError("select a pair with --catalog or --phi/--closed-form")
     flags = {"--f0": args.f0 is not None, "--finf": args.finf is not None,
-             "--fd-derivatives": args.fd_derivatives, "--fd-step": args.fd_step != _FD_STEP}
+             "--fd-derivatives": args.fd_derivatives, "--fd-step": args.fd_step is not None}
     if given := [flag for flag, on in flags.items() if on]:
         raise _InputError(f"--catalog pairs take no {', '.join(given)} (expression pairs only)")
     return catalog_get(args.catalog, **args.params)
@@ -226,6 +223,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if None in values.values():
         flags = " and ".join(f"--{name}" for name in kind.inputs)
         raise _InputError(f"{identity} requires {flags}")
+    if extra := [f"--{name}" for name in ("alpha", "beta", "n", "s")
+                 if name not in kind.inputs and getattr(args, name) is not None]:
+        raise _InputError(f"{identity} takes no {', '.join(extra)}")
     try:
         report = kind.run(pair, cfg, tol, **values)
     except DerivativeUnavailable as exc:
@@ -337,7 +337,7 @@ def _build_argparser() -> argparse.ArgumentParser:
         action="store_true",
         help=f"finite-difference derivatives for expression pairs (orders 1..{FD_MAX_ORDER})",
     )
-    verify.add_argument("--fd-step", type=float, default=_FD_STEP)
+    verify.add_argument("--fd-step", type=float, default=None)
     verify.add_argument("--tol", type=float, default=None, help="identity tolerance")
     add_quad_flags(verify)
     verify.set_defaults(func=_cmd_verify)

@@ -65,13 +65,14 @@ class SeriesPair:
     phi must be evaluable wherever an operation needs it: non-negative
     integers for series work and -s for master-theorem right-hand sides.
     closed_form is valid on all of x >= 0, beyond the series' radius.
-    derivative(order, x) is the analytic order-th derivative of closed_form
-    at an integer order from 0 to derivative_max (2.0 means 2); catalog
-    and shifted pairs raise DomainError at a negative or non-integral order
-    and DerivativeUnavailable above derivative_max, a contract implemented
-    once, by _PerOrder, on errors.integer_in.  phi_plain, when set, gives
-    the plain coefficients: F(x) = sum phi_plain(k) (-x)^k, so phi(k) =
-    k! phi_plain(k).  phi_highprec(k), when set, is phi(k) as an mpmath number.
+    derivative(order, x) is the order-th derivative of closed_form at an
+    integer order from 0 to derivative_max (2.0 means 2); every pair raises
+    DomainError at a negative or non-integral order and DerivativeUnavailable
+    above derivative_max, the contract of the _PerOrder table (on
+    errors.integer_in) that gives the pair its derivative_max.  phi_plain,
+    when set, gives the plain coefficients: F(x) = sum phi_plain(k) (-x)^k,
+    so phi(k) = k! phi_plain(k).  phi_highprec(k), when set, is phi(k) as an
+    mpmath number.
     derivative_with_noise, when set, is (derivative(order, x), error) for
     orders 1 to derivative_max, for derivatives whose values carry noise far
     above rounding, as finite differences do; lemma2 then integrates it with
@@ -162,10 +163,9 @@ def shift_sequence(pair: SeriesPair, n: int) -> SeriesPair:
     base_hp = pair.phi_highprec
     base_noisy = pair.derivative_with_noise
     label = f"{pair.label} shifted by {n}"
-    derivative_max = pair.derivative_max - n
     # The catalog's contract, so a negative order cannot reach the base
     # pair's lower derivatives.
-    base_order = _PerOrder(label, derivative_max, lambda order: n + order)
+    base_order = _PerOrder(label, pair.derivative_max - n, lambda order: n + order)
 
     def derivative_with_noise(order: int, x: float) -> tuple[float, float]:
         value, error = base_noisy(base_order[order], x)
@@ -175,7 +175,7 @@ def shift_sequence(pair: SeriesPair, n: int) -> SeriesPair:
         phi=lambda k: base_phi(n + k),
         closed_form=lambda x: sign * base_deriv(n, x),
         derivative=lambda order, x: sign * base_deriv(base_order[order], x),
-        derivative_max=derivative_max,
+        derivative_max=base_order.derivative_max,
         f_at_zero=sign * base_deriv(n, 0.0),
         f_at_infinity=0.0,
         convergence_radius=pair.convergence_radius,
@@ -221,10 +221,10 @@ def refuse_order_above(label: str, order: float, derivative_max: int) -> None:
 
 
 class _PerOrder(dict):
-    """order -> constants(order), the factors a derivative closure needs at
-    one order, made on first use.  A miss checks the order against
-    SeriesPair.derivative's contract, so this is the one implementation of
-    that contract; a refused order is not stored."""
+    """order -> constants(order), what a pair's derivative needs at one
+    order (a catalog pair's factors, an FD closure), made on first use.  A
+    miss checks the order against SeriesPair.derivative's contract, so this
+    is the one implementation of that contract; a refused order is not stored."""
 
     def __init__(self, label: str, derivative_max: int, constants: Callable[[int], object]):
         self.label, self.derivative_max, self.constants = label, derivative_max, constants
@@ -232,7 +232,7 @@ class _PerOrder(dict):
     def __missing__(self, order):
         checked = integer_in(order, 0, math.inf, DomainError,
                              "%s: derivative order %r is not an integer >= 0", self.label, order)
-        refuse_order_above(self.label, order, self.derivative_max)
+        refuse_order_above(self.label, checked, self.derivative_max)
         self[order] = value = self.constants(checked)
         return value
 
@@ -248,7 +248,7 @@ def _build_exp(**params) -> SeriesPair:
         phi=lambda k: a**k,
         closed_form=lambda x: math.exp(-a * x),
         derivative=lambda order, x: scale[order] * math.exp(-a * x),
-        derivative_max=1000,
+        derivative_max=scale.derivative_max,
         f_at_zero=1.0,
         f_at_infinity=0.0,
         convergence_radius=math.inf,
@@ -284,7 +284,7 @@ def _build_power(**params) -> SeriesPair:
         phi=phi,
         closed_form=lambda x: (1.0 + x) ** (-m),
         derivative=derivative,
-        derivative_max=100,
+        derivative_max=constants.derivative_max,
         f_at_zero=1.0,
         f_at_infinity=0.0,
         convergence_radius=1.0,
@@ -345,7 +345,7 @@ def _build_erf(**params) -> SeriesPair:
         phi=_erf_phi,
         closed_form=specfun.erf,
         derivative=derivative,
-        derivative_max=specfun.MAX_POLY_DEGREE + 1,
+        derivative_max=constants.derivative_max,
         f_at_zero=0.0,
         f_at_infinity=1.0,
         convergence_radius=math.inf,
@@ -388,7 +388,7 @@ def _build_laguerre_weight(**params) -> SeriesPair:
         phi=phi,
         closed_form=lambda x: x**n * math.exp(-x),
         derivative=derivative,
-        derivative_max=specfun.MAX_POLY_DEGREE,
+        derivative_max=terms.derivative_max,
         f_at_zero=0.0,
         f_at_infinity=0.0,
         convergence_radius=math.inf,
@@ -422,7 +422,7 @@ def _harmonic_closed(x: float) -> float:
     return -math.expm1(-x) / x
 
 
-# (order, (-1)^order) up to the pair's derivative_max, 6.
+# (order, (-1)^order) up to the pair's derivative_max.
 _harmonic_constants = _PerOrder("catalog 'harmonic_shifted'", 6, lambda order: (order, (-1.0) ** order))
 
 
@@ -465,7 +465,7 @@ def _build_harmonic_shifted(**params) -> SeriesPair:
         phi=_harmonic_phi,
         closed_form=_harmonic_closed,
         derivative=_harmonic_derivative,
-        derivative_max=6,
+        derivative_max=_harmonic_constants.derivative_max,
         f_at_zero=1.0,
         f_at_infinity=0.0,
         convergence_radius=math.inf,

@@ -440,6 +440,36 @@ class TestInputErrors:
         assert (code, out) == (2, "")
         assert err == f"error: --catalog pairs take no {flags[0]} (expression pairs only)\n"
 
+    def test_default_fd_step_with_catalog_is_input_error(self, capsys):
+        # The expression pairs' default step is refused too: a given flag is never absent.
+        code, out, err = run_in_process(
+            capsys, "verify", "rmt", "--catalog", "exp", "--s", "1", "--fd-step", "0.05"
+        )
+        assert (code, out, err) == (
+            2, "", "error: --catalog pairs take no --fd-step (expression pairs only)\n")
+
+    @pytest.mark.parametrize("step", ["-3", "nan", "0.05"])
+    def test_fd_step_without_fd_derivatives_is_input_error(self, capsys, step):
+        code, out, err = run_in_process(
+            capsys, "verify", "rmt", "--phi", "1", "--closed-form", "exp(-x)", "--s", "1",
+            "--fd-step", step,
+        )
+        assert (code, out, err) == (2, "", "error: --fd-step needs --fd-derivatives\n")
+
+    @pytest.mark.parametrize("identity, flags, given", [
+        ("rmt", ["--s", "1", "--alpha", "2", "--n", "3"], "--alpha, --n"),
+        ("hardy", ["--s", "0.5", "--beta", "1"], "--beta"),
+        ("lemma2", ["--n", "1", "--s", "2"], "--s"),
+        ("frullani", ["--alpha", "2", "--beta", "1", "--s", "1", "--n", "2"], "--n, --s"),
+    ])
+    def test_identity_input_the_identity_does_not_take_is_input_error(
+        self, capsys, identity, flags, given
+    ):
+        code, out, err = run_in_process(
+            capsys, "verify", identity, "--catalog", "exp", *flags
+        )
+        assert (code, out, err) == (2, "", f"error: {identity} takes no {given}\n")
+
     def test_every_expression_pair_flag_with_catalog_is_named(self, capsys):
         code, out, err = run_in_process(
             capsys, "verify", "frullani", "--catalog", "exp", "--alpha", "2", "--beta", "1",
@@ -577,13 +607,20 @@ class TestFdDerivatives:
         assert pair.derivative(True, 0.3) == pair.derivative(1, 0.3)
         assert pair.derivative(0, 0.3) == pair.closed_form(0.3)
 
-    @pytest.mark.parametrize("order", [2.5, math.nan, -1, FD_MAX_ORDER + 1])
-    def test_orders_outside_1_to_6_are_refused(self, order):
+    @pytest.mark.parametrize("order, error, message", [
+        (2.5, DomainError, "expression pair: derivative order 2.5 is not an integer >= 0"),
+        (math.nan, DomainError, "expression pair: derivative order nan is not an integer >= 0"),
+        (-1, DomainError, "expression pair: derivative order -1 is not an integer >= 0"),
+        (FD_MAX_ORDER + 1, DerivativeUnavailable,
+         f"expression pair: derivative order {FD_MAX_ORDER + 1} exceeds derivative_max=6"),
+    ], ids=["2.5", "nan", "-1", "7"])
+    def test_orders_outside_1_to_6_are_refused(self, order, error, message):
         pair = expression_pair(*FD_PAIR)
-        message = f"nth_derivative_fd: n must be in 1..{FD_MAX_ORDER}, got {order}"
         for _ in range(2):  # a refused order is refused on every call
-            with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+            with pytest.raises(error, match=rf"^{re.escape(message)}$"):
                 pair.derivative(order, 0.5)
+            with pytest.raises(error, match=rf"^{re.escape(message)}$"):
+                pair.derivative_with_noise(order, 0.5)
 
     @pytest.mark.parametrize("h, order, message", [
         ("1e-100", 4, "nth_derivative_fd: step h=1e-100 is too small: h**4 underflows to 0"),

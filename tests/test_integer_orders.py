@@ -13,7 +13,7 @@ import pytest
 from test_cli import FD_PAIR, expression_pair
 
 from rmtkit.errors import DerivativeUnavailable, DomainError, ParamDomainError, RmtError
-from rmtkit.sequences import catalog_get, eval_series, shift_sequence
+from rmtkit.sequences import catalog_get, catalog_ids, eval_series, shift_sequence
 from rmtkit.specfun import MAX_POLY_DEGREE, hermite, laguerre
 from rmtkit.transforms import (
     FD_MAX_ORDER,
@@ -62,11 +62,26 @@ def _degree_entry(polynomial, name):
     )
 
 
+# Catalog parameters where an id requires one.
+CATALOG_PARAMS = {"power": {"m": 1.5}, "laguerre_weight": {"n": 3}}
+
+
+def _catalog_derivative_entries():
+    """One derivative row per catalog id; geometric is the power pair
+    under another closed form, so its orders are refused as power's."""
+    entries = {}
+    for id_ in catalog_ids():
+        table = "power" if id_ == "geometric" else id_
+        pair = catalog_get(id_, **CATALOG_PARAMS.get(id_, {}))
+        entries[f"catalog derivative ({id_})"] = _derivative_entry(pair, f"catalog {table!r}")
+    return entries
+
+
 def _entries():
     exp = catalog_get("exp")
-    fd_pair = expression_pair(*FD_PAIR)
     harmonic = catalog_get("harmonic_shifted")  # derivative_max 6
     return {
+        **_catalog_derivative_entries(),
         "eval_series max_terms": Entry(
             lambda v: eval_series(exp, 1e-20, v),
             1, math.inf,
@@ -83,10 +98,6 @@ def _entries():
         ),
         "shifted pair derivative": _derivative_entry(
             shift_sequence(exp, 2), "exp(a=1) shifted by 2"
-        ),
-        "catalog derivative (exp)": _derivative_entry(exp, "catalog 'exp'"),
-        "catalog derivative (harmonic_shifted)": _derivative_entry(
-            harmonic, "catalog 'harmonic_shifted'"
         ),
         "hermite degree": _degree_entry(hermite, "hermite"),
         "laguerre degree": _degree_entry(laguerre, "laguerre"),
@@ -117,11 +128,12 @@ def _entries():
             0, math.inf,
             lambda v: (DomainError, "residue_check: m must be a non-negative integer"),
         ),
-        # Order 0 is the closed form; the others are nth_derivative_fd's orders.
-        "expression pair FD derivative": Entry(
-            lambda v: fd_pair.derivative(v, 0.5),
-            0, FD_MAX_ORDER,
-            lambda v: (DomainError, f"nth_derivative_fd: n must be in 1..{FD_MAX_ORDER}, got {v}"),
+        # Order 0 is the closed form; FD gives orders 1 to FD_MAX_ORDER.
+        "expression pair FD derivative": _derivative_entry(
+            expression_pair(*FD_PAIR), "expression pair"
+        ),
+        "expression pair derivative": _derivative_entry(
+            expression_pair("--phi", "1", "--closed-form", "exp(-x)"), "expression pair"
         ),
         "nth_derivative_fd n": Entry(
             lambda v: nth_derivative_fd(math.exp, 0.5, v, 1e-3),
