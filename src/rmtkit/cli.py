@@ -185,7 +185,8 @@ def _expression_pair(args: argparse.Namespace) -> SeriesPair:
         convergence_radius=math.inf,
         phi_plain=phi,
         label="expression pair",
-        derivative_with_noise=(lambda order, x: fds[order](x, noise=True))
+        derivative_with_noise=(
+            lambda order, x: (closed(x), 0.0) if order == 0 else fds[order](x, noise=True))
         if args.fd_derivatives else None,
     )
 

@@ -19,19 +19,21 @@ insignificant.
 
 ``fact(x)`` is defined as gamma(x+1) so it accepts real arguments.
 There are no user-defined functions or conditionals; evaluation is strict,
-bottom-up, in double precision.  ``compile_expr`` turns a tree once into
-one closure per node that reads the free variable, folding each
-variable-free subtree to its value then, so a later evaluation walks no
-tree and recomputes no constant; ``evaluate`` compiles and calls once.
-``parse`` is memoized per source string in a bounded cache, since trees
-are immutable; ``compile_expr`` runs on every call, because the bindings
-it captures differ from call to call.
+bottom-up, in double precision.  ``compile_expr`` folds each
+variable-free subtree to its value and turns the rest of a tree into one
+generated Python function of the free variable, compiled once and cached,
+so a later evaluation walks no tree and recomputes no constant;
+``evaluate`` compiles and calls once.  ``parse`` is memoized per source
+string in a bounded cache, since trees are immutable; ``compile_expr``
+folds on every call, because the bindings differ from call to call.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
@@ -64,10 +66,10 @@ MAX_SOURCE_BYTES = 64 * 1024
 # Parentheses, calls, unary minus and every binary operator count toward
 # the limit: each _Parser method takes the depth it parses at, and passes
 # one more to what it parses below such a construct.  So the limit bounds
-# the tree depth that compile_expr, the closures it builds and to_source
-# recurse through.  Each counted level costs several interpreter stack
-# frames; 120 keeps the parser well inside CPython's default recursion
-# limit while allowing any realistic expression.
+# the tree depth that compile_expr's walks and to_source recurse through.
+# Each counted level costs several interpreter stack frames; 120 keeps the
+# parser well inside CPython's default recursion limit while allowing any
+# realistic expression.
 _MAX_DEPTH = 120
 
 
@@ -309,128 +311,158 @@ BUILTIN_FUNCTIONS: dict[str, int] = {name: arity for name, (arity, _) in _BUILTI
 _UNFOLDED = object()  # stands for the value of a subtree that reads the variable or raises
 
 
-def compile_expr(
-    node: ExprNode, bindings: Mapping[str, float], variable: str | None
-) -> Callable[[float], float]:
-    """Compile a tree once into a one-argument function of ``variable``.
-
-    Every other name is read from ``bindings`` once, here, as a float;
-    with ``variable`` None every name is, and the argument goes unused.
-    Each node that reads ``variable`` becomes one closure, and a call
-    passes its argument values to the builtin directly.  A variable-free
-    subtree is evaluated once, here, and its parent captures the value.
-    Evaluation is strict, bottom-up, in double precision, and an error is
-    raised only when evaluation reaches it (a subtree that raises is not
-    folded), so ``1/0 + q`` with ``q`` unbound raises DivisionByZero as a
-    left-to-right walk would.
-    """
-    return _compile(node, bindings, variable)[0]
-
-
-def _compile(node: ExprNode, bindings, variable) -> tuple[Callable[[float], float], object]:
-    """(closure, value) for ``node``: the value it folds to, or _UNFOLDED."""
-    if isinstance(node, Constant):
-        value = node.value
-        return (lambda x: value), value
-    if isinstance(node, Variable):
-        name = node.name
-        if name == variable:
-            return float, _UNFOLDED
-        try:
-            value = float(bindings[name])
-        except KeyError:
-            return _raises(UnboundVariable, f"variable {name!r} is not bound")
-        return (lambda x: value), value
-    if isinstance(node, UnaryNeg):
-        child, value = _compile(node.child, bindings, variable)
-        return _fold(lambda x: -child(x), value)
-    if isinstance(node, BinaryOp):
-        return _compile_binary(
-            node.op,
-            _compile(node.left, bindings, variable),
-            _compile(node.right, bindings, variable),
-        )
-    if isinstance(node, Call):
-        return _compile_call(node, bindings, variable)
-    return _raises(DomainError, f"unknown node type {type(node).__name__}")
-
-
-def _fold(closure: Callable[[float], float], *operands) -> tuple[Callable[[float], float], object]:
-    """(x -> value, value) with closure's value when every operand folded and
-    evaluating it raises nothing; else (closure, _UNFOLDED)."""
-    if _UNFOLDED not in operands:
-        try:
-            value = closure(0.0)
-            return (lambda x: value), value
-        except Exception:
-            pass
-    return closure, _UNFOLDED
-
-
-def _raises(error: type[Exception], *args) -> tuple[Callable[[float], float], object]:
-    def fail(x: float) -> float:
-        raise error(*args)
-
-    return fail, _UNFOLDED
-
-
 def _quotient(numerator: float, denominator: float) -> float:
     if denominator == 0.0:
         raise DivisionByZero(f"division by zero: {numerator!r} / 0")
     return numerator / denominator
 
 
-# op -> the closure of (left op right) from two closures, from a folded left
-# value and a closure, and from a closure and a folded right value; a
-# folded value is captured, and a nonzero folded divisor needs no zero test.
-_BINARY = {
-    "+": (lambda f, g: lambda x: f(x) + g(x), lambda a, g: lambda x: a + g(x),
-          lambda f, b: lambda x: f(x) + b),
-    "-": (lambda f, g: lambda x: f(x) - g(x), lambda a, g: lambda x: a - g(x),
-          lambda f, b: lambda x: f(x) - b),
-    "*": (lambda f, g: lambda x: f(x) * g(x), lambda a, g: lambda x: a * g(x),
-          lambda f, b: lambda x: f(x) * b),
-    "/": (lambda f, g: lambda x: _quotient(f(x), g(x)), lambda a, g: lambda x: _quotient(a, g(x)),
-          lambda f, b: (lambda x: f(x) / b) if b != 0.0 else lambda x: _quotient(f(x), b)),
-    "^": (lambda f, g: lambda x: _apply_power(f(x), g(x)),
-          lambda a, g: lambda x: _apply_power(a, g(x)),
-          lambda f, b: lambda x: _apply_power(f(x), b)),
-}
+# Each operation's function of its operands' folded values, and its line in
+# generated code: formatted with its operands' names, {t} the name of its
+# temporary and {g} that of its global (a call's builtin).  A zero divisor
+# alone reaches _quotient's test, a zero or negative base _apply_power's,
+# whose comparisons come first, so a malformed base fails as it does there.
+_OPERATORS = (
+    ("+", operator.add, "{t} = {0} + {1}"),
+    ("-", operator.sub, "{t} = {0} - {1}"),
+    ("*", operator.mul, "{t} = {0} * {1}"),
+    ("/", _quotient, "{t} = {0} / {1} if {1} else _quotient({0}, {1})"),
+    ("^", _apply_power,
+     "{t} = _apply_power({0}, {1}) if {0} == 0.0 or {0} < 0.0 else _pow({0}, {1})"),
+)
+_CALL = (  # math.log, math.sqrt, math.sin and math.cos raise ValueError off their domains
+    "try: {t} = {g}({0})\n"
+    "except ValueError: raise DomainError('%s undefined at %r' % (_NAME[{g}], {0})) from None")
+_RUNTIME = {"_quotient": _quotient, "_apply_power": _apply_power, "_pow": math.pow,
+            "DomainError": DomainError,
+            "_NAME": {fn: name for name, (_, fn) in _BUILTINS.items()}}
 
 
-def _compile_binary(op: str, left, right) -> tuple[Callable[[float], float], object]:
-    """(closure, value) of ``left op right`` from its operands' pairs."""
-    (f, a), (g, b) = left, right
-    if op in _BINARY:
-        both, left_folded, right_folded = _BINARY[op]
-        closure = (left_folded(a, g) if a is not _UNFOLDED
-                   else both(f, g) if b is _UNFOLDED else right_folded(f, b))
-        return _fold(closure, a, b)
-    fail, _ = _raises(DomainError, f"unknown operator {op!r}")
-    return (lambda x: fail((f(x), g(x)))), _UNFOLDED  # both operands first, as a walk would
+def _raising(error: type[Exception], *args) -> tuple:
+    """(fold, line, global) of a node that raises error(*args), its operands evaluated."""
+    return None, "raise {g}()", functools.partial(error, *args)
 
 
-def _compile_call(node: Call, bindings, variable) -> tuple[Callable[[float], float], object]:
-    name = node.fn
-    builtin = _BUILTINS.get(name)
-    if builtin is None:
-        return _raises(UnknownFunction, f"unknown function {name!r}", 0, ())
-    arity, fn = builtin
-    if len(node.args) != arity:  # hand-built: parse rejects such a call
-        return _raises(DomainError, f"{name} takes {arity} argument(s), got {len(node.args)}")
-    args = [_compile(a, bindings, variable) for a in node.args]
-    if name == "pow":  # '^', whose _apply_power raises no ValueError
-        return _compile_binary("^", *args)
-    ((arg, value),) = args
+def _operation(node) -> tuple:
+    """(operands, fold, line, global) of a node that is not a leaf: fold maps
+    the operands' values to the node's, and is None where the node raises
+    whatever they are; line computes it in a generated body."""
+    if isinstance(node, Variable):  # unbound: _fold reads a bound one
+        return ((), *_raising(UnboundVariable, f"variable {node.name!r} is not bound"))
+    if isinstance(node, UnaryNeg):
+        return (node.child,), operator.neg, "{t} = -{0}", None
+    if isinstance(node, BinaryOp):
+        operands = (node.left, node.right)
+        for op, fold, line in _OPERATORS:
+            if node.op == op:
+                return operands, fold, line, None
+        return (operands, *_raising(DomainError, f"unknown operator {node.op!r}"))
+    if isinstance(node, Call):
+        builtin = _BUILTINS.get(node.fn)
+        if builtin is None:
+            return ((), *_raising(UnknownFunction, f"unknown function {node.fn!r}", 0, ()))
+        arity, fn = builtin
+        if len(node.args) != arity:  # hand-built: parse rejects such a call
+            return ((), *_raising(
+                DomainError, f"{node.fn} takes {arity} argument(s), got {len(node.args)}"))
+        if fn is _apply_power:  # pow is '^', whose _apply_power raises no ValueError
+            return (node.args, *_OPERATORS[-1][1:], None)
+        return node.args, fn, _CALL, fn
+    return ((), *_raising(DomainError, f"unknown node type {type(node).__name__}"))
 
-    def call(x: float) -> float:
-        value = arg(x)
+
+# (id(tree), variable, failed folds) -> (tree, factory); holding the tree keeps its id its own
+_COMPILED: dict = {}
+_COMPILED_SIZE = 256
+
+
+def compile_expr(
+    node: ExprNode, bindings: Mapping[str, float], variable: str | None
+) -> Callable[[float], float]:
+    """Compile a tree into a one-argument function of ``variable``.
+
+    Every other name is read from ``bindings`` once, here, as a float;
+    with ``variable`` None every name is, and the argument, converted by
+    float, goes unused.  Each variable-free subtree is evaluated once, here.
+    The rest becomes a generated function: straight-line code with one
+    temporary per node, a tree walk's operations in its order, and no text
+    from the tree.  It is compiled once per tree, variable and set of folds
+    that raised, and cached (bounded); each call passes its folded values
+    in.  Evaluation is strict, bottom-up, in double precision, and an error
+    is raised only when evaluation reaches it (a subtree that raises is not
+    folded): ``1/0 + q``, ``q`` unbound, raises DivisionByZero as a walk would.
+    """
+    outcomes, failed = [], []
+    _fold(node, bindings, variable, outcomes, failed)
+    key = (id(node), variable, tuple(failed))
+    entry = _COMPILED.get(key)
+    if entry is None:
+        if len(_COMPILED) >= _COMPILED_SIZE:
+            _COMPILED.clear()
+        entry = _COMPILED[key] = (node, _generate(node, variable, set(failed)))
+    return entry[1](*outcomes)
+
+
+def _fold(node, bindings, variable, outcomes: list, failed: list) -> object:
+    """node's value, or _UNFOLDED where it reads ``variable`` or raises.
+
+    Appends each node's value or _UNFOLDED to ``outcomes``, in preorder, and
+    the preorder index of each variable-free node that raises to ``failed``.
+    """
+    index = len(outcomes)
+    outcomes.append(_UNFOLDED)
+    if isinstance(node, Constant):
+        value = node.value
+    elif isinstance(node, Variable):
+        if node.name == variable:
+            return _UNFOLDED
         try:
-            return fn(value)
-        except ValueError:  # math.log, math.sqrt, math.sin, math.cos off their domains
-            raise DomainError(f"{name} undefined at {value!r}") from None
+            value = float(bindings[node.name])
+        except KeyError:
+            failed.append(index)
+            return _UNFOLDED
+    else:
+        operands, fold, _, _ = _operation(node)
+        values = [_fold(operand, bindings, variable, outcomes, failed) for operand in operands]
+        if fold is None or _UNFOLDED in values:
+            return _UNFOLDED
+        try:
+            value = fold(*values)
+        except Exception:
+            failed.append(index)
+            return _UNFOLDED
+    outcomes[index] = value
+    return value
 
-    return _fold(call, value)
+
+def _generate(node, variable, failed: set) -> Callable:
+    """The factory that, given _fold's outcomes for a tree, returns its
+    function of ``variable``; ``failed`` is the set _fold listed."""
+    namespace, body = dict(_RUNTIME), ["x = float(x)"]
+    indices = itertools.count()
+
+    def walk(node) -> str:
+        """The name of node's value: p<its preorder index> where it folds,
+        the factory's parameter; else x or the temporary computing it."""
+        index = next(indices)
+        if isinstance(node, Variable) and node.name == variable:
+            return "x"
+        if isinstance(node, Constant) or isinstance(node, Variable) and index not in failed:
+            return f"p{index}"
+        operands, fold, line, value = _operation(node)
+        names = [walk(operand) for operand in operands]
+        if fold is not None and index not in failed and all(name[0] == "p" for name in names):
+            return f"p{index}"
+        namespace[f"g{index}"] = value
+        body.extend(line.format(*names, t=f"t{index}", g=f"g{index}").split("\n"))
+        return f"t{index}"
+
+    body.append(f"return {walk(node)}")
+    parameters = ", ".join(f"p{i}" for i in range(next(indices)))
+    exec(compile(f"def factory({parameters}):\n    def expression(x):\n"
+                 + "".join(f"        {line}\n" for line in body)
+                 + "    return expression\n", "<expression>", "exec"), namespace)
+    return namespace["factory"]
 
 
 def evaluate(node: ExprNode, env: Mapping[str, float]) -> float:

@@ -145,6 +145,10 @@ class QuadratureConfig:
         return copy
 
 
+# What an integrator uses when given no config: frozen, so one instance serves.
+_DEFAULT_CONFIG = QuadratureConfig()
+
+
 @dataclass(frozen=True)
 class EvaluationResult:
     """A numeric value with its absolute error estimate.
@@ -265,7 +269,7 @@ def integrate_finite(
     that passes ``_within_tolerance``, it returns at once the loop's
     one-panel sums: 0.0 + value, and its error.
     """
-    cfg = cfg or QuadratureConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"integrate_finite: endpoints must be finite, got [{a!r}, {b!r}]")
     if not a <= b:
@@ -646,7 +650,7 @@ def integrate_semi_infinite(
     makes the result converged=False (the best-effort value is still
     returned).
     """
-    return _semi_infinite(f, cfg or QuadratureConfig())
+    return _semi_infinite(f, cfg or _DEFAULT_CONFIG)
 
 
 def integrate_mellin(
@@ -678,7 +682,7 @@ def integrate_mellin(
     """
     if not 0.0 < s < math.inf:
         raise DomainError(f"integrate_mellin: requires finite s > 0, got {s!r}")
-    cfg = cfg or QuadratureConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     if smooth:
         integrand, g = _mellin_terms(F, s, log_F)
         return _semi_infinite(integrand, cfg, g, log_F is not None)

@@ -74,8 +74,9 @@ class SeriesPair:
     so phi(k) = k! phi_plain(k).  phi_highprec(k), when set, is phi(k) as an
     mpmath number.
     derivative_with_noise, when set, is (derivative(order, x), error) for
-    orders 1 to derivative_max, for derivatives whose values carry noise far
-    above rounding, as finite differences do; lemma2 then integrates it with
+    orders 0 to derivative_max under derivative's contract, for derivatives
+    whose values carry noise far above rounding, as finite differences do
+    (order 0, the closed form, has error 0.0); lemma2 then integrates it with
     integrate_mellin(smooth=False), which adds the errors to its floor.
     log_closed_form, when set, is L -> ln F(e^L) for L >= 0, F > 0 there,
     finite up to L ~ 1.28e5 where x = e^L overflows; rmt and hardy pass it to

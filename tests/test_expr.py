@@ -19,7 +19,7 @@ from rmtkit.errors import (
     UnboundVariable,
     UnknownFunction,
 )
-from rmtkit import specfun
+from rmtkit import expr, specfun
 from oracles import reference_evaluate, reference_parse
 from rmtkit.expr import (
     BUILTIN_FUNCTIONS,
@@ -424,6 +424,17 @@ class TestCompiled:
         Constant(3),
         "x",
         BinaryOp("*", Constant(2.0), None),
+        # Python source where the tree holds text: none of it may reach the
+        # generated code, where it would run or break the syntax.
+        BinaryOp("+-", Variable("x"), Constant(1.0)),
+        BinaryOp("+ __import__('os').getpid() +", Variable("x"), Constant(1.0)),
+        Call("exp(x) or __import__('os').getpid", (Variable("x"),)),
+        BinaryOp("*", Variable("x"), Variable("__import__('os').getpid()")),
+        BinaryOp("+", Variable("x"), Constant("__import__('os').getpid()")),
+        UnaryNeg(Constant("x) + __import__('os').getpid() + (x")),
+        # A base that is no number fails in _apply_power's first comparison.
+        BinaryOp("^", Constant("a"), Constant(2.0)),
+        BinaryOp("^", BinaryOp("+", Variable("x"), Constant(1j)), Constant(2.0)),
     ]
 
     @staticmethod
@@ -526,20 +537,20 @@ class TestCompiled:
             sys.setprofile(None)
         return calls
 
-    # One frame per closure node that reads x, and none for an argument list
-    # or a variable-free subtree: the free variable compiles to float and
-    # the math functions are C, so neither makes a Python frame; numbers,
-    # bound names and -a fold into the parents, which capture their values;
-    # pow's _apply_power and the zero-tested division's _quotient make one.
-    @pytest.mark.parametrize("source, frames", [
-        ("exp(-a*x)", 2),
-        ("exp(-sqrt(x))", 3),
-        ("pow(x, 2)", 2),
-        ("1/(1+c*x)", 4),
+    # One frame per evaluation, the generated function's: the math functions
+    # are C, and _apply_power runs only at a zero or negative base
+    # (_quotient only at a zero divisor, where it raises).
+    @pytest.mark.parametrize("source, x, frames", [
+        ("exp(-a*x)", 0.5, 1),
+        ("exp(-sqrt(x))", 0.5, 1),
+        ("pow(x, 2)", 0.5, 1),
+        ("pow(x, 2)", -0.5, 2),
+        ("a^x", 0.5, 1),
+        ("1/(1+c*x)", 0.5, 1),
     ])
-    def test_one_frame_per_closure_node(self, source, frames):
+    def test_one_frame_per_evaluation(self, source, x, frames):
         f = compile_expr(parse(source), {"a": 2.0, "c": 3.0}, "x")
-        assert self._python_calls(f, 0.5) == frames
+        assert self._python_calls(f, x) == frames
 
     def test_a_variable_free_tree_folds_to_one_frame(self):
         f = compile_expr(parse("exp(-a) * gamma(c) / (1 + pow(a, c))"), {"a": 2.0, "c": 3.0}, "x")
@@ -615,6 +626,27 @@ class TestReferenceParse:
             assert outcome == _parse_outcome(reference_parse, source), (family, n)
             outcomes.add(isinstance(outcome, tuple))
         assert outcomes == {False, True}
+
+
+class TestCompileCache:
+    """compile_expr compiles a tree's generated code once per variable and
+    set of failed folds, and passes each call's folded values in."""
+
+    def test_bindings_share_one_compiled_function_in_a_bounded_cache(self, monkeypatch):
+        compiles = []
+
+        def counting_compile(*args):
+            compiles.append(args)
+            return compile(*args)
+
+        monkeypatch.setattr(expr, "compile", counting_compile, raising=False)
+        tree = BinaryOp("*", Variable("a"), Variable("x"))  # a fresh tree: not yet compiled
+        twice, five_times = (compile_expr(tree, {"a": a}, "x") for a in (2.0, 5.0))
+        assert len(compiles) == 1
+        assert (twice(3.0), five_times(3.0)) == (6.0, 15.0)
+        for _ in range(expr._COMPILED_SIZE + 1):
+            compile_expr(BinaryOp("*", Variable("a"), Variable("x")), {"a": 2.0}, "x")
+        assert len(expr._COMPILED) <= expr._COMPILED_SIZE
 
 
 class TestParseCache:

@@ -41,9 +41,10 @@ def _pair_values(pair):
     return pair.label, pair.derivative_max, pair.closed_form(0.7), pair.phi(1.0)
 
 
-def _derivative_entry(pair, label):
+def _derivative_entry(pair, label, noisy=False):
+    derivative = pair.derivative_with_noise if noisy else pair.derivative
     return Entry(
-        lambda v: pair.derivative(v, 1.0),
+        lambda v: derivative(v, 1.0),
         0,
         pair.derivative_max,
         lambda v: (DomainError, f"{label}: derivative order {v!r} is not an integer >= 0"),
@@ -131,6 +132,13 @@ def _entries():
         # Order 0 is the closed form; FD gives orders 1 to FD_MAX_ORDER.
         "expression pair FD derivative": _derivative_entry(
             expression_pair(*FD_PAIR), "expression pair"
+        ),
+        "expression pair FD derivative with noise": _derivative_entry(
+            expression_pair(*FD_PAIR), "expression pair", noisy=True
+        ),
+        "shifted FD pair derivative with noise": _derivative_entry(
+            shift_sequence(expression_pair(*FD_PAIR), 2), "expression pair shifted by 2",
+            noisy=True,
         ),
         "expression pair derivative": _derivative_entry(
             expression_pair("--phi", "1", "--closed-form", "exp(-x)"), "expression pair"
