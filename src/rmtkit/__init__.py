@@ -32,7 +32,6 @@ from .errors import (
     UnknownEntry,
     UnknownFunction,
 )
-from .expr import evaluate, parse, to_source
 from .quadrature import (
     EvaluationResult,
     QuadratureConfig,
@@ -62,6 +61,14 @@ from .transforms import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):  # PEP 562: no identity parses, so expr loads on first use
+    if name not in ("evaluate", "parse", "to_source"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import expr
+    return getattr(expr, name)
+
 
 __all__ = [
     "IdentityCase",

@@ -8,7 +8,9 @@ Exit codes: 0 pass, 1 verification failure, 2 input error.  Results go to
 standard output (a fixed-width table, or JSON lines with ``--json``);
 diagnostics go to standard error.  All numbers are printed with 15
 significant digits and records serialise keys in a fixed order, so output
-is reproducible byte for byte.
+is reproducible byte for byte.  An argv of exact ``--flags`` and values is
+read from a table built once from its subcommand parser's actions; argparse
+parses any other (abbreviations, ``--flag=value``, ``-h``, ``--``, errors).
 """
 
 from __future__ import annotations
@@ -296,8 +298,7 @@ def _cmd_residue(args: argparse.Namespace) -> int:
 
 # Built on the first main call and reused: parsing leaves each parser as it
 # was (an append action copies its default list before appending).  main
-# hands the arguments after a subcommand's name straight to the parser
-# add_parser returned for it, kept in top.subcommands.
+# hands a subcommand's arguments to its parser, kept in top.subcommands.
 @functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -360,13 +361,58 @@ def _build_argparser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _exact_table(parser: argparse.ArgumentParser) -> tuple:
+    """(flags, positionals, defaults) read from a subcommand parser's actions:
+    each ``--long`` flag of a store, append or store_true action (not --help)."""
+    kinds = (argparse._StoreAction, argparse._AppendAction, argparse._StoreTrueAction)
+    actions = [a for a in parser._actions if type(a) in kinds and a.nargs in (None, 0)]
+    positionals = [a for a in parser._actions if not a.option_strings]
+    assert all(a in actions for a in positionals), "a positional _exact_args cannot read"
+    flags = {flag: a for a in actions for flag in a.option_strings if flag.startswith("--")}
+    defaults = {a.dest: a.default for a in reversed(parser._actions)
+                if argparse.SUPPRESS not in (a.dest, a.default)}
+    return flags, positionals, {**parser._defaults, **defaults}
+
+
+def _exact_args(parser: argparse.ArgumentParser, tokens: list[str]) -> argparse.Namespace | None:
+    """``parser.parse_known_args(tokens)``'s namespace where each token is a
+    flag of _exact_table's or a value; else None, for argparse to parse."""
+    flags, positionals, defaults = _exact_table(parser)
+    values, seen, pending, tokens = dict(defaults), set(), iter(positionals), iter(tokens)
+    for token in tokens:
+        action = flags.get(token) or (None if token.startswith("-") else next(pending, None))
+        if action is None:
+            return None
+        if action.option_strings and action.nargs != 0:  # a flag that takes a value
+            token = next(tokens, "-")  # a missing value declines as a flag would
+            if token.startswith("-") and (parser._has_negative_number_optionals
+                                          or not parser._negative_number_matcher.match(token)):
+                return None
+        try:
+            value = action.const if action.nargs == 0 else (action.type or str)(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse reports it
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        if isinstance(action, argparse._AppendAction):
+            value = [*(values.get(action.dest) or ()), value]
+        values[action.dest] = value
+        seen.add(action)
+    if any(action.required and action not in seen for action in parser._actions):
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_argparser()
     command = parser.subcommands.get(argv[0]) if argv else None
-    args, extra = command.parse_known_args(argv[1:]) if command else parser.parse_known_args(argv)
-    if extra:  # reported as parser.parse_args would
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = command and _exact_args(command, argv[1:])
+    if args is None:
+        args, extra = (command or parser).parse_known_args(argv[1:] if command else argv)
+        if extra:  # reported as parser.parse_args would
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (_InputError, RmtError) as exc:

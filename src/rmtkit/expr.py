@@ -25,7 +25,8 @@ generated Python function of the free variable, compiled once and cached,
 so a later evaluation walks no tree and recomputes no constant;
 ``evaluate`` compiles and calls once.  ``parse`` is memoized per source
 string in a bounded cache, since trees are immutable; ``compile_expr``
-folds on every call, because the bindings differ from call to call.
+folds on every call, because the bindings differ from call to call, by a
+flat list of binding reads and folds made once per tree and variable.
 """
 
 from __future__ import annotations
@@ -347,7 +348,7 @@ def _operation(node) -> tuple:
     """(operands, fold, line, global) of a node that is not a leaf: fold maps
     the operands' values to the node's, and is None where the node raises
     whatever they are; line computes it in a generated body."""
-    if isinstance(node, Variable):  # unbound: _fold reads a bound one
+    if isinstance(node, Variable):  # unbound: the fold plan reads a bound one
         return ((), *_raising(UnboundVariable, f"variable {node.name!r} is not bound"))
     if isinstance(node, UnaryNeg):
         return (node.child,), operator.neg, "{t} = -{0}", None
@@ -373,6 +374,7 @@ def _operation(node) -> tuple:
 
 # (id(tree), variable, failed folds) -> (tree, factory); holding the tree keeps its id its own
 _COMPILED: dict = {}
+_PLANS: dict = {}  # (id(tree), variable) -> (tree, *_plan(tree, variable)), bounded alike
 _COMPILED_SIZE = 256
 
 
@@ -383,17 +385,29 @@ def compile_expr(
 
     Every other name is read from ``bindings`` once, here, as a float;
     with ``variable`` None every name is, and the argument, converted by
-    float, goes unused.  Each variable-free subtree is evaluated once, here.
-    The rest becomes a generated function: straight-line code with one
-    temporary per node, a tree walk's operations in its order, and no text
-    from the tree.  It is compiled once per tree, variable and set of folds
-    that raised, and cached (bounded); each call passes its folded values
-    in.  Evaluation is strict, bottom-up, in double precision, and an error
-    is raised only when evaluation reaches it (a subtree that raises is not
-    folded): ``1/0 + q``, ``q`` unbound, raises DivisionByZero as a walk would.
+    float, goes unused.  Each variable-free subtree is evaluated once, here,
+    by a plan cached (bounded) per tree and variable.  The rest becomes a
+    generated function: straight-line code with one temporary per node, a
+    walk's operations in its order, and no text from the tree, compiled
+    once per tree, variable and set of folds that raised, and cached; each
+    call passes its folded values in.  Evaluation is strict, bottom-up, in
+    double precision; an error is raised only when evaluation reaches it:
+    ``1/0 + q``, ``q`` unbound, raises DivisionByZero as a walk would.
     """
-    outcomes, failed = [], []
-    _fold(node, bindings, variable, outcomes, failed)
+    plan = _PLANS.get((id(node), variable))
+    if plan is None:
+        if len(_PLANS) >= _COMPILED_SIZE:
+            _PLANS.clear()
+        plan = _PLANS[id(node), variable] = (node, *_plan(node, variable))
+    outcomes, failed = list(plan[1]), []
+    for index, fold, operands in plan[2]:
+        try:
+            if fold is None:  # a bound variable; operands is its name
+                outcomes[index] = float(bindings[operands])
+            elif _UNFOLDED not in (values := [outcomes[i] for i in operands]):
+                outcomes[index] = fold(*values)
+        except KeyError if fold is None else Exception:  # a read fails only unbound
+            failed.append(index)
     key = (id(node), variable, tuple(failed))
     entry = _COMPILED.get(key)
     if entry is None:
@@ -403,41 +417,34 @@ def compile_expr(
     return entry[1](*outcomes)
 
 
-def _fold(node, bindings, variable, outcomes: list, failed: list) -> object:
-    """node's value, or _UNFOLDED where it reads ``variable`` or raises.
+def _plan(node, variable) -> tuple[list, list]:
+    """(outcomes, steps): each node's value in preorder, _UNFOLDED but for a constant, and
+    in a walk's order (index, None, name) reading a binding or (index, fold, operands)."""
+    outcomes, steps = [], []
 
-    Appends each node's value or _UNFOLDED to ``outcomes``, in preorder, and
-    the preorder index of each variable-free node that raises to ``failed``.
-    """
-    index = len(outcomes)
-    outcomes.append(_UNFOLDED)
-    if isinstance(node, Constant):
-        value = node.value
-    elif isinstance(node, Variable):
-        if node.name == variable:
-            return _UNFOLDED
-        try:
-            value = float(bindings[node.name])
-        except KeyError:
-            failed.append(index)
-            return _UNFOLDED
-    else:
+    def visit(node) -> bool:  # adds node's outcomes and steps; whether it may fold
+        index = len(outcomes)
+        outcomes.append(node.value if isinstance(node, Constant) else _UNFOLDED)
+        if isinstance(node, Constant):
+            return True
+        if isinstance(node, Variable):
+            if node.name != variable:
+                steps.append((index, None, node.name))
+            return node.name != variable
         operands, fold, _, _ = _operation(node)
-        values = [_fold(operand, bindings, variable, outcomes, failed) for operand in operands]
-        if fold is None or _UNFOLDED in values:
-            return _UNFOLDED
-        try:
-            value = fold(*values)
-        except Exception:
-            failed.append(index)
-            return _UNFOLDED
-    outcomes[index] = value
-    return value
+        visits = [(len(outcomes), visit(operand)) for operand in operands]
+        if fold is None or not all(folds for _, folds in visits):
+            return False
+        steps.append((index, fold, tuple(operand for operand, _ in visits)))
+        return True
+
+    visit(node)
+    return outcomes, steps
 
 
 def _generate(node, variable, failed: set) -> Callable:
-    """The factory that, given _fold's outcomes for a tree, returns its
-    function of ``variable``; ``failed`` is the set _fold listed."""
+    """The factory that, given compile_expr's outcomes for a tree, returns
+    its function of ``variable``; ``failed`` is the set its plan listed."""
     namespace, body = dict(_RUNTIME), ["x = float(x)"]
     indices = itertools.count()
 

@@ -4,6 +4,7 @@ import collections
 import json
 import math
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -863,3 +864,110 @@ class TestEntryParity:
         assert (code, out, err) == run_route(capsys, reference_cli_main, argv)
         assert code == 2
         assert err.splitlines()[-1] == "rmtkit: error: unrecognized arguments: --bogus"
+
+
+class TestExactForm:
+    """An argv of exact flags and positional values is parsed from a table
+    read off the subcommand's own parser; any other goes to argparse."""
+
+    # One argv of each shape the cli_expr benchmark workload runs.
+    SHAPES = [
+        ["verify", "rmt", "--phi", "a^k", "--closed-form", "exp(-a*x)", "--param", "a=1.5",
+         "--s", "2.5", "--json"],
+        ["verify", "hardy", "--phi", "c^k", "--closed-form", "1/(1+c*x)", "--param", "c=2",
+         "--s", "0.3", "--json"],
+        ["verify", "rmt", "--phi", "b^k", "--closed-form", "exp(-a*x)", "--param", "a=1",
+         "--param", "b=1.5", "--s", "2", "--json"],
+        ["verify", "lemma2", "--phi", "a^k", "--closed-form", "exp(-a*x)", "--param", "a=0.7",
+         "--fd-derivatives", "--n", "2", "--json", "--tol", "1e-06"],
+        ["verify", "frullani", "--phi", "0", "--closed-form", "erf(x)", "--f0", "0",
+         "--finf", "1", "--alpha", "0.5", "--beta", "3", "--json"],
+        ["verify", "rmt", "--catalog", "exp", "--param", "a=2", "--s", "3", "--json"],
+        ["verify", "lemma2", "--catalog", "erf", "--n", "5", "--json"],
+        ["verify", "hardy", "--catalog", "geometric", "--s", "0.4", "--json"],
+        ["verify", "frullani", "--catalog", "power", "--param", "m=2", "--alpha", "2",
+         "--beta", "0.5", "--json"],
+    ]
+
+    def test_the_workload_shapes_skip_argparse(self, capsys, monkeypatch):
+        import argparse
+
+        from rmtkit import cli
+
+        expected = [run_route(capsys, reference_cli_main, argv) for argv in self.SHAPES]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed an exact-form argv")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        assert [run_route(capsys, cli.main, argv) for argv in self.SHAPES] == expected
+        # The third is a false identity: a FAIL, exit code 1.
+        assert [code for code, _, _ in expected] == [0, 0, 1, 0, 0, 0, 0, 0, 0]
+
+    # Flag -> values, some malformed for the flag or for every flag.
+    VALUES = {
+        "--catalog": ["exp", "geometric", "bogus"],
+        "--param": ["a=2", "a=0.5", "a"],
+        "--phi": ["a^k", "1", "-k"],
+        "--closed-form": ["exp(-a*x)", "1/(1+x)", "-x + 1"],
+        "--s": ["1.5", "0.5", "-1", "-.5", "-1e5", "abc", ""],
+        "--n": ["1", "2", "1.5", "-2"],
+        "--alpha": ["2", "-3"],
+        "--beta": ["1"],
+        "--f0": ["1"],
+        "--finf": ["0"],
+        "--fd-step": ["0.05"],
+        "--tol": ["1e-6", "-0"],
+        "--abs-tol": ["1e-10"],
+        "--max-subdivisions": ["50", "x"],
+        "--filter": ["euler", "laguerre"],
+        "--tol-scale": ["2"],
+        "--m": ["0", "1"],
+        "--eps": ["0.01"],
+    }
+    SWITCHES = ["--json", "--fd-derivatives"]
+    NOISE = ["-h", "--help", "--", "--bogus", "--cat", "--clo", "--s=1", "--param=a=2", "-1",
+             "rmt", "hardy", "bogus", "", "--catalog=exp", "--fd", "-x"]
+
+    # Each subcommand's own flags; a fuzzed argv mostly draws from its own.
+    FLAGS = {
+        "verify": sorted(set(VALUES) - {"--filter", "--tol-scale", "--m", "--eps"}),
+        "corpus": ["--filter", "--tol-scale", "--abs-tol", "--max-subdivisions"],
+        "residue": ["--catalog", "--param", "--m", "--eps"],
+    }
+
+    @classmethod
+    def _fuzz_argvs(cls, count=300, seed=0x36):
+        rng = random.Random(seed)
+        for _ in range(count):
+            command = rng.choice(["verify"] * 6 + ["corpus", "residue"])
+            tokens = []
+            for _ in range(rng.randrange(7)):
+                pick = rng.random()
+                if pick < 0.1:
+                    tokens.append(rng.choice(cls.NOISE))
+                elif pick < 0.25:
+                    tokens.append(rng.choice(cls.SWITCHES))
+                else:
+                    flag = rng.choice(cls.FLAGS[command] if pick < 0.95 else sorted(cls.VALUES))
+                    tokens += [flag, rng.choice(cls.VALUES[flag])][:2 if rng.random() < 0.97 else 1]
+            if command == "verify" and rng.random() < 0.9:
+                identity = rng.choice(["rmt", "hardy", "lemma2", "frullani", "residue"])
+                tokens.insert(rng.randrange(len(tokens) + 1), identity)
+            yield [command, *tokens]
+
+    def test_fuzzed_argvs_parse_as_argparse_does(self, capsys):
+        from rmtkit import cli
+
+        parser = cli._build_argparser()
+        taken = 0
+        for argv in self._fuzz_argvs():
+            command = parser.subcommands[argv[0]]
+            exact = cli._exact_args(command, argv[1:])
+            if exact is not None:
+                taken += 1
+                args, extra = command.parse_known_args(argv[1:])
+                assert (vars(exact), extra) == (vars(args), []), argv
+            main = run_route(capsys, cli.main, argv)
+            assert main == run_route(capsys, reference_cli_main, argv), argv
+        assert 50 < taken < 250

@@ -648,6 +648,31 @@ class TestCompileCache:
             compile_expr(BinaryOp("*", Variable("a"), Variable("x")), {"a": 2.0}, "x")
         assert len(expr._COMPILED) <= expr._COMPILED_SIZE
 
+    def test_bindings_share_one_fold_plan_in_a_bounded_cache(self, monkeypatch):
+        plans = []
+
+        def counting_plan(*args):
+            plans.append(args)
+            return plan(*args)
+
+        plan = expr._plan
+        monkeypatch.setattr(expr, "_plan", counting_plan)
+        # A fresh tree, not yet planned; under the third binding, a is
+        # unbound and gamma(0) a pole: neither fold is made, both errors lazy.
+        tree = BinaryOp("*", parse("exp(-a*x) * gamma(c)"), Variable("x"))
+        bindings = ({"a": 2.0, "c": 3.0}, {"a": 0.5, "c": 4.0}, {"c": 0.0})
+        functions = [compile_expr(tree, env, "x") for env in bindings]
+        assert plans == [(tree, "x")]
+        for f, env in zip(functions, bindings):
+            for x in (0.5, 2.0):
+                expected = _outcome(lambda: reference_evaluate(tree, {**env, "x": x}))
+                assert _outcome(lambda: f(x)) == expected, (env, x)
+        compile_expr(tree, {"a": 2.0, "x": 1.0}, "c")
+        assert plans == [(tree, "x"), (tree, "c")]
+        for _ in range(expr._COMPILED_SIZE + 1):
+            compile_expr(BinaryOp("*", Variable("a"), Variable("x")), {"a": 2.0}, "x")
+        assert len(expr._PLANS) <= expr._COMPILED_SIZE
+
 
 class TestParseCache:
     """parse is memoized per source string: trees are frozen, so a repeated

@@ -181,6 +181,17 @@ class TestCatalog:
             assert hp == pytest.approx(pair.phi(float(k)), rel=1e-13, abs=1e-300)
 
 
+def _fresh_output(code: str) -> list[str]:
+    """The words ``code`` prints, run in a fresh interpreter on this tree's src."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return proc.stdout.split()
+
+
 class TestEvalSeries:
     def test_mpmath_loaded_only_by_eval_series(self):
         """Importing the package and its CLI leaves mpmath unloaded; the
@@ -192,13 +203,20 @@ class TestEvalSeries:
             "rmtkit.eval_series(rmtkit.catalog_get('power', m=2.0), 0.5, 200)\n"
             "print('mpmath' in sys.modules)\n"
         )
-        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        assert _fresh_output(code) == ["False", "True"]
+
+    def test_expr_loaded_only_by_expression_use(self):
+        """Importing the package leaves rmtkit.expr unloaded, a catalog
+        identity too; the first access to parse loads it."""
+        code = (
+            "import sys\n"
+            "import rmtkit\n"
+            "rmtkit.rmt(rmtkit.catalog_get('exp', a=2.0), 3.0)\n"
+            "print('rmtkit.expr' in sys.modules)\n"
+            "print(rmtkit.parse('x') == rmtkit.expr.Variable('x'))\n"
+            "print('rmtkit.expr' in sys.modules)\n"
         )
-        assert proc.stdout.split() == ["False", "True"]
+        assert _fresh_output(code) == ["False", "True", "True"]
 
     def test_single_term_at_zero(self):
         pair = catalog_get("exp", a=1.0)
