@@ -9,8 +9,8 @@ standard output (a fixed-width table, or JSON lines with ``--json``);
 diagnostics go to standard error.  All numbers are printed with 15
 significant digits and records serialise keys in a fixed order, so output
 is reproducible byte for byte.  An argv of exact ``--flags`` and values is
-read from a table built once from its subcommand parser's actions; argparse
-parses any other (abbreviations, ``--flag=value``, ``-h``, ``--``, errors).
+read from a table built once from its subcommand parser's actions; the
+top-level parser reads any other (``--flag=value``, ``-1``, ``-h``, errors).
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ _RECORD_KEYS = (
 )
 
 _FD_STEP = 0.05  # the finite-difference step used when --fd-step is absent
+# Every identity input, in the order IDENTITIES first names each.
+_INPUT_NAMES = tuple(dict.fromkeys(
+    name for kind in transforms.IDENTITIES.values() for name in kind.inputs))
 
 
 class _InputError(Exception):
@@ -226,8 +229,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if None in values.values():
         flags = " and ".join(f"--{name}" for name in kind.inputs)
         raise _InputError(f"{identity} requires {flags}")
-    if extra := [f"--{name}" for name in ("alpha", "beta", "n", "s")
-                 if name not in kind.inputs and getattr(args, name) is not None]:
+    if extra := [f"--{name}" for name in _INPUT_NAMES  # those verify has: alpha, beta, n, s
+                 if name not in kind.inputs and getattr(args, name, None) is not None]:
         raise _InputError(f"{identity} takes no {', '.join(extra)}")
     try:
         report = kind.run(pair, cfg, tol, **values)
@@ -298,7 +301,7 @@ def _cmd_residue(args: argparse.Namespace) -> int:
 
 # Built on the first main call and reused: parsing leaves each parser as it
 # was (an append action copies its default list before appending).  main
-# hands a subcommand's arguments to its parser, kept in top.subcommands.
+# parses with it whatever _exact_args declines on top.subcommands' parsers.
 @functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -376,8 +379,8 @@ def _exact_table(parser: argparse.ArgumentParser) -> tuple:
 
 
 def _exact_args(parser: argparse.ArgumentParser, tokens: list[str]) -> argparse.Namespace | None:
-    """``parser.parse_known_args(tokens)``'s namespace where each token is a
-    flag of _exact_table's or a value; else None, for argparse to parse."""
+    """The namespace ``parser`` reads from ``tokens`` when each is a flag of
+    _exact_table's or a value; else None, for argparse to parse."""
     flags, positionals, defaults = _exact_table(parser)
     values, seen, pending, tokens = dict(defaults), set(), iter(positionals), iter(tokens)
     for token in tokens:
@@ -386,8 +389,7 @@ def _exact_args(parser: argparse.ArgumentParser, tokens: list[str]) -> argparse.
             return None
         if action.option_strings and action.nargs != 0:  # a flag that takes a value
             token = next(tokens, "-")  # a missing value declines as a flag would
-            if token.startswith("-") and (parser._has_negative_number_optionals
-                                          or not parser._negative_number_matcher.match(token)):
+            if token.startswith("-"):  # argparse tells a negative number from a flag
                 return None
         try:
             value = action.const if action.nargs == 0 else (action.type or str)(token)
@@ -408,11 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_argparser()
     command = parser.subcommands.get(argv[0]) if argv else None
-    args = command and _exact_args(command, argv[1:])
-    if args is None:
-        args, extra = (command or parser).parse_known_args(argv[1:] if command else argv)
-        if extra:  # reported as parser.parse_args would
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = command and _exact_args(command, argv[1:]) or parser.parse_args(argv)
     try:
         return args.func(args)
     except (_InputError, RmtError) as exc:

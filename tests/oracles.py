@@ -804,11 +804,10 @@ def reference_parse(source: str) -> ExprNode:
 
 
 def reference_cli_main(argv: list[str]) -> int:
-    """The CLI entry as it stood before ``main`` handed a subcommand's
-    arguments to that subcommand's parser: the top-level parser reads the
-    whole argv (``parse_args`` exits on a usage error), then the command
-    runs, its typed errors mapped to exit code 2.  A ``SystemExit`` is
-    returned as its code."""
+    """The CLI entry through the top-level parser alone: it reads the whole
+    argv (``parse_args`` exits on a usage error), then the command runs,
+    its typed errors mapped to exit code 2.  A ``SystemExit`` is returned
+    as its code."""
     try:
         args = _build_argparser().parse_args(argv)
         try:

@@ -171,6 +171,18 @@ class TestJsonContract:
         assert len(records) == 16
         assert all(r["passed"] is True for r in records)
 
+    def test_non_finite_value_is_null(self, capsys):
+        # Declared limits 2e308 apart: the right side, (finf - f0) ln 2, is -inf.
+        code, out, err = run_in_process(
+            capsys, "verify", "frullani", "--phi", "1", "--closed-form", "exp(-x)",
+            "--f0", "1e308", "--finf=-1e308", "--alpha", "2", "--beta", "1", "--json",
+        )
+        assert (code, err) == (1, "")
+        assert '"rhs_value":null,"discrepancy":null,"passed":false' in out
+        record = json.loads(out)
+        assert (record["rhs_value"], record["discrepancy"]) == (None, None)
+        assert record["lhs_value"] == -0.693147180559945
+
 
 def run_in_process(capsys, *argv: str):
     """(exit code, stdout, stderr) of one in-process CLI call."""
@@ -479,6 +491,13 @@ class TestInputErrors:
         assert (code, out) == (2, "")
         assert err == ("error: --catalog pairs take no --f0, --finf, --fd-derivatives, "
                        "--fd-step (expression pairs only)\n")
+
+    @pytest.mark.parametrize("command", [["verify", "rmt", "--s", "1"], ["residue", "--m", "0"]])
+    def test_param_value_that_is_not_a_number_is_input_error(self, capsys, command):
+        code, out, err = run_in_process(
+            capsys, *command, "--catalog", "exp", "--param", "a=abc"
+        )
+        assert (code, out, err) == (2, "", "error: --param a: 'abc' is not a number\n")
 
     def test_expression_pair_without_derivatives_suggests_fd(self, capsys):
         code, out, err = run_in_process(
@@ -819,8 +838,9 @@ def run_route(capsys, route, argv):
 
 
 class TestEntryParity:
-    """``main`` hands a subcommand's arguments to that subcommand's parser;
-    every exit code, stdout and stderr is the top-level parser's."""
+    """``main`` reads an exact-form argv from its subcommand's table and any
+    other with the top-level parser; every exit code, stdout and stderr is
+    the top-level parser's."""
 
     ARGVS = [
         *GOLDEN_INVOCATIONS.values(),
@@ -903,6 +923,19 @@ class TestExactForm:
         assert [run_route(capsys, cli.main, argv) for argv in self.SHAPES] == expected
         # The third is a false identity: a FAIL, exit code 1.
         assert [code for code, _, _ in expected] == [0, 0, 1, 0, 0, 0, 0, 0, 0]
+
+    def test_a_value_led_by_a_dash_is_read_by_argparse(self, capsys):
+        from rmtkit import cli
+
+        limits = ["--f0", "-1", "--finf", "-2"]
+        argv = ["verify", "frullani", "--phi", "1", "--closed-form", "exp(-x)-2", *limits,
+                "--alpha", "2", "--beta", "1", "--json"]
+        assert cli._exact_args(cli._build_argparser().subcommands["verify"], argv[1:]) is None
+        code, out, err = run_route(capsys, cli.main, argv)
+        assert (code, err, json.loads(out)["passed"]) == (0, "", True)
+        joined = [*argv[:6], "--f0=-1", "--finf=-2", *argv[10:]]
+        assert run_route(capsys, cli.main, joined) == (code, out, err)
+        assert run_route(capsys, reference_cli_main, argv) == (code, out, err)
 
     # Flag -> values, some malformed for the flag or for every flag.
     VALUES = {

@@ -318,6 +318,11 @@ class TestPrinting:
         assert to_source(tree) == source
         assert parse(source) == tree
 
+    @pytest.mark.parametrize("node", [1.5, "x", None])
+    def test_a_non_node_is_a_domain_error(self, node):
+        with pytest.raises(DomainError, match=f"^unknown node type {type(node).__name__}$"):
+            to_source(node)
+
 
 _BINARY_OPS = ["+", "-", "*", "/", "^"]
 

@@ -146,6 +146,12 @@ class TestFinite:
         with pytest.raises(EvaluationError):
             integrate_finite(lambda x: math.inf if 0.4 < x < 0.6 else 1.0, 0.0, 1.0)
 
+    def test_non_finite_integrand_on_adjacent_doubles_is_not_bisected(self):
+        # No double lies strictly between 1 and the next one up.
+        with pytest.raises(EvaluationError, match=r"^integrand is non-finite on an interval "
+                           r"too narrow to bisect at \[1\.0, 1\.0000000000000002\]$"):
+            integrate_finite(lambda x: math.nan, 1.0, math.nextafter(1.0, 2.0))
+
     def test_budget_exhaustion_returns_best_effort(self):
         res = integrate_finite(
             lambda x: math.sin(1000.0 * x * x),
@@ -1110,6 +1116,23 @@ class TestMellinTerm:
         ulps = 4.0 + abs(s * log_x) + abs(float(mp.log(F)))
         assert abs(mp.mpf(value) - exact) <= ulps * sys.float_info.epsilon * exact
 
+    def test_x_integrand_takes_the_log_form_where_F_underflows(self):
+        # F(1e12) = 1e-360 underflows to 0 though x^(s-1) F(x) ~ 1e-18 does
+        # not: the probes and the geometric ends take it from ln F.
+        pair = catalog_get("power", m=30.0)
+        x, s = 1e12, 29.5
+        assert pair.closed_form(x) == 0.0
+        integrand, _ = quadrature._mellin_terms(pair.closed_form, s, pair.log_closed_form)
+        plain, _ = quadrature._mellin_terms(pair.closed_form, s, None)
+        value = integrand(x)
+        assert plain(x) == 0.0
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        exact = mp.mpf(x) ** (s - 1.0) * (1 + mp.mpf(x)) ** -30
+        log_x = math.log(x)
+        ulps = 4.0 + abs((s - 1.0) * log_x) + abs(pair.log_closed_form(log_x))
+        assert abs(mp.mpf(value) - exact) <= ulps * sys.float_info.epsilon * exact
+
 
 class TestSemiInfinite:
     def test_exponential(self):
@@ -1139,6 +1162,14 @@ class TestSemiInfinite:
     )
     def test_divergent_tail_is_not_converged(self, f):
         assert not integrate_semi_infinite(f).converged
+
+    def test_non_finite_probe_falls_back_to_the_ends(self):
+        # inf at x = 16 only: the double-exponential rule's first probe, which
+        # no node of the geometric ends meets.
+        res = integrate_semi_infinite(lambda x: math.inf if x == 16.0 else math.exp(-x))
+        ends = _geometric_ends(lambda x: math.exp(-x), QuadratureConfig())
+        assert res == dataclasses.replace(ends, evaluations=ends.evaluations + 2)  # the probes
+        assert res.converged and abs(res.value - 1.0) <= res.error_estimate
 
     def test_panel_budget_below_three_is_not_converged(self):
         res = _geometric_ends(lambda x: math.exp(-x), QuadratureConfig(max_tail_panels=2))

@@ -2,22 +2,24 @@
 
 import math
 import random
+from argparse import Namespace
 from dataclasses import replace
 
 import mpmath
 import pytest
 
-from rmtkit import specfun
+from rmtkit import cli, specfun, transforms
 from rmtkit.errors import (
     DerivativeUnavailable,
     DomainError,
     NonstandardPair,
     PoleError,
     PresentationError,
+    RmtError,
     SingularityError,
 )
 from rmtkit.quadrature import QuadratureConfig, integrate_mellin
-from rmtkit.sequences import catalog_get, shift_sequence
+from rmtkit.sequences import catalog_get, catalog_ids, shift_sequence
 from rmtkit.transforms import (
     DEFAULT_IDENTITY_TOL,
     FD_MAX_ORDER,
@@ -196,6 +198,12 @@ class TestRmt:
         rep = rmt(catalog_get("power", m=5.0), 2.0)
         assert rep.rhs == pytest.approx(1.0 / 12.0, rel=1e-13)
         assert rep.passed
+
+    def test_non_finite_right_side_is_refused_before_quadrature(self, monkeypatch):
+        # Gamma(170.5) ~ 1e306 times phi(-170.5) = 0.1^-170.5 overflows.
+        monkeypatch.setattr(transforms, "integrate_mellin", None)
+        with pytest.raises(PoleError, match=r"^rmt: Gamma\(s\) phi\(-s\) is non-finite at s=170.5$"):
+            rmt(catalog_get("exp", a=0.1), 170.5)
 
     def test_harmonic_against_brute_force(self):
         rep = rmt(catalog_get("harmonic_shifted"), 0.5)
@@ -384,6 +392,13 @@ class TestResidueCheck:
         pair = catalog_get("exp", a=1.0)
         with pytest.raises(DomainError):
             residue_check(pair, 0, 0.5)
+
+    def test_a_singular_phi_is_a_pole_error(self):
+        # phi has a pole of its own at k = 2, +inf there: the residue is not finite.
+        pair = replace(catalog_get("exp"), phi=lambda k: math.inf if k == 2.0 else 1.0 / (k - 2.0))
+        with pytest.raises(PoleError, match=r"^residue_check: phi contributes its own "
+                           r"singularity near m=2$"):
+            residue_check(pair, 2, 1e-4)
 
     @pytest.mark.parametrize("m", [1.5, math.nan, math.inf])
     def test_non_integral_index_is_a_domain_error(self, m):
@@ -739,3 +754,108 @@ class TestIdentityTable:
         assert report.lhs.error_estimate == abs(left - right)
         assert report.lhs.evaluations == 2
         assert report.passed
+
+
+# One pair of each construction: every catalog pair, a shifted pair, and an
+# expression pair whose closed form calls no gamma (a closed form's own
+# specfun calls belong to the left side).
+_ROUTE_PARAMS = {"exp": {"a": 1.5}, "power": {"m": 2.5}, "laguerre_weight": {"n": 2}}
+_ROUTE_PAIRS = {
+    **{id_: lambda id_=id_: catalog_get(id_, **_ROUTE_PARAMS.get(id_, {}))
+       for id_ in catalog_ids()},
+    "exp shifted by 2": lambda: shift_sequence(catalog_get("exp", a=1.5), 2),
+    "expression exp(-a*x)": lambda: cli._expression_pair(Namespace(
+        phi="a^k", closed_form="exp(-a*x)", params={"a": 1.5}, f0=None, finf=None,
+        fd_derivatives=True, fd_step=None)),
+}
+_ROUTE_INPUTS = {"frullani": {"alpha": 2.0, "beta": 0.5}, "lemma2": {"n": 2},
+                 "rmt": {"s": 0.5}, "hardy": {"s": 0.5}}
+# The pairs each identity refuses before either side runs.
+_ROUTE_REFUSALS = {
+    **{("hardy", label): PresentationError for label in _ROUTE_PAIRS
+       if label not in ("geometric", "expression exp(-a*x)")},
+    ("rmt", "erf"): NonstandardPair,
+    ("rmt", "laguerre_weight"): NonstandardPair,
+}
+# lemma2's left side on power (geometric is power at m = 1) builds each
+# order's derivative factor from phi(order), Gamma(m + n) / Gamma(m), on its
+# first use inside the quadrature.  ROADMAP item 19 moves that factor to a
+# product of its own, which may move its last bits.
+_ROUTE_CROSSINGS = {("lemma2", "power"), ("lemma2", "geometric")}
+
+
+def _route_cases():
+    for kind in _ROUTE_INPUTS:
+        for label in _ROUTE_PAIRS:
+            marks = ()
+            if (kind, label) in _ROUTE_CROSSINGS:
+                marks = pytest.mark.xfail(strict=True, reason="phi(order) in lemma2's "
+                                          "derivative factor; ROADMAP item 19")
+            yield pytest.param(kind, label, marks=marks, id=f"{kind}-{label}")
+
+
+class TestRouteDisjointness:
+    """The left side (quadrature of the closed form or its derivative) and
+    the right side (the special-function layer on phi) of every identity
+    share no code.  While transforms' integrator runs, gamma, the
+    reflection factor and the pair's phi are tripwires; outside it, the
+    pair's closed form, its derivatives and a second integrator call are.
+    residue has no left side and is exempt."""
+
+    def test_every_kind_and_pair_is_covered(self):
+        assert set(_ROUTE_INPUTS) == set(IDENTITIES) - {"residue"}
+        assert set(catalog_ids()) <= set(_ROUTE_PAIRS)
+
+    @pytest.mark.parametrize("kind,label", _route_cases())
+    def test_sides_share_no_code(self, monkeypatch, kind, label):
+        pair = _ROUTE_PAIRS[label]()
+        crossings, integrations, running = [], [], []  # running: non-empty inside an integrator
+
+        def wire(name, f, on_left):
+            """f, recording and refusing a call on the other side's route."""
+            if f is None:
+                return None
+
+            def guarded(*args, **kwargs):
+                if bool(running) == on_left:
+                    crossings.append(name)
+                    raise AssertionError(f"{name} called on the {'left' if on_left else 'right'}")
+                return f(*args, **kwargs)
+
+            return guarded
+
+        def left_side(name, integrate):
+            def run(*args, **kwargs):
+                if running:
+                    crossings.append(f"nested {name}")
+                    raise AssertionError(f"{name} called inside an integrator")
+                integrations.append(name)
+                running.append(name)
+                try:
+                    return integrate(*args, **kwargs)
+                finally:
+                    running.pop()
+
+            return run
+
+        for name in ("integrate_mellin", "integrate_semi_infinite"):
+            monkeypatch.setattr(transforms, name, left_side(name, getattr(transforms, name)))
+        for name in ("gamma", "reflection_factor"):
+            monkeypatch.setattr(specfun, name, wire(f"specfun.{name}", getattr(specfun, name), True))
+        pair = replace(pair, **{name: wire(f"pair.{name}", getattr(pair, name), True)
+                                for name in ("phi", "phi_plain")},
+                       **{name: wire(f"pair.{name}", getattr(pair, name), False)
+                          for name in ("closed_form", "derivative", "derivative_with_noise",
+                                       "log_closed_form")})
+        refusal = _ROUTE_REFUSALS.get((kind, label))
+        try:
+            report = IDENTITIES[kind].run(pair, None, None, **_ROUTE_INPUTS[kind])
+        except RmtError as exc:
+            assert type(exc) is refusal, exc
+            assert integrations == []
+        else:
+            assert refusal is None
+            assert math.isfinite(report.lhs.value) and math.isfinite(report.rhs)
+            integrator = "integrate_semi_infinite" if kind == "frullani" else "integrate_mellin"
+            assert integrations == [integrator]
+        assert crossings == []
