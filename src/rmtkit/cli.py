@@ -223,6 +223,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         head["phi"] = args.phi
         head["closed_form"] = args.closed_form
+        head.update((name, _fmt(getattr(args, name))) for name in ("f0", "finf")
+                    if getattr(args, name) is not None)
 
     kind = transforms.IDENTITIES[identity]
     values = {name: getattr(args, name) for name in kind.inputs}

@@ -24,15 +24,16 @@ variable-free subtree to its value and turns the rest of a tree into one
 generated Python function of the free variable, compiled once and cached,
 so a later evaluation walks no tree and recomputes no constant;
 ``evaluate`` compiles and calls once.  ``parse`` is memoized per source
-string in a bounded cache, since trees are immutable; ``compile_expr``
-folds on every call, because the bindings differ from call to call, by a
-flat list of binding reads and folds made once per tree and variable.
+string in a bounded cache, since trees are immutable.  One walk per tree
+and free variable plans the binding reads, the folds and each node's
+generated line; ``compile_expr`` folds on every call, as the bindings
+differ from call to call, and generates code from the plan.  Plans and
+compiled functions share one bounded cache.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import re
@@ -67,7 +68,7 @@ MAX_SOURCE_BYTES = 64 * 1024
 # Parentheses, calls, unary minus and every binary operator count toward
 # the limit: each _Parser method takes the depth it parses at, and passes
 # one more to what it parses below such a construct.  So the limit bounds
-# the tree depth that compile_expr's walks and to_source recurse through.
+# the tree depth that compile_expr's walk and to_source recurse through.
 # Each counted level costs several interpreter stack frames; 120 keeps the
 # parser well inside CPython's default recursion limit while allowing any
 # realistic expression.
@@ -372,10 +373,17 @@ def _operation(node) -> tuple:
     return ((), *_raising(DomainError, f"unknown node type {type(node).__name__}"))
 
 
-# (id(tree), variable, failed folds) -> (tree, factory); holding the tree keeps its id its own
+# (id(tree), variable) -> (tree, *_plan(tree, variable)) and (id(tree), variable, failed folds)
+# -> (tree, factory), as many as two caches of 256; holding the tree keeps its id its own
 _COMPILED: dict = {}
-_PLANS: dict = {}  # (id(tree), variable) -> (tree, *_plan(tree, variable)), bounded alike
-_COMPILED_SIZE = 256
+_COMPILED_SIZE = 512
+
+
+def _cached(key, entry):
+    if len(_COMPILED) >= _COMPILED_SIZE:
+        _COMPILED.clear()
+    _COMPILED[key] = entry
+    return entry
 
 
 def compile_expr(
@@ -386,19 +394,16 @@ def compile_expr(
     Every other name is read from ``bindings`` once, here, as a float;
     with ``variable`` None every name is, and the argument, converted by
     float, goes unused.  Each variable-free subtree is evaluated once, here,
-    by a plan cached (bounded) per tree and variable.  The rest becomes a
+    by a plan made once per tree and variable.  The rest becomes a
     generated function: straight-line code with one temporary per node, a
-    walk's operations in its order, and no text from the tree, compiled
-    once per tree, variable and set of folds that raised, and cached; each
-    call passes its folded values in.  Evaluation is strict, bottom-up, in
-    double precision; an error is raised only when evaluation reaches it:
-    ``1/0 + q``, ``q`` unbound, raises DivisionByZero as a walk would.
+    walk's operations in its order, and no text from the tree, generated
+    from the plan once per tree, variable and set of folds that raised, and
+    cached with it; each call passes its folded values in.  Evaluation is
+    strict, bottom-up, in double precision; an error is raised only when
+    evaluation reaches it: ``1/0 + q``, ``q`` unbound, raises DivisionByZero.
     """
-    plan = _PLANS.get((id(node), variable))
-    if plan is None:
-        if len(_PLANS) >= _COMPILED_SIZE:
-            _PLANS.clear()
-        plan = _PLANS[id(node), variable] = (node, *_plan(node, variable))
+    plan = _COMPILED.get((id(node), variable)) or _cached(
+        (id(node), variable), (node, *_plan(node, variable)))
     outcomes, failed = list(plan[1]), []
     for index, fold, operands in plan[2]:
         try:
@@ -409,63 +414,52 @@ def compile_expr(
         except KeyError if fold is None else Exception:  # a read fails only unbound
             failed.append(index)
     key = (id(node), variable, tuple(failed))
-    entry = _COMPILED.get(key)
-    if entry is None:
-        if len(_COMPILED) >= _COMPILED_SIZE:
-            _COMPILED.clear()
-        entry = _COMPILED[key] = (node, _generate(node, variable, set(failed)))
-    return entry[1](*outcomes)
+    factory = (_COMPILED.get(key) or _cached(key, (node, _generate(plan, outcomes))))[1]
+    return factory(*outcomes)
 
 
-def _plan(node, variable) -> tuple[list, list]:
-    """(outcomes, steps): each node's value in preorder, _UNFOLDED but for a constant, and
-    in a walk's order (index, None, name) reading a binding or (index, fold, operands)."""
-    outcomes, steps = [], []
+def _plan(node, variable) -> tuple[list, list, list, int | None]:
+    """(outcomes, steps, lines, root): each node's value in preorder, _UNFOLDED but for a
+    constant; in a walk's order (index, None, name) reading a binding or (index, fold,
+    operands), and (index, operands, line, global) of each node but a constant and the
+    variable; and the root's index.  An index is a node's in preorder, None for the variable."""
+    outcomes, steps, lines = [], [], []
 
-    def visit(node) -> bool:  # adds node's outcomes and steps; whether it may fold
+    def visit(node) -> tuple:  # adds node's outcomes, steps and line; (its index, may it fold)
         index = len(outcomes)
         outcomes.append(node.value if isinstance(node, Constant) else _UNFOLDED)
         if isinstance(node, Constant):
-            return True
-        if isinstance(node, Variable):
-            if node.name != variable:
-                steps.append((index, None, node.name))
-            return node.name != variable
-        operands, fold, _, _ = _operation(node)
-        visits = [(len(outcomes), visit(operand)) for operand in operands]
-        if fold is None or not all(folds for _, folds in visits):
-            return False
-        steps.append((index, fold, tuple(operand for operand, _ in visits)))
-        return True
-
-    visit(node)
-    return outcomes, steps
-
-
-def _generate(node, variable, failed: set) -> Callable:
-    """The factory that, given compile_expr's outcomes for a tree, returns
-    its function of ``variable``; ``failed`` is the set its plan listed."""
-    namespace, body = dict(_RUNTIME), ["x = float(x)"]
-    indices = itertools.count()
-
-    def walk(node) -> str:
-        """The name of node's value: p<its preorder index> where it folds,
-        the factory's parameter; else x or the temporary computing it."""
-        index = next(indices)
+            return index, True
         if isinstance(node, Variable) and node.name == variable:
-            return "x"
-        if isinstance(node, Constant) or isinstance(node, Variable) and index not in failed:
-            return f"p{index}"
+            return None, False
         operands, fold, line, value = _operation(node)
-        names = [walk(operand) for operand in operands]
-        if fold is not None and index not in failed and all(name[0] == "p" for name in names):
-            return f"p{index}"
-        namespace[f"g{index}"] = value
-        body.extend(line.format(*names, t=f"t{index}", g=f"g{index}").split("\n"))
-        return f"t{index}"
+        visits = [visit(operand) for operand in operands]
+        indices = tuple(operand for operand, _ in visits)
+        lines.append((index, indices, line, value))
+        if isinstance(node, Variable):  # a bound one, whose fold is None: a read
+            indices = node.name
+        elif fold is None or not all(folds for _, folds in visits):
+            return index, False
+        steps.append((index, fold, indices))
+        return index, True
 
-    body.append(f"return {walk(node)}")
-    parameters = ", ".join(f"p{i}" for i in range(next(indices)))
+    return outcomes, steps, lines, visit(node)[0]
+
+
+def _generate(plan, outcomes: list) -> Callable:
+    """The factory that, given compile_expr's outcomes for a plan's tree, returns its
+    function of the variable: a line for each node the outcomes leave _UNFOLDED."""
+    namespace, body = dict(_RUNTIME), ["x = float(x)"]
+
+    def name(index) -> str:  # the variable x, a folded p<index> or a temporary t<index>
+        return "x" if index is None else f"t{index}" if outcomes[index] is _UNFOLDED else f"p{index}"
+
+    for index, operands, line, value in plan[3]:
+        if outcomes[index] is _UNFOLDED:
+            namespace[f"g{index}"] = value
+            body.extend(line.format(*map(name, operands), t=f"t{index}", g=f"g{index}").split("\n"))
+    body.append(f"return {name(plan[4])}")
+    parameters = ", ".join(f"p{i}" for i in range(len(outcomes)))
     exec(compile(f"def factory({parameters}):\n    def expression(x):\n"
                  + "".join(f"        {line}\n" for line in body)
                  + "    return expression\n", "<expression>", "exec"), namespace)

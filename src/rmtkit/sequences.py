@@ -269,9 +269,10 @@ def _build_power(**params) -> SeriesPair:
         # Gamma(m+k)/Gamma(m), the natural interpolant of the rising factorial.
         return specfun.gamma(m + k) / specfun.gamma(m)
 
-    # Computed on first use of each order, so a pair whose Gamma(m)
-    # overflows still builds.
-    constants = _PerOrder("catalog 'power'", 100, lambda order: ((-1.0) ** order * phi(order), -(m + order)))
+    # The rising factorial m(m+1)...(m+order-1), by its own product: the
+    # left route calls neither phi nor Gamma, whose ratio overflows first.
+    constants = _PerOrder("catalog 'power'", 100, lambda order: (
+        (-1.0) ** order * math.prod(m + i for i in range(order)), -(m + order)))
 
     def derivative(order: int, x: float) -> float:
         factor, exponent = constants[order]

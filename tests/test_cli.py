@@ -88,6 +88,16 @@ class TestExitCodes:
         assert proc.returncode == 1, proc.stderr
         assert "FAIL" in proc.stdout and proc.stderr == ""
 
+    def test_lemma2_on_power_past_gammas_range_passes(self, capsys):
+        # Gamma(m + 1) leaves the double range at m = 200; the left side's
+        # derivative factor, the product m(m+1)...(m+n-1), does not.
+        code, out, _ = run_in_process(
+            capsys, "verify", "lemma2", "--catalog", "power", "--param", "m=200", "--n", "1",
+            "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["lhs_value"] == pytest.approx(-1.0, rel=1e-13)
+
     def test_hardy_integer_exponent_is_input_error(self):
         proc = run_cli("verify", "hardy", "--catalog", "geometric", "--s", "1")
         assert proc.returncode == 2
@@ -529,6 +539,19 @@ class TestRecordInputs:
             "--param", "a=2", "--s", "3",
         )
         assert list(inputs) == ["identity", "phi", "closed_form", "param.a", "s"]
+
+    def test_expression_limits_follow_the_closed_form(self, capsys):
+        frullani = ("verify", "frullani", "--phi", "1", "--closed-form", "exp(-x)",
+                    "--alpha", "2", "--beta", "1", "--json")
+        records = []
+        for limits, exit_code in ((("--f0", "1", "--finf", "0"), 0), (("--finf", "0.5"), 1), ((), 0)):
+            code, out, _ = run_in_process(capsys, *frullani, *limits)
+            assert code == exit_code
+            records.append(json.loads(out)["inputs"])
+        keys = ["identity", "phi", "closed_form", "f0", "finf", "alpha", "beta"]
+        assert [list(r) for r in records] == [keys, keys[:3] + keys[4:], keys[:3] + keys[5:]]
+        assert [r.get("finf") for r in records] == ["0", "0.5", None]
+        assert records[0]["f0"] == "1"
 
     def test_corpus_and_residue_records(self, capsys):
         records = self._inputs(capsys, "corpus", "--filter", "laguerre_zero")

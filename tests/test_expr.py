@@ -676,7 +676,29 @@ class TestCompileCache:
         assert plans == [(tree, "x"), (tree, "c")]
         for _ in range(expr._COMPILED_SIZE + 1):
             compile_expr(BinaryOp("*", Variable("a"), Variable("x")), {"a": 2.0}, "x")
-        assert len(expr._PLANS) <= expr._COMPILED_SIZE
+        assert len(expr._COMPILED) <= expr._COMPILED_SIZE
+
+    def test_a_tree_is_walked_once_per_variable(self, monkeypatch):
+        operations = []
+
+        def counting_operation(node):
+            operations.append(node)
+            return operation(node)
+
+        operation = expr._operation
+        monkeypatch.setattr(expr, "_operation", counting_operation)
+        monkeypatch.setattr(expr, "_COMPILED", {})  # empty: no clear drops the plan
+        # Nine nodes are neither a constant nor x: +, the two *, exp, the *
+        # and - under it, a, gamma and c.
+        tree = parse("exp(-a*x) * gamma(c) + 2*x")
+        compile_expr(tree, {"a": 2.0, "c": 3.0}, "x")
+        assert len(operations) == 9
+        # Other bindings, then a unbound and gamma(0) a pole: a new set of
+        # failed folds, so a new function, generated from the same plan.
+        compile_expr(tree, {"a": 0.5, "c": 4.0}, "x")
+        compile_expr(tree, {"c": 0.0}, "x")
+        assert len(operations) == 9
+        assert len(expr._COMPILED) == 3  # the plan and two functions
 
 
 class TestParseCache:

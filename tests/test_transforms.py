@@ -777,21 +777,6 @@ _ROUTE_REFUSALS = {
     ("rmt", "erf"): NonstandardPair,
     ("rmt", "laguerre_weight"): NonstandardPair,
 }
-# lemma2's left side on power (geometric is power at m = 1) builds each
-# order's derivative factor from phi(order), Gamma(m + n) / Gamma(m), on its
-# first use inside the quadrature.  ROADMAP item 19 moves that factor to a
-# product of its own, which may move its last bits.
-_ROUTE_CROSSINGS = {("lemma2", "power"), ("lemma2", "geometric")}
-
-
-def _route_cases():
-    for kind in _ROUTE_INPUTS:
-        for label in _ROUTE_PAIRS:
-            marks = ()
-            if (kind, label) in _ROUTE_CROSSINGS:
-                marks = pytest.mark.xfail(strict=True, reason="phi(order) in lemma2's "
-                                          "derivative factor; ROADMAP item 19")
-            yield pytest.param(kind, label, marks=marks, id=f"{kind}-{label}")
 
 
 class TestRouteDisjointness:
@@ -806,7 +791,8 @@ class TestRouteDisjointness:
         assert set(_ROUTE_INPUTS) == set(IDENTITIES) - {"residue"}
         assert set(catalog_ids()) <= set(_ROUTE_PAIRS)
 
-    @pytest.mark.parametrize("kind,label", _route_cases())
+    @pytest.mark.parametrize("kind,label", [(kind, label) for kind in _ROUTE_INPUTS
+                                            for label in _ROUTE_PAIRS])
     def test_sides_share_no_code(self, monkeypatch, kind, label):
         pair = _ROUTE_PAIRS[label]()
         crossings, integrations, running = [], [], []  # running: non-empty inside an integrator
