@@ -21,14 +21,15 @@ insignificant.
 There are no user-defined functions or conditionals; evaluation is strict,
 bottom-up, in double precision.  ``compile_expr`` folds each
 variable-free subtree to its value and turns the rest of a tree into one
-generated Python function of the free variable, compiled once and cached,
-so a later evaluation walks no tree and recomputes no constant;
-``evaluate`` compiles and calls once.  ``parse`` is memoized per source
-string in a bounded cache, since trees are immutable.  One walk per tree
-and free variable plans the binding reads, the folds and each node's
-generated line; ``compile_expr`` folds on every call, as the bindings
-differ from call to call, and generates code from the plan.  Plans and
-compiled functions share one bounded cache.
+generated Python function of the free variable, so a later evaluation
+walks no tree and recomputes no constant; ``evaluate`` compiles and calls
+once.  ``parse`` is memoized per source string in a bounded cache, since
+trees are immutable.  One walk per tree and free variable plans the
+binding reads, the folds and each node's generated line; ``compile_expr``
+folds on every call, as the bindings differ, and compiles one function per
+tree and free variable from the plan, kept with it in a bounded cache.  A
+call under which a variable-free subtree raises gets code of its own, not
+kept, since such a function raises whenever it is called.
 """
 
 from __future__ import annotations
@@ -373,17 +374,10 @@ def _operation(node) -> tuple:
     return ((), *_raising(DomainError, f"unknown node type {type(node).__name__}"))
 
 
-# (id(tree), variable) -> (tree, *_plan(tree, variable)) and (id(tree), variable, failed folds)
-# -> (tree, factory), as many as two caches of 256; holding the tree keeps its id its own
+# (id(tree), variable) -> [tree, *_plan(tree, variable), factory or None], at most 256 plans
+# each holding the one factory made where no fold raises; holding the tree keeps its id its own
 _COMPILED: dict = {}
-_COMPILED_SIZE = 512
-
-
-def _cached(key, entry):
-    if len(_COMPILED) >= _COMPILED_SIZE:
-        _COMPILED.clear()
-    _COMPILED[key] = entry
-    return entry
+_COMPILED_SIZE = 256
 
 
 def compile_expr(
@@ -397,14 +391,18 @@ def compile_expr(
     by a plan made once per tree and variable.  The rest becomes a
     generated function: straight-line code with one temporary per node, a
     walk's operations in its order, and no text from the tree, generated
-    from the plan once per tree, variable and set of folds that raised, and
-    cached with it; each call passes its folded values in.  Evaluation is
-    strict, bottom-up, in double precision; an error is raised only when
-    evaluation reaches it: ``1/0 + q``, ``q`` unbound, raises DivisionByZero.
+    from the plan once per tree and variable and kept with it; each call
+    passes its folded values in.  A call under which a fold raises gets code
+    of its own, not kept, since its line for that fold raises on every call.
+    Evaluation is strict, bottom-up, in double precision; an error is raised
+    only when reached: ``1/0 + q``, ``q`` unbound, raises DivisionByZero.
     """
-    plan = _COMPILED.get((id(node), variable)) or _cached(
-        (id(node), variable), (node, *_plan(node, variable)))
-    outcomes, failed = list(plan[1]), []
+    plan = _COMPILED.get((id(node), variable))
+    if plan is None:
+        if len(_COMPILED) >= _COMPILED_SIZE:
+            _COMPILED.clear()
+        plan = _COMPILED[id(node), variable] = [node, *_plan(node, variable), None]
+    outcomes, failed = list(plan[1]), False
     for index, fold, operands in plan[2]:
         try:
             if fold is None:  # a bound variable; operands is its name
@@ -412,10 +410,11 @@ def compile_expr(
             elif _UNFOLDED not in (values := [outcomes[i] for i in operands]):
                 outcomes[index] = fold(*values)
         except KeyError if fold is None else Exception:  # a read fails only unbound
-            failed.append(index)
-    key = (id(node), variable, tuple(failed))
-    factory = (_COMPILED.get(key) or _cached(key, (node, _generate(plan, outcomes))))[1]
-    return factory(*outcomes)
+            failed = True
+    if failed:
+        return _generate(plan, outcomes)(*outcomes)
+    plan[5] = plan[5] or _generate(plan, outcomes)
+    return plan[5](*outcomes)
 
 
 def _plan(node, variable) -> tuple[list, list, list, int | None]:

@@ -77,13 +77,13 @@ def gamma(x: float) -> float:
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0, by math.lgamma.
+    """ln Gamma(x) for finite x > 0, by math.lgamma.
 
-    Raises DomainError unless x > 0, and OverflowError once ln Gamma(x)
+    Raises DomainError unless 0 < x < inf, and OverflowError once ln Gamma(x)
     exceeds the double range (x above about 2.5e305), as gamma does.
     """
-    if not x > 0.0:
-        raise DomainError(f"log_gamma: requires x > 0, got {x!r}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"log_gamma: requires 0 < x < inf, got {x!r}")
     return math.lgamma(x)
 
 

@@ -634,8 +634,8 @@ class TestReferenceParse:
 
 
 class TestCompileCache:
-    """compile_expr compiles a tree's generated code once per variable and
-    set of failed folds, and passes each call's folded values in."""
+    """compile_expr compiles a tree's generated code once per variable,
+    and passes each call's folded values in."""
 
     def test_bindings_share_one_compiled_function_in_a_bounded_cache(self, monkeypatch):
         compiles = []
@@ -693,12 +693,57 @@ class TestCompileCache:
         tree = parse("exp(-a*x) * gamma(c) + 2*x")
         compile_expr(tree, {"a": 2.0, "c": 3.0}, "x")
         assert len(operations) == 9
-        # Other bindings, then a unbound and gamma(0) a pole: a new set of
-        # failed folds, so a new function, generated from the same plan.
+        # Other bindings, then a unbound and gamma(0) a pole: folds that
+        # raise, so a function generated from the same plan and not kept.
         compile_expr(tree, {"a": 0.5, "c": 4.0}, "x")
         compile_expr(tree, {"c": 0.0}, "x")
         assert len(operations) == 9
-        assert len(expr._COMPILED) == 3  # the plan and two functions
+        assert len(expr._COMPILED) == 1
+
+    def test_a_plan_is_not_evicted_by_its_own_function(self, monkeypatch):
+        plans = []
+
+        def counting_plan(*args):
+            plans.append(args)
+            return plan(*args)
+
+        plan = expr._plan
+        monkeypatch.setattr(expr, "_plan", counting_plan)
+        # One slot left: the plan takes it, and its function takes none.
+        monkeypatch.setattr(expr, "_COMPILED", {i: None for i in range(expr._COMPILED_SIZE - 1)})
+        tree = BinaryOp("+", Variable("a"), Variable("x"))  # a fresh tree: not yet planned
+        for a in (1.0, 2.0, 3.0):
+            assert compile_expr(tree, {"a": a}, "x")(1.0) == a + 1.0
+        assert plans == [(tree, "x")]
+        assert len(expr._COMPILED) == expr._COMPILED_SIZE
+
+    def test_a_function_whose_fold_raises_is_not_kept(self, monkeypatch):
+        generated = []
+
+        def counting_generate(*args):
+            generated.append(generate(*args))
+            return generated[-1]
+
+        generate = expr._generate
+        monkeypatch.setattr(expr, "_generate", counting_generate)
+        monkeypatch.setattr(expr, "_COMPILED", {})
+        tree = parse("ln(x) + gamma(c)*a")
+        # gamma(0) is a pole, then a is unbound: each gets code of its own.
+        bindings = ({"c": 0.0, "a": 1.0}, {"c": 0.0, "a": 1.0}, {"c": 2.0}, {"c": 2.0, "a": 3.0})
+        functions = [compile_expr(tree, env, "x") for env in bindings]
+        assert len(generated) == 4
+        assert len(expr._COMPILED) == 1
+        assert compile_expr(tree, {"c": 1.0, "a": 2.0}, "x")(1.0) == 2.0
+        assert len(generated) == 4
+        ln = (DomainError, "ln undefined at -1.0")
+        pole = (PoleError, "gamma: pole at non-positive integer near x=0.0")
+        unbound = (UnboundVariable, "variable 'a' is not bound")
+        value = (float, struct.pack("<d", 3.6931471805599454))
+        expected = [(ln, pole), (ln, pole), (ln, unbound), (ln, value)]
+        for f, env, outcomes in zip(functions, bindings, expected):
+            for x, outcome in zip((-1.0, 2.0), outcomes):
+                assert _outcome(lambda: f(x)) == _outcome(lambda: f(x)) == outcome, (env, x)
+                assert _outcome(lambda: reference_evaluate(tree, {**env, "x": x})) == outcome
 
 
 class TestParseCache:

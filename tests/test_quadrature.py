@@ -285,6 +285,24 @@ class TestMatchesReferenceLoop:
         assert pair6.evaluations == 15 + 30
         assert pair6.converged and abs(pair6.value - math.sin(1.0)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "cfg", [None, QuadratureConfig(abs_tol=1e-14, rel_tol=1e-13)], ids=["default", "tight"]
+    )
+    def test_running_totals_skip_the_exact_test(self, monkeypatch, cfg):
+        # 2,000 splits spend the budget; a loop that ran the O(n) exact test
+        # on every split would sum the panels thousands of times.
+        calls = []
+
+        def counting_kahan_sum(values):
+            calls.append(None)
+            return kahan_sum(values)
+
+        kahan_sum = quadrature._kahan_sum
+        monkeypatch.setattr(quadrature, "_kahan_sum", counting_kahan_sum)
+        res = integrate_finite(lambda x: math.sqrt(abs(math.sin(50.0 * x))), 0.0, 10.0, cfg)
+        assert res.evaluations == 60_015 and not res.converged
+        assert len(calls) <= 10
+
     def test_round_off_floor_stops_at_once(self):
         # The one panel is set aside, so the loop stops before any split
         # with the estimate that bisecting to the budget (60,015 calls)

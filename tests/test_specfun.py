@@ -88,6 +88,11 @@ class TestGamma:
         with pytest.raises(DomainError):
             specfun.log_gamma(-1.0)
 
+    def test_log_gamma_refuses_infinity(self):
+        # As gamma(inf) does: ln Gamma(inf) is an overflow, not a value.
+        with pytest.raises(DomainError, match="log_gamma"):
+            specfun.log_gamma(math.inf)
+
     @pytest.mark.parametrize("n", range(1, 24))
     def test_positive_integer_is_exact_factorial(self, n):
         assert specfun.gamma(float(n)) == math.factorial(n - 1)
