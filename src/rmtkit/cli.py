@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -363,6 +364,9 @@ def _build_argparser() -> argparse.ArgumentParser:
     residue.add_argument("--json", action="store_true")
     residue.set_defaults(func=_cmd_residue)
     top.subcommands = {"verify": verify, "corpus": corpus, "residue": residue}
+    for parser in top.subcommands.values():  # argparse's negative numbers, and -1e-3, -inf
+        parser._negative_number_matcher = re.compile(
+            r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$|^-inf$")
     return top
 
 

@@ -29,7 +29,9 @@ binding reads, the folds and each node's generated line; ``compile_expr``
 folds on every call, as the bindings differ, and compiles one function per
 tree and free variable from the plan, kept with it in a bounded cache.  A
 call under which a variable-free subtree raises gets code of its own, not
-kept, since such a function raises whenever it is called.
+kept, since such a function raises whenever it is called.  Each operation,
+an operator, unary minus or a builtin, is stated once, in one table keyed
+by its symbol or name: its arity, its fold and its generated line.
 """
 
 from __future__ import annotations
@@ -295,50 +297,43 @@ def _fact(x: float) -> float:
         raise type(exc)(f"fact({x!r}): {exc}") from None
 
 
-# name -> (arity, function).  The specfun functions are looked up when
-# called, so a function replaced on specfun is the one expressions reach;
-# a variable-free call reads it once, when compile_expr folds the call.
-_BUILTINS: dict[str, tuple[int, Callable[..., float]]] = {
-    "exp": (1, math.exp),
-    "ln": (1, math.log),
-    "sin": (1, math.sin),
-    "cos": (1, math.cos),
-    "sqrt": (1, math.sqrt),
-    "gamma": (1, lambda x: specfun.gamma(x)),
-    "fact": (1, _fact),
-    "erf": (1, lambda x: specfun.erf(x)),
-    "pow": (2, _apply_power),
-}
-BUILTIN_FUNCTIONS: dict[str, int] = {name: arity for name, (arity, _) in _BUILTINS.items()}
-
-_UNFOLDED = object()  # stands for the value of a subtree that reads the variable or raises
-
-
 def _quotient(numerator: float, denominator: float) -> float:
     if denominator == 0.0:
         raise DivisionByZero(f"division by zero: {numerator!r} / 0")
     return numerator / denominator
 
 
-# Each operation's function of its operands' folded values, and its line in
-# generated code: formatted with its operands' names, {t} the name of its
-# temporary and {g} that of its global (a call's builtin).  A zero divisor
-# alone reaches _quotient's test, a zero or negative base _apply_power's,
-# whose comparisons come first, so a malformed base fails as it does there.
-_OPERATORS = (
-    ("+", operator.add, "{t} = {0} + {1}"),
-    ("-", operator.sub, "{t} = {0} - {1}"),
-    ("*", operator.mul, "{t} = {0} * {1}"),
-    ("/", _quotient, "{t} = {0} / {1} if {1} else _quotient({0}, {1})"),
-    ("^", _apply_power,
-     "{t} = _apply_power({0}, {1}) if {0} == 0.0 or {0} < 0.0 else _pow({0}, {1})"),
-)
-_CALL = (  # math.log, math.sqrt, math.sin and math.cos raise ValueError off their domains
-    "try: {t} = {g}({0})\n"
-    "except ValueError: raise DomainError('%s undefined at %r' % (_NAME[{g}], {0})) from None")
+# key -> (arity, fold, line): an operator's key is its symbol, unary minus's
+# "neg", a builtin's its name.  fold maps the operands' values to the
+# operation's; line computes it in generated code, formatted with the operands'
+# names, {t} its temporary's and {g} its global's, the fold's.  A zero divisor
+# alone reaches _quotient's test, a zero or negative base _apply_power's, whose
+# comparisons come first, so a malformed base fails as it does there.  math.log,
+# sqrt, sin and cos raise ValueError off their domains; gamma and erf read
+# specfun when they run or are folded, so a function replaced there is reached.
+_OPERATIONS: dict[str, tuple[int, Callable[..., float], str]] = {
+    "+": (2, operator.add, "{t} = {0} + {1}"),
+    "-": (2, operator.sub, "{t} = {0} - {1}"),
+    "*": (2, operator.mul, "{t} = {0} * {1}"),
+    "/": (2, _quotient, "{t} = {0} / {1} if {1} else _quotient({0}, {1})"),
+    "^": (2, _apply_power,
+          "{t} = _apply_power({0}, {1}) if {0} == 0.0 or {0} < 0.0 else _pow({0}, {1})"),
+    "neg": (1, operator.neg, "{t} = -{0}"),
+    **{name: (1, fn, f"try: {{t}} = {{g}}({{0}})\nexcept ValueError: "
+                     f"raise DomainError('{name} undefined at %r' % ({{0}},)) from None")
+       for name, fn in (("exp", math.exp), ("ln", math.log), ("sin", math.sin),
+                        ("cos", math.cos), ("sqrt", math.sqrt))},
+    "gamma": (1, lambda x: specfun.gamma(x), "{t} = _specfun.gamma({0})"),
+    "fact": (1, _fact, "{t} = {g}({0})"),
+    "erf": (1, lambda x: specfun.erf(x), "{t} = _specfun.erf({0})"),
+}
+_OPERATIONS["pow"] = _OPERATIONS["^"]  # pow(a, b) is a^b
+BUILTIN_FUNCTIONS: dict[str, int] = {  # a call's key is a name, and "neg" is no call
+    key: arity for key, (arity, _, _) in _OPERATIONS.items() if key.isidentifier() and key != "neg"}
 _RUNTIME = {"_quotient": _quotient, "_apply_power": _apply_power, "_pow": math.pow,
-            "DomainError": DomainError,
-            "_NAME": {fn: name for name, (_, fn) in _BUILTINS.items()}}
+            "_specfun": specfun, "DomainError": DomainError}
+
+_UNFOLDED = object()  # stands for the value of a subtree that reads the variable or raises
 
 
 def _raising(error: type[Exception], *args) -> tuple:
@@ -353,25 +348,21 @@ def _operation(node) -> tuple:
     if isinstance(node, Variable):  # unbound: the fold plan reads a bound one
         return ((), *_raising(UnboundVariable, f"variable {node.name!r} is not bound"))
     if isinstance(node, UnaryNeg):
-        return (node.child,), operator.neg, "{t} = -{0}", None
-    if isinstance(node, BinaryOp):
-        operands = (node.left, node.right)
-        for op, fold, line in _OPERATORS:
-            if node.op == op:
-                return operands, fold, line, None
-        return (operands, *_raising(DomainError, f"unknown operator {node.op!r}"))
-    if isinstance(node, Call):
-        builtin = _BUILTINS.get(node.fn)
-        if builtin is None:
+        key, operands = "neg", (node.child,)
+    elif isinstance(node, BinaryOp):
+        key, operands = node.op, (node.left, node.right)
+        if key not in _OPERATIONS or key.isidentifier():  # a name is a call's key
+            return (operands, *_raising(DomainError, f"unknown operator {node.op!r}"))
+    elif isinstance(node, Call):
+        key, operands = node.fn, node.args
+        if key not in BUILTIN_FUNCTIONS:
             return ((), *_raising(UnknownFunction, f"unknown function {node.fn!r}", 0, ()))
-        arity, fn = builtin
-        if len(node.args) != arity:  # hand-built: parse rejects such a call
-            return ((), *_raising(
-                DomainError, f"{node.fn} takes {arity} argument(s), got {len(node.args)}"))
-        if fn is _apply_power:  # pow is '^', whose _apply_power raises no ValueError
-            return (node.args, *_OPERATORS[-1][1:], None)
-        return node.args, fn, _CALL, fn
-    return ((), *_raising(DomainError, f"unknown node type {type(node).__name__}"))
+    else:
+        return ((), *_raising(DomainError, f"unknown node type {type(node).__name__}"))
+    arity, fold, line = _OPERATIONS[key]
+    if len(operands) != arity:  # a hand-built call: parse rejects it
+        return ((), *_raising(DomainError, f"{key} takes {arity} argument(s), got {len(operands)}"))
+    return operands, fold, line, fold
 
 
 # (id(tree), variable) -> [tree, *_plan(tree, variable), factory or None], at most 256 plans

@@ -43,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 
+from rmtkit import specfun
 from rmtkit.cli import _build_argparser, _InputError
 from rmtkit.errors import (
     DivisionByZero,
@@ -55,7 +56,6 @@ from rmtkit.errors import (
     UnknownFunction,
 )
 from rmtkit.expr import (
-    _BUILTINS,
     BUILTIN_FUNCTIONS,
     MAX_SOURCE_BYTES,
     BinaryOp,
@@ -572,6 +572,29 @@ def reference_nth_derivative_fd(f, x: float, n: int, h: float) -> tuple[float, f
     return (4.0 * fine - coarse) / 3.0, abs(fine - coarse)
 
 
+def _reference_fact(x: float) -> float:
+    try:
+        return specfun.gamma(x + 1.0)
+    except (DomainError, OverflowError) as exc:
+        raise type(exc)(f"fact({x!r}): {exc}") from None
+
+
+# The builtins' functions, stated here rather than imported so that a
+# function swapped in rmtkit.expr shows as a disagreement.  gamma and erf
+# read specfun when called, as rmtkit.expr's do.
+_REFERENCE_BUILTINS = {
+    "exp": (1, math.exp),
+    "ln": (1, math.log),
+    "sin": (1, math.sin),
+    "cos": (1, math.cos),
+    "sqrt": (1, math.sqrt),
+    "gamma": (1, lambda x: specfun.gamma(x)),
+    "fact": (1, _reference_fact),
+    "erf": (1, lambda x: specfun.erf(x)),
+    "pow": (2, _apply_power),
+}
+
+
 def reference_evaluate(node, env) -> float:
     """The expression evaluator as first written: a walk over the tree on
     every call, reading each name from ``env`` when it is reached."""
@@ -601,7 +624,7 @@ def reference_evaluate(node, env) -> float:
             return _apply_power(left, right)
         raise DomainError(f"unknown operator {node.op!r}")
     if isinstance(node, Call):
-        builtin = _BUILTINS.get(node.fn)
+        builtin = _REFERENCE_BUILTINS.get(node.fn)
         if builtin is None:
             raise UnknownFunction(f"unknown function {node.fn!r}", 0, ())
         if len(node.args) != builtin[0]:
