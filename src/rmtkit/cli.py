@@ -8,9 +8,9 @@ Exit codes: 0 pass, 1 verification failure, 2 input error.  Results go to
 standard output (a fixed-width table, or JSON lines with ``--json``);
 diagnostics go to standard error.  All numbers are printed with 15
 significant digits and records serialise keys in a fixed order, so output
-is reproducible byte for byte.  An argv of exact ``--flags`` and values is
-read from a table built once from its subcommand parser's actions; the
-top-level parser reads any other (``--flag=value``, ``-1``, ``-h``, errors).
+is reproducible byte for byte.  _COMMANDS states each argument once.  An
+argv of exact ``--flags`` and values is read by that table, any other by
+argparse through _Parser (``--flag=value``, ``--finf -Inf``, ``-h``, errors).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import math
-import re
 import sys
 from dataclasses import replace
 
@@ -133,6 +132,8 @@ def _parse_params(items: list[str]) -> dict[str, float]:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise _InputError(f"--param expects NAME=VALUE, got {item!r}")
+        if name in params:
+            raise _InputError(f"--param {name} given twice")
         try:
             params[name] = float(value)
         except ValueError:
@@ -302,114 +303,123 @@ def _cmd_residue(args: argparse.Namespace) -> int:
     return 0 if converging else 1
 
 
+_PARAM = ("--param", dict(action="append", default=[], metavar="NAME=VALUE"))
+_QUAD_ARGS = (
+    ("--abs-tol", dict(type=float, default=QuadratureConfig.abs_tol)),
+    ("--rel-tol", dict(type=float, default=QuadratureConfig.rel_tol)),
+    ("--max-subdivisions", dict(type=int, default=QuadratureConfig.max_subdivisions, help=(
+        "bisections per Gauss-Kronrod integral; on [0, inf) it bounds each panel of the "
+        "geometric ends the double-exponential rule falls back to"))),
+    ("--max-tail-panels", dict(type=int, default=QuadratureConfig.max_tail_panels, help=(
+        "geometric panels per end of a [0, inf) integral, used when the double-exponential "
+        "rule cannot certify its result"))),
+    ("--json", dict(action="store_true", help="emit JSON lines")),
+)
+# Each subcommand's handler, help and arguments, each the (name, add_argument
+# keywords) pair argparse takes; the one statement of every CLI argument.
+_COMMANDS = {
+    "verify": (_cmd_verify, "check a single identity", (
+        # residue has a subcommand of its own.
+        ("identity", dict(choices=[kind for kind in transforms.IDENTITIES if kind != "residue"])),
+        ("--catalog", dict(help=f"pair id ({', '.join(catalog_ids())})")),
+        _PARAM,
+        ("--phi", dict(help="coefficient expression in k")),
+        ("--closed-form", dict(help="closed-form expression in x")),
+        ("--s", dict(type=float, help="Mellin exponent")),
+        ("--n", dict(type=int, help="derivative order for lemma2")),
+        ("--alpha", dict(type=float, help="frullani scale")),
+        ("--beta", dict(type=float, help="frullani scale")),
+        ("--f0", dict(type=float, help="limit at 0 for expression pairs")),
+        ("--finf", dict(type=float, help="limit at infinity for expression pairs")),
+        ("--fd-derivatives", dict(action="store_true", help="finite-difference derivatives "
+                                  f"for expression pairs (orders 1..{FD_MAX_ORDER})")),
+        ("--fd-step", dict(type=float)),
+        ("--tol", dict(type=float, help="identity tolerance")),
+        *_QUAD_ARGS)),
+    "corpus": (_cmd_corpus, "run the built-in cases", (
+        ("--filter", dict(help="substring filter on case names")),
+        ("--tol-scale", dict(type=float)),
+        *_QUAD_ARGS)),
+    "residue": (_cmd_residue, "pole residue convergence", (
+        ("--catalog", dict(required=True)),
+        _PARAM,
+        ("--m", dict(type=int, required=True, help="pole index")),
+        ("--eps", dict(type=float, default=transforms.RESIDUE_EPS)),
+        ("--json", dict(action="store_true")))),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reads a token led by '-' that ``float`` reads
+    after a flag that takes a value, in full or by a unique prefix, as that
+    value: ``--finf -Inf`` as ``--finf=-Inf``, not as two flags."""
+
+    arguments: dict = {}  # a subcommand's: each argument's name -> (dest, keywords)
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        for i in reversed(range(1, args.index("--") if "--" in args else len(args))):
+            if args[i].startswith("-") and self._takes_value(args[i - 1]):
+                try:
+                    float(args[i])
+                except ValueError:
+                    continue
+                args[i - 1:i + 1] = [f"{args[i - 1]}={args[i]}"]
+        return super().parse_known_args(args, namespace)
+
+    def _takes_value(self, token: str) -> bool:
+        names = [name for name in (*self.arguments, "--help") if name.startswith(token)]
+        name = token if token in names else names[0] if len(names) == 1 else None
+        return (token.startswith("--") and name in self.arguments
+                and self.arguments[name][1].get("action") != "store_true")
+
+
 # Built on the first main call and reused: parsing leaves each parser as it
-# was (an append action copies its default list before appending).  main
-# parses with it whatever _exact_args declines on top.subcommands' parsers.
+# was (an append action copies its default list before appending).  Each of
+# top.subcommands keeps what _exact_args reads from its _COMMANDS entry.
 @functools.cache
-def _build_argparser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="rmtkit",
-        description="Numerically cross-verify classical integral identities.",
-    )
+def _build_argparser() -> _Parser:
+    top = _Parser(prog="rmtkit",
+                  description="Numerically cross-verify classical integral identities.")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add_quad_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--abs-tol", type=float, default=QuadratureConfig.abs_tol)
-        p.add_argument("--rel-tol", type=float, default=QuadratureConfig.rel_tol)
-        p.add_argument("--max-subdivisions", type=int, default=QuadratureConfig.max_subdivisions,
-                       help="bisections per Gauss-Kronrod integral; on [0, inf) it bounds "
-                            "each panel of the geometric ends the double-exponential rule "
-                            "falls back to")
-        p.add_argument("--max-tail-panels", type=int, default=QuadratureConfig.max_tail_panels,
-                       help="geometric panels per end of a [0, inf) integral, used when the "
-                            "double-exponential rule cannot certify its result")
-        p.add_argument("--json", action="store_true", help="emit JSON lines")
-
-    verify = sub.add_parser("verify", help="check a single identity")
-    # residue has a subcommand of its own.
-    verify.add_argument(
-        "identity", choices=[kind for kind in transforms.IDENTITIES if kind != "residue"]
-    )
-    verify.add_argument("--catalog", help=f"pair id ({', '.join(catalog_ids())})")
-    verify.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
-    verify.add_argument("--phi", help="coefficient expression in k")
-    verify.add_argument("--closed-form", help="closed-form expression in x")
-    verify.add_argument("--s", type=float, help="Mellin exponent")
-    verify.add_argument("--n", type=int, help="derivative order for lemma2")
-    verify.add_argument("--alpha", type=float, help="frullani scale")
-    verify.add_argument("--beta", type=float, help="frullani scale")
-    verify.add_argument("--f0", type=float, help="limit at 0 for expression pairs")
-    verify.add_argument("--finf", type=float, help="limit at infinity for expression pairs")
-    verify.add_argument(
-        "--fd-derivatives",
-        action="store_true",
-        help=f"finite-difference derivatives for expression pairs (orders 1..{FD_MAX_ORDER})",
-    )
-    verify.add_argument("--fd-step", type=float, default=None)
-    verify.add_argument("--tol", type=float, default=None, help="identity tolerance")
-    add_quad_flags(verify)
-    verify.set_defaults(func=_cmd_verify)
-
-    corpus = sub.add_parser("corpus", help="run the built-in cases")
-    corpus.add_argument("--filter", help="substring filter on case names")
-    corpus.add_argument("--tol-scale", type=float, default=None)
-    add_quad_flags(corpus)
-    corpus.set_defaults(func=_cmd_corpus)
-
-    residue = sub.add_parser("residue", help="pole residue convergence")
-    residue.add_argument("--catalog", required=True)
-    residue.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
-    residue.add_argument("--m", type=int, required=True, help="pole index")
-    residue.add_argument("--eps", type=float, default=transforms.RESIDUE_EPS)
-    residue.add_argument("--json", action="store_true")
-    residue.set_defaults(func=_cmd_residue)
-    top.subcommands = {"verify": verify, "corpus": corpus, "residue": residue}
-    for parser in top.subcommands.values():  # argparse's negative numbers, and -1e-3, -inf
-        parser._negative_number_matcher = re.compile(
-            r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$|^-inf$")
+    top.subcommands = {}
+    for command, (func, help, arguments) in _COMMANDS.items():
+        parser = top.subcommands[command] = sub.add_parser(command, help=help)
+        parser.set_defaults(func=func)
+        parser.arguments, parser.required, parser.defaults = {}, [], {"func": func}
+        for name, keywords in arguments:
+            dest = parser.add_argument(name, **keywords).dest
+            parser.arguments[name] = dest, keywords
+            parser.defaults[dest] = parser.get_default(dest)
+            if keywords.get("required") or not name.startswith("-"):
+                parser.required.append(name)
     return top
 
 
-@functools.cache
-def _exact_table(parser: argparse.ArgumentParser) -> tuple:
-    """(flags, positionals, defaults) read from a subcommand parser's actions:
-    each ``--long`` flag of a store, append or store_true action (not --help)."""
-    kinds = (argparse._StoreAction, argparse._AppendAction, argparse._StoreTrueAction)
-    actions = [a for a in parser._actions if type(a) in kinds and a.nargs in (None, 0)]
-    positionals = [a for a in parser._actions if not a.option_strings]
-    assert all(a in actions for a in positionals), "a positional _exact_args cannot read"
-    flags = {flag: a for a in actions for flag in a.option_strings if flag.startswith("--")}
-    defaults = {a.dest: a.default for a in reversed(parser._actions)
-                if argparse.SUPPRESS not in (a.dest, a.default)}
-    return flags, positionals, {**parser._defaults, **defaults}
-
-
-def _exact_args(parser: argparse.ArgumentParser, tokens: list[str]) -> argparse.Namespace | None:
-    """The namespace ``parser`` reads from ``tokens`` when each is a flag of
-    _exact_table's or a value; else None, for argparse to parse."""
-    flags, positionals, defaults = _exact_table(parser)
-    values, seen, pending, tokens = dict(defaults), set(), iter(positionals), iter(tokens)
+def _exact_args(parser: _Parser, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace ``parser`` reads from ``tokens`` when each is a full
+    ``--flag``, a value not led by '-' or a positional; else None."""
+    values, seen, tokens = dict(parser.defaults), set(), iter(tokens)
+    pending = (name for name in parser.required if not name.startswith("-"))
     for token in tokens:
-        action = flags.get(token) or (None if token.startswith("-") else next(pending, None))
-        if action is None:
+        name = token if token.startswith("-") else next(pending, None)
+        if name not in parser.arguments:
             return None
-        if action.option_strings and action.nargs != 0:  # a flag that takes a value
+        dest, keywords = parser.arguments[name]
+        action = keywords.get("action")
+        if action != "store_true" and name.startswith("-"):  # a flag that takes a value
             token = next(tokens, "-")  # a missing value declines as a flag would
-            if token.startswith("-"):  # argparse tells a negative number from a flag
+            if token.startswith("-"):  # _Parser reads a negative number
                 return None
         try:
-            value = action.const if action.nargs == 0 else (action.type or str)(token)
+            value = True if action == "store_true" else keywords.get("type", str)(token)
         except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse reports it
             return None
-        if action.choices is not None and value not in action.choices:
+        if value not in keywords.get("choices", [value]):
             return None
-        if isinstance(action, argparse._AppendAction):
-            value = [*(values.get(action.dest) or ()), value]
-        values[action.dest] = value
-        seen.add(action)
-    if any(action.required and action not in seen for action in parser._actions):
-        return None
-    return argparse.Namespace(**values)
+        values[dest] = [*values[dest], value] if action == "append" else value
+        seen.add(name)
+    return argparse.Namespace(**values) if seen.issuperset(parser.required) else None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -66,6 +66,29 @@ class TestGoldenOutput:
         assert first.stdout == second.stdout
 
 
+# help golden file -> argv.  Each was printed with COLUMNS=80; the comparison
+# drops all whitespace, so a Python that wraps a line elsewhere (or breaks it
+# at another hyphen) still matches, while a dropped help string, metavar,
+# choice or flag does not.
+HELP_INVOCATIONS = {
+    "help_rmtkit.txt": ["-h"],
+    "help_verify.txt": ["verify", "-h"],
+    "help_corpus.txt": ["corpus", "-h"],
+    "help_residue.txt": ["residue", "-h"],
+}
+
+
+class TestHelpGolden:
+    @pytest.mark.parametrize("name", sorted(HELP_INVOCATIONS))
+    def test_help_matches_golden_file(self, capsys, monkeypatch, name):
+        from rmtkit import cli
+
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_route(capsys, cli.main, HELP_INVOCATIONS[name])
+        assert (code, err) == (0, "")
+        assert "".join(out.split()) == "".join((GOLDEN_DIR / name).read_text().split())
+
+
 class TestExitCodes:
     def test_pass_is_zero(self):
         assert run_cli("verify", "rmt", "--catalog", "exp", "--param", "a=2", "--s", "3").returncode == 0
@@ -508,6 +531,14 @@ class TestInputErrors:
             capsys, *command, "--catalog", "exp", "--param", "a=abc"
         )
         assert (code, out, err) == (2, "", "error: --param a: 'abc' is not a number\n")
+
+    @pytest.mark.parametrize("command", [["verify", "rmt", "--s", "1", "--json"],
+                                         ["residue", "--m", "0", "--json"]])
+    def test_repeated_param_name_is_input_error(self, capsys, command):
+        code, out, err = run_in_process(
+            capsys, *command, "--catalog", "exp", "--param", "a=2", "--param", "a=3"
+        )
+        assert (code, out, err) == (2, "", "error: --param a given twice\n")
 
     def test_expression_pair_without_derivatives_suggests_fd(self, capsys):
         code, out, err = run_in_process(

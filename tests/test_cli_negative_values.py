@@ -1,5 +1,6 @@
-"""A subcommand reads a negative number in exponent form, or -inf, as a
-flag's value, spaced as it reads the same value joined by '='."""
+"""A subcommand reads a token led by '-' that float reads (-1e-3, -inf,
+-Inf, -nan) after a flag that takes a value, in full or by a unique prefix,
+as that flag's value, spaced as it reads the same value joined by '='."""
 
 import json
 
@@ -40,3 +41,41 @@ def test_other_tokens_led_by_a_dash_are_flags(capsys, token):
     code, out, err = run(capsys, cli.main, "--finf", token)
     assert (code, out) == (2, "")
     assert "argument --finf: expected one argument" in err
+
+
+@pytest.mark.parametrize("value", ["-Inf", "-INF", "-infinity", "-nan"])
+def test_every_non_finite_spelling_of_float_is_a_value(capsys, value):
+    spaced = run(capsys, cli.main, "--finf", value)
+    assert spaced == run(capsys, cli.main, f"--finf={value}")
+    assert spaced == run(capsys, reference_cli_main, "--finf", value)
+    assert spaced == (2, "", "error: --finf must be finite\n")
+
+
+def test_a_nan_exponent_is_a_value(capsys):
+    argv = ["verify", "rmt", "--catalog", "exp", "--json"]
+    for route, s in [(cli.main, ["--s", "-nan"]), (cli.main, ["--s=-nan"]),
+                     (reference_cli_main, ["--s", "-nan"])]:
+        assert route([*argv, *s]) == 2
+        assert capsys.readouterr() == ("", "error: rmt: requires s > 0, got nan\n")
+
+
+def test_an_abbreviated_flag_takes_a_negative_value(capsys):
+    spaced = run(capsys, cli.main, "--fin", "-1e-3")
+    assert spaced == run(capsys, cli.main, "--fin=-1e-3")
+    assert spaced == run(capsys, reference_cli_main, "--fin", "-1e-3")
+    assert spaced == run(capsys, cli.main, "--finf", "-1e-3")
+    code, out, err = spaced
+    assert (code, err, json.loads(out)["inputs"]["finf"]) == (1, "", "-0.001")
+
+
+def test_an_ambiguous_prefix_is_left_to_argparse(capsys):
+    code, out, err = run(capsys, cli.main, "--f", "-1e-3")
+    assert (code, out) == (2, "")
+    assert "ambiguous option: --f could match" in err
+
+
+def test_tokens_after_a_double_dash_are_left_as_they_are(capsys):
+    code, out, err = run(capsys, cli.main, "--", "--finf", "-1e-3")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "rmtkit: error: unrecognized arguments: -- --finf -1e-3"
+
