@@ -350,28 +350,37 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser that reads a token led by '-' that ``float`` reads
-    after a flag that takes a value, in full or by a unique prefix, as that
-    value: ``--finf -Inf`` as ``--finf=-Inf``, not as two flags."""
+    """An argparse parser that reads a token led by '-' after a flag that takes
+    a value, in full or by a unique prefix, alike on every Python: as that value
+    if ``float`` reads it (``--finf -Inf`` as ``--finf=-Inf``), else as a flag,
+    the value missing, unless it is '-' alone or holds a space."""
 
-    arguments: dict = {}  # a subcommand's: each argument's name -> (dest, keywords)
+    arguments: dict = {}  # a subcommand's: each argument's name -> (dest, keywords, takes_value)
 
     def parse_known_args(self, args=None, namespace=None):
         args = list(sys.argv[1:] if args is None else args)
-        for i in reversed(range(1, args.index("--") if "--" in args else len(args))):
-            if args[i].startswith("-") and self._takes_value(args[i - 1]):
+        end = args.index("--") if "--" in args else len(args)
+        read = []
+        for token in args[:end]:
+            flag = self._value_flag(read[-1]) if read and token.startswith("-") else None
+            if flag:
                 try:
-                    float(args[i])
+                    float(token)
                 except ValueError:
-                    continue
-                args[i - 1:i + 1] = [f"{args[i - 1]}={args[i]}"]
-        return super().parse_known_args(args, namespace)
+                    if len(token) > 1 and " " not in token:  # else a value to any argparse
+                        self.error(f"argument {flag}: expected one argument")
+                else:
+                    token = f"{read.pop()}={token}"
+            read.append(token)
+        return super().parse_known_args(read + args[end:], namespace)
 
-    def _takes_value(self, token: str) -> bool:
-        names = [name for name in (*self.arguments, "--help") if name.startswith(token)]
-        name = token if token in names else names[0] if len(names) == 1 else None
-        return (token.startswith("--") and name in self.arguments
-                and self.arguments[name][1].get("action") != "store_true")
+    def _value_flag(self, token: str) -> str | None:
+        """The flag ``token`` names, in full or by a unique prefix, if it takes a value."""
+        names = [name for name in self.arguments if name.startswith(token)]
+        if token in names:  # a full name wins over the longer names it begins
+            names = [token]
+        takes_value = token.startswith("--") and len(names) == 1 and self.arguments[names[0]][2]
+        return names[0] if takes_value else None
 
 
 # Built on the first main call and reused: parsing leaves each parser as it
@@ -386,13 +395,15 @@ def _build_argparser() -> _Parser:
     for command, (func, help, arguments) in _COMMANDS.items():
         parser = top.subcommands[command] = sub.add_parser(command, help=help)
         parser.set_defaults(func=func)
-        parser.arguments, parser.required, parser.defaults = {}, [], {"func": func}
+        parser.arguments, parser.defaults = {}, {"func": func}
         for name, keywords in arguments:
             dest = parser.add_argument(name, **keywords).dest
-            parser.arguments[name] = dest, keywords
+            takes_value = name.startswith("-") and keywords.get("action") != "store_true"
+            parser.arguments[name] = dest, keywords, takes_value
             parser.defaults[dest] = parser.get_default(dest)
-            if keywords.get("required") or not name.startswith("-"):
-                parser.required.append(name)
+        parser.positionals = [name for name, _ in arguments if not name.startswith("-")]
+        parser.required = parser.positionals + [  # every name an argv must give
+            name for name, keywords in arguments if keywords.get("required")]
     return top
 
 
@@ -400,14 +411,14 @@ def _exact_args(parser: _Parser, tokens: list[str]) -> argparse.Namespace | None
     """The namespace ``parser`` reads from ``tokens`` when each is a full
     ``--flag``, a value not led by '-' or a positional; else None."""
     values, seen, tokens = dict(parser.defaults), set(), iter(tokens)
-    pending = (name for name in parser.required if not name.startswith("-"))
+    positionals = iter(parser.positionals)
     for token in tokens:
-        name = token if token.startswith("-") else next(pending, None)
+        name = token if token.startswith("-") else next(positionals, None)
         if name not in parser.arguments:
             return None
-        dest, keywords = parser.arguments[name]
+        dest, keywords, takes_value = parser.arguments[name]
         action = keywords.get("action")
-        if action != "store_true" and name.startswith("-"):  # a flag that takes a value
+        if takes_value:
             token = next(tokens, "-")  # a missing value declines as a flag would
             if token.startswith("-"):  # _Parser reads a negative number
                 return None

@@ -3,6 +3,7 @@
 as that flag's value, spaced as it reads the same value joined by '='."""
 
 import json
+import re
 
 import pytest
 from oracles import reference_cli_main
@@ -79,3 +80,27 @@ def test_tokens_after_a_double_dash_are_left_as_they_are(capsys):
     assert (code, out) == (2, "")
     assert err.splitlines()[-1] == "rmtkit: error: unrecognized arguments: -- --finf -1e-3"
 
+
+
+@pytest.mark.parametrize("token", ["-1e", "-1e-3x", "-.5x", "-1x"])
+def test_a_token_float_rejects_is_a_flag_under_a_wider_argparse_rule(
+        capsys, monkeypatch, token):
+    # Later argparse releases read any token matching -\.?\d as a negative
+    # number; the flag's value is still missing, as on every Python.
+    for parser in cli._build_argparser().subcommands.values():
+        monkeypatch.setattr(parser, "_negative_number_matcher", re.compile(r"-\.?\d"))
+    for route in (cli.main, reference_cli_main):
+        code, out, err = run(capsys, route, "--finf", token)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "rmtkit verify: error: argument --finf: expected one argument"
+
+
+def test_a_spaced_or_lone_dash_token_is_a_value(capsys):
+    argv = ["verify", "frullani", "--phi", "-1 + 0*k", "--f0", "-1", "--finf", "0",
+            "--alpha", "2", "--beta", "1", "--json"]
+    for closed_form in (["--closed-form", "-exp(-x) + 0"], ["--closed-form=-exp(-x) + 0"]):
+        assert cli.main([*argv, *closed_form]) == 0
+        assert json.loads(capsys.readouterr().out)["inputs"]["closed_form"] == "-exp(-x) + 0"
+    code, out, err = run(capsys, cli.main, "--finf", "0", "--tol", "-")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "rmtkit verify: error: argument --tol: invalid float value: '-'"
