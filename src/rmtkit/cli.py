@@ -47,6 +47,7 @@ _RECORD_KEYS = (
     "evaluations",
     "warnings",
 )
+_ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps would make one per record
 
 _FD_STEP = 0.05  # the finite-difference step used when --fd-step is absent
 # Every identity input, in the order IDENTITIES first names each.
@@ -94,7 +95,7 @@ def _record(
 
 def _emit_json(record: dict) -> None:
     assert tuple(record) == _RECORD_KEYS
-    sys.stdout.write(json.dumps(record, separators=(",", ":")) + "\n")
+    sys.stdout.write(_ENCODER.encode(record) + "\n")
 
 
 _TABLE_COLUMNS = (
@@ -195,6 +196,7 @@ def _expression_pair(args: argparse.Namespace) -> SeriesPair:
         derivative_with_noise=(
             lambda order, x: (closed(x), 0.0) if order == 0 else fds[order](x, noise=True))
         if args.fd_derivatives else None,
+        log_closed_form=compile_expr(closed_node, bindings, "x", "log"),
     )
 
 
@@ -430,7 +432,8 @@ def _exact_args(parser: _Parser, tokens: list[str]) -> argparse.Namespace | None
             return None
         values[dest] = [*values[dest], value] if action == "append" else value
         seen.add(name)
-    return argparse.Namespace(**values) if seen.issuperset(parser.required) else None
+    vars(namespace := argparse.Namespace()).update(values)  # Namespace(**values) sets each
+    return namespace if seen.issuperset(parser.required) else None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,19 +19,14 @@ insignificant.
 
 ``fact(x)`` is defined as gamma(x+1) so it accepts real arguments.
 There are no user-defined functions or conditionals; evaluation is strict,
-bottom-up, in double precision.  ``compile_expr`` folds each
-variable-free subtree to its value and turns the rest of a tree into one
-generated Python function of the free variable, so a later evaluation
-walks no tree and recomputes no constant; ``evaluate`` compiles and calls
-once.  ``parse`` is memoized per source string in a bounded cache, since
-trees are immutable.  One walk per tree and free variable plans the
-binding reads, the folds and each node's generated line; ``compile_expr``
-folds on every call, as the bindings differ, and compiles one function per
-tree and free variable from the plan, kept with it in a bounded cache.  A
-call under which a variable-free subtree raises gets code of its own, not
-kept, since such a function raises whenever it is called.  Each operation,
-an operator, unary minus or a builtin, is stated once, in one table keyed
-by its symbol or name: its arity, its fold and its generated line.
+bottom-up, in double precision.  ``parse`` is memoized per source string in
+a bounded cache, since trees are immutable.  ``compile_expr`` folds each
+variable-free subtree and turns the rest of a tree into one generated
+Python function of the free variable, from a plan made once per tree and
+variable, in one of two number domains: ``float``, F itself (``evaluate``
+compiles and calls once), or ``log``, L -> ln F(e^L) on (sign, ln|v|), which
+carries a Mellin walk on where x or F leaves the double range.  Each
+operation is stated once, in one table keyed by its symbol or name.
 """
 
 from __future__ import annotations
@@ -303,7 +298,17 @@ def _quotient(numerator: float, denominator: float) -> float:
     return numerator / denominator
 
 
-# key -> (arity, fold, line): an operator's key is its symbol, unary minus's
+def _log_sum(sa: float, la: float, sb: float, lb: float) -> tuple[float, float]:
+    """(sign, ln|a + b|) of a = sa e^la, b = sb e^lb, refusing a difference that loses a bit."""
+    if la < lb:
+        sa, la, sb, lb = sb, lb, sa, la
+    ratio = math.exp(lb - la)
+    if sa != sb and ratio > 0.5:
+        raise DomainError("log form: cancelling sum")
+    return sa, la + math.log1p(ratio if sa == sb else -ratio)
+
+
+# key -> (arity, fold, line, log): an operator's key is its symbol, unary minus's
 # "neg", a builtin's its name.  fold maps the operands' values to the
 # operation's; line computes it in generated code, formatted with the operands'
 # names, {t} its temporary's and {g} its global's, the fold's.  A zero divisor
@@ -311,40 +316,58 @@ def _quotient(numerator: float, denominator: float) -> float:
 # comparisons come first, so a malformed base fails as it does there.  math.log,
 # sqrt, sin and cos raise ValueError off their domains; gamma and erf read
 # specfun when they run or are folded, so a function replaced there is reached.
-_OPERATIONS: dict[str, tuple[int, Callable[..., float], str]] = {
-    "+": (2, operator.add, "{t} = {0} + {1}"),
-    "-": (2, operator.sub, "{t} = {0} - {1}"),
-    "*": (2, operator.mul, "{t} = {0} * {1}"),
-    "/": (2, _quotient, "{t} = {0} / {1} if {1} else _quotient({0}, {1})"),
+# log, None for sin and cos, computes a node on the variable as a sign {t}s and a log {t}l
+# from its operands' {0}s and {0}l (the variable's: 1.0 and ln x), and reads an operand's
+# float, {1} alone, only where it folds: an exponent on the variable has no log either.
+_NEGATIVE = "if {{0}}s < 0.0: raise DomainError('{} undefined at a negative value')\n"
+_OPERATIONS: dict[str, tuple[int, Callable[..., float], str, str | None]] = {
+    "+": (2, operator.add, "{t} = {0} + {1}", "{t}s, {t}l = _log_sum({0}s, {0}l, {1}s, {1}l)"),
+    "-": (2, operator.sub, "{t} = {0} - {1}", "{t}s, {t}l = _log_sum({0}s, {0}l, -{1}s, {1}l)"),
+    "*": (2, operator.mul, "{t} = {0} * {1}", "{t}s, {t}l = {0}s * {1}s, {0}l + {1}l"),
+    "/": (2, _quotient, "{t} = {0} / {1} if {1} else _quotient({0}, {1})",
+          "{t}s, {t}l = {0}s * {1}s, {0}l - {1}l"),
     "^": (2, _apply_power,
-          "{t} = _apply_power({0}, {1}) if {0} == 0.0 or {0} < 0.0 else _pow({0}, {1})"),
-    "neg": (1, operator.neg, "{t} = -{0}"),
+          "{t} = _apply_power({0}, {1}) if {0} == 0.0 or {0} < 0.0 else _pow({0}, {1})",
+          "{t}s, {t}l = _apply_power({0}s, {1}), {1} * {0}l"),
+    "neg": (1, operator.neg, "{t} = -{0}", "{t}s, {t}l = -{0}s, {0}l"),
     **{name: (1, fn, f"try: {{t}} = {{g}}({{0}})\nexcept ValueError: "
-                     f"raise DomainError('{name} undefined at %r' % ({{0}},)) from None")
-       for name, fn in (("exp", math.exp), ("ln", math.log), ("sin", math.sin),
-                        ("cos", math.cos), ("sqrt", math.sqrt))},
-    "gamma": (1, lambda x: specfun.gamma(x), "{t} = _specfun.gamma({0})"),
-    "fact": (1, _fact, "{t} = {g}({0})"),
-    "erf": (1, lambda x: specfun.erf(x), "{t} = _specfun.erf({0})"),
+                     f"raise DomainError('{name} undefined at %r' % ({{0}},)) from None", log)
+       for name, fn, log in (
+           ("exp", math.exp, "{t}s, {t}l = 1.0, _unlog({0}s, {0}l)"),
+           ("ln", math.log, _NEGATIVE.format("ln") + "{t}s, {t}l = _split({0}l)"),
+           ("sin", math.sin, None), ("cos", math.cos, None),
+           ("sqrt", math.sqrt, _NEGATIVE.format("sqrt") + "{t}s, {t}l = 1.0, 0.5 * {0}l"))},
+    "gamma": (1, lambda x: specfun.gamma(x), "{t} = _specfun.gamma({0})",
+              "{t}s, {t}l = _log_gamma(_unlog({0}s, {0}l))"),
+    "fact": (1, _fact, "{t} = {g}({0})", "{t}s, {t}l = _log_gamma(_unlog({0}s, {0}l) + 1.0)"),
+    "erf": (1, lambda x: specfun.erf(x), "{t} = _specfun.erf({0})",  # 2u/sqrt(pi) below e^-20
+            "{t}s, {t}l = {0}s, {0}l + _LN_TWO_OVER_SQRT_PI if {0}l < -20.0 "
+            "else _log(_specfun.erf(_unlog(1.0, {0}l)))"),
 }
 _OPERATIONS["pow"] = _OPERATIONS["^"]  # pow(a, b) is a^b
 BUILTIN_FUNCTIONS: dict[str, int] = {  # a call's key is a name, and "neg" is no call
-    key: arity for key, (arity, _, _) in _OPERATIONS.items() if key.isidentifier() and key != "neg"}
+    key: entry[0] for key, entry in _OPERATIONS.items() if key.isidentifier() and key != "neg"}
 _RUNTIME = {"_quotient": _quotient, "_apply_power": _apply_power, "_pow": math.pow,
-            "_specfun": specfun, "DomainError": DomainError}
+            "_specfun": specfun, "DomainError": DomainError, "_log_sum": _log_sum, "_log": math.log,
+            "_inf": math.inf, "_LN_TWO_OVER_SQRT_PI": math.log(specfun.TWO_OVER_SQRT_PI),
+            # v as (sign, ln|v|); sign e^log, inf past the doubles; (sign, ln|Gamma(u)|)
+            "_split": lambda v: (1.0 if v >= 0.0 else -1.0, math.log(abs(v)) if v else -math.inf),
+            "_unlog": lambda sign, log: sign * (math.inf if log > 709.78 else math.exp(log)),
+            "_log_gamma": lambda u: (1.0 if u > 0.0 else math.copysign(1.0, specfun.gamma(u)),
+                                     math.lgamma(u))}
 
 _UNFOLDED = object()  # stands for the value of a subtree that reads the variable or raises
 
 
 def _raising(error: type[Exception], *args) -> tuple:
-    """(fold, line, global) of a node that raises error(*args), its operands evaluated."""
-    return None, "raise {g}()", functools.partial(error, *args)
+    """(fold, line, log, global) of a node that raises error(*args), its operands evaluated."""
+    return None, "raise {g}()", "raise {g}()", functools.partial(error, *args)
 
 
 def _operation(node) -> tuple:
-    """(operands, fold, line, global) of a node that is not a leaf: fold maps
-    the operands' values to the node's, and is None where the node raises
-    whatever they are; line computes it in a generated body."""
+    """(operands, fold, line, log, global) of a node that is not a leaf: fold
+    maps the operands' values to the node's, and is None where the node raises
+    whatever they are; line and log compute it in a generated body."""
     if isinstance(node, Variable):  # unbound: the fold plan reads a bound one
         return ((), *_raising(UnboundVariable, f"variable {node.name!r} is not bound"))
     if isinstance(node, UnaryNeg):
@@ -359,21 +382,21 @@ def _operation(node) -> tuple:
             return ((), *_raising(UnknownFunction, f"unknown function {node.fn!r}", 0, ()))
     else:
         return ((), *_raising(DomainError, f"unknown node type {type(node).__name__}"))
-    arity, fold, line = _OPERATIONS[key]
+    arity, fold, line, log = _OPERATIONS[key]
     if len(operands) != arity:  # a hand-built call: parse rejects it
         return ((), *_raising(DomainError, f"{key} takes {arity} argument(s), got {len(operands)}"))
-    return operands, fold, line, fold
+    return operands, fold, line, log, fold
 
 
-# (id(tree), variable) -> [tree, *_plan(tree, variable), factory or None], at most 256 plans
-# each holding the one factory made where no fold raises; holding the tree keeps its id its own
+# (id(tree), variable) -> [tree, *_plan(tree, variable), {domain: factory}], at most 256 plans
+# each holding per domain the one factory made where no fold raises; the tree keeps its id
 _COMPILED: dict = {}
 _COMPILED_SIZE = 256
 
 
 def compile_expr(
-    node: ExprNode, bindings: Mapping[str, float], variable: str | None
-) -> Callable[[float], float]:
+    node: ExprNode, bindings: Mapping[str, float], variable: str | None, domain: str = "float"
+) -> Callable[[float], float] | None:
     """Compile a tree into a one-argument function of ``variable``.
 
     Every other name is read from ``bindings`` once, here, as a float;
@@ -387,12 +410,31 @@ def compile_expr(
     of its own, not kept, since its line for that fold raises on every call.
     Evaluation is strict, bottom-up, in double precision; an error is raised
     only when reached: ``1/0 + q``, ``q`` unbound, raises DivisionByZero.
+    ``domain`` "log" gives L -> ln F(e^L) instead, made on its first call
+    from each node's log line, raising DomainError where F <= 0 or a sum
+    cancels, or None where a node on the variable has no log line.
     """
     plan = _COMPILED.get((id(node), variable))
     if plan is None:
         if len(_COMPILED) >= _COMPILED_SIZE:
             _COMPILED.clear()
-        plan = _COMPILED[id(node), variable] = [node, *_plan(node, variable), None]
+        plan = _COMPILED[id(node), variable] = [node, *_plan(node, variable), {}]
+    if domain == "float":
+        return _function(plan, bindings, domain)
+    if not plan[5]:
+        return None
+    bindings, made = dict(bindings), []
+
+    def log_form(log_x: float) -> float:  # folds and generates on its first call
+        if not made:
+            made.append(_function(plan, bindings, domain))
+        return made[0](log_x)
+
+    return log_form
+
+
+def _function(plan, bindings: Mapping[str, float], domain: str) -> Callable[[float], float]:
+    """The plan's function in ``domain`` under ``bindings``, as compile_expr describes it."""
     outcomes, failed = list(plan[1]), False
     for index, fold, operands in plan[2]:
         try:
@@ -403,17 +445,18 @@ def compile_expr(
         except KeyError if fold is None else Exception:  # a read fails only unbound
             failed = True
     if failed:
-        return _generate(plan, outcomes)(*outcomes)
-    plan[5] = plan[5] or _generate(plan, outcomes)
-    return plan[5](*outcomes)
+        return _generate(plan, outcomes, domain)(*outcomes)
+    if domain not in plan[6]:
+        plan[6][domain] = _generate(plan, outcomes, domain)
+    return plan[6][domain](*outcomes)
 
 
-def _plan(node, variable) -> tuple[list, list, list, int | None]:
-    """(outcomes, steps, lines, root): each node's value in preorder, _UNFOLDED but for a
-    constant; in a walk's order (index, None, name) reading a binding or (index, fold,
-    operands), and (index, operands, line, global) of each node but a constant and the
-    variable; and the root's index.  An index is a node's in preorder, None for the variable."""
-    outcomes, steps, lines = [], [], []
+def _plan(node, variable) -> tuple[list, list, list, int | None, bool]:
+    """(outcomes, steps, lines, root, logs): each node's value in preorder, _UNFOLDED but for a
+    constant; in a walk's order (index, None, name) reading a binding or (index, fold, operands);
+    (index, operands, line, log, global) of each node but a constant and the variable, log None
+    if it may fold; the root's index; and whether each node on the variable has a log line."""
+    outcomes, steps, lines, refused = [], [], [], []
 
     def visit(node) -> tuple:  # adds node's outcomes, steps and line; (its index, may it fold)
         index = len(outcomes)
@@ -422,36 +465,50 @@ def _plan(node, variable) -> tuple[list, list, list, int | None]:
             return index, True
         if isinstance(node, Variable) and node.name == variable:
             return None, False
-        operands, fold, line, value = _operation(node)
+        operands, fold, line, log, value = _operation(node)
         visits = [visit(operand) for operand in operands]
         indices = tuple(operand for operand, _ in visits)
-        lines.append((index, indices, line, value))
-        if isinstance(node, Variable):  # a bound one, whose fold is None: a read
-            indices = node.name
-        elif fold is None or not all(folds for _, folds in visits):
+        folds = isinstance(node, Variable) or fold is not None and all(f for _, f in visits)
+        if not folds and (log is None or any(  # {i} alone: an operand's float
+                re.search(rf"\{{{i}\}}(?![sl])", log) for i, (_, f) in enumerate(visits) if not f)):
+            refused.append(index)
+        lines.append((index, indices, line, None if folds else log, value))
+        if not folds:
             return index, False
-        steps.append((index, fold, indices))
+        steps.append((index, fold, node.name if isinstance(node, Variable) else indices))
         return index, True
 
-    return outcomes, steps, lines, visit(node)[0]
+    return outcomes, steps, lines, visit(node)[0], not refused  # refused once visited
 
 
-def _generate(plan, outcomes: list) -> Callable:
+def _generate(plan, outcomes: list, domain: str) -> Callable:
     """The factory that, given compile_expr's outcomes for a plan's tree, returns its
-    function of the variable: a line for each node the outcomes leave _UNFOLDED."""
-    namespace, body = dict(_RUNTIME), ["x = float(x)"]
+    function of the variable in ``domain``: a line for each node the outcomes leave
+    _UNFOLDED, in the log domain its log where it has one, each folded value split
+    into its sign and log once, in the factory."""
+    log = domain == "log"
+    namespace, body = dict(_RUNTIME), ["x = float(x)", "xs, xl = 1.0, x"][:1 + log]
+    head = [f"p{i}s, p{i}l = _split(p{i})" for i, outcome in enumerate(outcomes)
+            if log and outcome is not _UNFOLDED]
 
     def name(index) -> str:  # the variable x, a folded p<index> or a temporary t<index>
         return "x" if index is None else f"t{index}" if outcomes[index] is _UNFOLDED else f"p{index}"
 
-    for index, operands, line, value in plan[3]:
+    for index, operands, line, log_line, value in plan[3]:
         if outcomes[index] is _UNFOLDED:
             namespace[f"g{index}"] = value
+            line = log_line if log and log_line else line
             body.extend(line.format(*map(name, operands), t=f"t{index}", g=f"g{index}").split("\n"))
-    body.append(f"return {name(plan[4])}")
+    root = name(plan[4])
+    if log:
+        body.append(f"if {root}s < 0.0 or not -_inf < {root}l < _inf: "
+                    "raise DomainError('log form: ln F undefined at ln x = %r' % (x,))")
+        root += "l"
+    body.append(f"return {root}")
     parameters = ", ".join(f"p{i}" for i in range(len(outcomes)))
-    exec(compile(f"def factory({parameters}):\n    def expression(x):\n"
-                 + "".join(f"        {line}\n" for line in body)
+    exec(compile(f"def factory({parameters}):\n"
+                 + "".join(f"    {line}\n" for line in head)
+                 + "    def expression(x):\n" + "".join(f"        {line}\n" for line in body)
                  + "    return expression\n", "<expression>", "exec"), namespace)
     return namespace["factory"]
 

@@ -43,6 +43,7 @@ configuration because panels are accumulated in a canonical order.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import heapq
 import math
@@ -669,16 +670,18 @@ def integrate_mellin(
     range and F is called at subnormal x and at 0; an exception or a
     non-finite term abandons the attempt.  So s near 0, with the mass of the
     integrand below the node table, stays on the DE rule.  log_F,
-    L -> ln F(e^L) for L >= 0 and F > 0 there, lets the walk toward
-    infinity go on above the table to the grid's last node, each term being
-    e^(sL + log_F(L)) d ln x/dt wherever x overflows or F(x) is subnormal or
-    0 above x = 1: so s near the strip's upper edge, with its mass beyond
-    the largest double, stays on the DE rule too, where without log_F it
-    falls back to the geometric ends.  smooth=False says that F returns
-    (value, error), the error bounding noise far above rounding, as in
-    finite-difference derivatives, which no DE level difference can see;
-    each error, weighted as its value, joins the DE rule's floor, log_F is
-    not used, and the geometric ends integrate the values alone.
+    L -> ln F(e^L) for L >= 0, lets the walk toward infinity go on above
+    the table to the grid's last node, each term being e^(sL + log_F(L))
+    d ln x/dt above x = 1 wherever x overflows, F raises OverflowError or
+    F(x) is subnormal or 0, never where F(x) < 0: so s near the strip's
+    upper edge, with its mass beyond the largest double, stays on the DE
+    rule too, where without log_F it falls back to the geometric ends.
+    Where F(x) is a double, a DomainError from log_F leaves the term to it.
+    smooth=False says that F returns (value, error), the error bounding noise
+    far above rounding, as in finite-difference derivatives, which no DE
+    level difference can see; each error, weighted as its value, joins the
+    DE rule's floor, log_F is not used, and the geometric ends integrate
+    the values alone.
     """
     if not 0.0 < s < math.inf:
         raise DomainError(f"integrate_mellin: requires finite s > 0, got {s!r}")
@@ -704,16 +707,22 @@ def integrate_mellin(
 
 
 def _mellin_terms(F: Callable[[float], float], s: float, log_F: Callable[[float], float] | None):
-    """x^(s-1) F(x) of x, for the probes and the geometric ends, and x^s F(x) of (x, ln x)."""
+    """x^(s-1) F(x) of x, for the probes and the geometric ends, and x^s F(x) of (x, ln x),
+    by log_F as integrate_mellin says: its refusal where F(x) is no double stands."""
     power = s - 1.0
     exp, inf = math.exp, math.inf  # bound once: g runs at every DE node
 
     def integrand(x: float) -> float:
-        v = F(x)
+        try:
+            v = F(x)
+        except OverflowError:  # F(x) is no double: a refusal of log_F stands
+            if log_F and x > 1.0:
+                return exp(power * (log_x := math.log(x)) + log_F(log_x))
+            raise
         if v < _LEAST_NORMAL:  # subnormal, 0 or < 0
-            if log_F and x > 1.0:  # F > 0 has lost its digits far out
-                log_x = math.log(x)
-                return exp(power * log_x + log_F(log_x))
+            if v >= 0.0 and log_F and x > 1.0:  # F > 0 may have lost its digits far out
+                with contextlib.suppress(DomainError):  # refused, v forms the term
+                    return exp(power * (log_x := math.log(x)) + log_F(log_x))
             if v == 0.0:  # F underflows far out, where x^(s-1) may overflow
                 return 0.0
         if x <= 1.0 and not math.isfinite(v):
@@ -728,10 +737,18 @@ def _mellin_terms(F: Callable[[float], float], s: float, log_F: Callable[[float]
 
     def g(node: tuple) -> float:
         x, log_x = node
-        v = F(x) if x < inf else 0.0  # x overflows only where log_F is given
-        if v < _LEAST_NORMAL:
+        try:
+            if x == inf:  # x overflows only where log_F is given
+                raise OverflowError
+            v = F(x)
+        except OverflowError:  # x or F(x) is no double: a refusal of log_F stands
             if log_F and x > 1.0:
                 return exp(s * log_x + log_F(log_x))
+            raise
+        if v < _LEAST_NORMAL:
+            if v >= 0.0 and log_F and x > 1.0:
+                with contextlib.suppress(DomainError):  # refused, v forms the term
+                    return exp(s * log_x + log_F(log_x))
             if v == 0.0:  # e^(sL) may overflow where F underflows
                 return 0.0
         try:

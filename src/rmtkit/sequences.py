@@ -78,11 +78,13 @@ class SeriesPair:
     whose values carry noise far above rounding, as finite differences do
     (order 0, the closed form, has error 0.0); lemma2 then integrates it with
     integrate_mellin(smooth=False), which adds the errors to its floor.
-    log_closed_form, when set, is L -> ln F(e^L) for L >= 0, F > 0 there,
-    finite up to L ~ 1.28e5 where x = e^L overflows; rmt and hardy pass it to
-    integrate_mellin, whose walk toward infinity it continues.  It restates
-    closed_form, so dataclasses.replace(pair, closed_form=...) must reset
-    it too (to None) unless the new closed form is the same F.
+    log_closed_form, when set, is L -> ln F(e^L) for L >= 0, finite up to
+    L ~ 1.28e5 where x = e^L overflows; rmt and hardy pass it to
+    integrate_mellin, whose walk toward infinity it continues.  A catalog
+    pair's F > 0 there; an expression pair's, None where its tree has sin,
+    cos or x in an exponent, raises DomainError where F <= 0 or a sum
+    cancels.  It restates closed_form, so replace(pair, closed_form=...)
+    must reset it too (to None) unless the new closed form is the same F.
     """
 
     phi: Callable[[float], float]

@@ -450,15 +450,20 @@ class TestLogClosedForm:
     def test_other_catalog_pairs_carry_none(self, id_, params):
         assert catalog_get(id_, **params).log_closed_form is None
 
-    def test_shifted_and_expression_pairs_carry_none(self):
+    def test_shifted_pairs_carry_none_and_expression_pairs_one_unless_refused(self):
         from rmtkit import cli
 
         assert shift_sequence(catalog_get("power", m=2.5), 1).log_closed_form is None
         assert shift_sequence(catalog_get("harmonic_shifted"), 2).log_closed_form is None
-        args = cli._build_argparser().parse_args(
-            ["verify", "rmt", "--phi", "fact(k)", "--closed-form", "1/(1+x)", "--s", "0.5"])
-        args.params = {}
-        assert cli._expression_pair(args).log_closed_form is None
+        for closed_form, has_form in (("1/(1+x)", True), ("exp(-x)*cos(x)", False),
+                                      ("2^(-x)", False)):
+            args = cli._build_argparser().parse_args(
+                ["verify", "rmt", "--phi", "1", "--closed-form", closed_form, "--s", "0.5"])
+            args.params = {}
+            log_F = cli._expression_pair(args).log_closed_form
+            assert (log_F is not None) == has_form, closed_form
+            if has_form:
+                assert log_F(800.0) == -800.0
 
 
 class TestHarmonicDerivatives:
