@@ -9,7 +9,7 @@ import re
 import subprocess
 import sys
 
-import mpmath
+import exact
 import pytest
 from oracles import reference_cli_main, reference_nth_derivative_fd
 
@@ -736,20 +736,7 @@ class TestFdHonesty:
     """lemma2 on finite-difference derivatives runs the double-exponential
     rule with each stencil's rounding noise in its floor, and its estimate
     covers the error against the exact integral of the finite-difference
-    integrand: for exp(-a x) the stencil at step h is exp(-a x) times
-    S(h) = (-2 sinh(a h / 2) / h)^n, so that integral is
-    (4 S(h/2) - S(h)) / 3 * Gamma(n) / a^n."""
-
-    @staticmethod
-    def exact(a, n, h):
-        mp = mpmath.mp.clone()
-        mp.dps = 40
-        a, h = mp.mpf(a), mp.mpf(h)
-
-        def stencil(step):
-            return (-2 * mp.sinh(a * step / 2) / step) ** n
-
-        return (4 * stencil(h / 2) - stencil(h)) / 3 * mp.gamma(n) / a**n
+    integrand (``exact.fd_lemma2_exp``)."""
 
     @pytest.mark.parametrize("h", [0.05, 0.02])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -760,7 +747,7 @@ class TestFdHonesty:
         pair = expression_pair("--phi", "a^k", "--closed-form", "exp(-a*x)",
                                "--param", f"a={a!r}", "--fd-derivatives", "--fd-step", repr(h))
         lhs = lemma2(pair, n).lhs
-        assert abs(lhs.value - self.exact(a, n, h)) <= lhs.error_estimate
+        assert abs(exact.MP.mpf(lhs.value) - exact.fd_lemma2_exp(a, n, h)) <= lhs.error_estimate
         if n <= 2:  # returned by the double-exponential rule; the geometric ends take ~300
             assert lhs.evaluations < 150
 

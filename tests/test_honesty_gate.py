@@ -8,34 +8,31 @@ to 1e-11 below the upper edge of five of them, s log-spaced from 0.001
 to 0.16 at the lower edge of rmt on exp, power, harmonic_shifted and
 geometric and of hardy on geometric, and frullani at scales
 within 10% of each other, where its integrand cancels.  Zero-valued
-identities (lemma2 on laguerre_weight) are included.  Each case asserts
-``converged => |lhs - exact| <= error_estimate``; the verdict is not
-asserted, since points that close to an edge need not pass.  Exact values
-are textbook formulas evaluated with mpmath at 40 digits, never through
-specfun or quadrature.
+identities (lemma2 on laguerre_weight) are included.  The same configs run
+rmt and frullani on 300 seeded expression pairs, the users' own closed
+forms, each a sum of textbook terms built as ``rmtkit verify`` builds it.
+Each case asserts ``converged => |lhs - exact| <= error_estimate``; the
+verdict is not asserted, since points that close to an edge need not pass.
+Exact values come from ``tests/exact.py``: textbook formulas evaluated with
+mpmath at 40 digits, never through specfun or quadrature.
 """
 
 import math
 import random
 
-import mpmath
 import pytest
+
+import exact
+from test_cli import expression_pair
 
 from rmtkit.quadrature import QuadratureConfig
 from rmtkit.sequences import catalog_get
-from rmtkit.transforms import frullani, hardy, lemma2, rmt
-
-MP = mpmath.mp.clone()
-MP.dps = 40
+from rmtkit.transforms import IDENTITIES, frullani, hardy, lemma2, rmt
 
 CONFIGS = {
     "default": QuadratureConfig(),
     "tight": QuadratureConfig(abs_tol=1e-14, rel_tol=1e-13),
 }
-
-# f(0) and f(inf) of each closed form, stated here rather than read off the pair.
-LIMITS = {"exp": (1, 0), "power": (1, 0), "erf": (0, 1), "laguerre_weight": (0, 0),
-          "geometric": (1, 0), "harmonic_shifted": (1, 0)}
 
 # Frullani points whose scales nearly cancel.  The double-exponential rule
 # certifies them at h = 1/8 or 1/16 and returns that level, whose error is
@@ -102,26 +99,26 @@ def _cases():
     rng = random.Random(2021)
     cases = []
 
-    def add(name, run, exact):
-        cases.append((name, run, exact))
+    def add(name, run, want):
+        cases.append((name, run, want))
 
     a = math.exp(rng.uniform(math.log(0.5), math.log(3.0)))
     for s in _edge_points(rng, 0.0, math.inf):
         add(f"rmt-exp-a{a:.4g}-s{s:.6g}", lambda cfg, s=s: rmt(catalog_get("exp", a=a), s, cfg),
-            MP.gamma(s) * MP.mpf(a) ** -s)
+            exact.mellin_exp(s, a))
     def power(m):
         return (f"rmt-power-m{m:.4g}", m, lambda s, cfg: rmt(catalog_get("power", m=m), s, cfg),
-                lambda s: MP.gamma(s) * MP.gamma(m - MP.mpf(s)) / MP.gamma(m))
+                lambda s: exact.mellin_power(s, m))
 
     # (name, strip width, check at s, exact value at s) of the strips (0, width).
     strips = [
         power(rng.uniform(0.5, 5.0)),
         ("rmt-harmonic_shifted", 1.0, lambda s, cfg: rmt(catalog_get("harmonic_shifted"), s, cfg),
-         lambda s: MP.gamma(s) / (1 - MP.mpf(s))),
+         exact.mellin_harmonic_shifted),
         ("rmt-geometric", 1.0, lambda s, cfg: rmt(catalog_get("geometric"), s, cfg),
-         lambda s: MP.pi / MP.sin(MP.pi * MP.mpf(s))),
+         exact.mellin_geometric),
         ("hardy-geometric", 1.0, lambda s, cfg: hardy(catalog_get("geometric"), s, cfg),
-         lambda s: MP.pi / MP.sin(MP.pi * MP.mpf(s))),
+         exact.mellin_geometric),
     ]
     # Within 0.01 of an edge, then 0.16 to 0.25 of the width from one: the
     # band that the algebraic DE table, symmetric under x -> 1/x, reaches.
@@ -146,7 +143,7 @@ def _cases():
         for s in lower:
             add(f"rmt-exp-a{a_low:.4g}-s{s:.6g}",
                 lambda cfg, s=s, a=a_low: rmt(catalog_get("exp", a=a), s, cfg),
-                MP.gamma(s) * MP.mpf(a_low) ** -s)
+                exact.mellin_exp(s, a_low))
     for prefix, _, check, value in strips:
         for s in lower:
             add(f"{prefix}-s{s:.6g}", lambda cfg, s=s, check=check: check(s, cfg), value(s))
@@ -158,9 +155,8 @@ def _cases():
     grid = [(cid, params.get(cid, {}), n) for cid, ns in orders.items() for n in ns]
     grid += [("laguerre_weight", {"n": float(k)}, n) for k in range(1, 5) for n in range(1, 4)]
     for cid, p, n in grid:
-        f0, finf = LIMITS[cid]
         add(f"lemma2-{cid}{p}-n{n}", lambda cfg, cid=cid, p=p, n=n: lemma2(
-            catalog_get(cid, **p), n, cfg), (-1) ** (n - 1) * (finf - f0) * MP.gamma(n))
+            catalog_get(cid, **p), n, cfg), exact.lemma2(*exact.LIMITS[cid], n))
 
     scales = []
     for cid in ("exp", "erf", "power"):
@@ -183,34 +179,113 @@ def _cases():
             alpha = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
             scales.append((cid, p, alpha, alpha * rng.uniform(0.9, 1.1)))
     for cid, p, alpha, beta in scales:
-        f0, finf = LIMITS[cid]
         pair = catalog_get(cid, **p)
         add(f"frullani-{cid}{p}-{alpha:.4g}-{beta:.4g}",
             lambda cfg, pair=pair, alpha=alpha, beta=beta: frullani(
                 pair.closed_form, pair.f_at_zero, pair.f_at_infinity, alpha, beta, cfg),
-            (finf - f0) * (MP.log(alpha) - MP.log(beta)))
+            exact.frullani(*exact.LIMITS[cid], alpha, beta))
     return cases
+
+
+# The expression-pair gate: closed forms as a user types them, each a sum of
+# one to three positive multiples of the terms below, built as `rmtkit
+# verify` builds them and read at full precision, not from the 15 digits of
+# its JSON.  Every term is 1 at x = 0 and 0 at infinity, so f(0) is the sum
+# of the multiples and f(inf) = 0.  Each kind maps its parameters (a, m) to
+# the term's text, the upper edge of its strip and its Mellin transform.
+_TERMS = {
+    "exp": lambda a, m: (f"exp(-{a!r}*x)", math.inf, lambda s: exact.mellin_exp(s, a)),
+    "power": lambda a, m: (f"(1+{a!r}*x)^(-{m!r})", m, lambda s: exact.mellin_power(s, m, a)),
+    "lorentzian": lambda a, m: (f"1/(1+{a!r}*x^2)", 2.0,
+                                lambda s: exact.mellin_lorentzian(s, a)),
+    "exp_sqrt": lambda a, m: (f"exp(-sqrt({a!r}*x))", math.inf,
+                              lambda s: exact.mellin_exp_sqrt(s, a)),
+    "exp_cos": lambda a, m: (f"exp(-{a!r}*x)*cos({a!r}*x)", math.inf,
+                             lambda s: exact.mellin_exp_cos(s, a)),
+    "shifted_power": lambda a, m: (f"1/(1+x)^{m!r}", m, lambda s: exact.mellin_power(s, m)),
+}
+
+# What the expression-pair draw finds: the configs at which each check
+# under-reports, each estimate against the true error.
+EXPRESSION_UNDER_REPORTS = {
+    "expr116-frullani":
+        "default and tight: scales within 7% of each other (ROADMAP item 12), the DE rule, 307 "
+        "evaluations, estimate 4.32e-16 against a true error of 5.56e-16 (1.29x)",
+    "expr106-frullani":
+        "tight: geometric ends (ROADMAP item 1), 1,325 evaluations, estimate 6.09e-14 against "
+        "a true error of 8.80e-14 (1.44x)",
+    "expr183-rmt":
+        "tight: s 0.02 below the upper edge, geometric ends (ROADMAP item 1), 1,167 "
+        "evaluations, estimate 1.09e-10 against a true error of 1.10e-10 (1.01x)",
+    "expr287-rmt":
+        "tight: a cos term, geometric ends (ROADMAP item 1), 1,585 evaluations, estimate "
+        "8.55e-14 against a true error of 2.15e-13 (2.51x)",
+}
+
+
+def _expression_params():
+    """rmt and frullani on each drawn sum: (identity, argv, inputs, exact value).
+
+    s lies at least 0.01 inside the strip, which ends at the least upper edge
+    among the terms (6 where none has one); alpha and beta are log-uniform
+    over [0.1, 10].  The pair's phi is 1: only the left side is read.
+    """
+    rng = random.Random(43)
+    params = []
+
+    def add(name, *values):
+        reason = EXPRESSION_UNDER_REPORTS.get(name)
+        marks = pytest.mark.xfail(strict=True, reason=reason) if reason else ()
+        params.append(pytest.param(*values, id=name, marks=marks))
+
+    for k in range(300):
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(sorted(_TERMS))
+            c = rng.uniform(0.1, 1.0)
+            a = math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
+            terms.append((c, *_TERMS[kind](a, rng.uniform(0.5, 4.0))))
+        s = rng.uniform(0.01, min(6.0, *(edge for _, _, edge, _ in terms)) - 0.01)
+        alpha, beta = (math.exp(rng.uniform(math.log(0.1), math.log(10.0))) for _ in range(2))
+        closed_form = " + ".join(f"{c!r}*{text}" for c, text, _, _ in terms)
+        f0 = exact.MP.fsum(c for c, _, _, _ in terms)
+        argv = ("--phi", "1", "--closed-form", closed_form, "--f0", repr(float(f0)))
+        add(f"expr{k}-rmt", "rmt", argv, {"s": s},
+            exact.MP.fsum(c * mellin(s) for c, _, _, mellin in terms))
+        add(f"expr{k}-frullani", "frullani", argv, {"alpha": alpha, "beta": beta},
+            exact.frullani(f0, 0, alpha, beta))
+    return params
 
 
 def _params():
     params = []
     for cfg_name in sorted(CONFIGS):
-        for name, run, exact in _cases():
+        for name, run, want in _cases():
             marks = ()
             reason = (CLOSE_SCALE_UNDER_REPORTS | UPPER_EDGE_UNDER_REPORTS).get((cfg_name, name))
             if reason:
                 marks = pytest.mark.xfail(strict=True, reason=reason)
-            params.append(pytest.param(cfg_name, run, exact, id=f"{cfg_name}-{name}",
+            params.append(pytest.param(cfg_name, run, want, id=f"{cfg_name}-{name}",
                                        marks=marks))
     return params
 
 
 class TestHonestyGate:
-    @pytest.mark.parametrize("cfg_name, run, exact", _params())
-    def test_converged_estimate_covers_the_true_error(self, cfg_name, run, exact):
+    @pytest.mark.parametrize("cfg_name, run, want", _params())
+    def test_converged_estimate_covers_the_true_error(self, cfg_name, run, want):
         lhs = run(CONFIGS[cfg_name]).lhs
         if lhs.converged:
-            assert abs(MP.mpf(lhs.value) - exact) <= lhs.error_estimate
+            assert abs(exact.MP.mpf(lhs.value) - want) <= lhs.error_estimate
+
+    @pytest.mark.parametrize("identity, argv, inputs, want", _expression_params())
+    def test_expression_pair_estimate_covers_the_true_error(self, identity, argv, inputs, want):
+        # Both configs in one case: the per-case cost of pytest, not the
+        # checks, dominates a gate of small checks.
+        pair = expression_pair(*argv)
+        for cfg_name in ("default", "tight"):
+            lhs = IDENTITIES[identity].run(pair, CONFIGS[cfg_name], None, **inputs).lhs
+            if lhs.converged:
+                assert abs(exact.MP.mpf(lhs.value) - want) <= lhs.error_estimate, cfg_name
 
     @pytest.mark.parametrize("k, n", [(k, n) for k in range(1, 5) for n in range(1, 4)])
     def test_round_off_limited_zero_is_within_its_estimate(self, k, n):

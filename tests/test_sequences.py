@@ -22,6 +22,7 @@ from rmtkit import errors, sequences
 from rmtkit.sequences import catalog_get, catalog_ids, eval_series, shift_sequence
 from rmtkit.transforms import lemma2, nth_derivative_fd
 
+from exact import MP
 from oracles import reference_laguerre_weight_derivative
 
 # One entry per catalog id.
@@ -481,18 +482,14 @@ class TestHarmonicDerivatives:
         # the lower incomplete gamma function at 40 digits.  Both ranges are
         # met: the positive series from x = 0 and 5e-324 up, the recurrence
         # from x = order + 1 up, with both sides of that one boundary.
-        import mpmath
-
-        mp = mpmath.mp.clone()
-        mp.dps = 40
         derivative = catalog_get("harmonic_shifted").derivative
         rng = random.Random(23)
         xs = [math.exp(rng.uniform(math.log(1e-6), math.log(50.0))) for _ in range(60)]
         for order in range(1, 7):
             for x in xs + [0.0, 5e-324, 1e-6, 0.5, 0.999, 1.0, order + 0.999, order + 1.0, 50.0]:
                 # At x = 0 the integral is 1/(n+1), which gammainc's quotient cannot give.
-                want = ((-1) ** order * mp.gammainc(order + 1, 0, x) / mp.mpf(x) ** (order + 1)
-                        if x else mp.mpf(-1) ** order / (order + 1))
+                want = ((-1) ** order * MP.gammainc(order + 1, 0, x) / MP.mpf(x) ** (order + 1)
+                        if x else MP.mpf(-1) ** order / (order + 1))
                 got = derivative(order, x)
                 assert abs(got - want) <= 2e-15 * abs(want), (order, x)
 

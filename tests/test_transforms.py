@@ -5,7 +5,6 @@ import random
 from argparse import Namespace
 from dataclasses import replace
 
-import mpmath
 import pytest
 
 from rmtkit import cli, specfun, transforms
@@ -35,6 +34,7 @@ from rmtkit.transforms import (
     scale_report,
 )
 
+import exact
 from oracles import (
     frullani_log_simpson,
     hardy_quarter_integral,
@@ -473,36 +473,32 @@ class TestNthDerivativeFd:
                             want[0].hex(), want[1].hex()), (n, h, x)
 
 
-def _assert_honest(report, exact):
+def _assert_honest(report, want):
     assert report.lhs.converged
-    assert abs(report.lhs.value - exact) <= report.lhs.error_estimate
+    assert abs(exact.MP.mpf(report.lhs.value) - want) <= report.lhs.error_estimate
 
 
 class TestAlgebraicEnds:
     """Identities whose integrands decay algebraically at infinity or are
     singular at 0, at default tolerance: the left side converges and its
-    error estimate covers the true error.  Exact values are closed forms
-    evaluated here with mpmath, never with specfun."""
+    error estimate covers the true error.  Exact values come from
+    ``tests/exact.py`` at 40 digits, never from specfun."""
 
     @pytest.mark.parametrize("s", [0.5, 0.7, 0.9, 0.95])
     def test_hardy_geometric(self, s):
-        exact = float(mpmath.pi / mpmath.sin(mpmath.pi * s))
-        _assert_honest(hardy(catalog_get("geometric"), s), exact)
+        _assert_honest(hardy(catalog_get("geometric"), s), exact.mellin_geometric(s))
 
     def test_rmt_harmonic_shifted(self):
-        # Gamma(s) phi(-s) with phi(k) = 1/(k+1).
-        exact = float(mpmath.gamma(0.9) / (1 - mpmath.mpf(0.9)))
-        _assert_honest(rmt(catalog_get("harmonic_shifted"), 0.9), exact)
+        _assert_honest(rmt(catalog_get("harmonic_shifted"), 0.9),
+                       exact.mellin_harmonic_shifted(0.9))
 
     def test_rmt_power(self):
-        # integral x^(s-1) (1+x)^-m = B(s, m-s).
-        exact = float(mpmath.beta(2.7, 3 - mpmath.mpf(2.7)))
-        _assert_honest(rmt(catalog_get("power", m=3.0), 2.7), exact)
+        _assert_honest(rmt(catalog_get("power", m=3.0), 2.7), exact.mellin_power(2.7, 3.0))
 
     def test_frullani_square_root_cusp(self):
         # (f(2x) - f(x))/x ~ x^(-1/2) at 0 for f = exp(-sqrt(x)).
         rep = frullani(lambda x: math.exp(-math.sqrt(x)), 1.0, 0.0, 2.0, 1.0)
-        _assert_honest(rep, -math.log(2.0))
+        _assert_honest(rep, exact.frullani(1, 0, 2.0, 1.0))
 
     @pytest.mark.parametrize(
         "id_, params",
@@ -517,18 +513,10 @@ class TestAlgebraicEnds:
 
 
 # The honesty sweep: catalog identities inside each strip at the default
-# tolerance.  Exact values are textbook formulas evaluated with mpmath at 30
-# digits, never through specfun or quadrature.
-_MP = mpmath.mp.clone()
-_MP.dps = 30
-# f(0) and f(inf) of each closed form, stated here rather than read off the pair.
-_SWEEP_LIMITS = {
-    "exp": ({"a": 2.0}, 1, 0),
-    "power": ({"m": 2.5}, 1, 0),
-    "erf": ({}, 0, 1),
-    "geometric": ({}, 1, 0),
-    "harmonic_shifted": ({}, 1, 0),
-}
+# tolerance.  Exact values come from tests/exact.py, never through specfun or
+# quadrature.
+_SWEEP_PARAMS = {"exp": {"a": 2.0}, "power": {"m": 2.5}, "erf": {}, "geometric": {},
+                 "harmonic_shifted": {}}
 # Seven interior points of a strip (0, 1), evenly spread.
 _UNIT_STRIP = [(2 * j + 1) / 14 for j in range(7)]
 
@@ -536,35 +524,35 @@ _UNIT_STRIP = [(2 * j + 1) / 14 for j in range(7)]
 def _sweep_cases():
     cases = []
 
-    def add(name, run, exact):
-        cases.append(pytest.param(run, exact, id=name))
+    def add(name, run, want):
+        cases.append(pytest.param(run, want, id=name))
 
     for a in (0.5, 1.0, 3.0):
         for s in (0.1, 0.4, 1.0, 2.5, 5.0, 8.0):
             add(f"rmt-exp-a{a}-s{s}", lambda a=a, s=s: rmt(catalog_get("exp", a=a), s),
-                _MP.gamma(s) * _MP.mpf(a) ** -s)
+                exact.mellin_exp(s, a))
     for m in (0.5, 1.0, 2.5, 5.0):
         for u in _UNIT_STRIP:
             s = m * u
             add(f"rmt-power-m{m}-s{s:.4g}", lambda m=m, s=s: rmt(catalog_get("power", m=m), s),
-                _MP.gamma(s) * _MP.gamma(m - _MP.mpf(s)) / _MP.gamma(m))
+                exact.mellin_power(s, m))
     for s in _UNIT_STRIP:
-        reflection = _MP.pi / _MP.sin(_MP.pi * s)
         add(f"hardy-geometric-s{s:.4g}", lambda s=s: hardy(catalog_get("geometric"), s),
-            reflection)
-        add(f"rmt-geometric-s{s:.4g}", lambda s=s: rmt(catalog_get("geometric"), s), reflection)
+            exact.mellin_geometric(s))
+        add(f"rmt-geometric-s{s:.4g}", lambda s=s: rmt(catalog_get("geometric"), s),
+            exact.mellin_geometric(s))
         add(f"rmt-harmonic_shifted-s{s:.4g}",
-            lambda s=s: rmt(catalog_get("harmonic_shifted"), s), _MP.gamma(s) / (1 - _MP.mpf(s)))
-    for id_, (params, f0, finf) in _SWEEP_LIMITS.items():
+            lambda s=s: rmt(catalog_get("harmonic_shifted"), s), exact.mellin_harmonic_shifted(s))
+    for id_, params in _SWEEP_PARAMS.items():
         pair = catalog_get(id_, **params)
         for alpha, beta in ((2.0, 1.0), (0.5, 3.0), (0.25, 4.0), (3.0, 0.75)):
             add(f"frullani-{id_}-{alpha}-{beta}",
                 lambda pair=pair, alpha=alpha, beta=beta: frullani(
                     pair.closed_form, pair.f_at_zero, pair.f_at_infinity, alpha, beta),
-                (finf - f0) * (_MP.log(alpha) - _MP.log(beta)))
+                exact.frullani(*exact.LIMITS[id_], alpha, beta))
         for n in range(1, 6):
             add(f"lemma2-{id_}-n{n}", lambda pair=pair, n=n: lemma2(pair, n),
-                (-1) ** (n - 1) * (finf - f0) * _MP.gamma(n))
+                exact.lemma2(*exact.LIMITS[id_], n))
     return cases
 
 
@@ -574,23 +562,19 @@ class TestHonestySweep:
     their two ends cancel, and each end meets a tolerance relative to its
     own value, not to their sum."""
 
-    @pytest.mark.parametrize("run, exact", _sweep_cases())
-    def test_passes_with_an_honest_estimate(self, run, exact):
+    @pytest.mark.parametrize("run, want", _sweep_cases())
+    def test_passes_with_an_honest_estimate(self, run, want):
         report = run()
         assert report.passed
         if report.lhs.converged:
-            assert abs(_MP.mpf(report.lhs.value) - exact) <= report.lhs.error_estimate
+            assert abs(exact.MP.mpf(report.lhs.value) - want) <= report.lhs.error_estimate
 
 
 # rmt and hardy on geometric converge at the default tolerance with a true
 # error above their estimate at these s, both drawn by the benchmark's
 # catalog_grid workload (seed 11): 3.53e-11 against 3.01e-11 at the first,
-# 1.54e-11 against 8.68e-12 at the second.  The exact value pi/sin(pi*s) is
-# taken from mpmath at 40 digits, never through specfun or quadrature.
-_MP40 = mpmath.mp.clone()
-_MP40.dps = 40
-
-
+# 1.54e-11 against 8.68e-12 at the second.  The exact value pi/sin(pi*s)
+# comes from tests/exact.py, never through specfun or quadrature.
 class TestGeometricUnderReport:
     # Near either edge the DE rule's walk goes on beyond its node table in
     # ln x, below it from x^s F(x) and above it from the pair's log form,
@@ -600,9 +584,9 @@ class TestGeometricUnderReport:
     @pytest.mark.parametrize("s", [0.02053471370448894, 0.9661323334894547])
     def test_converged_estimate_covers_the_true_error(self, identity, s):
         report = identity(catalog_get("geometric"), s)
-        exact = _MP40.pi / _MP40.sin(_MP40.pi * _MP40.mpf(s))
         if report.lhs.converged:
-            assert abs(_MP40.mpf(report.lhs.value) - exact) <= report.lhs.error_estimate
+            assert abs(exact.MP.mpf(report.lhs.value) - exact.mellin_geometric(s)) \
+                <= report.lhs.error_estimate
 
 
 class TestUpperEdgeTail:
@@ -650,8 +634,7 @@ class TestUpperEdgeTail:
         lhs = identity(pair, 0.99, cfg).lhs
         expected = reference_integrate_mellin(pair.closed_form, 0.99, cfg, pair.log_closed_form)
         assert lhs == expected and lhs.converged and lhs.evaluations == 119
-        exact = _MP40.pi / _MP40.sin(_MP40.pi * _MP40.mpf(0.99))
-        assert abs(_MP40.mpf(lhs.value) - exact) <= lhs.error_estimate
+        assert abs(exact.MP.mpf(lhs.value) - exact.mellin_geometric(0.99)) <= lhs.error_estimate
 
 
 class TestIdentityReport:
