@@ -10,8 +10,8 @@ directly (the CLI does so from parsed expressions).
 Series evaluation accumulates in extended precision (mpmath) because the
 alternating sums are badly conditioned near the convergence radius: for
 F = (1+x)^-m at x = 0.9 the condition number of the sum exceeds 1e6, which
-no double-precision summation order can overcome.  Catalog entries supply
-a high-precision coefficient hook so the terms themselves stay exact.
+no double-precision summation order can overcome.  It reads a catalog
+pair's one coefficient formula at 40 digits, so the terms stay exact.
 mpmath is imported on the first call that needs it, so the identity checks,
 which never evaluate a series, run without it.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import specfun
@@ -58,6 +59,12 @@ def _mp():
     return mp
 
 
+# A catalog coefficient formula phi(k, num) reads these names in doubles and
+# those of _mp() at 40 digits.  gamma reads specfun.gamma when called, so a
+# wrapper installed there (a tracer, a test's tripwire) sees the call.
+_Doubles = SimpleNamespace(mpf=float, sqrt=math.sqrt, pi=math.pi, gamma=lambda x: specfun.gamma(x))
+
+
 @dataclass(frozen=True)
 class SeriesPair:
     """A coefficient sequence phi with the closed form it generates.
@@ -71,8 +78,9 @@ class SeriesPair:
     above derivative_max, the contract of the _PerOrder table (on
     errors.integer_in) that gives the pair its derivative_max.  phi_plain,
     when set, gives the plain coefficients: F(x) = sum phi_plain(k) (-x)^k,
-    so phi(k) = k! phi_plain(k).  phi_highprec(k), when set, is phi(k) as an
-    mpmath number.
+    so phi(k) = k! phi_plain(k).  phi_highprec(k), when set, is phi's own
+    formula read at 40 digits, for eval_series; so replace(pair, phi=...)
+    must reset it too (to None) unless the new phi is the same.
     derivative_with_noise, when set, is (derivative(order, x), error) for
     orders 0 to derivative_max under derivative's contract, for derivatives
     whose values carry noise far above rounding, as finite differences do
@@ -112,12 +120,14 @@ class SeriesValue(NamedTuple):
 
 
 def eval_series(pair: SeriesPair, x: float, max_terms: int) -> SeriesValue:
-    """Truncated evaluation of sum_k phi(k) (-x)^k / k! at x >= 0.
+    """Truncated evaluation of sum_k phi(k) (-x)^k / k! at x >= 0, at 40
+    digits: the terms read phi_highprec when set, else phi's doubles.
 
-    Stops once the next term's magnitude falls below 1e-16 of the running
-    partial sum; the bound returned is the magnitude of the first omitted
-    term (a valid tail bound when terms are eventually alternating and
-    decreasing).
+    Stops once two terms in a row fall below 1e-16 of the running partial
+    sum in magnitude (one is not enough where coefficients vanish in
+    between, as erf's do); the bound returned is the magnitude of the first
+    omitted term (a valid tail bound when terms are eventually alternating
+    and decreasing).
     """
     max_terms = integer_in(max_terms, 1, math.inf, DomainError, "eval_series: max_terms must be >= 1")
     if not x >= 0.0:
@@ -128,20 +138,18 @@ def eval_series(pair: SeriesPair, x: float, max_terms: int) -> SeriesValue:
             f"{pair.convergence_radius!r}"
         )
     mp = _mp()
-    phi_hp = pair.phi_highprec or (lambda k: mp.mpf(pair.phi(float(k))))
+    coefficient = pair.phi_highprec or (lambda k: mp.mpf(pair.phi(float(k))))
     if x == 0.0:
         # Only the k = 0 term survives.
-        return SeriesValue(float(phi_hp(0)), 0.0)
+        return SeriesValue(float(coefficient(0)), 0.0)
     cutoff = mp.mpf("1e-16")
     neg_x = -mp.mpf(x)
     weight = mp.mpf(1)  # (-x)^k / k!
     total = mp.mpf(0)
-    term = phi_hp(0) * weight
+    term = coefficient(0) * weight
     for k in range(max_terms + 1):
         weight = weight * neg_x / (k + 1)
-        peek = phi_hp(k + 1) * weight
-        # Pairs with interleaved zero coefficients must not stop on a single
-        # vanishing term, so the next term is required to be small as well.
+        peek = coefficient(k + 1) * weight
         if total != 0 and abs(term) <= cutoff * abs(total) and abs(peek) <= cutoff * abs(total):
             return SeriesValue(float(total), float(abs(term)))
         total += term
@@ -247,15 +255,19 @@ def _build_exp(**params) -> SeriesPair:
     if not 0.0 < a < math.inf:
         raise ParamDomainError(f"catalog 'exp': requires 0 < a < inf, got {a!r}")
     scale = _PerOrder("catalog 'exp'", 1000, lambda order: (-a) ** order)
+
+    def phi(k, num=_Doubles):
+        return num.mpf(a) ** k
+
     return SeriesPair(
-        phi=lambda k: a**k,
+        phi=phi,
         closed_form=lambda x: math.exp(-a * x),
         derivative=lambda order, x: scale[order] * math.exp(-a * x),
         derivative_max=scale.derivative_max,
         f_at_zero=1.0,
         f_at_infinity=0.0,
         convergence_radius=math.inf,
-        phi_highprec=lambda k: _mp().mpf(a) ** k,
+        phi_highprec=lambda k: phi(k, _mp()),
         label=f"exp(a={a:g})",
     )
 
@@ -267,9 +279,9 @@ def _build_power(**params) -> SeriesPair:
     if not 0.0 < m < math.inf:
         raise ParamDomainError(f"catalog 'power': requires 0 < m < inf, got {m!r}")
 
-    def phi(k: float) -> float:
+    def phi(k, num=_Doubles):
         # Gamma(m+k)/Gamma(m), the natural interpolant of the rising factorial.
-        return specfun.gamma(m + k) / specfun.gamma(m)
+        return num.gamma(num.mpf(m) + k) / num.gamma(m)
 
     # The rising factorial m(m+1)...(m+order-1), by its own product: the
     # left route calls neither phi nor Gamma, whose ratio overflows first.
@@ -280,10 +292,6 @@ def _build_power(**params) -> SeriesPair:
         factor, exponent = constants[order]
         return factor * (1.0 + x) ** exponent
 
-    def phi_hp(k: int):
-        mp = _mp()
-        return mp.gamma(mp.mpf(m) + k) / mp.gamma(m)
-
     return SeriesPair(
         phi=phi,
         closed_form=lambda x: (1.0 + x) ** (-m),
@@ -292,7 +300,7 @@ def _build_power(**params) -> SeriesPair:
         f_at_zero=1.0,
         f_at_infinity=0.0,
         convergence_radius=1.0,
-        phi_highprec=phi_hp,
+        phi_highprec=lambda k: phi(k, _mp()),
         label=f"power(m={m:g})",
         # ln (1 + e^L)^-m, finite where e^L alone overflows.
         log_closed_form=lambda L: -m * (L + math.log1p(math.exp(-L))),
@@ -307,27 +315,14 @@ def _coefficient_index(k: float, id_: str) -> int:
     return int(round(k))
 
 
-def _erf_phi(k: float) -> float:
+def _erf_phi(k, num=_Doubles):
     k = _coefficient_index(k, "erf")
     if k < 0 or k % 2 == 0:
-        return 0.0
+        return num.mpf(0)
     j = (k - 1) // 2
     # erf(x) = (2/sqrt(pi)) sum_j (-1)^j x^(2j+1) / (j! (2j+1)); rewriting in
     # the factorial-normalised convention gives the (2j)!/j! growth below.
-    return TWO_OVER_SQRT_PI * (-1.0) ** (j + 1) * math.perm(2 * j, j)
-
-
-def _erf_phi_hp(k: int):
-    mp = _mp()
-    if k < 0 or k % 2 == 0:
-        return mp.mpf(0)
-    j = (k - 1) // 2
-    return (
-        (2 / mp.sqrt(mp.pi))
-        * mp.mpf(-1) ** (j + 1)
-        * mp.factorial(2 * j)
-        / mp.factorial(j)
-    )
+    return 2 / num.sqrt(num.pi) * num.mpf(-1) ** (j + 1) * math.perm(2 * j, j)
 
 
 def _build_erf(**params) -> SeriesPair:
@@ -353,7 +348,7 @@ def _build_erf(**params) -> SeriesPair:
         f_at_zero=0.0,
         f_at_infinity=1.0,
         convergence_radius=math.inf,
-        phi_highprec=_erf_phi_hp,
+        phi_highprec=lambda k: _erf_phi(k, _mp()),
         label="erf",
     )
 
@@ -365,17 +360,11 @@ def _build_laguerre_weight(**params) -> SeriesPair:
     n = integer_in(n_f, 1, 50, ParamDomainError,
                    "catalog 'laguerre_weight': requires integer 1 <= n <= 50, got %r", n_f)
 
-    def phi(k: float) -> float:
+    def phi(k, num=_Doubles):
         k = _coefficient_index(k, "laguerre_weight")
         if k < n:
-            return 0.0
-        return (-1.0) ** n * math.perm(k, n)  # k!/(k-n)!
-
-    def phi_hp(k: int):
-        mp = _mp()
-        if k < n:
-            return mp.mpf(0)
-        return mp.mpf(-1) ** n * mp.factorial(k) / mp.factorial(k - n)
+            return num.mpf(0)
+        return num.mpf(-1) ** n * math.perm(k, n)  # k!/(k-n)!
 
     # Leibniz rule on x^n e^-x: (C(order, i) n!/(n-i)! (-1)^(order-i), n - i) per term.
     terms = _PerOrder("catalog 'laguerre_weight'", specfun.MAX_POLY_DEGREE, lambda order: tuple(
@@ -396,7 +385,7 @@ def _build_laguerre_weight(**params) -> SeriesPair:
         f_at_zero=0.0,
         f_at_infinity=0.0,
         convergence_radius=math.inf,
-        phi_highprec=phi_hp,
+        phi_highprec=lambda k: phi(k, _mp()),
         label=f"laguerre_weight(n={n})",
     )
 
@@ -414,10 +403,10 @@ def _build_geometric(**params) -> SeriesPair:
     )
 
 
-def _harmonic_phi(k: float) -> float:
+def _harmonic_phi(k, num=_Doubles):
     if abs(k + 1.0) <= specfun.POLE_EXCLUSION_RADIUS:
         raise PoleError("catalog 'harmonic_shifted': phi has a pole at k=-1")
-    return 1.0 / (k + 1.0)
+    return 1 / (num.mpf(k) + 1)
 
 
 def _harmonic_closed(x: float) -> float:
@@ -473,7 +462,7 @@ def _build_harmonic_shifted(**params) -> SeriesPair:
         f_at_zero=1.0,
         f_at_infinity=0.0,
         convergence_radius=math.inf,
-        phi_highprec=lambda k: 1 / _mp().mpf(k + 1),
+        phi_highprec=lambda k: _harmonic_phi(k, _mp()),
         label="harmonic_shifted",
         log_closed_form=_harmonic_log_closed,
     )

@@ -6,11 +6,17 @@ never through the package's special-function layer or its quadrature, so
 an exact side shares no code with either route it checks.  This module
 imports mpmath alone.
 
+Each catalog pair's coefficients phi(k) are stated here as the textbook
+gives them at non-negative integers k, and the residue of Gamma(s) phi(-s)
+at s = -m follows from them.
+
 The Mellin transforms M(s) = integral_0^inf x^(s-1) F(x) dx are rmt's left
 sides on the catalog pairs (and hardy's on geometric), and those of the
 terms from which the honesty gate builds its expression pairs; each holds
 on the fundamental strip stated beside it.
 """
+
+import math
 
 import mpmath
 
@@ -20,6 +26,46 @@ MP.dps = 40
 # f(0) and f(inf) of each catalog closed form, stated here rather than read off the pair.
 LIMITS = {"exp": (1, 0), "power": (1, 0), "erf": (0, 1), "laguerre_weight": (0, 0),
           "geometric": (1, 0), "harmonic_shifted": (1, 0)}
+
+
+def phi_exp(k, a=1):
+    """exp(-a x): a^k."""
+    return MP.mpf(a) ** k
+
+
+def phi_power(k, m):
+    """(1 + x)^-m: the rising factorial m (m+1) ... (m+k-1) = Gamma(m+k) / Gamma(m)."""
+    return MP.rf(m, k)
+
+
+def phi_geometric(k):
+    """1 / (1 + x): k!, the rising factorial at m = 1."""
+    return MP.mpf(math.factorial(k))
+
+
+def phi_erf(k):
+    """erf(x): 0 at even k; (-1)^(j+1) (2/sqrt(pi)) (2j)!/j! at k = 2j + 1."""
+    if k % 2 == 0:
+        return MP.zero
+    j = (k - 1) // 2
+    return (-1) ** (j + 1) * 2 / MP.sqrt(MP.pi) * (math.factorial(2 * j) // math.factorial(j))
+
+
+def phi_laguerre_weight(k, n):
+    """x^n exp(-x): 0 below k = n, then (-1)^n k!/(k-n)!."""
+    if k < n:
+        return MP.zero
+    return MP.mpf((-1) ** n * (math.factorial(k) // math.factorial(k - n)))
+
+
+def phi_harmonic_shifted(k):
+    """(1 - exp(-x)) / x: 1/(k+1)."""
+    return 1 / MP.mpf(k + 1)
+
+
+def residue(phi, m):
+    """Gamma(s) phi(-s) at its simple pole s = -m: (-1)^m phi(m) / m!."""
+    return (-1) ** m * phi(m) / math.factorial(m)
 
 
 def mellin_exp(s, a=1):

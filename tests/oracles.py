@@ -27,6 +27,9 @@ closures bit for bit; ``reference_parse``, the parser with its depth
 kept in a mutable counter, which pins the parser's trees and errors;
 ``reference_laguerre_weight_derivative``, the Leibniz rule re-deriving its
 coefficients on every call, which pins the catalog closure bit for bit;
+``reference_catalog_phi``, each catalog pair's coefficients in doubles as
+one function per pair wrote them, which pins the shared doubles-or-40-digit
+formulas bit for bit, refusals included;
 ``reference_nth_derivative_fd``, the central-difference stencil rebuilt on
 every call, which pins ``nth_derivative_fd`` bit for bit; and
 ``reference_cli_main``, the CLI entry route through the top-level
@@ -50,6 +53,7 @@ from rmtkit.errors import (
     DomainError,
     EvaluationError,
     ExprSyntaxError,
+    PoleError,
     RmtError,
     SingularityError,
     UnboundVariable,
@@ -555,6 +559,43 @@ def reference_laguerre_weight_derivative(n: int, order: int, x: float) -> float:
         falling = math.perm(n, i)  # n!/(n-i)!
         total += math.comb(order, i) * falling * x ** (n - i) * (-1.0) ** (order - i)
     return total * math.exp(-x)
+
+
+def reference_catalog_phi(id_: str, a: float = 1.0, m: float = 1.0, n: int = 0):
+    """k -> phi(k) in doubles for catalog pair ``id_`` (geometric is power
+    at m = 1), with the catalog's refusals: PoleError at harmonic_shifted's
+    pole and at Gamma's, DomainError off the integers for erf and
+    laguerre_weight."""
+
+    def integer(k: float) -> int:
+        if not (math.isfinite(k) and abs(k - round(k)) <= 1e-9):
+            raise DomainError(f"catalog {id_!r}: coefficients defined at integers only")
+        return int(round(k))
+
+    def erf(k: float) -> float:
+        k = integer(k)
+        if k < 0 or k % 2 == 0:
+            return 0.0
+        j = (k - 1) // 2
+        return specfun.TWO_OVER_SQRT_PI * (-1.0) ** (j + 1) * math.perm(2 * j, j)
+
+    def laguerre_weight(k: float) -> float:
+        k = integer(k)
+        return 0.0 if k < n else (-1.0) ** n * math.perm(k, n)
+
+    def harmonic_shifted(k: float) -> float:
+        if abs(k + 1.0) <= specfun.POLE_EXCLUSION_RADIUS:
+            raise PoleError("catalog 'harmonic_shifted': phi has a pole at k=-1")
+        return 1.0 / (k + 1.0)
+
+    return {
+        "exp": lambda k: a**k,
+        "power": lambda k: specfun.gamma(m + k) / specfun.gamma(m),
+        "geometric": lambda k: specfun.gamma(1.0 + k) / specfun.gamma(1.0),
+        "erf": erf,
+        "laguerre_weight": laguerre_weight,
+        "harmonic_shifted": harmonic_shifted,
+    }[id_]
 
 
 def reference_nth_derivative_fd(f, x: float, n: int, h: float) -> tuple[float, float]:

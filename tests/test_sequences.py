@@ -16,14 +16,16 @@ from rmtkit.errors import (
     NonConvergenceError,
     ParamDomainError,
     RadiusError,
+    RmtError,
     UnknownEntry,
 )
 from rmtkit import errors, sequences
 from rmtkit.sequences import catalog_get, catalog_ids, eval_series, shift_sequence
 from rmtkit.transforms import lemma2, nth_derivative_fd
 
+import exact
 from exact import MP
-from oracles import reference_laguerre_weight_derivative
+from oracles import reference_catalog_phi, reference_laguerre_weight_derivative
 
 # One entry per catalog id.
 CATALOG_ENTRIES = [
@@ -180,6 +182,55 @@ class TestCatalog:
         for k in range(0, 16):
             hp = float(pair.phi_highprec(k))
             assert hp == pytest.approx(pair.phi(float(k)), rel=1e-13, abs=1e-300)
+
+
+# Parameter sets of every catalog pair, for its one coefficient formula.
+FORMULA_ENTRIES = [
+    ("exp", {"a": 1.0}), ("exp", {"a": 2.0}), ("exp", {"a": 0.3}), ("exp", {"a": 7.5}),
+    ("power", {"m": 2.5}), ("power", {"m": 1.0}), ("power", {"m": 0.1}), ("power", {"m": 7.0}),
+    ("power", {"m": 200.0}), ("power", {"m": 1e-3}), ("erf", {}), ("laguerre_weight", {"n": 1}),
+    ("laguerre_weight", {"n": 3}), ("laguerre_weight", {"n": 50}), ("geometric", {}),
+    ("harmonic_shifted", {}),
+]
+FORMULA_IDS = [id_ + "".join(f"-{name}={value}" for name, value in params.items())
+               for id_, params in FORMULA_ENTRIES]
+
+
+def _outcome(phi, k):
+    """phi(k) as (type, repr), or its refusal as (type, message)."""
+    try:
+        value = phi(k)
+    except (RmtError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+class TestCoefficientFormulas:
+    """Each catalog pair states phi once; phi reads it in doubles and
+    phi_highprec at 40 digits."""
+
+    @pytest.mark.parametrize("id_,params", FORMULA_ENTRIES, ids=FORMULA_IDS)
+    def test_highprec_is_the_textbook_coefficient(self, id_, params):
+        pair = catalog_get(id_, **params)
+        textbook = getattr(exact, f"phi_{id_}")
+        for k in range(61):
+            want = textbook(k, **params)
+            got = MP.mpf(pair.phi_highprec(k))
+            assert abs(got - want) <= MP.mpf("1e-35") * abs(want), (k, got, want)
+
+    @pytest.mark.parametrize("id_,params", FORMULA_ENTRIES, ids=FORMULA_IDS)
+    def test_doubles_are_the_reference_formula_bit_for_bit(self, id_, params):
+        pair = catalog_get(id_, **params)
+        reference = reference_catalog_phi(id_, **params)
+        rng = random.Random(44)
+        grid = [float(k) for k in range(-3, 201)] + [rng.uniform(-30.0, 30.0) for _ in range(300)]
+        # Points within 1e-13 of the poles of Gamma(m + k) and of 1/(k + 1).
+        poles = {"power": [-params.get("m", 0.0) - j for j in range(4)],
+                 "geometric": [-1.0 - j for j in range(4)], "harmonic_shifted": [-1.0]}
+        for pole in poles.get(id_, []):
+            grid += [pole + d for d in (0.0, 1e-15, -1e-15, 3e-14, -3e-14, 1e-13, -1e-13)]
+        for k in grid:
+            assert _outcome(pair.phi, k) == _outcome(reference, k), k
 
 
 def _fresh_output(code: str) -> list[str]:

@@ -732,11 +732,30 @@ class TestIdentityTable:
         exp = catalog_get("exp")
         report = IDENTITIES["residue"].run(exp, None, 1e-3, m=1.0, eps=1e-4)
         left, right = residue_check(exp, 1, 1e-4)
+        half, _ = residue_check(exp, 1, 1e-4 / 2)
         assert report.identity == "residue"
         assert (report.lhs.value, report.rhs) == (left, right)
-        assert report.lhs.error_estimate == abs(left - right)
-        assert report.lhs.evaluations == 2
+        # Twice the change from the eps probe to the eps/2 probe, plus a
+        # rounding floor of 4 eps |left|.
+        assert report.lhs.error_estimate == 2.0 * abs(left - half) + 4.0 * 2.0**-52 * abs(left)
+        assert report.lhs.evaluations == 4
+        assert abs(left - exact.residue(exact.phi_exp, 1)) <= report.lhs.error_estimate
         assert report.passed
+
+    @pytest.mark.parametrize("id_,params", [("exp", {"a": 1.0}), ("exp", {"a": 2.0}),
+                                            ("power", {"m": 2.5}), ("geometric", {}),
+                                            ("harmonic_shifted", {})])
+    def test_residue_estimate_covers_the_exact_residue(self, id_, params):
+        """The probe's error is c eps^2 + O(eps^4): its estimate, twice the
+        change at eps/2, is 3/2 of it, neither short nor loose."""
+        pair = catalog_get(id_, **params)
+        textbook = getattr(exact, f"phi_{id_}")
+        for m in range(4):
+            residue = exact.residue(lambda k: textbook(k, **params), m)
+            for eps in (1e-2, 1e-3, 1e-4, 1e-5):
+                lhs = IDENTITIES["residue"].run(pair, None, None, m=m, eps=eps).lhs
+                error = abs(exact.MP.mpf(lhs.value) - residue)
+                assert error <= lhs.error_estimate <= 2.0 * error, (m, eps)
 
 
 # One pair of each construction: every catalog pair, a shifted pair, and an
